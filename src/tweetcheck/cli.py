@@ -13,12 +13,14 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from functools import partial
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .config import MODE_ENV_VAR, AppConfig, ConfigError, build_config, source_by_name
-from .dataset import load_dataset, shipped_dataset_path, validate_dataset
+from .dataset import GroundTruthRecord, load_dataset, shipped_dataset_path, validate_dataset
 from .errors import (
+    CaptchaDetected,
     EmptyDatasetError,
     FixtureMiss,
     FormatError,
@@ -28,9 +30,9 @@ from .errors import (
     TweetCheckError,
     ValidationError,
 )
-from .adapters import ranked_search
+from .adapters import EngineSettings, ranked_search
 from .evaluation import EVAL_SOURCES, evaluate_engine, render_report
-from .fetch import FetchMode, FetchRequest
+from .fetch import Fetcher, FetchMode, FetchRequest
 from .model import Outcome, SourceId, TweetClaim
 from .pipeline import verify_claim
 from .ratings import identify_publisher, scrape_rating
@@ -192,13 +194,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     reports = []
     misses: list[FixtureMiss] = []
-    for source in engines:
-        try:
-            reports.append(evaluate_engine(source, records, fetcher, config.engine_settings(source)))
-        except MissingFixtures as exc:
-            misses.extend(exc.misses)
-        except EmptyDatasetError as exc:
-            return _fail(str(exc), EXIT_DATA)
+    for outcome in _run_engines(evaluate_engine, engines, records, config, fetcher):
+        if isinstance(outcome, MissingFixtures):
+            misses.extend(outcome.misses)
+        elif isinstance(outcome, EmptyDatasetError):
+            return _fail(str(outcome), EXIT_DATA)
+        elif isinstance(outcome, Exception):
+            raise outcome
+        else:
+            reports.append(outcome)
     if misses:
         for miss in misses:
             print(f"tweetcheck: missing fixture: record {miss.record_id}: {miss.url}", file=sys.stderr)
@@ -221,19 +225,61 @@ def cmd_record(args: argparse.Namespace) -> int:
         return _fail(f"dataset error: {exc}", EXIT_DATA)
 
     failures = 0
-    for source in engines:
-        for record in records:
-            claim = TweetClaim(body=record.tweet_body)
-            try:
-                ranked_search(source, claim, fetcher, config.engine_settings(source))
-            except TweetCheckError as exc:
-                failures += 1
-                print(
-                    f"tweetcheck: record {record.id} via {source.value} failed: {exc}",
-                    file=sys.stderr,
-                )
+    for outcome in _run_engines(_record_engine, engines, records, config, fetcher):
+        if isinstance(outcome, Exception):
+            raise outcome
+        for message in outcome:
+            print(f"tweetcheck: {message}", file=sys.stderr)
+        failures += len(outcome)
     print(f"recorded {len(records)} record(s) x {len(engines)} engine(s), {failures} failure(s)")
     return 0 if failures == 0 else EXIT_OPERATIONAL
+
+
+def _run_engines(
+    job: Callable[[SourceId, Sequence[GroundTruthRecord], Fetcher, EngineSettings], object],
+    engines: Sequence[SourceId],
+    records: Sequence[GroundTruthRecord],
+    config: AppConfig,
+    fetcher: Fetcher,
+) -> list:
+    """``job(source, records, fetcher, settings)`` for each engine, in engine order.
+
+    Engines on different hosts run at the same time; engines sharing a host
+    (web and web-snopes) run one after the other. Each entry is the job's
+    result or the exception it raised.
+    """
+    jobs = []
+    for source in engines:
+        settings = config.engine_settings(source)
+        jobs.append((settings.endpoint, partial(job, source, records, fetcher, settings)))
+    return fetcher.run_per_host(jobs)
+
+
+def _record_engine(
+    source: SourceId,
+    records: Sequence[GroundTruthRecord],
+    fetcher: Fetcher,
+    settings: EngineSettings,
+) -> list[str]:
+    """Record one engine's results for every record; one message per failed record.
+
+    After a bot challenge the engine is not queried again: the records
+    left count as failures.
+    """
+    failures = []
+    for index, record in enumerate(records):
+        try:
+            ranked_search(source, TweetClaim(body=record.tweet_body), fetcher, settings)
+        except CaptchaDetected as exc:
+            failures.append(f"record {record.id} via {source.value} failed: {exc}")
+            failures.extend(
+                f"record {skipped.id} via {source.value} skipped after a bot challenge"
+                for skipped in records[index + 1:]
+            )
+            break
+        except TweetCheckError as exc:
+            failures.append(f"record {record.id} via {source.value} failed: {exc}")
+    return failures
 
 
 def cmd_validate_dataset(args: argparse.Namespace) -> int:

@@ -125,8 +125,10 @@ def evaluate_engine(
     """Query one engine for every record and compute MRR and mean P@1.
 
     Per-record fetch failures score zero and are flagged in the outcome.
-    Missing fixtures are collected across the whole run and raised together
-    as :class:`MissingFixtures` so one pass reports every gap.
+    After a bot challenge the engine is not queried again: the records left
+    score zero, flagged as skipped. Missing fixtures are collected across
+    the whole run and raised together as :class:`MissingFixtures` so one
+    pass reports every gap.
     """
     if source not in EVAL_SOURCES:
         raise ValueError(f"{source.value} cannot be evaluated against ranked results")
@@ -135,24 +137,29 @@ def evaluate_engine(
 
     outcomes: list[QueryOutcome] = []
     misses: list[FixtureMiss] = []
+    challenged = False
     for record in records:
         claim = TweetClaim(body=record.tweet_body)
         relevant = _relevant_url(source, record)
         error: Optional[str] = None
         score = RankScore(None, Fraction(0), 0)
-        try:
-            results = ranked_search(source, claim, fetcher, settings)
-            if relevant is not None:
-                score = reciprocal_rank(results, relevant)
-            else:
-                error = "no relevant URL recorded for this engine"
-        except FixtureMiss as miss:
-            miss.record_id = record.id
-            misses.append(miss)
-            error = f"missing fixture: {miss.url}"
-        except (NetworkError, ParseError, CaptchaDetected) as exc:
-            logger.warning("record %s via %s failed: %s", record.id, source.value, exc)
-            error = f"{type(exc).__name__}: {exc}"
+        if challenged:
+            error = "skipped after a bot challenge"
+        else:
+            try:
+                results = ranked_search(source, claim, fetcher, settings)
+                if relevant is not None:
+                    score = reciprocal_rank(results, relevant)
+                else:
+                    error = "no relevant URL recorded for this engine"
+            except FixtureMiss as miss:
+                miss.record_id = record.id
+                misses.append(miss)
+                error = f"missing fixture: {miss.url}"
+            except (NetworkError, ParseError, CaptchaDetected) as exc:
+                logger.warning("record %s via %s failed: %s", record.id, source.value, exc)
+                error = f"{type(exc).__name__}: {exc}"
+                challenged = isinstance(exc, CaptchaDetected)
         outcomes.append(
             QueryOutcome(
                 record_id=record.id,

@@ -15,10 +15,11 @@ import os
 import tempfile
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence, TypeVar, Union
 from urllib.parse import urlsplit, urlunsplit
 
 import requests
@@ -31,6 +32,8 @@ DEFAULT_USER_AGENT = "tweetcheck/0.1 (automated fact-check evidence retrieval)"
 DEFAULT_DELAY_MS = 1000
 DEFAULT_TIMEOUT_S = 30.0
 MAX_REDIRECTS = 5
+#: Hosts queried at the same time by :meth:`Fetcher.run_per_host`.
+MAX_HOST_WORKERS = 4
 
 # Politeness bookkeeping is deliberately module-global: concurrent fetchers
 # must share one per-host clock. Each host gets its own lock, held across
@@ -167,7 +170,12 @@ def _reset_politeness_clock() -> None:
         _HOST_NEXT_SLOT.clear()
 
 
+def _host(url: str) -> str:
+    return (urlsplit(url).hostname or "").lower()
+
+
 Transport = Callable[[FetchRequest], FetchResponse]
+T = TypeVar("T")
 
 
 class Fetcher:
@@ -175,7 +183,8 @@ class Fetcher:
 
     Live performs the request with a per-host politeness delay; record does
     the same and persists the response under its fixture key; replay serves
-    recorded responses only and never touches the network.
+    recorded responses only and never touches the network. One fetcher may
+    be used from several threads at once.
     """
 
     def __init__(
@@ -195,15 +204,11 @@ class Fetcher:
         self.user_agent = user_agent
         self.delay_ms = delay_ms
         self.timeout_s = timeout_s
-        self._session: Optional[requests.Session] = None
-        if transport is not None:
-            self._transport = transport
-        else:
-            # created eagerly so concurrent fetches never race on lazy init;
-            # constructing a session opens no connections
-            self._session = requests.Session()
-            self._session.max_redirects = MAX_REDIRECTS
-            self._transport = self._requests_transport
+        # A requests.Session is not safe to share between threads, so each
+        # request takes an idle one (or a new one) and puts it back after.
+        self._idle_sessions: list[requests.Session] = []
+        self._sessions_lock = threading.Lock()
+        self._transport = transport if transport is not None else self._requests_transport
 
     def fetch(self, req: FetchRequest) -> FetchResponse:
         """Resolve one request according to the mode.
@@ -222,11 +227,44 @@ class Fetcher:
             self.store.save(key, response)
         return response
 
+    def run_per_host(
+        self, jobs: Sequence[tuple[str, Callable[[], T]]]
+    ) -> list[Union[T, Exception]]:
+        """Run ``(url, job)`` pairs, each host's jobs one after another.
+
+        Jobs for different hosts (by the host of their URL) run at the same
+        time, at most :data:`MAX_HOST_WORKERS` hosts at once; jobs for one
+        host keep their input order. Returns each job's result, or the
+        exception it raised, in input order. Replay never waits on the
+        network, so it runs every job inline.
+        """
+        by_host: dict[str, list[int]] = {}
+        for index, (url, _) in enumerate(jobs):
+            by_host.setdefault(_host(url), []).append(index)
+        outcomes: list[Union[T, Exception]] = [None] * len(jobs)  # type: ignore[list-item]
+
+        def run(indices: list[int]) -> None:
+            for index in indices:
+                try:
+                    outcomes[index] = jobs[index][1]()
+                except Exception as exc:  # handed back to the caller in order
+                    outcomes[index] = exc
+
+        groups = list(by_host.values())
+        if self.mode is FetchMode.REPLAY or len(groups) < 2:
+            for indices in groups:
+                run(indices)
+            return outcomes
+        with ThreadPoolExecutor(max_workers=min(MAX_HOST_WORKERS, len(groups))) as pool:
+            for future in [pool.submit(run, indices) for indices in groups]:
+                future.result()
+        return outcomes
+
     def _polite_request(self, req: FetchRequest) -> FetchResponse:
         delay_s = self.delay_ms / 1000.0
         if delay_s <= 0:
             return self._transport(req)
-        host = (urlsplit(req.url).hostname or "").lower()
+        host = _host(req.url)
         with _host_lock(host):
             now = time.monotonic()
             slot = _HOST_NEXT_SLOT.get(host, now)
@@ -240,16 +278,23 @@ class Fetcher:
                 _HOST_NEXT_SLOT[host] = started + delay_s
 
     def _requests_transport(self, req: FetchRequest) -> FetchResponse:
-        assert self._session is not None
         headers = {"User-Agent": self.user_agent}
         if req.accept_language:
             headers["Accept-Language"] = req.accept_language
+        with self._sessions_lock:
+            session = self._idle_sessions.pop() if self._idle_sessions else None
+        if session is None:
+            session = requests.Session()  # opens no connection until used
+            session.max_redirects = MAX_REDIRECTS
         try:
-            resp = self._session.get(
+            resp = session.get(
                 req.url, headers=headers, timeout=self.timeout_s, allow_redirects=True
             )
         except requests.RequestException as exc:
             raise NetworkError(f"GET {req.url} failed: {exc}") from exc
+        finally:
+            with self._sessions_lock:
+                self._idle_sessions.append(session)
         return FetchResponse(
             status=resp.status_code,
             final_url=resp.url,

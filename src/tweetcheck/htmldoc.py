@@ -53,11 +53,16 @@ class Element:
         return self.attrs.get(name, default)
 
     def iter(self) -> Iterator["Element"]:
-        """All descendant elements in document order, self excluded."""
-        for child in self.children:
-            if isinstance(child, Element):
-                yield child
-                yield from child.iter()
+        """All descendant elements in document order, self excluded.
+
+        Walks an explicit stack, so nesting depth costs neither recursion
+        nor a generator frame per level.
+        """
+        stack = [child for child in reversed(self.children) if isinstance(child, Element)]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(child for child in reversed(node.children) if isinstance(child, Element))
 
     def text(self) -> str:
         """Concatenated text of all descendants, entities already decoded."""

@@ -1,22 +1,41 @@
 """End-to-end verification of one claim: query engines, scrape, aggregate.
 
-Engines run in source declaration order, so output and evidence ordering
-are deterministic regardless of where evidence came from. Per-engine fetch
-problems degrade gracefully: the engine is skipped with a recorded error
-and the verdict is computed from whatever evidence the others produced.
+Verification runs in four stages: search every enabled engine, select the
+articles to read, scrape them, and aggregate. The fetch gateway runs the
+two network stages concurrently across hosts, one request per host at a
+time. Selection and aggregation walk the engines in source declaration
+order, so output and evidence ordering are deterministic regardless of
+which request finished first. Per-engine fetch problems degrade
+gracefully: the engine is skipped with a recorded error and the verdict is
+computed from whatever evidence the others produced.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import partial
+from typing import Optional, Sequence, Union
 
-from .adapters import match_politwoops, ranked_search, search_politwoops
+from .adapters import (
+    EngineSettings,
+    PolitwoopsHit,
+    match_politwoops,
+    ranked_search,
+    search_politwoops,
+)
 from .config import AppConfig
 from .errors import CaptchaDetected, FixtureMiss, NetworkError, ParseError
 from .fetch import Fetcher, FetchRequest
-from .model import EvidenceItem, SourceId, TruthRating, TweetClaim, Verdict, classify_rating
+from .model import (
+    EvidenceItem,
+    RankedResults,
+    SourceId,
+    TruthRating,
+    TweetClaim,
+    Verdict,
+    classify_rating,
+)
 from .ratings import canonicalize_article_url, identify_publisher, scrape_rating
 from .verdict import aggregate
 
@@ -48,54 +67,106 @@ def verify_claim(
     engines: Optional[Sequence[SourceId]] = None,
 ) -> VerifyRun:
     """Run the enabled engines over one claim and aggregate a verdict."""
-    enabled = set(engines) if engines is not None else set(SourceId)
+    enabled = [source for source in SourceId if engines is None or source in engines]
+    settings = {source: config.engine_settings(source) for source in enabled}
+    rating_selectors = config.rating_selectors()
+
+    # Search: every engine, concurrently across hosts.
+    searched = fetcher.run_per_host(
+        [
+            (settings[source].endpoint, partial(_search, source, claim, fetcher, settings[source]))
+            for source in enabled
+        ]
+    )
+
+    # Select: in source order, so the first engine to reach an article keeps it.
+    errors: dict[SourceId, str] = {}
+    selected: dict[SourceId, list[tuple[int, str]]] = {}
+    seen_articles: set[str] = set()
+    for source, outcome in zip(enabled, searched):
+        if isinstance(outcome, Exception):
+            errors[source] = _engine_error(source, outcome)
+        elif isinstance(outcome, RankedResults):
+            selected[source] = _select_articles(outcome, config.max_articles, seen_articles)
+
+    # Scrape: every selected article, concurrently across hosts.
+    urls = [url for picks in selected.values() for _, url in picks]
+    ratings = iter(
+        fetcher.run_per_host(
+            [(url, partial(_scrape_article, url, fetcher, rating_selectors)) for url in urls]
+        )
+    )
+
+    # Aggregate: lines and evidence in source order, then the verdict.
     lines: list[str] = []
     evidence: list[EvidenceItem] = []
-    errors: dict[SourceId, str] = {}
-    seen_articles: set[str] = set()
-    rating_selectors = config.rating_selectors()
-    engines_run = 0
-
-    for source in SourceId:
-        if source not in enabled:
-            continue
-        engines_run += 1
-        try:
-            if source is SourceId.POLITWOOPS:
-                _run_politwoops(claim, fetcher, config, lines, evidence)
-            else:
-                _run_ranked_engine(
-                    source, claim, fetcher, config, lines, evidence, seen_articles,
-                    rating_selectors,
-                )
-        except (NetworkError, FixtureMiss) as exc:
-            logger.warning("%s unavailable: %s", source.value, exc)
-            errors[source] = str(exc)
-        except CaptchaDetected as exc:
-            logger.warning(
-                "%s served a bot challenge, back off and retry later: %s", source.value, exc
-            )
-            errors[source] = f"bot challenge: {exc}"
-        except ParseError as exc:
-            logger.warning("%s returned an unparseable page: %s", source.value, exc)
-            errors[source] = f"unparseable page: {exc}"
+    for source, outcome in zip(enabled, searched):
+        if source is SourceId.POLITWOOPS and source not in errors:
+            _add_politwoops(claim, outcome, lines, evidence)
+        for rank, url in selected.get(source, ()):
+            rating = next(ratings)
+            if isinstance(rating, Exception):
+                raise rating
+            evidence.append(EvidenceItem(source=source, url=url, rank=rank, rating=rating))
+            lines.append(f"Article found at URL: {url}")
+            lines.append(_rating_line(rating))
 
     return VerifyRun(
         verdict=aggregate(claim, evidence),
         lines=tuple(lines),
         engine_errors=errors,
-        engines_run=engines_run,
+        engines_run=len(enabled),
     )
 
 
-def _run_politwoops(
+def _search(
+    source: SourceId, claim: TweetClaim, fetcher: Fetcher, settings: EngineSettings
+) -> Union[RankedResults, list[PolitwoopsHit]]:
+    if source is SourceId.POLITWOOPS:
+        return search_politwoops(claim, fetcher, settings)
+    return ranked_search(source, claim, fetcher, settings)
+
+
+def _engine_error(source: SourceId, exc: Exception) -> str:
+    """The recorded error for an engine whose search failed; re-raises the unexpected."""
+    if isinstance(exc, (NetworkError, FixtureMiss)):
+        logger.warning("%s unavailable: %s", source.value, exc)
+        return str(exc)
+    if isinstance(exc, CaptchaDetected):
+        logger.warning(
+            "%s served a bot challenge, back off and retry later: %s", source.value, exc
+        )
+        return f"bot challenge: {exc}"
+    if isinstance(exc, ParseError):
+        logger.warning("%s returned an unparseable page: %s", source.value, exc)
+        return f"unparseable page: {exc}"
+    raise exc
+
+
+def _select_articles(
+    results: RankedResults, max_articles: int, seen_articles: set[str]
+) -> list[tuple[int, str]]:
+    """(rank, url) of up to ``max_articles`` publisher articles not yet taken."""
+    picks: list[tuple[int, str]] = []
+    for rank, url in enumerate(results.urls, start=1):
+        if len(picks) >= max_articles:
+            break
+        if identify_publisher(url) is None:
+            continue
+        canonical = canonicalize_article_url(url)
+        if canonical in seen_articles:
+            continue
+        seen_articles.add(canonical)
+        picks.append((rank, url))
+    return picks
+
+
+def _add_politwoops(
     claim: TweetClaim,
-    fetcher: Fetcher,
-    config: AppConfig,
+    hits: list[PolitwoopsHit],
     lines: list[str],
     evidence: list[EvidenceItem],
 ) -> None:
-    hits = search_politwoops(claim, fetcher, config.engine_settings(SourceId.POLITWOOPS))
     hit = match_politwoops(claim, hits)
     if hit is None:
         return
@@ -110,39 +181,14 @@ def _run_politwoops(
     )
 
 
-def _run_ranked_engine(
-    source: SourceId,
-    claim: TweetClaim,
-    fetcher: Fetcher,
-    config: AppConfig,
-    lines: list[str],
-    evidence: list[EvidenceItem],
-    seen_articles: set[str],
-    rating_selectors: dict,
-) -> None:
-    results = ranked_search(source, claim, fetcher, config.engine_settings(source))
-    taken = 0
-    for rank, url in enumerate(results.urls, start=1):
-        if taken >= config.max_articles:
-            break
-        if identify_publisher(url) is None:
-            continue
-        canonical = canonicalize_article_url(url)
-        if canonical in seen_articles:
-            continue
-        seen_articles.add(canonical)
-        taken += 1
-        rating = _scrape_article(url, fetcher, rating_selectors)
-        evidence.append(EvidenceItem(source=source, url=url, rank=rank, rating=rating))
-        lines.append(f"Article found at URL: {url}")
-        lines.append(_rating_line(rating))
-
-
 def _scrape_article(url: str, fetcher: Fetcher, selectors) -> TruthRating:
     try:
         page = fetcher.fetch(FetchRequest(url=url))
         if not page.ok:
             logger.warning("article %s returned HTTP %s", url, page.status)
+            return classify_rating("")
+        if identify_publisher(page.final_url) is None:  # e.g. a consent page
+            logger.warning("article %s redirected off the publisher to %s", url, page.final_url)
             return classify_rating("")
         return scrape_rating(page, selectors)
     except (NetworkError, FixtureMiss, ParseError) as exc:

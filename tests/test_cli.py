@@ -268,6 +268,29 @@ class TestRecord:
         assert "e2" in err and "e3" in err
         assert len(list(fixtures.iterdir())) == 1  # e1's page was still recorded
 
+    def test_bot_challenge_stops_the_engine(self, tmp_path, monkeypatch, capsys):
+        records = eval_records()
+        pages = {
+            engine_query_url(SourceId.WEB_SEARCH, r.tweet_body): StubPage(page("google_serp_empty.html"))
+            for r in records
+        }
+        first = engine_query_url(SourceId.WEB_SEARCH, records[0].tweet_body)
+        pages[first] = StubPage(page("google_serp_captcha.html"))
+        transport = self._patch_transport(monkeypatch, pages)
+        code = main([
+            "record", "--dataset", str(write_dataset(tmp_path)), "--engine", "web",
+            "--fixtures", str(tmp_path / "fx"), "--config", str(self._quiet_config(tmp_path)),
+        ])
+        captured = capsys.readouterr()
+        assert code == 69
+        assert transport.requested == [first]  # no further requests to the host
+        assert captured.out == "recorded 3 record(s) x 1 engine(s), 3 failure(s)\n"
+        failures = [line for line in captured.err.splitlines() if line.startswith("tweetcheck: record")]
+        assert [line.split(" failed")[0].split(" skipped")[0] for line in failures] == [
+            f"tweetcheck: record {r.id} via web" for r in records
+        ]
+        assert "bot challenge" in failures[0] and "skipped after a bot challenge" in failures[2]
+
 
 class TestValidateDataset:
     def test_shipped_corpus_is_default_and_clean(self, capsys):

@@ -162,6 +162,24 @@ class TestEvaluateEngine:
         assert report.outcomes[1].reciprocal_rank == 0
         assert report.mrr == Fraction(1, 3)  # only e1 scored
 
+    def test_bot_challenge_stops_the_engine(self):
+        from conftest import StubPage, engine_query_url, page
+
+        records = eval_records()
+        pages = {
+            engine_query_url(SourceId.WEB_SEARCH, r.tweet_body): StubPage(page("google_serp_empty.html"))
+            for r in records
+        }
+        first = engine_query_url(SourceId.WEB_SEARCH, records[0].tweet_body)
+        pages[first] = StubPage(page("google_serp_captcha.html"))
+        transport = StubTransport(pages)
+        fetcher = Fetcher(FetchMode.LIVE, delay_ms=0, transport=transport)
+        report = evaluate_engine(SourceId.WEB_SEARCH, records, fetcher)
+        assert transport.requested == [first]  # the host is not asked again
+        assert "CaptchaDetected" in report.outcomes[0].error
+        assert [o.error for o in report.outcomes[1:]] == ["skipped after a bot challenge"] * 2
+        assert report.mrr == 0 and report.mean_p_at_1 == 0
+
     def test_reuters_engine_uses_overlap_column(self, tmp_path):
         record = GroundTruthRecord(
             id="r1", tweet_body="overlap body", authentic=False,

@@ -78,6 +78,18 @@ class TestMalformedHtml:
         root = parse_html("<p>a<br>b<img src='x'>c</p>")
         assert root.select("p")[0].text() == "abc"
 
+    def test_deep_nesting_parses_and_selects(self):
+        depth = 5000
+        root = parse_html("<div>" * depth + '<a href="x">deep</a>' + "</div>" * depth)
+        assert len(root.select("div")) == depth
+        assert [a.text() for a in root.select("div a[href]")] == ["deep"]
+
+
+class TestIter:
+    def test_nested_elements_in_document_order(self):
+        root = parse_html("<a><b><c></c></b><d></d></a><e><f></f></e>")
+        assert [el.tag for el in root.iter()] == ["a", "b", "c", "d", "e", "f"]
+
 
 class TestParseResponse:
     def test_html_content_type_accepted(self):

@@ -6,6 +6,7 @@ from conftest import (
     JOBS_BODY,
     PANDEMIC_BODY,
     POLITWOOPS_JOBS_DETAIL,
+    SNOPES_PANDEMIC_ARTICLE,
     StubPage,
     engine_query_url,
     page,
@@ -77,3 +78,19 @@ class TestVerifyClaim:
     def test_engines_run_counted(self, pandemic_store):
         result = run(PANDEMIC_BODY, pandemic_store)
         assert result.engines_run == len(SourceId)
+
+    def test_article_redirected_off_publisher_is_missing_rating(self, tmp_path, caplog):
+        pages = pandemic_pages()
+        pages[SNOPES_PANDEMIC_ARTICLE] = StubPage(
+            b"<html><body><p>Rating: False</p></body></html>",
+            final_url="https://consent.example.com/?continue=snopes",
+        )
+        store = record_pages(tmp_path / "fx", pages)
+        result = run(PANDEMIC_BODY, store, engines=[SourceId.SNOPES_SEARCH], max_articles=1)
+        assert result.lines == (
+            f"Article found at URL: {SNOPES_PANDEMIC_ARTICLE}",
+            "Truth rating: UNKNOWN (missing)",
+        )
+        assert result.verdict.evidence[0].rating.missing
+        assert not result.engine_errors
+        assert "consent.example.com" in caplog.text

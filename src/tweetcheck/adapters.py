@@ -223,14 +223,16 @@ def search_web(
     root = parse_response(response)
     _check_captcha(root, settings, response.final_url)
 
-    ad_elements = root.select(settings.selectors["ads"]) if settings.selectors.get("ads") else []
+    ads = root.select(settings.selectors["ads"]) if settings.selectors.get("ads") else []
+    # ids stay unique while ``root`` keeps the whole tree alive
+    ad_ids = {id(el) for ad in ads for el in (ad, *ad.iter())}
     seen: set[str] = set()
     urls: list[str] = []
     for anchor in root.select(settings.selectors["results"]):
         href = anchor.get("href")
         if not href:
             continue
-        if any(anchor is ad or anchor.is_inside(ad) for ad in ad_elements):
+        if id(anchor) in ad_ids:
             continue
         absolute = _unwrap_redirect(urljoin(response.final_url, href))
         parts = urlsplit(absolute)

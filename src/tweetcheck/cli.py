@@ -166,7 +166,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except (ConfigError, ValueError) as exc:
         return _fail(str(exc), EXIT_USAGE)
 
-    run = verify_claim(claim, config, fetcher, engines)
+    with fetcher:
+        run = verify_claim(claim, config, fetcher, engines)
     for source, message in run.engine_errors.items():
         print(f"tweetcheck: {source.value}: {message}", file=sys.stderr)
     if run.engine_errors and len(run.engine_errors) == run.engines_run and not run.verdict.evidence:
@@ -187,14 +188,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
         fetcher = config.build_fetcher()
     except ConfigError as exc:
         return _fail(str(exc), EXIT_USAGE)
-    try:
-        records = load_dataset(args.dataset)
-    except (FormatError, ValidationError, OSError) as exc:
-        return _fail(f"dataset error: {exc}", EXIT_DATA)
+    with fetcher:
+        try:
+            records = load_dataset(args.dataset)
+        except (FormatError, ValidationError, OSError) as exc:
+            return _fail(f"dataset error: {exc}", EXIT_DATA)
+        outcomes = _run_engines(evaluate_engine, engines, records, config, fetcher)
 
     reports = []
     misses: list[FixtureMiss] = []
-    for outcome in _run_engines(evaluate_engine, engines, records, config, fetcher):
+    for outcome in outcomes:
         if isinstance(outcome, MissingFixtures):
             misses.extend(outcome.misses)
         elif isinstance(outcome, EmptyDatasetError):
@@ -219,13 +222,15 @@ def cmd_record(args: argparse.Namespace) -> int:
         fetcher = config.build_fetcher()
     except ConfigError as exc:
         return _fail(str(exc), EXIT_USAGE)
-    try:
-        records = load_dataset(args.dataset)
-    except (FormatError, ValidationError, OSError) as exc:
-        return _fail(f"dataset error: {exc}", EXIT_DATA)
+    with fetcher:
+        try:
+            records = load_dataset(args.dataset)
+        except (FormatError, ValidationError, OSError) as exc:
+            return _fail(f"dataset error: {exc}", EXIT_DATA)
+        outcomes = _run_engines(_record_engine, engines, records, config, fetcher)
 
     failures = 0
-    for outcome in _run_engines(_record_engine, engines, records, config, fetcher):
+    for outcome in outcomes:
         if isinstance(outcome, Exception):
             raise outcome
         for message in outcome:
@@ -306,12 +311,13 @@ def cmd_scrape(args: argparse.Namespace) -> int:
         fetcher = config.build_fetcher()
     except ConfigError as exc:
         return _fail(str(exc), EXIT_USAGE)
-    try:
-        page = fetcher.fetch(FetchRequest(url=args.url))
-    except FixtureMiss as exc:
-        return _fail(str(exc), EXIT_NO_FIXTURE)
-    except NetworkError as exc:
-        return _fail(str(exc), EXIT_OPERATIONAL)
+    with fetcher:
+        try:
+            page = fetcher.fetch(FetchRequest(url=args.url))
+        except FixtureMiss as exc:
+            return _fail(str(exc), EXIT_NO_FIXTURE)
+        except NetworkError as exc:
+            return _fail(str(exc), EXIT_OPERATIONAL)
     if not page.ok:
         return _fail(f"HTTP {page.status} for {args.url}", EXIT_OPERATIONAL)
     try:

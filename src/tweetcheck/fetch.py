@@ -184,7 +184,8 @@ class Fetcher:
     Live performs the request with a per-host politeness delay; record does
     the same and persists the response under its fixture key; replay serves
     recorded responses only and never touches the network. One fetcher may
-    be used from several threads at once.
+    be used from several threads at once. :meth:`close` (or leaving a
+    ``with`` block) closes its pooled HTTP sessions once requests are done.
     """
 
     def __init__(
@@ -209,6 +210,19 @@ class Fetcher:
         self._idle_sessions: list[requests.Session] = []
         self._sessions_lock = threading.Lock()
         self._transport = transport if transport is not None else self._requests_transport
+
+    def __enter__(self) -> "Fetcher":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Close the idle pooled sessions and their keep-alive connections."""
+        with self._sessions_lock:
+            sessions, self._idle_sessions = self._idle_sessions, []
+        for session in sessions:
+            session.close()
 
     def fetch(self, req: FetchRequest) -> FetchResponse:
         """Resolve one request according to the mode.
@@ -310,4 +324,5 @@ def fetch(
     **kwargs,
 ) -> FetchResponse:
     """One-shot convenience wrapper around :class:`Fetcher`."""
-    return Fetcher(mode, store, **kwargs).fetch(req)
+    with Fetcher(mode, store, **kwargs) as fetcher:
+        return fetcher.fetch(req)

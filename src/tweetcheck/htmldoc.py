@@ -11,11 +11,19 @@ per-adapter selector configuration files may use:
 Unclosed tags are recovered from by scanning down the open-element stack;
 this is not a full HTML5 tree builder, but it handles the result pages and
 article pages this package scrapes.
+
+Parent links are weak references: a tree is owned by its root through
+``children`` alone, so it holds no reference cycle and is freed the moment
+its root is dropped, without waiting for the cycle collector. A tree lives
+as long as its root; keep the root while walking upward. An element whose
+root is gone has ``parent`` None.
 """
 
 from __future__ import annotations
 
 import re
+import weakref
+from functools import lru_cache
 from html.parser import HTMLParser
 from typing import Iterator, Optional
 
@@ -30,20 +38,33 @@ _ATTR_RE = re.compile(r"\[\s*([\w:-]+)\s*(?:([*^$]?=)\s*\"?([^\"\]]*?)\"?\s*)?\]
 _PART_RE = re.compile(r"([\w:-]+)|#([\w:-]+)|\.([\w:-]+)")
 
 
-class Element:
-    """One HTML element: tag, attributes, and mixed text/element children."""
+def _no_parent() -> None:
+    return None
 
-    __slots__ = ("tag", "attrs", "children", "parent")
+
+class Element:
+    """One HTML element: tag, attributes, and mixed text/element children.
+
+    The link to the parent is weak (see the module docstring): ``parent``
+    is None for the root and for an element whose root has been dropped.
+    """
+
+    __slots__ = ("tag", "attrs", "children", "_parent", "__weakref__")
 
     def __init__(self, tag: str, attrs: Optional[dict[str, str]] = None, parent=None):
         self.tag = tag
         self.attrs = attrs or {}
         self.children: list[Element | str] = []
-        self.parent: Optional[Element] = parent
+        # Called to dereference, so hot loops walk up with ``node._parent()``.
+        self._parent = _no_parent if parent is None else weakref.ref(parent)
 
     def __repr__(self):
         ident = f"#{self.attrs['id']}" if "id" in self.attrs else ""
         return f"<Element {self.tag}{ident}>"
+
+    @property
+    def parent(self) -> Optional["Element"]:
+        return self._parent()
 
     @property
     def classes(self) -> list[str]:
@@ -62,7 +83,7 @@ class Element:
         while stack:
             node = stack.pop()
             yield node
-            stack.extend(child for child in reversed(node.children) if isinstance(child, Element))
+            stack.extend([child for child in reversed(node.children) if isinstance(child, Element)])
 
     def text(self) -> str:
         """Concatenated text of all descendants, entities already decoded."""
@@ -76,21 +97,28 @@ class Element:
                 stack.extend(reversed(node.children))
         return "".join(parts)
 
+    def _matching(self, selector: str) -> Iterator["Element"]:
+        chains = _parse_selector(selector)
+        for el in self.iter():
+            for chain in chains:
+                if _chain_matches(el, chain):
+                    yield el
+                    break
+
     def select(self, selector: str) -> list["Element"]:
         """Elements under this one matching the selector, in document order."""
-        chains = _parse_selector(selector)
-        return [el for el in self.iter() if any(_chain_matches(el, c) for c in chains)]
+        return list(self._matching(selector))
 
     def select_one(self, selector: str) -> Optional["Element"]:
-        found = self.select(selector)
-        return found[0] if found else None
+        """The first element :meth:`select` would return, without finding the rest."""
+        return next(self._matching(selector), None)
 
     def is_inside(self, container: "Element") -> bool:
-        node = self.parent
+        node = self._parent()
         while node is not None:
             if node is container:
                 return True
-            node = node.parent
+            node = node._parent()
         return False
 
 
@@ -130,19 +158,21 @@ def _parse_compound(token: str) -> _Simple:
             classes.append(m.group(3))
     if pos != len(rest):
         raise ValueError(f"unsupported selector syntax: {token!r}")
-    return _Simple(tag, id_, tuple(classes), tuple(attrs))
+    return _Simple(tag, id_, frozenset(classes), tuple(attrs))
 
 
-def _parse_selector(selector: str) -> list[list[_Simple]]:
+@lru_cache(maxsize=256)
+def _parse_selector(selector: str) -> tuple[tuple[_Simple, ...], ...]:
+    """Compiled selector, one chain per alternative; cached, so never mutate it."""
     chains = []
     for alternative in selector.split(","):
         tokens = alternative.split()
         if not tokens:
             continue
-        chains.append([_parse_compound(token) for token in tokens])
+        chains.append(tuple(_parse_compound(token) for token in tokens))
     if not chains:
         raise ValueError("empty selector")
-    return chains
+    return tuple(chains)
 
 
 def _matches_simple(el: Element, simple: _Simple) -> bool:
@@ -150,7 +180,7 @@ def _matches_simple(el: Element, simple: _Simple) -> bool:
         return False
     if simple.id is not None and el.attrs.get("id") != simple.id:
         return False
-    if simple.classes and not set(simple.classes).issubset(el.classes):
+    if simple.classes and not simple.classes.issubset(el.classes):
         return False
     for name, op, value in simple.attrs:
         actual = el.attrs.get(name)
@@ -167,16 +197,16 @@ def _matches_simple(el: Element, simple: _Simple) -> bool:
     return True
 
 
-def _chain_matches(el: Element, chain: list[_Simple]) -> bool:
+def _chain_matches(el: Element, chain: tuple[_Simple, ...]) -> bool:
     if not _matches_simple(el, chain[-1]):
         return False
-    node = el.parent
+    node = el._parent()
     for simple in reversed(chain[:-1]):
         while node is not None and not _matches_simple(node, simple):
-            node = node.parent
+            node = node._parent()
         if node is None:
             return False
-        node = node.parent
+        node = node._parent()
     return True
 
 
@@ -185,19 +215,34 @@ class _TreeBuilder(HTMLParser):
         super().__init__(convert_charrefs=True)
         self.root = Element("[document]")
         self.stack = [self.root]
+        # Open elements per tag name, so a stray end tag is dropped in O(1)
+        # instead of scanning the whole stack.
+        self.open_counts: dict[str, int] = {}
 
     def handle_starttag(self, tag, attrs):
         element = Element(tag, dict(attrs), parent=self.stack[-1])
         self.stack[-1].children.append(element)
         if tag not in VOID_TAGS:
             self.stack.append(element)
+            self.open_counts[tag] = self.open_counts.get(tag, 0) + 1
 
     def handle_endtag(self, tag):
-        for index in range(len(self.stack) - 1, 0, -1):
-            if self.stack[index].tag == tag:
-                del self.stack[index:]
+        if not self.open_counts.get(tag):
+            return  # stray end tag: ignore
+        # close everything above the nearest open element with this tag
+        while True:
+            closed = self.stack.pop().tag
+            self.open_counts[closed] -= 1
+            if closed == tag:
                 return
-        # stray end tag: ignore
+
+    def parse_marked_section(self, i, report=1):
+        # The stdlib asserts on an unknown ``<![keyword[``; HTML reads it
+        # as a bogus comment.
+        try:
+            return super().parse_marked_section(i, report)
+        except AssertionError:
+            return self.parse_bogus_comment(i, report)
 
     def handle_data(self, data):
         if data:

@@ -54,6 +54,7 @@ def server():
     thread.start()
     yield f"http://127.0.0.1:{httpd.server_address[1]}"
     httpd.shutdown()
+    httpd.server_close()
 
 
 class TestLiveTransport:
@@ -95,6 +96,12 @@ class TestLiveTransport:
         replayed = Fetcher(FetchMode.REPLAY, store).fetch(FetchRequest(url=f"{server}/hop1"))
         assert replayed == recorded
         assert replayed.final_url == f"{server}/final"
+
+    def test_close_empties_the_session_pool(self, server):
+        with Fetcher(FetchMode.LIVE, delay_ms=0) as fetcher:
+            fetcher.fetch(FetchRequest(url=f"{server}/final"))
+            assert len(fetcher._idle_sessions) == 1
+        assert fetcher._idle_sessions == []
 
     def test_connection_refused_is_a_network_error(self):
         fetcher = Fetcher(FetchMode.LIVE, delay_ms=0, timeout_s=2)

@@ -1,8 +1,18 @@
-import pytest
+import gc
+import time
+import weakref
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tweetcheck.adapters import DEFAULT_SELECTORS, search_web
 from tweetcheck.errors import ParseError
 from tweetcheck.fetch import FetchResponse
-from tweetcheck.htmldoc import parse_html, parse_response
+from tweetcheck.htmldoc import _parse_selector, parse_html, parse_response
+from tweetcheck.model import SourceId, TweetClaim
+
+from conftest import PANDEMIC_BODY, StubPage, engine_query_url, page, record_pages, replay_fetcher
 
 SAMPLE = """
 <html><body>
@@ -64,6 +74,106 @@ class TestSelectors:
         with pytest.raises(ValueError):
             self.root.select("div > a")
 
+    def test_select_one_is_first_match_or_none(self):
+        assert self.root.select_one("a[href]").get("href") == "https://a.example/"
+        assert self.root.select_one("div#other, p").tag == "div"
+        assert self.root.select_one("table") is None
+
+    def test_compiled_selector_is_cached_and_immutable(self):
+        chains = _parse_selector("div#search a[href], p")
+        assert chains is _parse_selector("div#search a[href], p")
+        assert isinstance(chains, tuple) and all(isinstance(c, tuple) for c in chains)
+
+
+class TestParentLinks:
+    def test_parent_and_is_inside_while_root_alive(self):
+        root = parse_html(SAMPLE)
+        ad_anchor = root.select("[data-text-ad] a")[0]
+        assert ad_anchor.parent.get("data-text-ad") == "1"
+        assert ad_anchor.parent.parent.get("id") == "search"
+        assert ad_anchor.is_inside(root)
+        assert root.parent is None
+
+    def test_detached_element_has_no_parent(self):
+        root = parse_html(SAMPLE)
+        anchor = root.select("div.g a")[0]
+        del root
+        assert anchor.parent is None
+        assert anchor.text() == "A & B"
+
+    def test_ad_filter_drops_what_containment_drops(self, tmp_path):
+        root = parse_html(SAMPLE)
+        ads = root.select(DEFAULT_SELECTORS[SourceId.WEB_SEARCH]["ads"])
+        kept = [
+            anchor.get("href")
+            for anchor in root.select("div#search a[href]")
+            if not any(anchor is ad or anchor.is_inside(ad) for ad in ads)
+        ]
+        url = engine_query_url(SourceId.WEB_SEARCH, "sample page")
+        store = record_pages(tmp_path / "fx", {url: StubPage(SAMPLE.encode())})
+        results = search_web(TweetClaim(body="sample page"), replay_fetcher(store))
+        assert list(results.urls) == kept == ["https://a.example/", "https://b.example/"]
+
+
+class TestTreeLifetime:
+    """A parsed tree holds no reference cycle, so dropping its root frees it."""
+
+    @pytest.fixture(autouse=True)
+    def _collector_off(self):
+        gc.collect()
+        gc.disable()
+        yield
+        gc.enable()
+
+    def test_parsed_page_freed_on_del(self):
+        root = parse_html(page("google_serp_pandemic.html").decode("utf-8"))
+        alive = weakref.ref(root)
+        del root
+        assert alive() is None
+
+    def test_deep_nest_freed_on_del(self):
+        root = parse_html("<div>" * 100_000)
+        alive = weakref.ref(root)
+        del root
+        assert alive() is None
+
+    def test_search_web_leaves_nothing_for_the_collector(self, pandemic_store):
+        fetcher = replay_fetcher(pandemic_store)
+        claim = TweetClaim(body=PANDEMIC_BODY)
+        search_web(claim, fetcher)  # first use fills module-level caches
+        gc.collect()
+        assert search_web(claim, fetcher).urls
+        assert gc.collect() == 0
+
+
+_MARKUP = st.lists(
+    st.one_of(
+        st.sampled_from([
+            "<div>", "</div>", "<p>", "</p>", "</b>", "<a href='x'>", "</a>", "<br/>",
+            "<div/>", "<script>", "</script>", "<!--", "-->", "<!", "<![CDATA[", "]]>",
+            "<![foo[", "<![ 1", "<?", "<!DOCTYPE html>", "&amp;", "&#", "&#x110000;", "<", ">",
+        ]),
+        st.text(max_size=12),
+    ),
+    max_size=40,
+).map("".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_MARKUP)
+def test_parse_html_is_total_and_leaves_nothing_for_the_collector(text):
+    # freezing keeps older objects out of the count, and out of the time
+    gc.disable()
+    gc.freeze()
+    try:
+        root = parse_html(text)
+        root.select("div a, p")
+        del root
+        assert gc.collect() == 0
+    finally:
+        gc.unfreeze()
+        gc.enable()
+
 
 class TestMalformedHtml:
     def test_unclosed_tags_recovered(self):
@@ -77,6 +187,22 @@ class TestMalformedHtml:
     def test_void_elements_do_not_nest(self):
         root = parse_html("<p>a<br>b<img src='x'>c</p>")
         assert root.select("p")[0].text() == "abc"
+
+    def test_implicitly_closed_elements_are_no_longer_open(self):
+        # </div> closes the <span> too, so the </span> after it is stray
+        root = parse_html("<div><span>in</div></span><span>after</span>")
+        assert [el.tag for el in root.children] == ["div", "span"]
+        assert root.select("div span")[0].text() == "in"
+
+    def test_stray_end_tags_cost_linear_time(self):
+        # at 3,000 open elements x 40,000 stray end tags a stack scan per
+        # stray tag takes several seconds; a linear builder well under one
+        depth = 3000
+        started = time.perf_counter()
+        root = parse_html("<div>" * depth + "</b>" * 40_000 + "<p>end</p>")
+        assert time.perf_counter() - started < 2.5
+        assert len(root.select("div")) == depth
+        assert [p.text() for p in root.select("div p")] == ["end"]
 
     def test_deep_nesting_parses_and_selects(self):
         depth = 5000

@@ -30,6 +30,7 @@ from .dataset import (
 )
 from .errors import (
     CaptchaDetected,
+    CorruptFixture,
     EmptyDatasetError,
     FixtureMiss,
     FormatError,

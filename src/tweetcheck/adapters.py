@@ -137,8 +137,12 @@ def _extract_links(root: Element, base_url: str, selector: str) -> list[str]:
         href = anchor.get("href")
         if not href:
             continue
-        absolute = urljoin(base_url, href)
-        if urlsplit(absolute).scheme not in ("http", "https"):
+        try:
+            absolute = urljoin(base_url, href)
+            scheme = urlsplit(absolute).scheme
+        except ValueError:  # unparseable, e.g. an unbalanced "[" in the host
+            continue
+        if scheme not in ("http", "https"):
             continue
         normalized = _normalize_result_url(absolute)
         if normalized in seen:
@@ -234,8 +238,11 @@ def search_web(
             continue
         if id(anchor) in ad_ids:
             continue
-        absolute = _unwrap_redirect(urljoin(response.final_url, href))
-        parts = urlsplit(absolute)
+        try:
+            absolute = _unwrap_redirect(urljoin(response.final_url, href))
+            parts = urlsplit(absolute)
+        except ValueError:  # unparseable, e.g. an unbalanced "[" in the host
+            continue
         if parts.scheme not in ("http", "https"):
             continue
         if _host_matches((parts.hostname or ""), "google.com"):
@@ -275,8 +282,13 @@ def search_politwoops(
         if text_el is None or link_el is None or not link_el.get("href"):
             logger.debug("politwoops: skipping card without text/link")
             continue
-        detail_url = urljoin(response.final_url, link_el.get("href"))
-        if (urlsplit(detail_url).hostname or "").lower() != project_host:
+        try:
+            detail_url = urljoin(response.final_url, link_el.get("href"))
+            detail_host = (urlsplit(detail_url).hostname or "").lower()
+        except ValueError:  # unparseable, e.g. an unbalanced "[" in the host
+            logger.debug("politwoops: skipping unparseable link %r", link_el.get("href"))
+            continue
+        if detail_host != project_host:
             logger.debug("politwoops: skipping off-host link %s", detail_url)
             continue
         handle_el = card.select_one(settings.selectors["handle"])

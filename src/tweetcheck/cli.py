@@ -4,7 +4,7 @@ Subcommands: verify, eval, record, validate-dataset, scrape. Stdout is
 data; diagnostics go to stderr. Exit codes are a stable contract:
 
 * verify: 0 = Authentic, 1 = Fabricated, 2 = Unverifiable
-* 64 = usage error, 65 = dataset error, 66 = missing replay fixture,
+* 64 = usage error, 65 = dataset error, 66 = missing or corrupt replay fixture,
   69 = operational failure (network, bot challenge, unparseable pages)
 """
 
@@ -21,6 +21,7 @@ from .config import MODE_ENV_VAR, AppConfig, ConfigError, build_config, source_b
 from .dataset import GroundTruthRecord, load_dataset, shipped_dataset_path, validate_dataset
 from .errors import (
     CaptchaDetected,
+    CorruptFixture,
     EmptyDatasetError,
     FixtureMiss,
     FormatError,
@@ -208,7 +209,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
             reports.append(outcome)
     if misses:
         for miss in misses:
-            print(f"tweetcheck: missing fixture: record {miss.record_id}: {miss.url}", file=sys.stderr)
+            if isinstance(miss, CorruptFixture):
+                problem = f"corrupt fixture: record {miss.record_id}: {miss.url}: {miss.reason}"
+            else:
+                problem = f"missing fixture: record {miss.record_id}: {miss.url}"
+            print(f"tweetcheck: {problem}", file=sys.stderr)
         return EXIT_NO_FIXTURE
     sys.stdout.write(render_report(reports, args.format))
     return 0

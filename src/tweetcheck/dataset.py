@@ -12,7 +12,6 @@ the Reuters overlap evaluation; 6-field rows are accepted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Optional
 from urllib.parse import urlsplit
@@ -192,12 +191,12 @@ def validate_dataset(records: list[GroundTruthRecord]) -> list[ValidationFinding
 
 def shipped_dataset_path() -> Path:
     """Filesystem path of the corpus file distributed with the package."""
-    return Path(str(resources.files("tweetcheck").joinpath("data/ground_truth.tsv")))
+    return Path(__file__).with_name("data") / "ground_truth.tsv"
 
 
 def shipped_dataset_text() -> str:
     """Contents of the corpus file distributed with the package."""
-    return resources.files("tweetcheck").joinpath("data/ground_truth.tsv").read_text("utf-8")
+    return shipped_dataset_path().read_text("utf-8")
 
 
 def load_shipped_dataset() -> list[GroundTruthRecord]:

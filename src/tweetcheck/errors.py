@@ -22,6 +22,15 @@ class FixtureMiss(TweetCheckError):
         super().__init__(f"{prefix}no fixture {key} for {url}")
 
 
+class CorruptFixture(FixtureMiss):
+    """A recorded fixture file exists but cannot be read back."""
+
+    def __init__(self, key: str, url: str, reason: str):
+        super().__init__(key, url)
+        self.reason = reason
+        self.args = (f"corrupt fixture {key} for {url}: {reason}",)
+
+
 class MissingFixtures(TweetCheckError):
     """One or more fixtures were missing during an evaluation run."""
 

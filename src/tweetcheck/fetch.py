@@ -5,6 +5,11 @@ pipeline is testable offline: record once, then replay byte-identically
 with zero network access. Fixtures are one file per request, named by the
 SHA-256 of the normalized request line, with a diff-able ASCII header
 followed by the raw body bytes.
+
+The network stack (``requests`` and what it pulls in) is imported only when
+a live or record fetcher is built without an injected transport, so replay
+and the offline commands never load it. Live bodies are streamed and cut
+off past :data:`MAX_BODY_BYTES`.
 """
 
 from __future__ import annotations
@@ -12,19 +17,18 @@ from __future__ import annotations
 import hashlib
 import logging
 import os
-import tempfile
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Optional, Sequence, TypeVar, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, TypeVar, Union
 from urllib.parse import urlsplit, urlunsplit
 
-import requests
+from .errors import CorruptFixture, FixtureMiss, NetworkError
 
-from .errors import FixtureMiss, NetworkError
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -32,6 +36,9 @@ DEFAULT_USER_AGENT = "tweetcheck/0.1 (automated fact-check evidence retrieval)"
 DEFAULT_DELAY_MS = 1000
 DEFAULT_TIMEOUT_S = 30.0
 MAX_REDIRECTS = 5
+#: Largest live response body, after decompression; a larger one is a network error.
+MAX_BODY_BYTES = 16 * 1024 * 1024
+_BODY_CHUNK_BYTES = 64 * 1024
 #: Hosts queried at the same time by :meth:`Fetcher.run_per_host`.
 MAX_HOST_WORKERS = 4
 
@@ -114,29 +121,42 @@ class FixtureStore:
         return self.path_for(key).is_file()
 
     def load(self, key: str, url: str = "") -> FetchResponse:
+        """The recorded response; :class:`FixtureMiss` if there is none,
+        :class:`CorruptFixture` if the file cannot be read back."""
         path = self.path_for(key)
         try:
             data = path.read_bytes()
         except FileNotFoundError:
             raise FixtureMiss(key, url) from None
+        except OSError as exc:  # e.g. a directory or an unreadable file in its place
+            raise CorruptFixture(key, url, f"unreadable: {exc.strerror}") from exc
+        head = data.split(b"\n", 4)
+        if len(head) < 5:
+            raise CorruptFixture(key, url, "bad header: truncated")
+        status_line, final_url, content_type, length_line, rest = head
+        if not rest.startswith(b"\n"):
+            raise CorruptFixture(key, url, "missing blank line after header")
+        body = rest[1:]
         try:
-            status_line, final_url, content_type, length_line, rest = data.split(b"\n", 4)
-            if not rest.startswith(b"\n"):
-                raise ValueError("missing blank line after header")
-            body = rest[1:]
             expected = int(length_line)
-        except ValueError as exc:
-            raise FixtureMiss(key, url) from exc
+            response = FetchResponse(
+                status=int(status_line),
+                final_url=final_url.decode("utf-8"),
+                body=body,
+                content_type=content_type.decode("utf-8"),
+            )
+            urlsplit(response.final_url)  # later stages must be able to parse it
+        except ValueError as exc:  # UnicodeDecodeError is one too
+            raise CorruptFixture(key, url, f"bad header: {exc}") from exc
         if len(body) != expected:
-            raise FixtureMiss(key, url)
-        return FetchResponse(
-            status=int(status_line),
-            final_url=final_url.decode("utf-8"),
-            body=body,
-            content_type=content_type.decode("utf-8"),
-        )
+            raise CorruptFixture(
+                key, url, f"length mismatch: header says {expected} bytes, body has {len(body)}"
+            )
+        return response
 
     def save(self, key: str, response: FetchResponse) -> Path:
+        import tempfile  # only recording writes fixtures
+
         self.root.mkdir(parents=True, exist_ok=True)
         header = (
             f"{response.status}\n{response.final_url}\n"
@@ -200,6 +220,11 @@ class Fetcher:
     ):
         if mode in (FetchMode.RECORD, FetchMode.REPLAY) and store is None:
             raise ValueError(f"{mode.value} mode requires a fixture store")
+        if transport is None and mode is not FetchMode.REPLAY:
+            # Load the network stack now, on the constructing thread and
+            # before any pool starts, so offline runs never import it and
+            # no worker races the import.
+            import requests  # noqa: F401
         self.mode = mode
         self.store = store
         self.user_agent = user_agent
@@ -269,6 +294,8 @@ class Fetcher:
             for indices in groups:
                 run(indices)
             return outcomes
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=min(MAX_HOST_WORKERS, len(groups))) as pool:
             for future in [pool.submit(run, indices) for indices in groups]:
                 future.result()
@@ -292,6 +319,8 @@ class Fetcher:
                 _HOST_NEXT_SLOT[host] = started + delay_s
 
     def _requests_transport(self, req: FetchRequest) -> FetchResponse:
+        import requests  # already loaded by __init__
+
         headers = {"User-Agent": self.user_agent}
         if req.accept_language:
             headers["Accept-Language"] = req.accept_language
@@ -302,8 +331,10 @@ class Fetcher:
             session.max_redirects = MAX_REDIRECTS
         try:
             resp = session.get(
-                req.url, headers=headers, timeout=self.timeout_s, allow_redirects=True
+                req.url, headers=headers, timeout=self.timeout_s, allow_redirects=True, stream=True
             )
+            with resp:  # a body left unread closes its connection
+                body = _read_capped_body(req.url, resp)
         except requests.RequestException as exc:
             raise NetworkError(f"GET {req.url} failed: {exc}") from exc
         finally:
@@ -312,9 +343,26 @@ class Fetcher:
         return FetchResponse(
             status=resp.status_code,
             final_url=resp.url,
-            body=resp.content,
+            body=body,
             content_type=resp.headers.get("Content-Type", ""),
         )
+
+
+def _read_capped_body(url: str, resp: "requests.Response") -> bytes:
+    """The decompressed body; :class:`NetworkError` once it passes :data:`MAX_BODY_BYTES`."""
+    declared = resp.headers.get("Content-Length", "")
+    if declared.isdigit() and int(declared) > MAX_BODY_BYTES:
+        raise NetworkError(
+            f"GET {url} failed: Content-Length {declared} exceeds the {MAX_BODY_BYTES}-byte cap"
+        )
+    chunks: list[bytes] = []
+    size = 0
+    for chunk in resp.iter_content(_BODY_CHUNK_BYTES):
+        size += len(chunk)
+        if size > MAX_BODY_BYTES:
+            raise NetworkError(f"GET {url} failed: body exceeds the {MAX_BODY_BYTES}-byte cap")
+        chunks.append(chunk)
+    return b"".join(chunks)
 
 
 def fetch(

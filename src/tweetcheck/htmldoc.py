@@ -268,7 +268,7 @@ def decode_body(response: FetchResponse) -> str:
         charset = m.group(1)
     try:
         return response.body.decode(charset, errors="replace")
-    except LookupError:
+    except (LookupError, UnicodeError):  # unknown charset, or one that cannot replace (idna)
         return response.body.decode("utf-8", errors="replace")
 
 

@@ -2,7 +2,7 @@ from pathlib import Path
 
 from tweetcheck.cli import main
 from tweetcheck.dataset import serialize_dataset
-from tweetcheck.fetch import Fetcher
+from tweetcheck.fetch import Fetcher, FetchRequest, fixture_key
 
 from conftest import (
     JOBS_BODY,
@@ -194,6 +194,33 @@ class TestEval:
         assert "missing fixture" in err
         assert "snopes.com/search" in err
 
+    def test_missing_fixture_stderr_line(self, tmp_path, capsys):
+        dataset = write_dataset(tmp_path)
+        pages = {k: v for k, v in eval_pages().items() if "beta" not in k}
+        store = record_pages(tmp_path / "fx", pages)
+        code = main([
+            "eval", "--dataset", str(dataset), "--engine", "snopes",
+            "--mode", "replay", "--fixtures", str(store.root),
+        ])
+        beta = engine_query_url(SourceId.SNOPES_SEARCH, eval_records()[1].tweet_body)
+        assert code == 66
+        assert capsys.readouterr().err == f"tweetcheck: missing fixture: record e2: {beta}\n"
+
+    def test_corrupt_fixture_exits_66_named_corrupt(self, tmp_path, capsys):
+        dataset = write_dataset(tmp_path)
+        store = record_pages(tmp_path / "fx", eval_pages())
+        beta = engine_query_url(SourceId.SNOPES_SEARCH, eval_records()[1].tweet_body)
+        path = store.path_for(fixture_key(FetchRequest(url=beta)))
+        path.write_bytes(path.read_bytes()[:-1])
+        code = main([
+            "eval", "--dataset", str(dataset), "--engine", "snopes",
+            "--mode", "replay", "--fixtures", str(store.root),
+        ])
+        assert code == 66
+        assert capsys.readouterr().err.startswith(
+            f"tweetcheck: corrupt fixture: record e2: {beta}: length mismatch: header says"
+        )
+
     def test_corrupt_dataset_exits_65(self, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"
         bad.write_text("one\tfield\n", encoding="utf-8")
@@ -354,6 +381,17 @@ class TestScrape:
             "--mode", "replay", "--fixtures", str(store.root),
         ])
         assert code == 66
+
+    def test_corrupt_fixture_exits_66(self, tmp_path, capsys):
+        url = "https://www.snopes.com/fact-check/torn/"
+        store = record_pages(tmp_path / "fx", {url: StubPage(b"<p>Rating: False</p>")})
+        key = fixture_key(FetchRequest(url=url))
+        store.path_for(key).write_bytes(b"200\n")
+        code = main(["scrape", url, "--mode", "replay", "--fixtures", str(store.root)])
+        assert code == 66
+        assert capsys.readouterr().err == (
+            f"tweetcheck: corrupt fixture {key} for {url}: bad header: truncated\n"
+        )
 
     def test_rating_selector_override_changes_extraction(self, tmp_path, capsys):
         url = "https://www.snopes.com/fact-check/custom-markup/"

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from tweetcheck.errors import FixtureMiss, NetworkError
+from tweetcheck.errors import CorruptFixture, FixtureMiss, NetworkError
 from tweetcheck.fetch import (
     Fetcher,
     FetchMode,
@@ -145,6 +145,44 @@ class TestFixtureStoreFormat:
         path.write_bytes(path.read_bytes()[:-2])
         with pytest.raises(FixtureMiss):
             store.load(key, "https://a/")
+
+    def test_absent_file_is_a_plain_miss(self, tmp_path):
+        with pytest.raises(FixtureMiss) as caught:
+            FixtureStore(tmp_path).load("k" * 64, "https://a/")
+        assert not isinstance(caught.value, CorruptFixture)
+        assert str(caught.value) == f"no fixture {'k' * 64} for https://a/"
+
+    def test_unreadable_file_is_reported_as_corrupt(self, tmp_path):
+        store = FixtureStore(tmp_path)
+        store.path_for("k" * 64).mkdir()
+        with pytest.raises(CorruptFixture, match="unreadable: Is a directory"):
+            store.load("k" * 64, "https://a/")
+
+    @pytest.mark.parametrize(
+        "raw, reason",
+        [
+            (b"200\nhttps://a/\ntext/html\n", "bad header: truncated"),
+            (b"", "bad header: truncated"),
+            (b"OK\nhttps://a/\ntext/html\n5\n\nHELLO", "bad header: invalid literal"),
+            (b"200\nhttps://a/\ntext/html\nfive\n\nHELLO", "bad header: invalid literal"),
+            (b"700\nhttps://a/\ntext/html\n5\n\nHELLO", "bad header: status out of range"),
+            (b"200\nhttps://\xff/\ntext/html\n5\n\nHELLO", "bad header: 'utf-8' codec"),
+            (b"200\nhttp://[::1\ntext/html\n5\n\nHELLO", "bad header: Invalid IPv6 URL"),
+            (b"200\nhttps://a/\ntext/html\n5\nHELLO", "missing blank line after header"),
+            (b"200\nhttps://a/\ntext/html\n5\n\nHELL", "length mismatch: header says 5 bytes, body has 4"),
+            (b"200\nhttps://a/\ntext/html\n5\n\nHELLO!", "length mismatch: header says 5 bytes, body has 6"),
+        ],
+    )
+    def test_corrupt_file_is_reported_as_corrupt(self, tmp_path, raw, reason):
+        store = FixtureStore(tmp_path)
+        key = "k" * 64
+        store.path_for(key).write_bytes(raw)
+        with pytest.raises(CorruptFixture) as caught:
+            store.load(key, "https://a/")
+        assert isinstance(caught.value, FixtureMiss)  # existing handlers still apply
+        assert (caught.value.key, caught.value.url) == (key, "https://a/")
+        assert caught.value.reason.startswith(reason)
+        assert str(caught.value) == f"corrupt fixture {key} for https://a/: {caught.value.reason}"
 
 
 class _TimedTransport:

@@ -1,5 +1,7 @@
 """Live-transport tests against a local HTTP server (no external network)."""
 
+import gzip
+import importlib
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -8,13 +10,39 @@ import pytest
 from tweetcheck.errors import NetworkError
 from tweetcheck.fetch import Fetcher, FetchMode, FetchRequest, FixtureStore
 
+#: Body cap the size tests run under, so that no test moves megabytes.
+SMALL_CAP = 64
+AT_CAP = b"x" * SMALL_CAP
+OVER_CAP = b"y" * (SMALL_CAP + 1)
+
+# path -> (body, declared Content-Length or None, extra headers)
+_SIZED_ROUTES = {
+    "/at-cap": (AT_CAP, len(AT_CAP), {}),
+    "/at-cap-unsized": (AT_CAP, None, {}),
+    "/over-cap": (OVER_CAP, len(OVER_CAP), {}),
+    "/over-cap-unsized": (OVER_CAP, None, {}),
+    # declares far more than it sends: only an early check refuses it by its header
+    "/over-cap-declared": (b"tiny", 10 * SMALL_CAP, {}),
+    "/gzip-at-cap": (gzip.compress(AT_CAP), None, {"Content-Encoding": "gzip"}),
+    "/gzip-over-cap": (gzip.compress(OVER_CAP), None, {"Content-Encoding": "gzip"}),
+}
+
 
 class _Handler(BaseHTTPRequestHandler):
     seen_headers: list[dict] = []
 
     def do_GET(self):
         type(self).seen_headers.append(dict(self.headers))
-        if self.path == "/hop1":
+        if self.path in _SIZED_ROUTES:
+            body, declared, headers = _SIZED_ROUTES[self.path]
+            self.send_response(200)
+            if declared is not None:
+                self.send_header("Content-Length", str(declared))
+            for name, value in headers.items():
+                self.send_header(name, value)
+            self.end_headers()
+            self.wfile.write(body)
+        elif self.path == "/hop1":
             self.send_response(302)
             self.send_header("Location", "/hop2")
             self.end_headers()
@@ -107,3 +135,38 @@ class TestLiveTransport:
         fetcher = Fetcher(FetchMode.LIVE, delay_ms=0, timeout_s=2)
         with pytest.raises(NetworkError):
             fetcher.fetch(FetchRequest(url="http://127.0.0.1:1/nothing-here"))
+
+
+class TestBodyCap:
+    @pytest.fixture(autouse=True)
+    def _small_cap(self, monkeypatch):
+        # the package's own `fetch` function shadows the module as an attribute
+        module = importlib.import_module("tweetcheck.fetch")
+        monkeypatch.setattr(module, "MAX_BODY_BYTES", SMALL_CAP)
+
+    @pytest.mark.parametrize("path", ["/at-cap", "/at-cap-unsized", "/gzip-at-cap"])
+    def test_body_exactly_at_the_cap_is_returned_byte_exact(self, server, path):
+        with Fetcher(FetchMode.LIVE, delay_ms=0) as fetcher:
+            response = fetcher.fetch(FetchRequest(url=f"{server}{path}"))
+        assert response.status == 200
+        assert response.body == AT_CAP
+
+    @pytest.mark.parametrize("path", ["/over-cap", "/over-cap-unsized", "/gzip-over-cap"])
+    def test_body_over_the_cap_is_a_network_error(self, server, path):
+        with Fetcher(FetchMode.LIVE, delay_ms=0) as fetcher:
+            with pytest.raises(NetworkError, match="exceeds the 64-byte cap"):
+                fetcher.fetch(FetchRequest(url=f"{server}{path}"))
+            # the session went back to the pool and still works
+            assert fetcher.fetch(FetchRequest(url=f"{server}/final")).body == b"arrived"
+
+    def test_declared_length_over_the_cap_is_refused_before_reading(self, server):
+        with Fetcher(FetchMode.LIVE, delay_ms=0) as fetcher:
+            with pytest.raises(NetworkError, match="Content-Length 640 exceeds the 64-byte cap"):
+                fetcher.fetch(FetchRequest(url=f"{server}/over-cap-declared"))
+
+    def test_record_mode_saves_nothing_for_an_over_cap_body(self, server, tmp_path):
+        store = FixtureStore(tmp_path / "fx")
+        with Fetcher(FetchMode.RECORD, store, delay_ms=0) as recorder:
+            with pytest.raises(NetworkError):
+                recorder.fetch(FetchRequest(url=f"{server}/over-cap"))
+        assert not store.root.exists() or not any(store.root.iterdir())

@@ -9,7 +9,8 @@ followed by the raw body bytes.
 The network stack (``requests`` and what it pulls in) is imported only when
 a live or record fetcher is built without an injected transport, so replay
 and the offline commands never load it. Live bodies are streamed and cut
-off past :data:`MAX_BODY_BYTES`.
+off past :data:`MAX_BODY_BYTES`; redirects are followed one hop at a time,
+at most :data:`MAX_REDIRECTS` of them, and each 3xx body is left unread.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, TypeVar, Union
-from urllib.parse import urlsplit, urlunsplit
+from urllib.parse import urljoin, urlsplit, urlunsplit
 
 from .errors import CorruptFixture, FixtureMiss, NetworkError
 
@@ -35,6 +36,7 @@ logger = logging.getLogger(__name__)
 DEFAULT_USER_AGENT = "tweetcheck/0.1 (automated fact-check evidence retrieval)"
 DEFAULT_DELAY_MS = 1000
 DEFAULT_TIMEOUT_S = 30.0
+#: Most redirects one fetch follows; a response asking for one more is a network error.
 MAX_REDIRECTS = 5
 #: Largest live response body, after decompression; a larger one is a network error.
 MAX_BODY_BYTES = 16 * 1024 * 1024
@@ -328,13 +330,27 @@ class Fetcher:
             session = self._idle_sessions.pop() if self._idle_sessions else None
         if session is None:
             session = requests.Session()  # opens no connection until used
-            session.max_redirects = MAX_REDIRECTS
+            # Even with allow_redirects=False, requests runs its redirect
+            # resolver once to prepare Response.next, and that reads the 3xx
+            # body whole. Nothing here uses Response.next.
+            session.resolve_redirects = lambda *args, **kwargs: iter(())
+        url = req.url
         try:
-            resp = session.get(
-                req.url, headers=headers, timeout=self.timeout_s, allow_redirects=True, stream=True
-            )
-            with resp:  # a body left unread closes its connection
-                body = _read_capped_body(req.url, resp)
+            # Redirects are followed here rather than by requests, which
+            # reads each 3xx body whole, past the body cap; here each 3xx
+            # response is closed unread.
+            for _ in range(MAX_REDIRECTS + 1):
+                resp = session.get(
+                    url, headers=headers, timeout=self.timeout_s, allow_redirects=False, stream=True
+                )
+                with resp:  # a body left unread closes its connection
+                    location = session.get_redirect_target(resp)
+                    if location is None:
+                        body = _read_capped_body(req.url, resp)
+                        break
+                url = urljoin(resp.url, location)
+            else:
+                raise NetworkError(f"GET {req.url} failed: Exceeded {MAX_REDIRECTS} redirects.")
         except requests.RequestException as exc:
             raise NetworkError(f"GET {req.url} failed: {exc}") from exc
         finally:

@@ -1,16 +1,41 @@
 """Lightweight HTML tree with the small CSS-selector subset the scrapers need.
 
-Built on the stdlib parser. Supported selector syntax, which is what the
-per-adapter selector configuration files may use:
+Pages are read by a tokenizer of this module's own, in one pass:
+
+* From each ``<`` it matches one construct: a start tag (attribute values
+  quoted, bare or absent), an end tag, a comment, or other markup opened by
+  ``<!``, ``<?`` or ``</`` (doctype, processing instruction, CDATA section,
+  ``</ x>``), which ends at the first ``>`` as in HTML. Comments and such
+  markup are skipped. A ``<`` that starts none of these is text.
+* Tag and attribute names are lowercased. A valueless attribute is None; of
+  duplicate attributes the last wins.
+* The content of ``<script>`` and ``<style>`` is raw text up to the
+  element's end tag (its name followed by a space, ``/`` or ``>``): no tag
+  or character reference in it is read.
+* Character references (``&amp;``, ``&#8217;``) in text and attribute values
+  are decoded by :func:`html.unescape`.
+* A construct left open at the end of the input runs to the end: an
+  unterminated comment, quoted attribute value or raw-text element takes
+  the rest of the input, and an unterminated tag is dropped, as browsers do.
+
+Since every construct ends at its terminator or at the end of the input,
+nothing is scanned twice, and parsing takes time linear in the input
+whatever the page holds.
+
+Unclosed tags are recovered from without a full HTML5 tree builder, which
+handles the result pages and article pages this package scrapes. Void
+elements (``<br>``, ``<img>``) and self-closing tags (``<div/>``) take no
+children. An end tag closes the nearest open element of its name and every
+element opened inside it; an end tag with no open element of its name is
+ignored.
+
+Supported selector syntax, which is what the per-adapter selector
+configuration files may use:
 
 * comma-separated alternatives: ``h2, h3``
 * descendant chains: ``div#search a[href]``
 * compound simple selectors: tag name, ``#id``, ``.class`` (repeatable),
   ``[attr]``, ``[attr=v]``, ``[attr*=v]``, ``[attr^=v]``, ``[attr$=v]``
-
-Unclosed tags are recovered from by scanning down the open-element stack;
-this is not a full HTML5 tree builder, but it handles the result pages and
-article pages this package scrapes.
 
 Parent links are weak references: a tree is owned by its root through
 ``children`` alone, so it holds no reference cycle and is freed the moment
@@ -24,7 +49,7 @@ from __future__ import annotations
 import re
 import weakref
 from functools import lru_cache
-from html.parser import HTMLParser
+from html import unescape
 from typing import Iterator, Optional
 
 from .errors import ParseError
@@ -210,51 +235,101 @@ def _chain_matches(el: Element, chain: tuple[_Simple, ...]) -> bool:
     return True
 
 
-class _TreeBuilder(HTMLParser):
-    def __init__(self):
-        super().__init__(convert_charrefs=True)
-        self.root = Element("[document]")
-        self.stack = [self.root]
-        # Open elements per tag name, so a stray end tag is dropped in O(1)
-        # instead of scanning the whole stack.
-        self.open_counts: dict[str, int] = {}
+# One pattern per construct, tried at each "<" (a "<" that starts none is
+# text). Each construct ends at its terminator or, if that never comes, at the
+# end of the input, so no alternative fails once its first characters have
+# matched: the search never rescans, and a page parses in linear time. The
+# tag and attribute grammar is html.parser's. The patterns keep to Python 3.10
+# syntax: no possessive quantifiers, no atomic groups.
+_TAG_NAME = r"[a-zA-Z][^\t\n\r\f />\x00]*"
+# One attribute: name, "=" if it has a value, and the value single-quoted,
+# double-quoted or bare. An unterminated quoted value runs to the end.
+_ATTR = r"""[\s/]*([^\s/>][^\s/=>]*)(?:\s*(=)=*\s*(?:'([^']*)'?|"([^"]*)"?|([^'"\s>][^\s>]*))?)?"""
+_TAG_ATTR_RE = re.compile(_ATTR)
+# The same without groups, which cost time in a repeat.
+_ATTR_UNGROUPED = _ATTR.replace("(?:", "(").replace("(", "(?:")
+_MARKUP_RE = re.compile(
+    "<(?:"
+    # start tag: name, attributes, "/" if self-closing, ">" unless unterminated
+    rf"({_TAG_NAME})((?:{_ATTR_UNGROUPED})*)[\s/]*?(/?)(>|\Z)"
+    # end tag: name, and ">" unless unterminated; anything after the name is ignored
+    rf"|/({_TAG_NAME})[^>]*(>|\Z)"
+    r"|!--.*?(?:--\s*>|\Z)"  # comment
+    r"|[!?/][^>]*>?"  # doctype, processing instruction, CDATA, bogus comment
+    ")",
+    re.DOTALL,
+)
+# Where the text of a raw-text element ends: its end tag.
+_RAW_TEXT_END = {
+    tag: re.compile(rf"</{tag}[\s/>]", re.IGNORECASE) for tag in ("script", "style")
+}
 
-    def handle_starttag(self, tag, attrs):
-        element = Element(tag, dict(attrs), parent=self.stack[-1])
-        self.stack[-1].children.append(element)
-        if tag not in VOID_TAGS:
-            self.stack.append(element)
-            self.open_counts[tag] = self.open_counts.get(tag, 0) + 1
 
-    def handle_endtag(self, tag):
-        if not self.open_counts.get(tag):
-            return  # stray end tag: ignore
-        # close everything above the nearest open element with this tag
-        while True:
-            closed = self.stack.pop().tag
-            self.open_counts[closed] -= 1
-            if closed == tag:
-                return
-
-    def parse_marked_section(self, i, report=1):
-        # The stdlib asserts on an unknown ``<![keyword[``; HTML reads it
-        # as a bogus comment.
-        try:
-            return super().parse_marked_section(i, report)
-        except AssertionError:
-            return self.parse_bogus_comment(i, report)
-
-    def handle_data(self, data):
-        if data:
-            self.stack[-1].children.append(data)
+def _attributes(text: str, start: int, end: int) -> dict[str, Optional[str]]:
+    attrs: dict[str, Optional[str]] = {}
+    for name, equals, single, double, bare in _TAG_ATTR_RE.findall(text, start, end):
+        if equals:
+            value = single or double or bare
+            attrs[name.lower()] = unescape(value) if "&" in value else value
+        else:
+            attrs[name.lower()] = None
+    return attrs
 
 
 def parse_html(text: str) -> Element:
     """Parse HTML text into an element tree; returns the document root."""
-    builder = _TreeBuilder()
-    builder.feed(text)
-    builder.close()
-    return builder.root
+    root = Element("[document]")
+    stack = [root]
+    node = root
+    # Open elements per tag name, so a stray end tag is dropped in O(1)
+    # instead of scanning the whole stack.
+    open_counts: dict[str, int] = {}
+    search = _MARKUP_RE.search
+    pos = 0
+    end = len(text)
+    while pos < end:
+        m = search(text, pos)
+        if m is None:
+            break
+        start = m.start()
+        if start > pos:
+            data = text[pos:start]
+            node.children.append(unescape(data) if "&" in data else data)
+        pos = m.end()
+        name, attrs, slash, closed, end_name, end_closed = m.groups()
+        if name is not None:
+            if not closed:
+                break  # unterminated start tag: dropped, as browsers do
+            tag = name.lower()
+            element = Element(tag, _attributes(text, m.start(2), m.end(2)) if attrs else {}, node)
+            node.children.append(element)
+            if slash or tag in VOID_TAGS:
+                continue
+            stack.append(element)
+            node = element
+            open_counts[tag] = open_counts.get(tag, 0) + 1
+            raw_end = _RAW_TEXT_END.get(tag)
+            if raw_end is not None:
+                found = raw_end.search(text, pos)
+                raw_stop = end if found is None else found.start()
+                if raw_stop > pos:
+                    element.children.append(text[pos:raw_stop])
+                pos = raw_stop
+        elif end_name is not None:
+            tag = end_name.lower()
+            if not end_closed or not open_counts.get(tag):
+                continue  # unterminated or stray end tag: ignore
+            # close everything above the nearest open element with this tag
+            while True:
+                closed_tag = stack.pop().tag
+                open_counts[closed_tag] -= 1
+                if closed_tag == tag:
+                    break
+            node = stack[-1]
+    if pos < end:
+        data = text[pos:]
+        node.children.append(unescape(data) if "&" in data else data)
+    return root
 
 
 _CHARSET_RE = re.compile(r"charset=([\w.-]+)", re.IGNORECASE)

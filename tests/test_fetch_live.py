@@ -3,12 +3,13 @@
 import gzip
 import importlib
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
 from tweetcheck.errors import NetworkError
-from tweetcheck.fetch import Fetcher, FetchMode, FetchRequest, FixtureStore
+from tweetcheck.fetch import MAX_REDIRECTS, Fetcher, FetchMode, FetchRequest, FixtureStore
 
 #: Body cap the size tests run under, so that no test moves megabytes.
 SMALL_CAP = 64
@@ -28,11 +29,17 @@ _SIZED_ROUTES = {
 }
 
 
+#: How long the endless redirect body is written if the client keeps reading.
+ENDLESS_BODY_S = 5.0
+
+
 class _Handler(BaseHTTPRequestHandler):
     seen_headers: list[dict] = []
+    seen_paths: list[str] = []
 
     def do_GET(self):
         type(self).seen_headers.append(dict(self.headers))
+        type(self).seen_paths.append(self.path)
         if self.path in _SIZED_ROUTES:
             body, declared, headers = _SIZED_ROUTES[self.path]
             self.send_response(200)
@@ -57,6 +64,25 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("Content-Length", str(len(body)))
             self.end_headers()
             self.wfile.write(body)
+        elif self.path == "/absolute":
+            self.send_response(302)
+            self.send_header("Location", f"http://127.0.0.1:{self.server.server_address[1]}/final")
+            self.end_headers()
+        elif self.path == "/dir/relative":
+            self.send_response(301)
+            self.send_header("Location", "../final")
+            self.end_headers()
+        elif self.path == "/endless-302":
+            # a redirect whose body never ends, until the client hangs up
+            self.send_response(302)
+            self.send_header("Location", "/final")
+            self.end_headers()
+            deadline = time.monotonic() + ENDLESS_BODY_S
+            try:
+                while time.monotonic() < deadline:
+                    self.wfile.write(b"z" * 4096)
+            except (BrokenPipeError, ConnectionResetError):
+                pass
         elif self.path == "/loop":
             self.send_response(302)
             self.send_header("Location", "/loop")
@@ -98,6 +124,28 @@ class TestLiveTransport:
         fetcher = Fetcher(FetchMode.LIVE, delay_ms=0)
         with pytest.raises(NetworkError):
             fetcher.fetch(FetchRequest(url=f"{server}/loop"))
+
+    @pytest.mark.parametrize("path", ["/absolute", "/dir/relative"])
+    def test_location_resolved_against_the_current_url(self, server, path):
+        with Fetcher(FetchMode.LIVE, delay_ms=0) as fetcher:
+            response = fetcher.fetch(FetchRequest(url=f"{server}{path}"))
+        assert (response.status, response.body) == (200, b"arrived")
+        assert response.final_url == f"{server}/final"
+
+    def test_redirect_loop_stops_after_max_redirects(self, server):
+        _Handler.seen_paths.clear()
+        with Fetcher(FetchMode.LIVE, delay_ms=0) as fetcher:
+            with pytest.raises(NetworkError, match=f"Exceeded {MAX_REDIRECTS} redirects"):
+                fetcher.fetch(FetchRequest(url=f"{server}/loop"))
+        assert _Handler.seen_paths == ["/loop"] * (MAX_REDIRECTS + 1)
+
+    def test_redirect_body_is_not_read(self, server):
+        # reading the 302's body would take until the server gives up
+        started = time.monotonic()
+        with Fetcher(FetchMode.LIVE, delay_ms=0) as fetcher:
+            response = fetcher.fetch(FetchRequest(url=f"{server}/endless-302"))
+        assert time.monotonic() - started < ENDLESS_BODY_S / 2
+        assert (response.body, response.final_url) == (b"arrived", f"{server}/final")
 
     def test_user_agent_header_sent(self, server):
         _Handler.seen_headers.clear()

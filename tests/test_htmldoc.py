@@ -1,11 +1,14 @@
 import gc
+import re
 import time
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tweetcheck import htmldoc
 from tweetcheck.adapters import DEFAULT_SELECTORS, search_web
 from tweetcheck.errors import ParseError
 from tweetcheck.fetch import FetchResponse
@@ -13,6 +16,12 @@ from tweetcheck.htmldoc import _parse_selector, parse_html, parse_response
 from tweetcheck.model import SourceId, TweetClaim
 
 from conftest import PANDEMIC_BODY, StubPage, engine_query_url, page, record_pages, replay_fetcher
+from html_reference import reference_parse, shape
+
+try:
+    from re import _parser as sre_parse  # Python 3.11+
+except ImportError:  # Python 3.10
+    import sre_parse
 
 SAMPLE = """
 <html><body>
@@ -244,3 +253,190 @@ class TestParseResponse:
     def test_missing_content_type_assumed_html(self):
         resp = FetchResponse(status=200, final_url="https://x/", body=b"<p>ok</p>")
         assert parse_response(resp).select("p")[0].text() == "ok"
+
+
+class TestHostileInputTime:
+    """Inputs that held the stdlib parser for seconds to minutes: it rescanned
+    to the end of the input from every "<" of an unterminated construct."""
+
+    # Sizes at which the stdlib parser takes well over the 2 s bound (seconds,
+    # measured on Python 3.11.7): "<a x='" 63, "<a" 22, "<!--" 12 at 100 KB;
+    # "<![CDATA[" and "</a" under 2 at 100 KB, so they run larger.
+    @pytest.mark.parametrize("unit, size", [
+        ("<a x='", 100_000),
+        ("<a", 100_000),
+        ("<!--", 100_000),
+        ("<![CDATA[", 400_000),
+        ("</a", 300_000),
+    ])
+    def test_repeated_unterminated_construct_parses_fast(self, unit, size):
+        text = unit * (size // len(unit))
+        started = time.perf_counter()
+        root = parse_html(text)
+        assert time.perf_counter() - started < 2.0
+        assert root.children == []  # one construct, open to the end of the input
+
+
+@settings(max_examples=60, deadline=None)
+@given(_MARKUP.filter(bool))
+def test_parse_time_is_linear_in_input_size(fragment):
+    text = fragment * (100_000 // len(fragment) + 1)
+    started = time.perf_counter()
+    parse_html(text)
+    # about 1.5 s at 100 KB, ten times what any input has been seen to take
+    assert time.perf_counter() - started < 0.5 + 10e-6 * len(text)
+
+
+class TestUnterminatedConstructs:
+    """A construct still open at the end of the input runs to the end of it,
+    as browsers read it: a tag is dropped, the rest is swallowed."""
+
+    def test_unterminated_start_tag_is_dropped(self):
+        root = parse_html("<p>kept<a href='x")
+        assert shape(root) == shape(parse_html("<p>kept"))
+        assert root.select("a") == []
+
+    def test_quoted_value_runs_past_greater_than(self):
+        root = parse_html('<p>kept<a title="x>y<b>z')
+        assert root.select("a, b") == []
+        assert root.text() == "kept"
+
+    def test_unterminated_end_tag_is_dropped(self):
+        root = parse_html("<div><p>kept</div")
+        assert root.select("div p")[0].text() == "kept"
+
+    @pytest.mark.parametrize("opener", ["<!-- open", "<!DOCTYPE html", "<?xml", "<![CDATA[x", "</ x"])
+    def test_unterminated_comment_or_declaration_swallows_the_rest(self, opener):
+        assert parse_html(f"<p>kept{opener} lost &amp; text").text() == "kept"
+
+    def test_unterminated_comment_swallows_later_tags(self):
+        root = parse_html("<p>kept<!-- open<b>lost</b> --")
+        assert root.select("b") == []
+        assert root.text() == "kept"
+
+    def test_unterminated_raw_text_element_keeps_its_text(self):
+        root = parse_html("<p>x</p><script>if (a < b && c) {<b>")
+        script = root.select_one("script")
+        assert script.children == ["if (a < b && c) {<b>"]
+        assert root.select("b") == []
+
+    def test_lone_less_than_is_text(self):
+        assert parse_html("a < b <3 <").text() == "a < b <3 <"
+
+
+class TestHtmlTokenizerRules:
+    """Terminated constructs that html.parser reads its own way; the tokenizer
+    reads them as HTML (and browsers) do."""
+
+    def test_space_after_end_tag_open_makes_a_bogus_comment(self):
+        root = parse_html("<b>x</ b>y</b>z")
+        assert root.select_one("b").text() == "xy"
+
+    def test_cdata_section_outside_foreign_content_ends_at_greater_than(self):
+        root = parse_html("<p><![CDATA[ a > b ]]></p>")
+        assert root.select_one("p").text() == " b ]]>"
+
+    def test_raw_text_ends_at_its_end_tag_even_with_attributes(self):
+        root = parse_html("<script>a</script x><p>after</p>")
+        assert root.select_one("script").children == ["a"]
+        assert root.select_one("p").text() == "after"
+
+
+class TestReferenceParity:
+    """The tokenizer builds the tree the stdlib-based builder builds, on
+    every input whose constructs are all terminated."""
+
+    @pytest.mark.parametrize(
+        "name", sorted(p.name for p in (Path(__file__).parent / "pages").glob("*.html"))
+    )
+    def test_recorded_pages(self, name):
+        text = page(name).decode("utf-8")
+        assert shape(parse_html(text)) == shape(reference_parse(text))
+
+    @pytest.mark.parametrize("text", [
+        SAMPLE,
+        "<div><p>one<p>two</div><span>after</span>",
+        "</div><p>ok</p>",
+        "<p>a<br>b<img src='x'>c</p>",
+        "<div><span>in</div></span><span>after</span>",
+        "<div>" * 300 + "</b>" * 400 + "<p>end</p>",
+        "<div>" * 300 + '<a href="x">deep</a>' + "</div>" * 300,
+        "<a><b><c></c></b><d></d></a><e><f></f></e>",
+    ])
+    def test_fixed_inputs(self, text):
+        assert shape(parse_html(text)) == shape(reference_parse(text))
+
+
+_ENTITY = st.sampled_from([
+    "&amp;", "&lt;", "&gt;", "&quot;", "&#39;", "&#x27;", "&#8217;", "&nbsp;", "&copy", "&amp",
+    "&bogus;", "&#", "&#x110000;",
+])
+_TEXT = st.lists(
+    st.one_of(st.text(alphabet="ab xy\n\t.;#é’", max_size=6), _ENTITY, st.just("x < y <3 &")),
+    max_size=4,
+).map("".join)
+_TAG_NAME = st.sampled_from([
+    "div", "DIV", "p", "P", "li", "ul", "a", "A", "span", "b", "h3", "my-tag",
+    "br", "BR", "img", "hr", "input", "meta",
+])
+_ATTR_NAME = st.sampled_from(["href", "HREF", "class", "id", "data-x", "x", "Title", "checked"])
+_WS = st.sampled_from([" ", "  ", "\n", "\t"])
+
+
+def _value_text(forbidden: str):
+    alphabet = "".join(c for c in "ab xy<>/=-:.'\"" if c not in forbidden)
+    return st.lists(st.one_of(st.text(alphabet=alphabet, max_size=5), _ENTITY), max_size=3).map("".join)
+
+
+_ATTRIBUTE = st.one_of(
+    _ATTR_NAME,  # valueless
+    st.tuples(_ATTR_NAME, st.sampled_from(["=", " = "]), _value_text("'")).map(lambda t: f"{t[0]}{t[1]}'{t[2]}'"),
+    st.tuples(_ATTR_NAME, st.sampled_from(["=", "= "]), _value_text('"')).map(lambda t: f'{t[0]}{t[1]}"{t[2]}"'),
+    st.tuples(_ATTR_NAME, st.from_regex(r"[abxy/=:.-]{1,5}(&amp;)?", fullmatch=True)).map("=".join),
+)
+_START_TAG = st.tuples(
+    _TAG_NAME,
+    st.lists(st.tuples(_WS, _ATTRIBUTE).map("".join), max_size=4).map("".join),
+    st.sampled_from([">", "/>", " />", " >"]),
+).map(lambda t: f"<{t[0]}{t[1]}{t[2]}")
+_END_TAG = st.tuples(_TAG_NAME, st.sampled_from([">", " >", "\n>", ' x="y">'])).map(lambda t: f"</{t[0]}{t[1]}")
+_RAW_TEXT = st.lists(
+    st.sampled_from(["a < b", "&amp;", "x && y", "<div>", "</p>", "<!--", "-->", "'", '"', "c > d", "</scrip", "</"]),
+    max_size=5,
+).map("".join)
+_RAW_ELEMENT = st.tuples(
+    st.sampled_from([("script", "script"), ("SCRIPT type=x", "script"), ("style", "STYLE")]), _RAW_TEXT
+).map(lambda t: f"<{t[0][0]}>{t[1]}</{t[0][1]}>")
+_TERMINATED_MARKUP = st.lists(
+    st.one_of(
+        _TEXT, _START_TAG, _END_TAG, _RAW_ELEMENT,
+        st.text(alphabet="ab <>&/!", max_size=8).map(lambda t: f"<!--{t}-->"),
+        st.sampled_from(["<!DOCTYPE html>", "<!doctype html>", "<?xml version='1.0'?>"]),
+    ),
+    max_size=30,
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TERMINATED_MARKUP)
+def test_same_tree_as_the_reference_builder(text):
+    assert shape(parse_html(text)) == shape(reference_parse(text))
+
+
+def _syntax_nodes(tree):
+    """Every (opcode, argument) node of a parsed regular expression."""
+    for op, av in tree:
+        yield op, av
+        for part in av if isinstance(av, (tuple, list)) else (av,):
+            for item in part if isinstance(part, list) else (part,):
+                if isinstance(item, sre_parse.SubPattern):
+                    yield from _syntax_nodes(item)
+
+
+def test_patterns_keep_to_python_3_10_syntax():
+    patterns = [value for value in vars(htmldoc).values() if isinstance(value, re.Pattern)]
+    patterns += htmldoc._RAW_TEXT_END.values()
+    assert htmldoc._MARKUP_RE in patterns
+    for pattern in patterns:
+        ops = {str(op) for op, _ in _syntax_nodes(sre_parse.parse(pattern.pattern, pattern.flags))}
+        assert not ops & {"POSSESSIVE_REPEAT", "POSSESSIVE_REPEAT_ONE", "ATOMIC_GROUP"}, pattern.pattern

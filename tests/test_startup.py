@@ -60,6 +60,18 @@ def test_importing_the_cli_loads_no_network_module():
     assert loaded.isdisjoint(NETWORK_ONLY), sorted(loaded.intersection(NETWORK_ONLY))
 
 
+def test_importing_the_cli_loads_no_stdlib_html_parser():
+    # htmldoc tokenizes pages itself; only html.unescape comes from the stdlib
+    probe = _python(
+        "-S", "-c",
+        "import sys, tweetcheck.cli; print(' '.join(sorted(sys.modules)))",
+    )
+    assert probe.returncode == 0, probe.stderr
+    loaded = set(probe.stdout.split())
+    assert "tweetcheck.htmldoc" in loaded
+    assert loaded.isdisjoint({"html.parser", "_markupbase"})
+
+
 def _same_as_in_process(argv: list[str], capsys) -> None:
     expected_code = main(argv)
     expected_out = capsys.readouterr().out

@@ -15,9 +15,6 @@ from .adapters import (
     normalize_text,
     ranked_search,
     search_politwoops,
-    search_reuters,
-    search_snopes,
-    search_web,
 )
 from .config import AppConfig, build_config
 from .dataset import (
@@ -54,7 +51,6 @@ from .fetch import (
     FetchRequest,
     FetchResponse,
     FixtureStore,
-    fetch,
     fixture_key,
 )
 from .model import (

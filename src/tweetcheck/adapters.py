@@ -1,29 +1,35 @@
-"""One search adapter per evidence source.
+"""Search adapters: claim in, results out, one fetch per query.
 
-Each adapter builds the engine's query from a claim, issues it through the
-fetch gateway, and parses the returned page into ranked result URLs (or,
-for the deleted-tweet tracker, matched tweet records). Adapters are
-stateless; determinism under replay comes from the fixture store.
+The four ranked engines (Snopes and Reuters built-in search, web search,
+and web search restricted to snopes.com) share one adapter,
+:func:`ranked_search`. It builds the engine's query from the claim, fetches
+the results page through the fetch gateway and reads the result links in
+rank order. What sets the engines apart is data: the endpoint, query spec
+and selectors in :class:`EngineSettings`, and a row of ``_RANKED`` saying
+which links count as results. The deleted-tweet tracker returns tweet
+records rather than links and has its own adapter, :func:`search_politwoops`.
 
-HTML extraction runs off per-adapter selector tables so site markup drift
-can be absorbed by configuration instead of code changes. Non-2xx fetches
-never raise here: the adapter logs the status and returns empty results.
+Selectors are configurable so site markup drift can be absorbed without
+code changes. A bot-challenge check and an ad filter run wherever an
+engine's selectors name them. Non-2xx fetches never raise here: the adapter
+logs the status and returns empty results. Adapters are stateless;
+determinism under replay comes from the fixture store.
 """
 
 from __future__ import annotations
 
 import html
 import logging
-import re
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional
-from urllib.parse import parse_qs, urljoin, urlsplit, urlunsplit
+from urllib.parse import parse_qs, urljoin, urlsplit
 
 from .errors import CaptchaDetected
 from .fetch import Fetcher, FetchRequest, FetchResponse
-from .htmldoc import Element, parse_response
+from .htmldoc import Element, collapse_whitespace, parse_response
 from .model import RankedResults, SourceId, TweetClaim
 from .queries import QuerySpec, build_query, default_spec, encode_query
+from .urls import host, host_matches, normalize_result_url
 
 logger = logging.getLogger(__name__)
 
@@ -35,21 +41,17 @@ DEFAULT_ENDPOINTS = {
     SourceId.POLITWOOPS: "https://projects.propublica.org/politwoops/index?utf8=%E2%9C%93&q={query}",
 }
 
-DEFAULT_SELECTORS: dict[SourceId, dict[str, str]] = {
+_WEB_SELECTORS = {
+    "results": "div#search a[href]",
+    "ads": "div#tads, div#bottomads, [data-text-ad]",
+    "captcha": "form#captcha-form, div#recaptcha",
+    "captcha_text": "detected unusual traffic",
+}
+DEFAULT_SELECTORS: dict[SourceId, Mapping[str, str]] = {
     SourceId.SNOPES_SEARCH: {"results": "a[href]"},
     SourceId.REUTERS_SEARCH: {"results": "a[href]"},
-    SourceId.WEB_SEARCH: {
-        "results": "div#search a[href]",
-        "ads": "div#tads, div#bottomads, [data-text-ad]",
-        "captcha": "form#captcha-form, div#recaptcha",
-        "captcha_text": "detected unusual traffic",
-    },
-    SourceId.WEB_SEARCH_SITE_SNOPES: {
-        "results": "div#search a[href]",
-        "ads": "div#tads, div#bottomads, [data-text-ad]",
-        "captcha": "form#captcha-form, div#recaptcha",
-        "captcha_text": "detected unusual traffic",
-    },
+    SourceId.WEB_SEARCH: _WEB_SELECTORS,
+    SourceId.WEB_SEARCH_SITE_SNOPES: _WEB_SELECTORS,
     SourceId.POLITWOOPS: {
         "cards": "div.tweet",
         "text": ".tweet-content",
@@ -79,6 +81,26 @@ def default_engine_settings(source: SourceId) -> EngineSettings:
 
 
 @dataclass(frozen=True)
+class _Ranked:
+    """Which links on a ranked engine's results page are results."""
+
+    domain: str = ""  # if set, only links on this domain or a subdomain...
+    path_prefix: str = ""  # ...whose path starts with this
+    excluded_domain: str = ""  # if set, links on this domain are the engine's own pages
+    unwrap: bool = False  # targets hide in "/url?q=<target>" redirect wrappers
+    site_filter: Optional[str] = None  # a site: restriction every query carries
+
+
+_WEB = _Ranked(excluded_domain="google.com", unwrap=True)
+_RANKED = {
+    SourceId.SNOPES_SEARCH: _Ranked(domain="snopes.com", path_prefix="/fact-check/"),
+    SourceId.REUTERS_SEARCH: _Ranked(domain="reuters.com", path_prefix="/article/"),
+    SourceId.WEB_SEARCH: _WEB,
+    SourceId.WEB_SEARCH_SITE_SNOPES: replace(_WEB, site_filter="snopes.com"),
+}
+
+
+@dataclass(frozen=True)
 class PolitwoopsHit:
     """One deleted-tweet record returned by the tracker's search."""
 
@@ -88,7 +110,6 @@ class PolitwoopsHit:
 
 
 _CURLY_QUOTES = str.maketrans({"‘": "'", "’": "'", "“": '"', "”": '"'})
-_WS_RUN = re.compile(r"\s+")
 
 
 def normalize_text(text: str) -> str:
@@ -99,24 +120,10 @@ def normalize_text(text: str) -> str:
     """
     text = html.unescape(text)
     text = text.translate(_CURLY_QUOTES)
-    return _WS_RUN.sub(" ", text.lower()).strip()
+    return collapse_whitespace(text.lower())
 
 
-def _host_matches(host: str, domain: str) -> bool:
-    return host == domain or host.endswith("." + domain)
-
-
-def _normalize_result_url(url: str) -> str:
-    """Dedup basis for SERP links: lowercase scheme/host, drop fragment."""
-    parts = urlsplit(url)
-    return urlunsplit(
-        (parts.scheme.lower(), parts.netloc.lower(), parts.path, parts.query, "")
-    )
-
-
-def _request_page(
-    fetcher: Fetcher, settings: EngineSettings, query: str
-) -> tuple[str, Optional[FetchResponse]]:
+def _request_page(fetcher: Fetcher, settings: EngineSettings, query: str) -> Optional[FetchResponse]:
     url = settings.endpoint.format(query=encode_query(query, settings.spec.encoding))
     response = fetcher.fetch(FetchRequest(url=url))
     if not response.ok:
@@ -126,68 +133,8 @@ def _request_page(
             response.status,
             url,
         )
-        return url, None
-    return url, response
-
-
-def _extract_links(root: Element, base_url: str, selector: str) -> list[str]:
-    seen: set[str] = set()
-    links: list[str] = []
-    for anchor in root.select(selector):
-        href = anchor.get("href")
-        if not href:
-            continue
-        try:
-            absolute = urljoin(base_url, href)
-            scheme = urlsplit(absolute).scheme
-        except ValueError:  # unparseable, e.g. an unbalanced "[" in the host
-            continue
-        if scheme not in ("http", "https"):
-            continue
-        normalized = _normalize_result_url(absolute)
-        if normalized in seen:
-            continue
-        seen.add(normalized)
-        links.append(normalized)
-    return links
-
-
-def search_snopes(
-    claim: TweetClaim, fetcher: Fetcher, settings: Optional[EngineSettings] = None
-) -> RankedResults:
-    """Query the Snopes built-in search; keep fact-check article links only."""
-    settings = settings or default_engine_settings(SourceId.SNOPES_SEARCH)
-    query = build_query(claim, settings.spec)
-    _, response = _request_page(fetcher, settings, query)
-    if response is None:
-        return RankedResults(SourceId.SNOPES_SEARCH, query, ())
-    root = parse_response(response)
-    urls = [
-        url
-        for url in _extract_links(root, response.final_url, settings.selectors["results"])
-        if _host_matches(urlsplit(url).hostname or "", "snopes.com")
-        and urlsplit(url).path.startswith("/fact-check/")
-    ]
-    return RankedResults(SourceId.SNOPES_SEARCH, query, tuple(urls))
-
-
-def search_reuters(
-    claim: TweetClaim, fetcher: Fetcher, settings: Optional[EngineSettings] = None
-) -> RankedResults:
-    """Query the Reuters built-in search; keep article-shaped links only."""
-    settings = settings or default_engine_settings(SourceId.REUTERS_SEARCH)
-    query = build_query(claim, settings.spec)
-    _, response = _request_page(fetcher, settings, query)
-    if response is None:
-        return RankedResults(SourceId.REUTERS_SEARCH, query, ())
-    root = parse_response(response)
-    urls = [
-        url
-        for url in _extract_links(root, response.final_url, settings.selectors["results"])
-        if _host_matches(urlsplit(url).hostname or "", "reuters.com")
-        and urlsplit(url).path.startswith("/article/")
-    ]
-    return RankedResults(SourceId.REUTERS_SEARCH, query, tuple(urls))
+        return None
+    return response
 
 
 def _unwrap_redirect(url: str) -> str:
@@ -201,67 +148,72 @@ def _unwrap_redirect(url: str) -> str:
     return url
 
 
-def search_web(
+def _check_captcha(root: Element, selectors: Mapping[str, str], url: str) -> None:
+    selector = selectors.get("captcha")
+    if selector and root.select(selector):
+        raise CaptchaDetected(f"{url}: bot challenge page served")
+    marker = selectors.get("captcha_text")
+    if marker and marker.lower() in root.text().lower():
+        raise CaptchaDetected(f"{url}: bot challenge marker found")
+
+
+def ranked_search(
+    source: SourceId,
     claim: TweetClaim,
     fetcher: Fetcher,
     settings: Optional[EngineSettings] = None,
-    site_filter: Optional[str] = None,
 ) -> RankedResults:
-    """Query the general web search engine and parse its results page.
+    """Query one ranked-results engine and parse its results page.
 
-    Organic result links are returned in rank order with redirect wrappers
-    stripped and duplicates removed (first occurrence wins). Raises
+    Result links are returned in rank order, redirect wrappers stripped,
+    normalized (see :func:`~tweetcheck.urls.normalize_result_url`) and
+    with duplicates removed (first occurrence wins). Raises
     :class:`CaptchaDetected` when the page carries a bot-challenge marker.
     """
-    source = (
-        SourceId.WEB_SEARCH_SITE_SNOPES if site_filter == "snopes.com" else SourceId.WEB_SEARCH
-    )
+    engine = _RANKED.get(source)
+    if engine is None:
+        raise ValueError(f"{source.value} does not produce ranked URL results")
     settings = settings or default_engine_settings(source)
     spec = settings.spec
-    if site_filter is not None and spec.site_filter != site_filter:
-        spec = replace(spec, source=source, site_filter=site_filter)
+    if engine.site_filter is not None and spec.site_filter != engine.site_filter:
+        spec = replace(spec, source=source, site_filter=engine.site_filter)
     query = build_query(claim, spec)
-    _, response = _request_page(fetcher, settings, query)
+    response = _request_page(fetcher, settings, query)
     if response is None:
         return RankedResults(source, query, ())
     root = parse_response(response)
-    _check_captcha(root, settings, response.final_url)
+    selectors = settings.selectors
+    _check_captcha(root, selectors, response.final_url)
 
-    ads = root.select(settings.selectors["ads"]) if settings.selectors.get("ads") else []
+    ads = root.select(selectors["ads"]) if selectors.get("ads") else []
     # ids stay unique while ``root`` keeps the whole tree alive
     ad_ids = {id(el) for ad in ads for el in (ad, *ad.iter())}
     seen: set[str] = set()
     urls: list[str] = []
-    for anchor in root.select(settings.selectors["results"]):
+    for anchor in root.select(selectors["results"]):
         href = anchor.get("href")
-        if not href:
-            continue
-        if id(anchor) in ad_ids:
+        if not href or id(anchor) in ad_ids:
             continue
         try:
-            absolute = _unwrap_redirect(urljoin(response.final_url, href))
+            absolute = urljoin(response.final_url, href)
+            if engine.unwrap:
+                absolute = _unwrap_redirect(absolute)
             parts = urlsplit(absolute)
         except ValueError:  # unparseable, e.g. an unbalanced "[" in the host
             continue
-        if parts.scheme not in ("http", "https"):
+        link_host = parts.hostname or ""
+        if (
+            parts.scheme not in ("http", "https")
+            or (engine.domain and not host_matches(link_host, engine.domain))
+            or not parts.path.startswith(engine.path_prefix)
+            or (engine.excluded_domain and host_matches(link_host, engine.excluded_domain))
+        ):
             continue
-        if _host_matches((parts.hostname or ""), "google.com"):
-            continue  # navigation/preferences links, not results
-        normalized = _normalize_result_url(absolute)
-        if normalized in seen:
-            continue
-        seen.add(normalized)
-        urls.append(normalized)
+        normalized = normalize_result_url(absolute)
+        if normalized not in seen:
+            seen.add(normalized)
+            urls.append(normalized)
     return RankedResults(source, query, tuple(urls))
-
-
-def _check_captcha(root: Element, settings: EngineSettings, url: str) -> None:
-    selector = settings.selectors.get("captcha")
-    if selector and root.select(selector):
-        raise CaptchaDetected(f"{url}: bot challenge page served")
-    marker = settings.selectors.get("captcha_text")
-    if marker and marker.lower() in root.text().lower():
-        raise CaptchaDetected(f"{url}: bot challenge marker found")
 
 
 def search_politwoops(
@@ -270,11 +222,11 @@ def search_politwoops(
     """Query the deleted-tweet tracker with the claim's leading characters."""
     settings = settings or default_engine_settings(SourceId.POLITWOOPS)
     query = build_query(claim, settings.spec)
-    _, response = _request_page(fetcher, settings, query)
+    response = _request_page(fetcher, settings, query)
     if response is None:
         return []
     root = parse_response(response)
-    project_host = (urlsplit(settings.endpoint).hostname or "").lower()
+    project_host = host(settings.endpoint)
     hits: list[PolitwoopsHit] = []
     for card in root.select(settings.selectors["cards"]):
         text_el = card.select_one(settings.selectors["text"])
@@ -284,7 +236,7 @@ def search_politwoops(
             continue
         try:
             detail_url = urljoin(response.final_url, link_el.get("href"))
-            detail_host = (urlsplit(detail_url).hostname or "").lower()
+            detail_host = host(detail_url)
         except ValueError:  # unparseable, e.g. an unbalanced "[" in the host
             logger.debug("politwoops: skipping unparseable link %r", link_el.get("href"))
             continue
@@ -310,21 +262,3 @@ def match_politwoops(claim: TweetClaim, hits: list[PolitwoopsHit]) -> Optional[P
         if normalize_text(hit.tweet_text) == target:
             return hit
     return None
-
-
-def ranked_search(
-    source: SourceId,
-    claim: TweetClaim,
-    fetcher: Fetcher,
-    settings: Optional[EngineSettings] = None,
-) -> RankedResults:
-    """Dispatch to the adapter for one ranked-results source."""
-    if source is SourceId.SNOPES_SEARCH:
-        return search_snopes(claim, fetcher, settings)
-    if source is SourceId.REUTERS_SEARCH:
-        return search_reuters(claim, fetcher, settings)
-    if source is SourceId.WEB_SEARCH:
-        return search_web(claim, fetcher, settings)
-    if source is SourceId.WEB_SEARCH_SITE_SNOPES:
-        return search_web(claim, fetcher, settings, site_filter="snopes.com")
-    raise ValueError(f"{source.value} does not produce ranked URL results")

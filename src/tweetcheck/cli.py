@@ -36,7 +36,8 @@ from .evaluation import EVAL_SOURCES, evaluate_engine, render_report
 from .fetch import Fetcher, FetchMode, FetchRequest
 from .model import Outcome, SourceId, TweetClaim
 from .pipeline import verify_claim
-from .ratings import identify_publisher, scrape_rating
+from .ratings import scrape_rating
+from .urls import identify_publisher
 
 EXIT_AUTHENTIC = 0
 EXIT_FABRICATED = 1
@@ -326,7 +327,7 @@ def cmd_scrape(args: argparse.Namespace) -> int:
     if not page.ok:
         return _fail(f"HTTP {page.status} for {args.url}", EXIT_OPERATIONAL)
     try:
-        rating = scrape_rating(page, config.rating_selectors())
+        rating = scrape_rating(page, config.rating_selectors)
     except ValueError as exc:  # redirected off to an unsupported host
         return _fail(str(exc), EXIT_USAGE)
     except ParseError as exc:

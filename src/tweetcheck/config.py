@@ -21,13 +21,15 @@ Recognized keys::
     rating-selectors.<publisher> = <path to a key=value selector file>
 
 where <engine> is one of: snopes, reuters, web, web-snopes, politwoops,
-and <publisher> is snopes or reuters (article rating extraction).
+and <publisher> is snopes or reuters (article rating extraction). Selector
+files are read when the configuration is built, so an unreadable one is
+reported there, as a :class:`ConfigError` naming it.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -35,7 +37,7 @@ from .adapters import DEFAULT_ENDPOINTS, DEFAULT_SELECTORS, EngineSettings
 from .errors import TweetCheckError
 from .fetch import DEFAULT_DELAY_MS, DEFAULT_TIMEOUT_S, DEFAULT_USER_AGENT, FetchMode, Fetcher, FixtureStore
 from .model import SourceId
-from .queries import Encoding, Truncation, default_spec, spec_with_overrides
+from .queries import Encoding, Truncation, default_spec
 
 MODE_ENV_VAR = "TWEETCHECK_MODE"
 
@@ -45,9 +47,18 @@ class ConfigError(TweetCheckError):
 
 
 def load_keyvalues(path: str | Path) -> dict[str, str]:
-    """Parse a plain key=value file; "#" lines and blank lines are ignored."""
+    """Parse a plain key=value file; "#" lines and blank lines are ignored.
+
+    Raises :class:`ConfigError` naming the file if it cannot be read.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:  # missing, a directory, no permission
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from None
     values: dict[str, str] = {}
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -84,38 +95,28 @@ class AppConfig:
     max_articles: int = 3
     endpoints: dict[SourceId, str] = field(default_factory=lambda: dict(DEFAULT_ENDPOINTS))
     query_overrides: dict[SourceId, dict[str, str]] = field(default_factory=dict)
-    selector_files: dict[SourceId, Path] = field(default_factory=dict)
-    rating_selector_files: dict[str, Path] = field(default_factory=dict)
+    #: Per-engine selector overrides, as read from their files.
+    selectors: dict[SourceId, dict[str, str]] = field(default_factory=dict)
+    #: Per-publisher selector overrides for the rating scrapers, as read from their files.
+    rating_selectors: dict[str, dict[str, str]] = field(default_factory=dict)
 
     def engine_settings(self, source: SourceId) -> EngineSettings:
         spec = default_spec(source)
         overrides = self.query_overrides.get(source, {})
         if overrides:
+            updates = {
+                key: parse(overrides[key]) for key, parse in _QUERY_SETTINGS.items() if key in overrides
+            }
             try:
-                spec = spec_with_overrides(
-                    spec,
-                    max_chars=_parse_int("max_chars", overrides["max_chars"])
-                    if "max_chars" in overrides
-                    else None,
-                    encoding=_parse_encoding(overrides.get("encoding")),
-                    truncation=_parse_truncation(overrides.get("truncation")),
-                    quote_phrase=_parse_bool(overrides.get("quote_phrase")),
-                )
+                spec = replace(spec, **updates)
             except ValueError as exc:
                 raise ConfigError(f"bad query override for {source.value}: {exc}") from None
-        selectors = dict(DEFAULT_SELECTORS[source])
-        if source in self.selector_files:
-            selectors.update(load_keyvalues(self.selector_files[source]))
         return EngineSettings(
-            source=source, endpoint=self.endpoints[source], spec=spec, selectors=selectors
+            source=source,
+            endpoint=self.endpoints[source],
+            spec=spec,
+            selectors={**DEFAULT_SELECTORS[source], **self.selectors.get(source, {})},
         )
-
-    def rating_selectors(self) -> dict[str, dict[str, str]]:
-        """Per-publisher selector overrides for the rating scrapers."""
-        return {
-            publisher: load_keyvalues(path)
-            for publisher, path in self.rating_selector_files.items()
-        }
 
     def build_fetcher(self, **kwargs) -> Fetcher:
         store = FixtureStore(self.fixtures_dir) if self.fixtures_dir else None
@@ -131,18 +132,14 @@ class AppConfig:
         )
 
 
-def _parse_encoding(value: Optional[str]) -> Optional[Encoding]:
-    if value is None:
-        return None
+def _parse_encoding(value: str) -> Encoding:
     try:
         return Encoding(value.lower())
     except ValueError:
         raise ConfigError(f"unknown encoding {value!r} (expected plus/percent)") from None
 
 
-def _parse_truncation(value: Optional[str]) -> Optional[Truncation]:
-    if value is None:
-        return None
+def _parse_truncation(value: str) -> Truncation:
     try:
         return Truncation(value.lower())
     except ValueError:
@@ -151,9 +148,7 @@ def _parse_truncation(value: Optional[str]) -> Optional[Truncation]:
         ) from None
 
 
-def _parse_bool(value: Optional[str]) -> Optional[bool]:
-    if value is None:
-        return None
+def _parse_bool(value: str) -> bool:
     lowered = value.lower()
     if lowered in ("true", "yes", "1"):
         return True
@@ -174,6 +169,15 @@ def _parse_float(key: str, value: str) -> float:
         return float(value)
     except ValueError:
         raise ConfigError(f"{key} expects a number, got {value!r}") from None
+
+
+#: Query settings a configuration may override, each with its parser.
+_QUERY_SETTINGS = {
+    "max_chars": lambda value: _parse_int("max_chars", value),
+    "encoding": _parse_encoding,
+    "truncation": _parse_truncation,
+    "quote_phrase": _parse_bool,
+}
 
 
 def build_config(
@@ -207,18 +211,19 @@ def _apply_file(config: AppConfig, values: dict[str, str]) -> None:
         elif key.startswith("endpoint."):
             config.endpoints[source_by_name(key.removeprefix("endpoint."))] = value
         elif key.startswith("selectors."):
-            config.selector_files[source_by_name(key.removeprefix("selectors."))] = Path(value)
+            source = source_by_name(key.removeprefix("selectors."))  # before reading the file
+            config.selectors[source] = load_keyvalues(value)
         elif key.startswith("rating-selectors."):
             publisher = key.removeprefix("rating-selectors.")
             if publisher not in ("snopes", "reuters"):
                 raise ConfigError(f"unknown publisher in {key!r}")
-            config.rating_selector_files[publisher] = Path(value)
+            config.rating_selectors[publisher] = load_keyvalues(value)
         elif key.startswith("query."):
             parts = key.split(".")
             if len(parts) != 3:
                 raise ConfigError(f"malformed query override key: {key!r}")
             source = source_by_name(parts[1])
-            if parts[2] not in ("max_chars", "encoding", "truncation", "quote_phrase"):
+            if parts[2] not in _QUERY_SETTINGS:
                 raise ConfigError(f"unknown query setting: {key!r}")
             config.query_overrides.setdefault(source, {})[parts[2]] = value
         else:

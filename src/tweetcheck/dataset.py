@@ -14,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
-from urllib.parse import urlsplit
 
 from .errors import FormatError, ValidationError
-from .ratings import canonicalize_article_url
+from .urls import canonicalize_article_url, is_snopes_url
 
 _FIELD_NAMES = ("id", "authentic", "tweet_body", "snopes_url", "live_url", "archived_url", "reuters_url")
 
@@ -74,10 +73,7 @@ def record_problems(record: GroundTruthRecord) -> list[str]:
     problems = []
     if not record.tweet_body.strip():
         problems.append("tweet_body is empty")
-    host = (urlsplit(record.snopes_url).hostname or "").lower()
-    if host.startswith("www."):
-        host = host[4:]
-    if host != "snopes.com":
+    if not is_snopes_url(record.snopes_url):
         problems.append(f"snopes_url host is not snopes.com: {record.snopes_url!r}")
     if record.authentic:
         if not record.live_url:

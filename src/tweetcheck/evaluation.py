@@ -24,7 +24,7 @@ from .errors import (
 from .dataset import GroundTruthRecord
 from .fetch import Fetcher
 from .model import RankedResults, SourceId, TweetClaim
-from .ratings import canonicalize_article_url
+from .urls import canonicalize_article_url
 
 logger = logging.getLogger(__name__)
 

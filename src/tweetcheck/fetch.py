@@ -24,9 +24,10 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, TypeVar, Union
-from urllib.parse import urljoin, urlsplit, urlunsplit
+from urllib.parse import urljoin, urlsplit
 
 from .errors import CorruptFixture, FixtureMiss, NetworkError
+from . import urls
 
 if TYPE_CHECKING:
     import requests
@@ -64,15 +65,11 @@ class FetchRequest:
     """A GET request to an absolute URL."""
 
     url: str
-    accept_language: Optional[str] = None
-    method: str = "GET"
 
     def __post_init__(self):
         parts = urlsplit(self.url)
         if not parts.scheme or not parts.netloc:
             raise ValueError(f"url must be absolute: {self.url!r}")
-        if self.method != "GET":
-            raise ValueError("only GET is supported")
 
 
 @dataclass(frozen=True)
@@ -93,16 +90,9 @@ class FetchResponse:
         return 200 <= self.status < 300
 
 
-def normalize_url_for_key(url: str) -> str:
-    """Lowercase scheme and host, strip any trailing "/" from the path."""
-    parts = urlsplit(url)
-    path = parts.path.rstrip("/")
-    return urlunsplit((parts.scheme.lower(), parts.netloc.lower(), path, parts.query, parts.fragment))
-
-
 def fixture_key(req: FetchRequest) -> str:
-    """64-char hex digest identifying a request: SHA-256 of "<METHOD> <normalized-url>"."""
-    line = f"{req.method} {normalize_url_for_key(req.url)}"
+    """64-char hex digest identifying a request: SHA-256 of "GET <normalized-url>"."""
+    line = f"GET {urls.normalize_url_for_key(req.url)}"
     return hashlib.sha256(line.encode("utf-8")).hexdigest()
 
 
@@ -192,10 +182,6 @@ def _reset_politeness_clock() -> None:
         _HOST_NEXT_SLOT.clear()
 
 
-def _host(url: str) -> str:
-    return (urlsplit(url).hostname or "").lower()
-
-
 Transport = Callable[[FetchRequest], FetchResponse]
 T = TypeVar("T")
 
@@ -281,7 +267,7 @@ class Fetcher:
         """
         by_host: dict[str, list[int]] = {}
         for index, (url, _) in enumerate(jobs):
-            by_host.setdefault(_host(url), []).append(index)
+            by_host.setdefault(urls.host(url), []).append(index)
         outcomes: list[Union[T, Exception]] = [None] * len(jobs)  # type: ignore[list-item]
 
         def run(indices: list[int]) -> None:
@@ -307,7 +293,7 @@ class Fetcher:
         delay_s = self.delay_ms / 1000.0
         if delay_s <= 0:
             return self._transport(req)
-        host = _host(req.url)
+        host = urls.host(req.url)
         with _host_lock(host):
             now = time.monotonic()
             slot = _HOST_NEXT_SLOT.get(host, now)
@@ -324,8 +310,6 @@ class Fetcher:
         import requests  # already loaded by __init__
 
         headers = {"User-Agent": self.user_agent}
-        if req.accept_language:
-            headers["Accept-Language"] = req.accept_language
         with self._sessions_lock:
             session = self._idle_sessions.pop() if self._idle_sessions else None
         if session is None:
@@ -379,14 +363,3 @@ def _read_capped_body(url: str, resp: "requests.Response") -> bytes:
             raise NetworkError(f"GET {url} failed: body exceeds the {MAX_BODY_BYTES}-byte cap")
         chunks.append(chunk)
     return b"".join(chunks)
-
-
-def fetch(
-    req: FetchRequest,
-    mode: FetchMode,
-    store: Optional[FixtureStore] = None,
-    **kwargs,
-) -> FetchResponse:
-    """One-shot convenience wrapper around :class:`Fetcher`."""
-    with Fetcher(mode, store, **kwargs) as fetcher:
-        return fetcher.fetch(req)

@@ -13,7 +13,10 @@ Pages are read by a tokenizer of this module's own, in one pass:
   element's end tag (its name followed by a space, ``/`` or ``>``): no tag
   or character reference in it is read.
 * Character references (``&amp;``, ``&#8217;``) in text and attribute values
-  are decoded by :func:`html.unescape`.
+  are decoded by :func:`html.unescape`, except that in an attribute value a
+  named reference without its ``;`` stays literal when ``=`` or an ASCII
+  letter or digit follows it, as in HTML: ``href="?a=1&copy=2"`` keeps its
+  ``copy`` parameter.
 * A construct left open at the end of the input runs to the end: an
   unterminated comment, quoted attribute value or raw-text element takes
   the rest of the input, and an unterminated tag is dropped, as browsers do.
@@ -50,6 +53,7 @@ import re
 import weakref
 from functools import lru_cache
 from html import unescape
+from html.entities import html5
 from typing import Iterator, Optional
 
 from .errors import ParseError
@@ -265,12 +269,32 @@ _RAW_TEXT_END = {
 }
 
 
+# A character reference as html.unescape finds one: numeric, or a name of at
+# most 32 characters.
+_CHARREF_RE = re.compile(r"&(#[0-9]+;?|#[xX][0-9a-fA-F]+;?|[^\t\n\f <&#;]{1,32};?)")
+
+
+def _attribute_reference(m: re.Match) -> str:
+    """One character reference in an attribute value, decoded as HTML does there."""
+    name = m.group(1)
+    if not name.startswith("#") and name not in html5:
+        # html.unescape would decode the longest reference the name starts
+        # with; in an attribute, HTML keeps it literal before "=" or [A-Za-z0-9].
+        for end in range(len(name) - 1, 1, -1):
+            if name[:end] in html5:
+                follow = name[end]
+                if follow == "=" or (follow.isascii() and follow.isalnum()):
+                    return m.group(0)
+                break
+    return unescape(m.group(0))
+
+
 def _attributes(text: str, start: int, end: int) -> dict[str, Optional[str]]:
     attrs: dict[str, Optional[str]] = {}
     for name, equals, single, double, bare in _TAG_ATTR_RE.findall(text, start, end):
         if equals:
             value = single or double or bare
-            attrs[name.lower()] = unescape(value) if "&" in value else value
+            attrs[name.lower()] = _CHARREF_RE.sub(_attribute_reference, value) if "&" in value else value
         else:
             attrs[name.lower()] = None
     return attrs
@@ -330,6 +354,14 @@ def parse_html(text: str) -> Element:
         data = text[pos:]
         node.children.append(unescape(data) if "&" in data else data)
     return root
+
+
+_WS_RUN = re.compile(r"\s+")
+
+
+def collapse_whitespace(text: str) -> str:
+    """``text`` with each run of whitespace made one space, ends trimmed."""
+    return _WS_RUN.sub(" ", text).strip()
 
 
 _CHARSET_RE = re.compile(r"charset=([\w.-]+)", re.IGNORECASE)

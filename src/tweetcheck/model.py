@@ -80,12 +80,9 @@ class TweetClaim:
         body: full alleged tweet text; must be non-empty after trimming and
             at most 4000 characters (real tweets are far shorter, but quoted
             threads and notes may exceed 280).
-        alleged_handle: optional screen name without the leading "@". Kept
-            for future metadata-driven checks; current adapters ignore it.
     """
 
     body: str
-    alleged_handle: Optional[str] = None
 
     def __post_init__(self):
         if not self.body.strip():

@@ -36,7 +36,8 @@ from .model import (
     Verdict,
     classify_rating,
 )
-from .ratings import canonicalize_article_url, identify_publisher, scrape_rating
+from .ratings import scrape_rating
+from .urls import canonicalize_article_url, identify_publisher
 from .verdict import aggregate
 
 logger = logging.getLogger(__name__)
@@ -69,7 +70,6 @@ def verify_claim(
     """Run the enabled engines over one claim and aggregate a verdict."""
     enabled = [source for source in SourceId if engines is None or source in engines]
     settings = {source: config.engine_settings(source) for source in enabled}
-    rating_selectors = config.rating_selectors()
 
     # Search: every engine, concurrently across hosts.
     searched = fetcher.run_per_host(
@@ -93,7 +93,7 @@ def verify_claim(
     urls = [url for picks in selected.values() for _, url in picks]
     ratings = iter(
         fetcher.run_per_host(
-            [(url, partial(_scrape_article, url, fetcher, rating_selectors)) for url in urls]
+            [(url, partial(_scrape_article, url, fetcher, config.rating_selectors)) for url in urls]
         )
     )
 

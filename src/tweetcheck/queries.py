@@ -9,7 +9,7 @@ configuration file, because sites change their limits without notice.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 from urllib.parse import quote, quote_plus
@@ -121,23 +121,3 @@ def build_query(claim: TweetClaim, spec: QuerySpec) -> str:
         text = f"{text} site:{spec.site_filter}"
     return text
 
-
-def spec_with_overrides(
-    spec: QuerySpec,
-    *,
-    max_chars: Optional[int] = None,
-    encoding: Optional[Encoding] = None,
-    truncation: Optional[Truncation] = None,
-    quote_phrase: Optional[bool] = None,
-) -> QuerySpec:
-    """Copy of ``spec`` with any provided settings replaced."""
-    updates = {}
-    if max_chars is not None:
-        updates["max_chars"] = max_chars
-    if encoding is not None:
-        updates["encoding"] = encoding
-    if truncation is not None:
-        updates["truncation"] = truncation
-    if quote_phrase is not None:
-        updates["quote_phrase"] = quote_phrase
-    return replace(spec, **updates) if updates else spec

@@ -1,4 +1,4 @@
-"""Extract truth ratings from fact-check article pages; canonicalize article URLs.
+"""Extract truth ratings from fact-check article pages.
 
 Publisher routing is by host of the final (post-redirect) URL, never by
 content sniffing. Structural selectors are configurable per publisher; when
@@ -12,16 +12,13 @@ from __future__ import annotations
 import logging
 import re
 from typing import Mapping, Optional
-from urllib.parse import urlsplit, urlunsplit
 
 from .fetch import FetchResponse
-from .htmldoc import Element, parse_response
+from .htmldoc import Element, collapse_whitespace, parse_response
 from .model import TruthRating, classify_rating
+from .urls import canonicalize_article_url, identify_publisher  # noqa: F401  (also importable from here)
 
 logger = logging.getLogger(__name__)
-
-SNOPES_HOST = "snopes.com"
-REUTERS_HOST = "reuters.com"
 
 DEFAULT_SNOPES_RATING_SELECTORS = {
     "rating": "div.rating_title_wrap",
@@ -35,16 +32,6 @@ _FALLBACK_LABEL = re.compile(
     r"\b(?:truth rating|rating|verdict)[ \t]*:[ \t]*(\S[^\n]{0,80})",
     re.IGNORECASE,
 )
-_REUTERS_ID = re.compile(r"idUS[A-Z0-9]+$")
-_WS_RUN = re.compile(r"\s+")
-
-
-def _host_matches(host: str, domain: str) -> bool:
-    return host == domain or host.endswith("." + domain)
-
-
-def _clean_label(text: str) -> str:
-    return _WS_RUN.sub(" ", text).strip()
 
 
 def _label_head(text: str) -> str:
@@ -57,7 +44,7 @@ def _fallback_scan(root: Element, url: str) -> Optional[str]:
     m = _FALLBACK_LABEL.search(root.text())
     if m is None:
         return None
-    label = _label_head(_clean_label(m.group(1)))
+    label = _label_head(collapse_whitespace(m.group(1)))
     logger.warning("%s: rating found only by text scan (low confidence): %r", url, label)
     return label
 
@@ -70,7 +57,7 @@ def scrape_snopes_rating(
     root = parse_response(page)
     element = root.select_one(sel["rating"])
     if element is not None:
-        return classify_rating(_clean_label(element.text()))
+        return classify_rating(collapse_whitespace(element.text()))
     label = _fallback_scan(root, page.final_url)
     if label is not None:
         return classify_rating(label)
@@ -95,7 +82,7 @@ def scrape_reuters_rating(
             continue
         paragraph = _following_text_block(heading)
         if paragraph:
-            return classify_rating(_label_head(_clean_label(paragraph)))
+            return classify_rating(_label_head(collapse_whitespace(paragraph)))
     label = _fallback_scan(root, page.final_url)
     if label is not None:
         return classify_rating(label)
@@ -120,16 +107,6 @@ def _following_text_block(heading: Element) -> Optional[str]:
     return None
 
 
-def identify_publisher(url: str) -> Optional[str]:
-    """"snopes" or "reuters" by host, else None."""
-    host = (urlsplit(url).hostname or "").lower()
-    if _host_matches(host, SNOPES_HOST):
-        return "snopes"
-    if _host_matches(host, REUTERS_HOST):
-        return "reuters"
-    return None
-
-
 def scrape_rating(
     page: FetchResponse, selectors: Optional[Mapping[str, Mapping[str, str]]] = None
 ) -> TruthRating:
@@ -142,25 +119,3 @@ def scrape_rating(
         return scrape_reuters_rating(page, per_site.get("reuters"))
     raise ValueError(f"unsupported publisher host: {page.final_url}")
 
-
-def canonicalize_article_url(url: str) -> str:
-    """Collapse an article URL to a canonical identity for comparison.
-
-    Lowercases scheme and host, strips "www.", trailing slashes, query and
-    fragment. Two special shapes get shorter identities: Reuters article
-    URLs collapse to their trailing "idUS…" token, and Snopes fact-check
-    URLs collapse to their "/fact-check/<slug>" path. Everything else keeps
-    its full normalized URL. Idempotent.
-    """
-    parts = urlsplit(url)
-    host = parts.netloc.lower()
-    if host.startswith("www."):
-        host = host[4:]
-    path = parts.path.rstrip("/")
-    if _host_matches(host, REUTERS_HOST):
-        m = _REUTERS_ID.search(path)
-        if m:
-            return m.group(0)
-    if _host_matches(host, SNOPES_HOST) and path.startswith("/fact-check/"):
-        return path
-    return urlunsplit((parts.scheme.lower(), host, path, "", ""))

@@ -9,9 +9,6 @@ from tweetcheck.adapters import (
     normalize_text,
     ranked_search,
     search_politwoops,
-    search_reuters,
-    search_snopes,
-    search_web,
 )
 from tweetcheck.errors import CaptchaDetected, ParseError
 from tweetcheck.model import SourceId, TweetClaim
@@ -40,25 +37,25 @@ def store_for(tmp_path, source, body, page_bytes, status=200, content_type="text
 
 class TestSearchSnopes:
     def test_pandemic_query_finds_the_fact_check_first(self, pandemic_store):
-        results = search_snopes(CLAIM_PANDEMIC, replay_fetcher(pandemic_store))
+        results = ranked_search(SourceId.SNOPES_SEARCH, CLAIM_PANDEMIC, replay_fetcher(pandemic_store))
         assert results.urls[0].endswith("/fact-check/2009-trump-tweet-pandemic/")
 
     def test_zero_results(self, tmp_path):
         store = store_for(tmp_path, SourceId.SNOPES_SEARCH, "no matches here", page("snopes_serp_empty.html"))
-        results = search_snopes(TweetClaim(body="no matches here"), replay_fetcher(store))
+        results = ranked_search(SourceId.SNOPES_SEARCH, TweetClaim(body="no matches here"), replay_fetcher(store))
         assert results.urls == ()
 
     def test_known_anchors_in_page_order_fact_checks_only(self, pandemic_store):
         # manual enumeration of the fixture: three anchors in the result list,
         # of which two are /fact-check/ articles, plus nav/footer links
-        results = search_snopes(CLAIM_PANDEMIC, replay_fetcher(pandemic_store))
+        results = ranked_search(SourceId.SNOPES_SEARCH, CLAIM_PANDEMIC, replay_fetcher(pandemic_store))
         assert results.urls == (
             "https://www.snopes.com/fact-check/2009-trump-tweet-pandemic/",
             "https://www.snopes.com/fact-check/trump-pandemic-response-timeline/",
         )
 
     def test_host_restricted(self, pandemic_store):
-        results = search_snopes(CLAIM_PANDEMIC, replay_fetcher(pandemic_store))
+        results = ranked_search(SourceId.SNOPES_SEARCH, CLAIM_PANDEMIC, replay_fetcher(pandemic_store))
         for url in results.urls:
             host = urlsplit(url).hostname
             assert host == "snopes.com" or host.endswith(".snopes.com")
@@ -72,12 +69,12 @@ class TestSearchSnopes:
             + "</div></body></html>"
         ).encode()
         store = store_for(tmp_path, SourceId.SNOPES_SEARCH, body, serp)
-        results = search_snopes(TweetClaim(body=body), replay_fetcher(store))
+        results = ranked_search(SourceId.SNOPES_SEARCH, TweetClaim(body=body), replay_fetcher(store))
         assert list(results.urls) == urls
 
     def test_non_2xx_yields_empty_results(self, tmp_path):
         store = store_for(tmp_path, SourceId.SNOPES_SEARCH, "server trouble", b"oops", status=503)
-        results = search_snopes(TweetClaim(body="server trouble"), replay_fetcher(store))
+        results = ranked_search(SourceId.SNOPES_SEARCH, TweetClaim(body="server trouble"), replay_fetcher(store))
         assert results.urls == ()
 
     def test_non_html_page_raises_parse_error(self, tmp_path):
@@ -86,20 +83,20 @@ class TestSearchSnopes:
             content_type="application/pdf",
         )
         with pytest.raises(ParseError):
-            search_snopes(TweetClaim(body="binary answer"), replay_fetcher(store))
+            ranked_search(SourceId.SNOPES_SEARCH, TweetClaim(body="binary answer"), replay_fetcher(store))
 
     def test_deterministic_under_replay(self, pandemic_store):
         fetcher = replay_fetcher(pandemic_store)
-        assert search_snopes(CLAIM_PANDEMIC, fetcher) == search_snopes(CLAIM_PANDEMIC, fetcher)
+        assert ranked_search(SourceId.SNOPES_SEARCH, CLAIM_PANDEMIC, fetcher) == ranked_search(SourceId.SNOPES_SEARCH, CLAIM_PANDEMIC, fetcher)
 
 
 class TestSearchReuters:
     def test_pandemic_query_finds_article_with_id_token(self, pandemic_store):
-        results = search_reuters(CLAIM_PANDEMIC, replay_fetcher(pandemic_store))
+        results = ranked_search(SourceId.REUTERS_SEARCH, CLAIM_PANDEMIC, replay_fetcher(pandemic_store))
         assert any("idUSKCN2242AK" in url for url in results.urls)
 
     def test_article_shape_filter_and_order(self, pandemic_store):
-        results = search_reuters(CLAIM_PANDEMIC, replay_fetcher(pandemic_store))
+        results = ranked_search(SourceId.REUTERS_SEARCH, CLAIM_PANDEMIC, replay_fetcher(pandemic_store))
         assert results.urls == (
             REUTERS_PANDEMIC_ARTICLE,
             "https://www.reuters.com/article/us-health-coronavirus-whitehouse/white-house-briefing-roundup-idUSKBN21X2Y0",
@@ -107,7 +104,7 @@ class TestSearchReuters:
 
     def test_zero_results(self, tmp_path):
         store = store_for(tmp_path, SourceId.REUTERS_SEARCH, "nothing at all", page("reuters_serp_empty.html"))
-        results = search_reuters(TweetClaim(body="nothing at all"), replay_fetcher(store))
+        results = ranked_search(SourceId.REUTERS_SEARCH, TweetClaim(body="nothing at all"), replay_fetcher(store))
         assert results.urls == ()
 
     def test_five_anchor_fixture_in_page_order(self, tmp_path):
@@ -119,21 +116,21 @@ class TestSearchReuters:
             + "</div></body></html>"
         ).encode()
         store = store_for(tmp_path, SourceId.REUTERS_SEARCH, body, serp)
-        results = search_reuters(TweetClaim(body=body), replay_fetcher(store))
+        results = ranked_search(SourceId.REUTERS_SEARCH, TweetClaim(body=body), replay_fetcher(store))
         assert list(results.urls) == urls
 
 
 class TestSearchWeb:
     def test_site_filtered_query_ranks_snopes_article_first(self, pandemic_store):
-        results = search_web(
-            CLAIM_PANDEMIC, replay_fetcher(pandemic_store), site_filter="snopes.com"
+        results = ranked_search(
+            SourceId.WEB_SEARCH_SITE_SNOPES, CLAIM_PANDEMIC, replay_fetcher(pandemic_store)
         )
         assert results.source is SourceId.WEB_SEARCH_SITE_SNOPES
         assert results.urls[0] == SNOPES_PANDEMIC_ARTICLE
         assert results.query_text.endswith(" site:snopes.com")
 
     def test_ads_excluded_and_duplicates_removed(self, pandemic_store):
-        results = search_web(CLAIM_PANDEMIC, replay_fetcher(pandemic_store))
+        results = ranked_search(SourceId.WEB_SEARCH, CLAIM_PANDEMIC, replay_fetcher(pandemic_store))
         # fixture has: reuters (organic), interleaved ad, snopes (organic),
         # duplicate snopes, twitter (organic), plus top/bottom ad blocks
         assert results.urls == (
@@ -144,13 +141,13 @@ class TestSearchWeb:
 
     def test_empty_serp(self, tmp_path):
         store = store_for(tmp_path, SourceId.WEB_SEARCH, "yields nothing", page("google_serp_empty.html"))
-        results = search_web(TweetClaim(body="yields nothing"), replay_fetcher(store))
+        results = ranked_search(SourceId.WEB_SEARCH, TweetClaim(body="yields nothing"), replay_fetcher(store))
         assert results.urls == ()
 
     def test_captcha_page_detected(self, tmp_path):
         store = store_for(tmp_path, SourceId.WEB_SEARCH, "blocked query", page("google_serp_captcha.html"))
         with pytest.raises(CaptchaDetected):
-            search_web(TweetClaim(body="blocked query"), replay_fetcher(store))
+            ranked_search(SourceId.WEB_SEARCH, TweetClaim(body="blocked query"), replay_fetcher(store))
 
 
 class TestSearchPolitwoops:

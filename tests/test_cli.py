@@ -1,5 +1,7 @@
 from pathlib import Path
 
+import pytest
+
 from tweetcheck.cli import main
 from tweetcheck.dataset import serialize_dataset
 from tweetcheck.fetch import Fetcher, FetchRequest, fixture_key
@@ -440,3 +442,29 @@ class TestModeEnvVar:
     def test_bad_env_value_is_usage_error(self, monkeypatch, capsys):
         monkeypatch.setenv("TWEETCHECK_MODE", "offline")
         assert main(["scrape", "https://www.snopes.com/fact-check/x/"]) == 64
+
+
+class TestUnreadableConfig:
+    """A configuration or selector file that cannot be read is a usage error naming it."""
+
+    @pytest.mark.parametrize("command", ["verify", "eval", "record", "scrape"])
+    @pytest.mark.parametrize("key", [None, "selectors.snopes", "rating-selectors.reuters"])
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_exit_64_with_one_line_naming_the_file(self, tmp_path, capsys, command, key, kind):
+        unreadable = tmp_path / "absent.conf" if kind == "missing" else tmp_path
+        config = unreadable
+        if key is not None:
+            config = tmp_path / "tweetcheck.conf"
+            config.write_text(f"{key} = {unreadable}\n", encoding="utf-8")
+        argv = {
+            "verify": ["verify", PANDEMIC_BODY],
+            "eval": ["eval", "--dataset", str(write_dataset(tmp_path))],
+            "record": ["record", "--dataset", str(write_dataset(tmp_path))],
+            "scrape": ["scrape", SNOPES_PANDEMIC_ARTICLE],
+        }[command]
+        code = main([*argv, "--config", str(config), "--mode", "replay", "--fixtures", str(tmp_path / "fx")])
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("tweetcheck: ") and str(unreadable) in lines[0]

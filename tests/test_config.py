@@ -18,6 +18,15 @@ class TestKeyValues:
         with pytest.raises(ConfigError):
             load_keyvalues(path)
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not UTF-8"])
+    def test_unreadable_file_is_a_config_error_naming_it(self, tmp_path, kind):
+        path = {"missing": tmp_path / "absent.conf", "directory": tmp_path, "not UTF-8": tmp_path / "c.conf"}[kind]
+        if kind == "not UTF-8":
+            path.write_bytes(b"mode = \xff\n")
+        with pytest.raises(ConfigError, match="cannot read") as info:
+            load_keyvalues(path)
+        assert str(path) in str(info.value)
+
 
 class TestBuildConfig:
     def test_defaults(self):
@@ -119,7 +128,20 @@ class TestEngineSettings:
         path = tmp_path / "c.conf"
         path.write_text(f"rating-selectors.snopes={selectors}\n", encoding="utf-8")
         config = build_config(path, env={})
-        assert config.rating_selectors() == {"snopes": {"rating": "div.rating-badge"}}
+        assert config.rating_selectors == {"snopes": {"rating": "div.rating-badge"}}
+
+    def test_selector_files_are_read_once_when_the_config_is_built(self, tmp_path):
+        selectors = tmp_path / "snopes_selectors.conf"
+        selectors.write_text("results=div.results a[href]\n", encoding="utf-8")
+        rating = tmp_path / "snopes_rating.conf"
+        rating.write_text("rating=div.rating-badge\n", encoding="utf-8")
+        path = tmp_path / "c.conf"
+        path.write_text(f"selectors.snopes={selectors}\nrating-selectors.snopes={rating}\n", encoding="utf-8")
+        config = build_config(path, env={})
+        selectors.unlink()
+        rating.unlink()
+        assert config.engine_settings(SourceId.SNOPES_SEARCH).selectors["results"] == "div.results a[href]"
+        assert config.rating_selectors == {"snopes": {"rating": "div.rating-badge"}}
 
     def test_rating_selector_unknown_publisher_rejected(self, tmp_path):
         path = tmp_path / "c.conf"
@@ -137,6 +159,12 @@ class TestEngineSettings:
         path = tmp_path / "c.conf"
         path.write_text("endpoint.bing=https://x/{query}\n", encoding="utf-8")
         with pytest.raises(ConfigError):
+            build_config(path, env={})
+
+    def test_unknown_engine_reported_before_its_selector_file_is_read(self, tmp_path):
+        path = tmp_path / "c.conf"
+        path.write_text("selectors.bing=/no/such/file\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="unknown engine name"):
             build_config(path, env={})
 
 

@@ -40,10 +40,6 @@ class TestFetchRequest:
         with pytest.raises(ValueError):
             FetchRequest(url="/search/x")
 
-    def test_non_get_rejected(self):
-        with pytest.raises(ValueError):
-            FetchRequest(url="https://host.example/", method="POST")
-
 
 class TestFetchResponse:
     @pytest.mark.parametrize("status", [99, 600, 0])
@@ -116,15 +112,6 @@ class TestRecordReplay:
         fetcher = Fetcher(FetchMode.LIVE, transport=StubTransport({}))
         with pytest.raises(NetworkError):
             fetcher.fetch(FetchRequest(url="https://host.example/missing"))
-
-    def test_one_shot_helper(self, tmp_path):
-        from tweetcheck.fetch import fetch
-
-        store = self._record(tmp_path, b"payload")
-        response = fetch(
-            FetchRequest(url=self.URL), FetchMode.REPLAY, store, transport=refusing_transport
-        )
-        assert response.body == b"payload"
 
 
 class TestFixtureStoreFormat:

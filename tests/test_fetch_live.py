@@ -153,12 +153,6 @@ class TestLiveTransport:
         fetcher.fetch(FetchRequest(url=f"{server}/final"))
         assert _Handler.seen_headers[-1].get("User-Agent") == "probe-agent/9"
 
-    def test_accept_language_forwarded(self, server):
-        _Handler.seen_headers.clear()
-        fetcher = Fetcher(FetchMode.LIVE, delay_ms=0)
-        fetcher.fetch(FetchRequest(url=f"{server}/final", accept_language="en-US"))
-        assert _Handler.seen_headers[-1].get("Accept-Language") == "en-US"
-
     def test_non_2xx_returned_not_raised(self, server):
         fetcher = Fetcher(FetchMode.LIVE, delay_ms=0)
         response = fetcher.fetch(FetchRequest(url=f"{server}/missing"))

@@ -102,8 +102,8 @@ class TestImpliedAttribution:
 
 class TestClaim:
     def test_valid_claim(self):
-        claim = TweetClaim(body="hello world", alleged_handle="someone")
-        assert claim.alleged_handle == "someone"
+        claim = TweetClaim(body="hello world")
+        assert claim.body == "hello world"
 
     @pytest.mark.parametrize("body", ["", "   ", "\n\t"])
     def test_blank_body_rejected(self, body):

@@ -1,4 +1,5 @@
-"""Start-up cost: offline commands never load the network stack.
+"""Start-up cost: offline commands never load the network stack; and the
+benchmark's span hooks find every function they wrap.
 
 Each check runs in a fresh interpreter, since this test process has long
 since imported everything.
@@ -107,5 +108,40 @@ Fetcher(FetchMode.LIVE, transport=lambda req: None)
 assert "requests" not in sys.modules, "loaded without a network transport"
 Fetcher(FetchMode.LIVE)
 assert "requests" in sys.modules, "live fetcher did not load requests"
+""")
+    assert probe.returncode == 0, probe.stderr
+
+
+_SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def test_benchmark_hook_targets_resolve():
+    # perfbench/spans.py wraps these by module and attribute name; a renamed
+    # function or a module the CLI no longer loads would break a traced run.
+    probe = _python("-c", f"""
+import importlib.util, sys
+import tweetcheck.cli
+spec = importlib.util.spec_from_file_location("spans", {str(_SPANS)!r})
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+
+def unresolved(targets):
+    missing = []
+    for name, module, path, _ in targets:
+        owner = sys.modules.get(module)
+        *outer, attr = path.split(".")
+        for part in outer:
+            owner = getattr(owner, part, None)
+        if owner is None or attr not in vars(owner):
+            missing.append(f"{{name}}: {{module}}.{{path}}")
+    return missing
+
+program = [t for t in spans.TARGETS if t[1].startswith("tweetcheck")]
+transport = [t for t in spans.TARGETS if not t[1].startswith("tweetcheck")]
+assert program and transport
+assert not unresolved(program), unresolved(program)
+from tweetcheck.fetch import Fetcher, FetchMode
+Fetcher(FetchMode.LIVE).close()
+assert not unresolved(transport), unresolved(transport)
 """)
     assert probe.returncode == 0, probe.stderr

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import html
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Optional
 from urllib.parse import parse_qs, urljoin, urlsplit
 
@@ -88,7 +88,6 @@ class _Ranked:
     path_prefix: str = ""  # ...whose path starts with this
     excluded_domain: str = ""  # if set, links on this domain are the engine's own pages
     unwrap: bool = False  # targets hide in "/url?q=<target>" redirect wrappers
-    site_filter: Optional[str] = None  # a site: restriction every query carries
 
 
 _WEB = _Ranked(excluded_domain="google.com", unwrap=True)
@@ -96,7 +95,7 @@ _RANKED = {
     SourceId.SNOPES_SEARCH: _Ranked(domain="snopes.com", path_prefix="/fact-check/"),
     SourceId.REUTERS_SEARCH: _Ranked(domain="reuters.com", path_prefix="/article/"),
     SourceId.WEB_SEARCH: _WEB,
-    SourceId.WEB_SEARCH_SITE_SNOPES: replace(_WEB, site_filter="snopes.com"),
+    SourceId.WEB_SEARCH_SITE_SNOPES: _WEB,  # its query spec carries the site: filter
 }
 
 
@@ -174,10 +173,7 @@ def ranked_search(
     if engine is None:
         raise ValueError(f"{source.value} does not produce ranked URL results")
     settings = settings or default_engine_settings(source)
-    spec = settings.spec
-    if engine.site_filter is not None and spec.site_filter != engine.site_filter:
-        spec = replace(spec, source=source, site_filter=engine.site_filter)
-    query = build_query(claim, spec)
+    query = build_query(claim, settings.spec)
     response = _request_page(fetcher, settings, query)
     if response is None:
         return RankedResults(source, query, ())

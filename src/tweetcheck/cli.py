@@ -6,6 +6,9 @@ data; diagnostics go to stderr. Exit codes are a stable contract:
 * verify: 0 = Authentic, 1 = Fabricated, 2 = Unverifiable
 * 64 = usage error, 65 = dataset error, 66 = missing or corrupt replay fixture,
   69 = operational failure (network, bot challenge, unparseable pages)
+
+A :class:`ConfigError` (64) or any other uncaught :class:`TweetCheckError`
+(69) is mapped to its exit code once, in :func:`main`.
 """
 
 from __future__ import annotations
@@ -20,22 +23,19 @@ from typing import Callable, Optional, Sequence
 from .config import MODE_ENV_VAR, AppConfig, ConfigError, build_config, source_by_name
 from .dataset import GroundTruthRecord, load_dataset, shipped_dataset_path, validate_dataset
 from .errors import (
-    CaptchaDetected,
     CorruptFixture,
     EmptyDatasetError,
     FixtureMiss,
     FormatError,
     MissingFixtures,
-    NetworkError,
-    ParseError,
     TweetCheckError,
     ValidationError,
 )
-from .adapters import EngineSettings, ranked_search
-from .evaluation import EVAL_SOURCES, evaluate_engine, render_report
+from .adapters import EngineSettings
+from .evaluation import EVAL_SOURCES, evaluate_engine, query_engine, render_report
 from .fetch import Fetcher, FetchMode, FetchRequest
 from .model import Outcome, SourceId, TweetClaim
-from .pipeline import verify_claim
+from .pipeline import rating_line, verify_claim
 from .ratings import scrape_rating
 from .urls import identify_publisher
 
@@ -61,8 +61,13 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
-def _common_options() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+def _common_options() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """(-v only, -v plus the config and fetch flags) as parent parsers."""
+    verbose = argparse.ArgumentParser(add_help=False)
+    verbose.add_argument(
+        "-v", "--verbose", action="count", default=0, help="log diagnostics to stderr (-vv for debug)"
+    )
+    common = argparse.ArgumentParser(add_help=False, parents=[verbose])
     common.add_argument("--config", metavar="FILE", help="key=value configuration file")
     common.add_argument(
         "--mode",
@@ -70,10 +75,7 @@ def _common_options() -> argparse.ArgumentParser:
         help=f"fetch mode (overrides config file and ${MODE_ENV_VAR})",
     )
     common.add_argument("--fixtures", metavar="DIR", help="fixture directory for record/replay")
-    common.add_argument(
-        "-v", "--verbose", action="count", default=0, help="log diagnostics to stderr (-vv for debug)"
-    )
-    return common
+    return verbose, common
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tweetcheck",
         description="Verify whether an alleged tweet was really posted.",
     )
-    common = _common_options()
+    verbose, common = _common_options()
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", parents=[common], help="verify one alleged tweet body")
@@ -106,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_record.add_argument("--engine", action="append", metavar="NAME")
     p_record.set_defaults(func=cmd_record)
 
-    p_validate = sub.add_parser("validate-dataset", parents=[common], help="check a dataset file")
+    p_validate = sub.add_parser("validate-dataset", parents=[verbose], help="check a dataset file")
     p_validate.add_argument(
         "--dataset", metavar="PATH", help="defaults to the corpus shipped with the package"
     )
@@ -162,13 +164,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _fail("--max-articles must be at least 1", EXIT_USAGE)
     try:
         claim = TweetClaim(body=args.body)
-        engines = _parse_engines(args.engine, list(SourceId))
-        config = _resolve_config(args)
-        fetcher = config.build_fetcher()
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
-
-    with fetcher:
+    engines = _parse_engines(args.engine, list(SourceId))
+    config = _resolve_config(args)
+    with config.build_fetcher() as fetcher:
         run = verify_claim(claim, config, fetcher, engines)
     for source, message in run.engine_errors.items():
         print(f"tweetcheck: {source.value}: {message}", file=sys.stderr)
@@ -184,30 +184,57 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    try:
-        engines = _parse_engines(args.engine, EVAL_SOURCES)
-        config = _resolve_config(args)
-        fetcher = config.build_fetcher()
-    except ConfigError as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    with fetcher:
+    return _engine_pass(args, evaluate_engine, _report_eval)
+
+
+def cmd_record(args: argparse.Namespace) -> int:
+    return _engine_pass(args, _record_engine, _report_record, FetchMode.RECORD)
+
+
+def _engine_pass(
+    args: argparse.Namespace,
+    job: Callable[[SourceId, Sequence[GroundTruthRecord], Fetcher, EngineSettings], object],
+    report: Callable[[argparse.Namespace, list[SourceId], list[GroundTruthRecord], list], int],
+    mode: Optional[FetchMode] = None,
+) -> int:
+    """What eval and record share: resolve engines, config, fetcher and
+    dataset, then run ``job(source, records, fetcher, settings)`` per engine
+    and hand the results to ``report(args, engines, records, results)``.
+
+    Engines on different hosts run at the same time; engines sharing a host
+    (web and web-snopes) run one after the other. Each result is the job's
+    return value or the exception it raised, in engine order.
+    """
+    engines = _parse_engines(args.engine, EVAL_SOURCES)
+    config = _resolve_config(args)
+    if mode is not None:
+        config.mode = mode
+    with config.build_fetcher() as fetcher:
         try:
             records = load_dataset(args.dataset)
         except (FormatError, ValidationError, OSError) as exc:
             return _fail(f"dataset error: {exc}", EXIT_DATA)
-        outcomes = _run_engines(evaluate_engine, engines, records, config, fetcher)
+        jobs = []
+        for source in engines:
+            settings = config.engine_settings(source)
+            jobs.append((settings.endpoint, partial(job, source, records, fetcher, settings)))
+        results = fetcher.run_per_host(jobs)
+    return report(args, engines, records, results)
 
+
+def _report_eval(args: argparse.Namespace, engines, records, results: list) -> int:
+    """Print the score table, or list every missing fixture on stderr."""
     reports = []
     misses: list[FixtureMiss] = []
-    for outcome in outcomes:
-        if isinstance(outcome, MissingFixtures):
-            misses.extend(outcome.misses)
-        elif isinstance(outcome, EmptyDatasetError):
-            return _fail(str(outcome), EXIT_DATA)
-        elif isinstance(outcome, Exception):
-            raise outcome
+    for result in results:
+        if isinstance(result, MissingFixtures):
+            misses.extend(result.misses)
+        elif isinstance(result, EmptyDatasetError):
+            return _fail(str(result), EXIT_DATA)
+        elif isinstance(result, Exception):
+            raise result
         else:
-            reports.append(outcome)
+            reports.append(result)
     if misses:
         for miss in misses:
             if isinstance(miss, CorruptFixture):
@@ -220,77 +247,33 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_record(args: argparse.Namespace) -> int:
-    try:
-        engines = _parse_engines(args.engine, EVAL_SOURCES)
-        config = _resolve_config(args)
-        config.mode = FetchMode.RECORD
-        fetcher = config.build_fetcher()
-    except ConfigError as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    with fetcher:
-        try:
-            records = load_dataset(args.dataset)
-        except (FormatError, ValidationError, OSError) as exc:
-            return _fail(f"dataset error: {exc}", EXIT_DATA)
-        outcomes = _run_engines(_record_engine, engines, records, config, fetcher)
-
-    failures = 0
-    for outcome in outcomes:
-        if isinstance(outcome, Exception):
-            raise outcome
-        for message in outcome:
-            print(f"tweetcheck: {message}", file=sys.stderr)
-        failures += len(outcome)
-    print(f"recorded {len(records)} record(s) x {len(engines)} engine(s), {failures} failure(s)")
-    return 0 if failures == 0 else EXIT_OPERATIONAL
-
-
-def _run_engines(
-    job: Callable[[SourceId, Sequence[GroundTruthRecord], Fetcher, EngineSettings], object],
-    engines: Sequence[SourceId],
-    records: Sequence[GroundTruthRecord],
-    config: AppConfig,
-    fetcher: Fetcher,
-) -> list:
-    """``job(source, records, fetcher, settings)`` for each engine, in engine order.
-
-    Engines on different hosts run at the same time; engines sharing a host
-    (web and web-snopes) run one after the other. Each entry is the job's
-    result or the exception it raised.
-    """
-    jobs = []
-    for source in engines:
-        settings = config.engine_settings(source)
-        jobs.append((settings.endpoint, partial(job, source, records, fetcher, settings)))
-    return fetcher.run_per_host(jobs)
-
-
 def _record_engine(
     source: SourceId,
     records: Sequence[GroundTruthRecord],
     fetcher: Fetcher,
     settings: EngineSettings,
 ) -> list[str]:
-    """Record one engine's results for every record; one message per failed record.
-
-    After a bot challenge the engine is not queried again: the records
-    left count as failures.
-    """
+    """Record one engine's results for every record; one message per failed or skipped record."""
     failures = []
-    for index, record in enumerate(records):
-        try:
-            ranked_search(source, TweetClaim(body=record.tweet_body), fetcher, settings)
-        except CaptchaDetected as exc:
-            failures.append(f"record {record.id} via {source.value} failed: {exc}")
-            failures.extend(
-                f"record {skipped.id} via {source.value} skipped after a bot challenge"
-                for skipped in records[index + 1:]
-            )
-            break
-        except TweetCheckError as exc:
-            failures.append(f"record {record.id} via {source.value} failed: {exc}")
+    for record, result in query_engine(source, records, fetcher, settings):
+        if result is None:
+            failures.append(f"record {record.id} via {source.value} skipped after a bot challenge")
+        elif isinstance(result, TweetCheckError):
+            failures.append(f"record {record.id} via {source.value} failed: {result}")
     return failures
+
+
+def _report_record(args: argparse.Namespace, engines, records, results: list) -> int:
+    """Print each failure on stderr and a one-line summary."""
+    failures = 0
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+        for message in result:
+            print(f"tweetcheck: {message}", file=sys.stderr)
+        failures += len(result)
+    print(f"recorded {len(records)} record(s) x {len(engines)} engine(s), {failures} failure(s)")
+    return 0 if failures == 0 else EXIT_OPERATIONAL
 
 
 def cmd_validate_dataset(args: argparse.Namespace) -> int:
@@ -312,30 +295,19 @@ def cmd_validate_dataset(args: argparse.Namespace) -> int:
 def cmd_scrape(args: argparse.Namespace) -> int:
     if identify_publisher(args.url) is None:
         return _fail(f"unsupported publisher host: {args.url}", EXIT_USAGE)
-    try:
-        config = _resolve_config(args)
-        fetcher = config.build_fetcher()
-    except ConfigError as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    with fetcher:
+    config = _resolve_config(args)
+    with config.build_fetcher() as fetcher:
         try:
             page = fetcher.fetch(FetchRequest(url=args.url))
         except FixtureMiss as exc:
             return _fail(str(exc), EXIT_NO_FIXTURE)
-        except NetworkError as exc:
-            return _fail(str(exc), EXIT_OPERATIONAL)
     if not page.ok:
         return _fail(f"HTTP {page.status} for {args.url}", EXIT_OPERATIONAL)
     try:
         rating = scrape_rating(page, config.rating_selectors)
     except ValueError as exc:  # redirected off to an unsupported host
         return _fail(str(exc), EXIT_USAGE)
-    except ParseError as exc:
-        return _fail(str(exc), EXIT_OPERATIONAL)
-    if rating.missing:
-        print("Truth rating: UNKNOWN (missing)")
-    else:
-        print(f"Truth rating: {rating.raw_label}")
+    print(rating_line(rating))
     print(f"Normalized kind: {rating.kind.value}")
     return 0
 

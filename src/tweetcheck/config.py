@@ -22,24 +22,29 @@ Recognized keys::
 
 where <engine> is one of: snopes, reuters, web, web-snopes, politwoops,
 and <publisher> is snopes or reuters (article rating extraction). Selector
-files are read when the configuration is built, so an unreadable one is
-reported there, as a :class:`ConfigError` naming it.
+files are read and their selectors compiled when the configuration is
+built, so an unreadable file or a malformed selector is reported there, as
+a :class:`ConfigError` naming the file.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
+from enum import Enum
 from pathlib import Path
-from typing import Optional
+from typing import Optional, TypeVar
 
 from .adapters import DEFAULT_ENDPOINTS, DEFAULT_SELECTORS, EngineSettings
 from .errors import TweetCheckError
 from .fetch import DEFAULT_DELAY_MS, DEFAULT_TIMEOUT_S, DEFAULT_USER_AGENT, FetchMode, Fetcher, FixtureStore
+from .htmldoc import parse_selector
 from .model import SourceId
 from .queries import Encoding, Truncation, default_spec
 
 MODE_ENV_VAR = "TWEETCHECK_MODE"
+
+E = TypeVar("E", bound=Enum)
 
 
 class ConfigError(TweetCheckError):
@@ -69,11 +74,29 @@ def load_keyvalues(path: str | Path) -> dict[str, str]:
     return values
 
 
-def _parse_mode(value: str) -> FetchMode:
+#: Selector-file keys whose values are literal page text, not selectors.
+_LITERAL_KEYS = ("captcha_text", "verdict_heading_text")
+
+
+def _load_selectors(path: str) -> dict[str, str]:
+    """Read a selector file and compile every selector in it, so a bad one
+    is reported here, as a :class:`ConfigError` naming the file and key."""
+    selectors = load_keyvalues(path)
+    for key, selector in selectors.items():
+        if key not in _LITERAL_KEYS:
+            try:
+                parse_selector(selector)
+            except ValueError as exc:
+                raise ConfigError(f"{path}: bad selector for {key}: {exc}") from None
+    return selectors
+
+
+def _parse_enum(enum: type[E], what: str, value: str) -> E:
     try:
-        return FetchMode(value.lower())
+        return enum(value.lower())
     except ValueError:
-        raise ConfigError(f"unknown mode {value!r} (expected live/record/replay)") from None
+        expected = "/".join(member.value for member in enum)
+        raise ConfigError(f"unknown {what} {value!r} (expected {expected})") from None
 
 
 def source_by_name(name: str) -> SourceId:
@@ -132,22 +155,6 @@ class AppConfig:
         )
 
 
-def _parse_encoding(value: str) -> Encoding:
-    try:
-        return Encoding(value.lower())
-    except ValueError:
-        raise ConfigError(f"unknown encoding {value!r} (expected plus/percent)") from None
-
-
-def _parse_truncation(value: str) -> Truncation:
-    try:
-        return Truncation(value.lower())
-    except ValueError:
-        raise ConfigError(
-            f"unknown truncation {value!r} (expected char-prefix/word-boundary-prefix)"
-        ) from None
-
-
 def _parse_bool(value: str) -> bool:
     lowered = value.lower()
     if lowered in ("true", "yes", "1"):
@@ -174,8 +181,8 @@ def _parse_float(key: str, value: str) -> float:
 #: Query settings a configuration may override, each with its parser.
 _QUERY_SETTINGS = {
     "max_chars": lambda value: _parse_int("max_chars", value),
-    "encoding": _parse_encoding,
-    "truncation": _parse_truncation,
+    "encoding": lambda value: _parse_enum(Encoding, "encoding", value),
+    "truncation": lambda value: _parse_enum(Truncation, "truncation", value),
     "quote_phrase": _parse_bool,
 }
 
@@ -190,14 +197,14 @@ def build_config(
     if config_path is not None:
         _apply_file(config, load_keyvalues(config_path))
     if env.get(MODE_ENV_VAR):
-        config.mode = _parse_mode(env[MODE_ENV_VAR])
+        config.mode = _parse_enum(FetchMode, "mode", env[MODE_ENV_VAR])
     return config
 
 
 def _apply_file(config: AppConfig, values: dict[str, str]) -> None:
     for key, value in values.items():
         if key == "mode":
-            config.mode = _parse_mode(value)
+            config.mode = _parse_enum(FetchMode, "mode", value)
         elif key == "fixtures":
             config.fixtures_dir = Path(value)
         elif key == "user_agent":
@@ -212,12 +219,12 @@ def _apply_file(config: AppConfig, values: dict[str, str]) -> None:
             config.endpoints[source_by_name(key.removeprefix("endpoint."))] = value
         elif key.startswith("selectors."):
             source = source_by_name(key.removeprefix("selectors."))  # before reading the file
-            config.selectors[source] = load_keyvalues(value)
+            config.selectors[source] = _load_selectors(value)
         elif key.startswith("rating-selectors."):
             publisher = key.removeprefix("rating-selectors.")
             if publisher not in ("snopes", "reuters"):
                 raise ConfigError(f"unknown publisher in {key!r}")
-            config.rating_selectors[publisher] = load_keyvalues(value)
+            config.rating_selectors[publisher] = _load_selectors(value)
         elif key.startswith("query."):
             parts = key.split(".")
             if len(parts) != 3:

@@ -1,8 +1,10 @@
 """Run search engines over the ground-truth corpus and score MRR / P@1.
 
 Relevance is binary: a result counts as relevant when its canonical
-article identity equals the record's known article URL. Means are computed
-in exact rational arithmetic and rendered to four decimal places.
+article identity equals the record's known article URL. The one stored
+fact per query is the rank of that article; reciprocal rank, P@1 and the
+engine means are derived from the ranks in exact rational arithmetic and
+rendered to four decimal places.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence, Union
 
 from .adapters import EngineSettings, ranked_search
 from .errors import (
@@ -20,6 +22,7 @@ from .errors import (
     MissingFixtures,
     NetworkError,
     ParseError,
+    TweetCheckError,
 )
 from .dataset import GroundTruthRecord
 from .fetch import Fetcher
@@ -41,63 +44,57 @@ DISPLAY_NAMES = {
     SourceId.REUTERS_SEARCH: "Reuters built-in search",
     SourceId.WEB_SEARCH: "Web search",
     SourceId.WEB_SEARCH_SITE_SNOPES: "Web search (site:snopes.com)",
-    SourceId.POLITWOOPS: "Politwoops",
 }
 
-
-@dataclass(frozen=True)
-class RankScore:
-    """Scoring fragment for one query: where the relevant result landed."""
-
-    rank_of_relevant: Optional[int]
-    reciprocal_rank: Fraction
-    p_at_1: int
+#: What :func:`query_engine` yields per record: its results, the error its
+#: query raised, or None when it was skipped after a bot challenge.
+QueryResult = Union[RankedResults, TweetCheckError, None]
 
 
 @dataclass(frozen=True)
 class QueryOutcome:
-    """Per-record scoring for one engine."""
+    """Per-record scoring for one engine: where the relevant result landed."""
 
     record_id: str
     source: SourceId
     rank_of_relevant: Optional[int]
-    reciprocal_rank: Fraction
-    p_at_1: int
     error: Optional[str] = None
 
     def __post_init__(self):
-        if self.rank_of_relevant is None:
-            if self.reciprocal_rank != 0 or self.p_at_1 != 0:
-                raise ValueError("absent relevant result must score rr=0, p@1=0")
-        else:
-            if self.rank_of_relevant < 1:
-                raise ValueError("rank_of_relevant must be >= 1")
-            if self.reciprocal_rank != Fraction(1, self.rank_of_relevant):
-                raise ValueError("reciprocal_rank must equal 1/rank")
-            if self.p_at_1 != (1 if self.rank_of_relevant == 1 else 0):
-                raise ValueError("p_at_1 must mark exactly rank 1")
+        if self.rank_of_relevant is not None and self.rank_of_relevant < 1:
+            raise ValueError("rank_of_relevant must be >= 1")
+
+    @property
+    def reciprocal_rank(self) -> Fraction:
+        """1/rank, or 0 when the relevant result is absent."""
+        return Fraction(1, self.rank_of_relevant) if self.rank_of_relevant else Fraction(0)
+
+    @property
+    def p_at_1(self) -> int:
+        return 1 if self.rank_of_relevant == 1 else 0
 
 
 @dataclass(frozen=True)
 class EngineReport:
-    """All outcomes for one engine plus their exact means."""
+    """All outcomes for one engine; the means are derived from them."""
 
     source: SourceId
-    mrr: Fraction
-    mean_p_at_1: Fraction
     outcomes: tuple[QueryOutcome, ...]
 
     def __post_init__(self):
         if not self.outcomes:
             raise ValueError("a report needs at least one outcome; means are undefined")
-        count = len(self.outcomes)
-        if self.mrr != sum((o.reciprocal_rank for o in self.outcomes), Fraction(0)) / count:
-            raise ValueError("mrr must be the arithmetic mean of the outcomes' reciprocal ranks")
-        if self.mean_p_at_1 != Fraction(sum(o.p_at_1 for o in self.outcomes), count):
-            raise ValueError("mean_p_at_1 must be the arithmetic mean of the outcomes' p@1")
+
+    @property
+    def mrr(self) -> Fraction:
+        return sum((o.reciprocal_rank for o in self.outcomes), Fraction(0)) / len(self.outcomes)
+
+    @property
+    def mean_p_at_1(self) -> Fraction:
+        return Fraction(sum(o.p_at_1 for o in self.outcomes), len(self.outcomes))
 
 
-def reciprocal_rank(results: RankedResults, relevant: str) -> RankScore:
+def reciprocal_rank(results: RankedResults, relevant: str, record_id: str = "") -> QueryOutcome:
     """Score one result list against the known relevant article URL.
 
     Both sides are canonicalized before comparison. An absent relevant
@@ -106,14 +103,31 @@ def reciprocal_rank(results: RankedResults, relevant: str) -> RankScore:
     target = canonicalize_article_url(relevant)
     for position, url in enumerate(results.urls, start=1):
         if canonicalize_article_url(url) == target:
-            return RankScore(position, Fraction(1, position), 1 if position == 1 else 0)
-    return RankScore(None, Fraction(0), 0)
+            return QueryOutcome(record_id, results.source, position)
+    return QueryOutcome(record_id, results.source, None)
 
 
-def _relevant_url(source: SourceId, record: GroundTruthRecord) -> Optional[str]:
-    if source is SourceId.REUTERS_SEARCH:
-        return record.reuters_url
-    return record.snopes_url
+def query_engine(
+    source: SourceId,
+    records: Sequence[GroundTruthRecord],
+    fetcher: Fetcher,
+    settings: Optional[EngineSettings] = None,
+) -> Iterator[tuple[GroundTruthRecord, QueryResult]]:
+    """Query one engine for every record, in order; yield each with its result.
+
+    After a bot challenge the engine is not queried again: the records
+    left are skipped.
+    """
+    challenged = False
+    for record in records:
+        result: QueryResult = None
+        if not challenged:
+            try:
+                result = ranked_search(source, TweetClaim(body=record.tweet_body), fetcher, settings)
+            except TweetCheckError as exc:
+                result = exc
+                challenged = isinstance(exc, CaptchaDetected)
+        yield record, result
 
 
 def evaluate_engine(
@@ -122,13 +136,13 @@ def evaluate_engine(
     fetcher: Fetcher,
     settings: Optional[EngineSettings] = None,
 ) -> EngineReport:
-    """Query one engine for every record and compute MRR and mean P@1.
+    """Query one engine for every record and score where the relevant article landed.
 
     Per-record fetch failures score zero and are flagged in the outcome.
-    After a bot challenge the engine is not queried again: the records left
-    score zero, flagged as skipped. Missing fixtures are collected across
-    the whole run and raised together as :class:`MissingFixtures` so one
-    pass reports every gap.
+    After a bot challenge the records left score zero, flagged as skipped
+    (see :func:`query_engine`). Missing fixtures are collected across the
+    whole run and raised together as :class:`MissingFixtures` so one pass
+    reports every gap.
     """
     if source not in EVAL_SOURCES:
         raise ValueError(f"{source.value} cannot be evaluated against ranked results")
@@ -137,46 +151,28 @@ def evaluate_engine(
 
     outcomes: list[QueryOutcome] = []
     misses: list[FixtureMiss] = []
-    challenged = False
-    for record in records:
-        claim = TweetClaim(body=record.tweet_body)
-        relevant = _relevant_url(source, record)
-        error: Optional[str] = None
-        score = RankScore(None, Fraction(0), 0)
-        if challenged:
+    for record, result in query_engine(source, records, fetcher, settings):
+        relevant = record.reuters_url if source is SourceId.REUTERS_SEARCH else record.snopes_url
+        if isinstance(result, RankedResults) and relevant is not None:
+            outcomes.append(reciprocal_rank(result, relevant, record.id))
+            continue
+        if result is None:
             error = "skipped after a bot challenge"
+        elif isinstance(result, RankedResults):
+            error = "no relevant URL recorded for this engine"
+        elif isinstance(result, FixtureMiss):
+            result.record_id = record.id
+            misses.append(result)
+            error = f"missing fixture: {result.url}"
+        elif isinstance(result, (NetworkError, ParseError, CaptchaDetected)):
+            logger.warning("record %s via %s failed: %s", record.id, source.value, result)
+            error = f"{type(result).__name__}: {result}"
         else:
-            try:
-                results = ranked_search(source, claim, fetcher, settings)
-                if relevant is not None:
-                    score = reciprocal_rank(results, relevant)
-                else:
-                    error = "no relevant URL recorded for this engine"
-            except FixtureMiss as miss:
-                miss.record_id = record.id
-                misses.append(miss)
-                error = f"missing fixture: {miss.url}"
-            except (NetworkError, ParseError, CaptchaDetected) as exc:
-                logger.warning("record %s via %s failed: %s", record.id, source.value, exc)
-                error = f"{type(exc).__name__}: {exc}"
-                challenged = isinstance(exc, CaptchaDetected)
-        outcomes.append(
-            QueryOutcome(
-                record_id=record.id,
-                source=source,
-                rank_of_relevant=score.rank_of_relevant,
-                reciprocal_rank=score.reciprocal_rank,
-                p_at_1=score.p_at_1,
-                error=error,
-            )
-        )
+            raise result
+        outcomes.append(QueryOutcome(record.id, source, None, error))
     if misses:
         raise MissingFixtures(misses)
-
-    count = len(outcomes)
-    mrr = sum((o.reciprocal_rank for o in outcomes), Fraction(0)) / count
-    mean_p1 = Fraction(sum(o.p_at_1 for o in outcomes), count)
-    return EngineReport(source=source, mrr=mrr, mean_p_at_1=mean_p1, outcomes=tuple(outcomes))
+    return EngineReport(source, tuple(outcomes))
 
 
 def _fmt(value: Fraction) -> str:

@@ -127,7 +127,7 @@ class Element:
         return "".join(parts)
 
     def _matching(self, selector: str) -> Iterator["Element"]:
-        chains = _parse_selector(selector)
+        chains = parse_selector(selector)
         for el in self.iter():
             for chain in chains:
                 if _chain_matches(el, chain):
@@ -191,7 +191,7 @@ def _parse_compound(token: str) -> _Simple:
 
 
 @lru_cache(maxsize=256)
-def _parse_selector(selector: str) -> tuple[tuple[_Simple, ...], ...]:
+def parse_selector(selector: str) -> tuple[tuple[_Simple, ...], ...]:
     """Compiled selector, one chain per alternative; cached, so never mutate it."""
     chains = []
     for alternative in selector.split(","):

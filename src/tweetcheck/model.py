@@ -114,9 +114,7 @@ class EvidenceItem:
 
     Politwoops evidence carries ``matched_text`` (the stored tweet text that
     matched) and no rating; fact-check evidence carries a rating (possibly
-    UNKNOWN) and no matched text. ``implication_override`` lets a caller pin
-    the attribution implication for one item, e.g. when a human has read the
-    article and knows it checks content rather than attribution.
+    UNKNOWN) and no matched text.
     """
 
     source: SourceId
@@ -124,7 +122,6 @@ class EvidenceItem:
     rank: int
     rating: Optional[TruthRating] = None
     matched_text: Optional[str] = None
-    implication_override: Optional[Attribution] = None
 
     def __post_init__(self):
         if self.rank < 1:
@@ -137,9 +134,7 @@ class EvidenceItem:
                 raise ValueError("fact-check evidence needs a rating and no matched_text")
 
     def implication(self) -> Attribution:
-        """Attribution implication of this item, honouring the override."""
-        if self.implication_override is not None:
-            return self.implication_override
+        """Attribution implication of this item."""
         if self.matched_text is not None:
             return Attribution.IMPLIES_AUTHENTIC
         assert self.rating is not None

@@ -55,7 +55,8 @@ class VerifyRun:
     engines_run: int
 
 
-def _rating_line(rating: TruthRating) -> str:
+def rating_line(rating: TruthRating) -> str:
+    """How ``verify`` and ``scrape`` print a scraped rating."""
     if rating.missing:
         return "Truth rating: UNKNOWN (missing)"
     return f"Truth rating: {rating.raw_label}"
@@ -109,7 +110,7 @@ def verify_claim(
                 raise rating
             evidence.append(EvidenceItem(source=source, url=url, rank=rank, rating=rating))
             lines.append(f"Article found at URL: {url}")
-            lines.append(_rating_line(rating))
+            lines.append(rating_line(rating))
 
     return VerifyRun(
         verdict=aggregate(claim, evidence),

@@ -40,13 +40,15 @@ def _label_head(text: str) -> str:
     return first_line.split(".", 1)[0].strip()
 
 
-def _fallback_scan(root: Element, url: str) -> Optional[str]:
+def _fallback_scan(root: Element, url: str, block: str) -> TruthRating:
+    """When the selectors miss: the label a text scan finds, else a missing rating."""
     m = _FALLBACK_LABEL.search(root.text())
     if m is None:
-        return None
+        logger.warning("%s: no %s found", url, block)
+        return classify_rating("")
     label = _label_head(collapse_whitespace(m.group(1)))
     logger.warning("%s: rating found only by text scan (low confidence): %r", url, label)
-    return label
+    return classify_rating(label)
 
 
 def scrape_snopes_rating(
@@ -58,11 +60,7 @@ def scrape_snopes_rating(
     element = root.select_one(sel["rating"])
     if element is not None:
         return classify_rating(collapse_whitespace(element.text()))
-    label = _fallback_scan(root, page.final_url)
-    if label is not None:
-        return classify_rating(label)
-    logger.warning("%s: no rating block found", page.final_url)
-    return classify_rating("")
+    return _fallback_scan(root, page.final_url, "rating block")
 
 
 def scrape_reuters_rating(
@@ -83,11 +81,7 @@ def scrape_reuters_rating(
         paragraph = _following_text_block(heading)
         if paragraph:
             return classify_rating(_label_head(collapse_whitespace(paragraph)))
-    label = _fallback_scan(root, page.final_url)
-    if label is not None:
-        return classify_rating(label)
-    logger.warning("%s: no verdict section found", page.final_url)
-    return classify_rating("")
+    return _fallback_scan(root, page.final_url, "verdict section")
 
 
 def _following_text_block(heading: Element) -> Optional[str]:

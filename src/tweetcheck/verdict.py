@@ -57,5 +57,4 @@ def _evidence_sort_key(item: EvidenceItem):
         item.rating.kind.value if item.rating else "",
         item.rating.raw_label if item.rating else "",
         item.matched_text or "",
-        item.implication_override.value if item.implication_override else "",
     )

@@ -468,3 +468,46 @@ class TestUnreadableConfig:
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("tweetcheck: ") and str(unreadable) in lines[0]
+
+
+class TestMalformedSelector:
+    """A selector outside the supported syntax is a usage error naming its file and key."""
+
+    @pytest.mark.parametrize("command", ["verify", "eval", "record", "scrape"])
+    @pytest.mark.parametrize("key", ["selectors.snopes", "rating-selectors.snopes"])
+    def test_exit_64_with_one_line_naming_file_and_key(self, tmp_path, capsys, monkeypatch, command, key):
+        monkeypatch.setattr(
+            Fetcher,
+            "_requests_transport",
+            lambda self, req: (_ for _ in ()).throw(AssertionError("network touched")),
+        )
+        selectors = tmp_path / "bad_selectors.conf"
+        selectors.write_text("results = a[[\nrating = a[[\n", encoding="utf-8")
+        config = tmp_path / "tweetcheck.conf"
+        config.write_text(f"{key} = {selectors}\n", encoding="utf-8")
+        argv = {
+            "verify": ["verify", PANDEMIC_BODY],
+            "eval": ["eval", "--dataset", str(write_dataset(tmp_path))],
+            "record": ["record", "--dataset", str(write_dataset(tmp_path)), "--fixtures", str(tmp_path / "fx")],
+            "scrape": ["scrape", SNOPES_PANDEMIC_ARTICLE],
+        }[command]
+        code = main([*argv, "--config", str(config)])
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.out == ""
+        assert captured.err == (
+            f"tweetcheck: {selectors}: bad selector for results: unsupported selector syntax: 'a[['\n"
+        )
+
+
+class TestValidateDatasetFlags:
+    def test_takes_dataset_and_verbose(self, tmp_path, capsys):
+        assert main(["validate-dataset", "-v", "--dataset", str(write_dataset(tmp_path))]) == 0
+        assert capsys.readouterr().out.startswith("dataset OK: 3 records")
+
+    @pytest.mark.parametrize("flag", [["--config", "/missing.conf"], ["--mode", "replay"], ["--fixtures", "fx"]])
+    def test_flags_it_never_reads_are_rejected(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate-dataset", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -143,6 +143,28 @@ class TestEngineSettings:
         assert config.engine_settings(SourceId.SNOPES_SEARCH).selectors["results"] == "div.results a[href]"
         assert config.rating_selectors == {"snopes": {"rating": "div.rating-badge"}}
 
+    @pytest.mark.parametrize("key", ["selectors.snopes", "rating-selectors.snopes"])
+    @pytest.mark.parametrize("selector", ["a[[", "div..x", ""])
+    def test_malformed_selector_rejected_naming_file_and_key(self, tmp_path, key, selector):
+        selectors = tmp_path / "bad.conf"
+        selectors.write_text(f"rating = div.ok\nresults = {selector}\n", encoding="utf-8")
+        path = tmp_path / "c.conf"
+        path.write_text(f"{key}={selectors}\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as exc:
+            build_config(path, env={})
+        assert str(selectors) in str(exc.value) and "results" in str(exc.value)
+
+    def test_literal_text_keys_are_not_compiled(self, tmp_path):
+        web = tmp_path / "web.conf"
+        web.write_text("captcha_text = unusual traffic [[ here\n", encoding="utf-8")
+        reuters = tmp_path / "reuters.conf"
+        reuters.write_text("verdict_heading_text = Our verdict:\n", encoding="utf-8")
+        path = tmp_path / "c.conf"
+        path.write_text(f"selectors.web={web}\nrating-selectors.reuters={reuters}\n", encoding="utf-8")
+        config = build_config(path, env={})
+        assert config.engine_settings(SourceId.WEB_SEARCH).selectors["captcha_text"] == "unusual traffic [[ here"
+        assert config.rating_selectors["reuters"] == {"verdict_heading_text": "Our verdict:"}
+
     def test_rating_selector_unknown_publisher_rejected(self, tmp_path):
         path = tmp_path / "c.conf"
         path.write_text("rating-selectors.apnews=/dev/null\n", encoding="utf-8")

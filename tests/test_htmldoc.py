@@ -12,7 +12,7 @@ from tweetcheck import htmldoc
 from tweetcheck.adapters import DEFAULT_SELECTORS, ranked_search
 from tweetcheck.errors import ParseError
 from tweetcheck.fetch import FetchResponse
-from tweetcheck.htmldoc import _parse_selector, parse_html, parse_response
+from tweetcheck.htmldoc import parse_selector, parse_html, parse_response
 from tweetcheck.model import SourceId, TweetClaim
 
 from conftest import PANDEMIC_BODY, StubPage, engine_query_url, page, record_pages, replay_fetcher
@@ -89,8 +89,8 @@ class TestSelectors:
         assert self.root.select_one("table") is None
 
     def test_compiled_selector_is_cached_and_immutable(self):
-        chains = _parse_selector("div#search a[href], p")
-        assert chains is _parse_selector("div#search a[href], p")
+        chains = parse_selector("div#search a[href], p")
+        assert chains is parse_selector("div#search a[href], p")
         assert isinstance(chains, tuple) and all(isinstance(c, tuple) for c in chains)
 
 

@@ -152,16 +152,6 @@ class TestEvidenceItem:
         )
         assert item.implication() is Attribution.IMPLIES_AUTHENTIC
 
-    def test_override_wins(self):
-        item = EvidenceItem(
-            source=SourceId.SNOPES_SEARCH,
-            url="https://x/",
-            rank=1,
-            rating=classify_rating("False"),
-            implication_override=Attribution.NO_IMPLICATION,
-        )
-        assert item.implication() is Attribution.NO_IMPLICATION
-
 
 class TestRankedResults:
     def test_duplicate_urls_rejected(self):

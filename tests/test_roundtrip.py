@@ -7,6 +7,11 @@ write them. What comes back must be the planted values, in page order, with
 only the documented changes: a ranked result URL has its scheme and host
 lowercased and its fragment dropped, and a repeat of an earlier result is
 left out.
+
+Rating labels are planted the same way into a Snopes rating block and a
+Reuters VERDICT section, serialized with entities, curly quotes, whitespace
+runs and non-ASCII text. The scraper must report the planted label decoded
+and whitespace-collapsed, with the kind :func:`classify_rating` gives it.
 """
 
 import html
@@ -17,8 +22,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tweetcheck.adapters import ranked_search, search_politwoops
-from tweetcheck.fetch import Fetcher, FetchMode
-from tweetcheck.model import SourceId, TweetClaim
+from tweetcheck.fetch import Fetcher, FetchMode, FetchResponse
+from tweetcheck.model import RATING_LABEL_TABLE, SourceId, TweetClaim, classify_rating
+from tweetcheck.ratings import scrape_rating
 
 from conftest import StubPage, StubTransport, engine_query_url
 
@@ -201,3 +207,59 @@ def test_politwoops_cards_round_trip(cards, escaped):
     fetcher = Fetcher(FetchMode.LIVE, delay_ms=0, transport=StubTransport({url: StubPage(page)}))
     hits = search_politwoops(CLAIM, fetcher)
     assert [(h.tweet_text, h.detail_url, h.handle) for h in hits] == [hit for _, hit in cards if hit]
+
+
+# Label pieces as (decoded text, how the page serializes it).
+_LABEL_SPACE = st.sampled_from([(" ", " "), ("  ", "  "), ("\t", "\t"), ("\n", "\n"), ("\xa0", "&nbsp;"), (" ", "&#32;")])
+_LABEL_CHAR = st.sampled_from([
+    ("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"), ('"', "&quot;"), ('"', '"'), ("'", "&#39;"), ("'", "'"),
+    ("\u2019", "&rsquo;"), ("\u2019", "&#8217;"), ("\u2018", "\u2018"), ("\u201c", "&#x201C;"), ("\u201d", "&rdquo;"),
+    ("\u00e9", "&eacute;"), ("\u00e9", "\u00e9"), ("\u00fc", "\u00fc"), ("\u65e5\u672c", "\u65e5\u672c"), ("\u2014", "&mdash;"),
+])
+_LABEL_WORD = st.text(alphabet="abcXYZ019-", min_size=1, max_size=8).map(lambda word: (word, word))
+_TABLE_LABEL = st.tuples(st.sampled_from(sorted(RATING_LABEL_TABLE)), st.sampled_from([str.lower, str.upper, str.title])).map(
+    lambda t: (t[1](t[0]), t[1](t[0]).replace(" ", "  "))
+)
+_FREE_LABEL = st.lists(st.one_of(_LABEL_WORD, _LABEL_CHAR, _LABEL_SPACE), min_size=1, max_size=8).filter(
+    lambda pieces: "".join(decoded for decoded, _ in pieces).strip()
+)
+
+
+@st.composite
+def _label(draw, punctuation: str):
+    """(serialized label, the label the scraper should report)."""
+    core = [draw(_TABLE_LABEL)] if draw(st.booleans()) else draw(_FREE_LABEL)
+    punct = draw(st.sampled_from(["", *punctuation]))
+    pieces = [*draw(st.lists(_LABEL_SPACE, max_size=2)), *core, (punct, punct), *draw(st.lists(_LABEL_SPACE, max_size=2))]
+    decoded = "".join(text for text, _ in pieces)
+    return "".join(markup for _, markup in pieces), " ".join(decoded.split())
+
+
+def _scrape(url: str, article: str):
+    page = f"<html><head><title>Fact check</title></head><body><article>{article}</article></body></html>"
+    return scrape_rating(FetchResponse(200, url, page.encode("utf-8"), "text/html; charset=utf-8"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(label=_label(".!?,:;"))
+def test_snopes_rating_label_round_trip(label):
+    markup, want = label
+    rating = _scrape(
+        "https://www.snopes.com/fact-check/planted/",
+        f'<h1>Claim</h1><div class="rating_title_wrap">{markup}<img src="/rating.png" alt=""></div><p>Body.</p>',
+    )
+    assert rating == classify_rating(want) and rating.raw_label == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(label=_label("!?,:;"), explanation=st.booleans())
+def test_reuters_rating_label_round_trip(label, explanation):
+    # The verdict is the first sentence of the paragraph after the heading,
+    # so a planted label carries no full stop of its own.
+    markup, want = label
+    rest = ". The claim has no basis in the account&rsquo;s archive." if explanation else ""
+    rating = _scrape(
+        "https://www.reuters.com/article/planted-idUSPLANTED1",
+        f"<p>Intro.</p><h2>VERDICT</h2><p>{markup}{rest}</p><p>This article was produced by the Reuters Fact Check team.</p>",
+    )
+    assert rating == classify_rating(want) and rating.raw_label == want

@@ -136,25 +136,3 @@ class TestEvidenceOrdering:
         rng.shuffle(shuffled)
         permuted = aggregate(CLAIM, shuffled)
         assert permuted == baseline
-
-
-class TestOverride:
-    def test_override_neutralizes_a_false_rating(self):
-        item = EvidenceItem(
-            source=SourceId.SNOPES_SEARCH,
-            url="https://www.snopes.com/fact-check/content-check/",
-            rank=1,
-            rating=classify_rating("False"),
-            implication_override=Attribution.NO_IMPLICATION,
-        )
-        assert aggregate(CLAIM, [item]).outcome is Outcome.UNVERIFIABLE
-
-    def test_override_can_force_authenticity(self):
-        item = EvidenceItem(
-            source=SourceId.SNOPES_SEARCH,
-            url="https://www.snopes.com/fact-check/content-check/",
-            rank=1,
-            rating=classify_rating("False"),
-            implication_override=Attribution.IMPLIES_AUTHENTIC,
-        )
-        assert aggregate(CLAIM, [item]).outcome is Outcome.AUTHENTIC

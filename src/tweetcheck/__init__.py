@@ -8,9 +8,10 @@ corpus.
 """
 
 from .adapters import (
+    ENGINES,
     EngineSettings,
     PolitwoopsHit,
-    default_engine_settings,
+    Ranking,
     match_politwoops,
     normalize_text,
     ranked_search,
@@ -72,7 +73,6 @@ from .queries import (
     QuerySpec,
     Truncation,
     build_query,
-    default_spec,
     encode_query,
     truncate_body,
 )

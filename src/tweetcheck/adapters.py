@@ -1,13 +1,17 @@
-"""Search adapters: claim in, results out, one fetch per query.
+"""The engine table and the search adapters: claim in, results out, one fetch per query.
 
-The four ranked engines (Snopes and Reuters built-in search, web search,
-and web search restricted to snopes.com) share one adapter,
-:func:`ranked_search`. It builds the engine's query from the claim, fetches
-the results page through the fetch gateway and reads the result links in
-rank order. What sets the engines apart is data: the endpoint, query spec
-and selectors in :class:`EngineSettings`, and a row of ``_RANKED`` saying
-which links count as results. The deleted-tweet tracker returns tweet
-records rather than links and has its own adapter, :func:`search_politwoops`.
+:data:`ENGINES` holds every engine's defaults, one :class:`EngineSettings`
+row per source: endpoint, query spec, selectors and, for the four ranked
+engines, a :class:`Ranking` (which links are results, the eval report
+label, the corpus column of the relevant article). Configuration overrides
+a row with :func:`dataclasses.replace`.
+
+The ranked engines (Snopes and Reuters built-in search, web search, and
+web search restricted to snopes.com) share :func:`ranked_search`: it
+builds the query, fetches the results page through the fetch gateway and
+reads the result links in rank order. The deleted-tweet tracker returns
+tweet records rather than links and has its own adapter,
+:func:`search_politwoops`.
 
 Selectors are configurable so site markup drift can be absorbed without
 code changes. A bot-challenge check and an ad filter run wherever an
@@ -28,75 +32,74 @@ from .errors import CaptchaDetected
 from .fetch import Fetcher, FetchRequest, FetchResponse
 from .htmldoc import Element, collapse_whitespace, parse_response
 from .model import RankedResults, SourceId, TweetClaim
-from .queries import QuerySpec, build_query, default_spec, encode_query
+from .queries import DEFAULT_SPECS, QuerySpec, build_query, encode_query
 from .urls import host, host_matches, normalize_result_url
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_ENDPOINTS = {
-    SourceId.SNOPES_SEARCH: "https://www.snopes.com/search/{query}/",
-    SourceId.REUTERS_SEARCH: "https://www.reuters.com/search/news?sortBy=&dateRange=&blob={query}",
-    SourceId.WEB_SEARCH: "https://www.google.com/search?q={query}",
-    SourceId.WEB_SEARCH_SITE_SNOPES: "https://www.google.com/search?q={query}",
-    SourceId.POLITWOOPS: "https://projects.propublica.org/politwoops/index?utf8=%E2%9C%93&q={query}",
-}
 
+@dataclass(frozen=True)
+class Ranking:
+    """How a ranked engine's results page is read, and how eval scores it."""
+
+    label: str  # the engine's name in the eval report
+    relevant: str  # the corpus column holding the engine's relevant article
+    domain: str = ""  # if set, only links on this domain or a subdomain...
+    path_prefix: str = ""  # ...whose path starts with this count as results
+    excluded_domain: str = ""  # if set, links on this domain are the engine's own pages
+    unwrap: bool = False  # targets hide in "/url?q=<target>" redirect wrappers
+
+
+@dataclass(frozen=True)
+class EngineSettings:
+    """One engine: endpoint template, query spec, selectors, and ranking if it ranks."""
+
+    source: SourceId
+    endpoint: str
+    spec: QuerySpec
+    #: Every key the engine's adapter reads; an empty value turns that check off.
+    selectors: Mapping[str, str]
+    ranking: Optional[Ranking] = None
+
+
+_GOOGLE = "https://www.google.com/search?q={query}"
+_SITE_SELECTORS = {"results": "a[href]", "ads": "", "captcha": "", "captcha_text": ""}
 _WEB_SELECTORS = {
     "results": "div#search a[href]",
     "ads": "div#tads, div#bottomads, [data-text-ad]",
     "captcha": "form#captcha-form, div#recaptcha",
     "captcha_text": "detected unusual traffic",
 }
-DEFAULT_SELECTORS: dict[SourceId, Mapping[str, str]] = {
-    SourceId.SNOPES_SEARCH: {"results": "a[href]"},
-    SourceId.REUTERS_SEARCH: {"results": "a[href]"},
-    SourceId.WEB_SEARCH: _WEB_SELECTORS,
-    SourceId.WEB_SEARCH_SITE_SNOPES: _WEB_SELECTORS,
-    SourceId.POLITWOOPS: {
-        "cards": "div.tweet",
-        "text": ".tweet-content",
-        "handle": ".screen-name",
-        "link": "a[href*=/politwoops/tweet/]",
-    },
+_POLITWOOPS_SELECTORS = {
+    "cards": "div.tweet",
+    "text": ".tweet-content",
+    "handle": ".screen-name",
+    "link": "a[href*=/politwoops/tweet/]",
 }
 
-
-@dataclass(frozen=True)
-class EngineSettings:
-    """Everything one adapter needs: endpoint template, query spec, selectors."""
-
-    source: SourceId
-    endpoint: str
-    spec: QuerySpec
-    selectors: Mapping[str, str]
+#: Every engine's defaults, one row per source, in :class:`SourceId` order.
+#: The web-snopes row differs from the web row by its query spec's site: filter.
+ENGINES = {
+    source: EngineSettings(source, endpoint, DEFAULT_SPECS[source], selectors, ranking)
+    for source, endpoint, selectors, ranking in (
+        (SourceId.SNOPES_SEARCH, "https://www.snopes.com/search/{query}/", _SITE_SELECTORS,
+         Ranking("Snopes built-in search", "snopes_url", domain="snopes.com", path_prefix="/fact-check/")),
+        (SourceId.REUTERS_SEARCH, "https://www.reuters.com/search/news?sortBy=&dateRange=&blob={query}",
+         _SITE_SELECTORS,
+         Ranking("Reuters built-in search", "reuters_url", domain="reuters.com", path_prefix="/article/")),
+        (SourceId.WEB_SEARCH, _GOOGLE, _WEB_SELECTORS,
+         Ranking("Web search", "snopes_url", excluded_domain="google.com", unwrap=True)),
+        (SourceId.WEB_SEARCH_SITE_SNOPES, _GOOGLE, _WEB_SELECTORS,
+         Ranking("Web search (site:snopes.com)", "snopes_url", excluded_domain="google.com", unwrap=True)),
+        (SourceId.POLITWOOPS, "https://projects.propublica.org/politwoops/index?utf8=%E2%9C%93&q={query}",
+         _POLITWOOPS_SELECTORS, None),
+    )
+}
 
 
 def default_engine_settings(source: SourceId) -> EngineSettings:
-    return EngineSettings(
-        source=source,
-        endpoint=DEFAULT_ENDPOINTS[source],
-        spec=default_spec(source),
-        selectors=DEFAULT_SELECTORS[source],
-    )
-
-
-@dataclass(frozen=True)
-class _Ranked:
-    """Which links on a ranked engine's results page are results."""
-
-    domain: str = ""  # if set, only links on this domain or a subdomain...
-    path_prefix: str = ""  # ...whose path starts with this
-    excluded_domain: str = ""  # if set, links on this domain are the engine's own pages
-    unwrap: bool = False  # targets hide in "/url?q=<target>" redirect wrappers
-
-
-_WEB = _Ranked(excluded_domain="google.com", unwrap=True)
-_RANKED = {
-    SourceId.SNOPES_SEARCH: _Ranked(domain="snopes.com", path_prefix="/fact-check/"),
-    SourceId.REUTERS_SEARCH: _Ranked(domain="reuters.com", path_prefix="/article/"),
-    SourceId.WEB_SEARCH: _WEB,
-    SourceId.WEB_SEARCH_SITE_SNOPES: _WEB,  # its query spec carries the site: filter
-}
+    """``source``'s row of :data:`ENGINES` (``perfbench/tests`` import this name)."""
+    return ENGINES[source]
 
 
 @dataclass(frozen=True)
@@ -169,10 +172,10 @@ def ranked_search(
     with duplicates removed (first occurrence wins). Raises
     :class:`CaptchaDetected` when the page carries a bot-challenge marker.
     """
-    engine = _RANKED.get(source)
+    settings = settings or ENGINES[source]
+    engine = settings.ranking
     if engine is None:
         raise ValueError(f"{source.value} does not produce ranked URL results")
-    settings = settings or default_engine_settings(source)
     query = build_query(claim, settings.spec)
     response = _request_page(fetcher, settings, query)
     if response is None:
@@ -216,7 +219,7 @@ def search_politwoops(
     claim: TweetClaim, fetcher: Fetcher, settings: Optional[EngineSettings] = None
 ) -> list[PolitwoopsHit]:
     """Query the deleted-tweet tracker with the claim's leading characters."""
-    settings = settings or default_engine_settings(SourceId.POLITWOOPS)
+    settings = settings or ENGINES[SourceId.POLITWOOPS]
     query = build_query(claim, settings.spec)
     response = _request_page(fetcher, settings, query)
     if response is None:

@@ -7,8 +7,9 @@ data; diagnostics go to stderr. Exit codes are a stable contract:
 * 64 = usage error, 65 = dataset error, 66 = missing or corrupt replay fixture,
   69 = operational failure (network, bot challenge, unparseable pages)
 
-A :class:`ConfigError` (64) or any other uncaught :class:`TweetCheckError`
-(69) is mapped to its exit code once, in :func:`main`.
+A command line argparse rejects or a :class:`ConfigError` (64), and any
+other uncaught :class:`TweetCheckError` (69), is mapped to its exit code
+once, in :func:`main`.
 """
 
 from __future__ import annotations
@@ -20,11 +21,10 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from .config import MODE_ENV_VAR, AppConfig, ConfigError, build_config, source_by_name
+from .config import MODE_ENV_VAR, AppConfig, ConfigError, build_config, positive, source_by_name
 from .dataset import GroundTruthRecord, load_dataset, shipped_dataset_path, validate_dataset
 from .errors import (
     CorruptFixture,
-    EmptyDatasetError,
     FixtureMiss,
     FormatError,
     MissingFixtures,
@@ -138,7 +138,7 @@ def _resolve_config(args: argparse.Namespace) -> AppConfig:
     if args.fixtures:
         config.fixtures_dir = Path(args.fixtures)
     if getattr(args, "max_articles", None) is not None:
-        config.max_articles = args.max_articles
+        config.max_articles = positive("--max-articles", args.max_articles)
     return config
 
 
@@ -160,8 +160,6 @@ def _parse_engines(
 def cmd_verify(args: argparse.Namespace) -> int:
     if not args.body.strip():
         return _fail("tweet body must be non-empty", EXIT_USAGE)
-    if args.max_articles is not None and args.max_articles < 1:
-        return _fail("--max-articles must be at least 1", EXIT_USAGE)
     try:
         claim = TweetClaim(body=args.body)
     except ValueError as exc:
@@ -214,6 +212,8 @@ def _engine_pass(
             records = load_dataset(args.dataset)
         except (FormatError, ValidationError, OSError) as exc:
             return _fail(f"dataset error: {exc}", EXIT_DATA)
+        if not records:
+            return _fail(f"dataset error: no records in {args.dataset}", EXIT_DATA)
         jobs = []
         for source in engines:
             settings = config.engine_settings(source)
@@ -229,8 +229,6 @@ def _report_eval(args: argparse.Namespace, engines, records, results: list) -> i
     for result in results:
         if isinstance(result, MissingFixtures):
             misses.extend(result.misses)
-        elif isinstance(result, EmptyDatasetError):
-            return _fail(str(result), EXIT_DATA)
         elif isinstance(result, Exception):
             raise result
         else:
@@ -313,8 +311,12 @@ def cmd_scrape(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        if exc.code != 2:
+            raise
+        return EXIT_USAGE
     _configure_logging(args.verbose)
     try:
         return args.func(args)

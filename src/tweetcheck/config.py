@@ -1,8 +1,9 @@
 """Plain key=value configuration with three-layer precedence.
 
-Defaults are defined in code; an optional configuration file overrides
-them; the TWEETCHECK_MODE environment variable overrides the fetch mode
-only; command-line flags override everything.
+Defaults are defined in code, per engine in the engine table
+(:data:`tweetcheck.adapters.ENGINES`); an optional configuration file
+overrides them; the TWEETCHECK_MODE environment variable overrides the
+fetch mode only; command-line flags override everything.
 
 Recognized keys::
 
@@ -10,8 +11,8 @@ Recognized keys::
     fixtures = <directory>
     user_agent = <string>
     politeness_delay_ms = <int>
-    timeout_s = <float>
-    verify.max_articles = <int>
+    timeout_s = <float, above 0>
+    verify.max_articles = <int, at least 1>
     endpoint.<engine> = <url template containing {query}>
     query.<engine>.max_chars = <int>
     query.<engine>.encoding = plus | percent
@@ -21,10 +22,12 @@ Recognized keys::
     rating-selectors.<publisher> = <path to a key=value selector file>
 
 where <engine> is one of: snopes, reuters, web, web-snopes, politwoops,
-and <publisher> is snopes or reuters (article rating extraction). Selector
-files are read and their selectors compiled when the configuration is
-built, so an unreadable file or a malformed selector is reported there, as
-a :class:`ConfigError` naming the file.
+and <publisher> is snopes or reuters (article rating extraction). A
+selector file may set only the keys its engine's or publisher's defaults
+name. Selector files are read and their selectors compiled when the
+configuration is built, so an unreadable file, an unknown key or a
+malformed selector is reported there, as a :class:`ConfigError` naming the
+file. So is an out-of-range value.
 """
 
 from __future__ import annotations
@@ -33,18 +36,20 @@ import os
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Optional, TypeVar
+from typing import Mapping, Optional, TypeVar
 
-from .adapters import DEFAULT_ENDPOINTS, DEFAULT_SELECTORS, EngineSettings
+from .adapters import ENGINES, EngineSettings
 from .errors import TweetCheckError
 from .fetch import DEFAULT_DELAY_MS, DEFAULT_TIMEOUT_S, DEFAULT_USER_AGENT, FetchMode, Fetcher, FixtureStore
 from .htmldoc import parse_selector
 from .model import SourceId
-from .queries import Encoding, Truncation, default_spec
+from .queries import Encoding, Truncation
+from .ratings import DEFAULT_RATING_SELECTORS
 
 MODE_ENV_VAR = "TWEETCHECK_MODE"
 
 E = TypeVar("E", bound=Enum)
+N = TypeVar("N", int, float)
 
 
 class ConfigError(TweetCheckError):
@@ -78,11 +83,14 @@ def load_keyvalues(path: str | Path) -> dict[str, str]:
 _LITERAL_KEYS = ("captcha_text", "verdict_heading_text")
 
 
-def _load_selectors(path: str) -> dict[str, str]:
+def _load_selectors(path: str, defaults: Mapping[str, str]) -> dict[str, str]:
     """Read a selector file and compile every selector in it, so a bad one
-    is reported here, as a :class:`ConfigError` naming the file and key."""
+    is reported here, as a :class:`ConfigError` naming the file and key.
+    Only the keys of ``defaults``, which the code reads, may be set."""
     selectors = load_keyvalues(path)
     for key, selector in selectors.items():
+        if key not in defaults:
+            raise ConfigError(f"{path}: unknown selector key {key}")
         if key not in _LITERAL_KEYS:
             try:
                 parse_selector(selector)
@@ -116,7 +124,8 @@ class AppConfig:
     politeness_delay_ms: int = DEFAULT_DELAY_MS
     timeout_s: float = DEFAULT_TIMEOUT_S
     max_articles: int = 3
-    endpoints: dict[SourceId, str] = field(default_factory=lambda: dict(DEFAULT_ENDPOINTS))
+    #: Per-engine endpoint overrides.
+    endpoints: dict[SourceId, str] = field(default_factory=dict)
     query_overrides: dict[SourceId, dict[str, str]] = field(default_factory=dict)
     #: Per-engine selector overrides, as read from their files.
     selectors: dict[SourceId, dict[str, str]] = field(default_factory=dict)
@@ -124,21 +133,19 @@ class AppConfig:
     rating_selectors: dict[str, dict[str, str]] = field(default_factory=dict)
 
     def engine_settings(self, source: SourceId) -> EngineSettings:
-        spec = default_spec(source)
+        """``source``'s row of the engine table with this configuration's overrides."""
+        row = ENGINES[source]
         overrides = self.query_overrides.get(source, {})
-        if overrides:
-            updates = {
-                key: parse(overrides[key]) for key, parse in _QUERY_SETTINGS.items() if key in overrides
-            }
-            try:
-                spec = replace(spec, **updates)
-            except ValueError as exc:
-                raise ConfigError(f"bad query override for {source.value}: {exc}") from None
-        return EngineSettings(
-            source=source,
-            endpoint=self.endpoints[source],
+        updates = {key: parse(overrides[key]) for key, parse in _QUERY_SETTINGS.items() if key in overrides}
+        try:
+            spec = replace(row.spec, **updates)
+        except ValueError as exc:
+            raise ConfigError(f"bad query override for {source.value}: {exc}") from None
+        return replace(
+            row,
+            endpoint=self.endpoints.get(source, row.endpoint),
             spec=spec,
-            selectors={**DEFAULT_SELECTORS[source], **self.selectors.get(source, {})},
+            selectors={**row.selectors, **self.selectors.get(source, {})},
         )
 
     def build_fetcher(self, **kwargs) -> Fetcher:
@@ -178,6 +185,15 @@ def _parse_float(key: str, value: str) -> float:
         raise ConfigError(f"{key} expects a number, got {value!r}") from None
 
 
+def positive(key: str, value: N) -> N:
+    """``value`` if above zero (NaN is not), else a :class:`ConfigError` naming ``key``.
+
+    The one range check for ``timeout_s`` and the article budget, file or flag."""
+    if not value > 0:
+        raise ConfigError(f"{key} must be greater than 0, got {value}")
+    return value
+
+
 #: Query settings a configuration may override, each with its parser.
 _QUERY_SETTINGS = {
     "max_chars": lambda value: _parse_int("max_chars", value),
@@ -212,19 +228,19 @@ def _apply_file(config: AppConfig, values: dict[str, str]) -> None:
         elif key == "politeness_delay_ms":
             config.politeness_delay_ms = _parse_int(key, value)
         elif key == "timeout_s":
-            config.timeout_s = _parse_float(key, value)
+            config.timeout_s = positive(key, _parse_float(key, value))
         elif key == "verify.max_articles":
-            config.max_articles = _parse_int(key, value)
+            config.max_articles = positive(key, _parse_int(key, value))
         elif key.startswith("endpoint."):
             config.endpoints[source_by_name(key.removeprefix("endpoint."))] = value
         elif key.startswith("selectors."):
             source = source_by_name(key.removeprefix("selectors."))  # before reading the file
-            config.selectors[source] = _load_selectors(value)
+            config.selectors[source] = _load_selectors(value, ENGINES[source].selectors)
         elif key.startswith("rating-selectors."):
             publisher = key.removeprefix("rating-selectors.")
-            if publisher not in ("snopes", "reuters"):
+            if publisher not in DEFAULT_RATING_SELECTORS:
                 raise ConfigError(f"unknown publisher in {key!r}")
-            config.rating_selectors[publisher] = _load_selectors(value)
+            config.rating_selectors[publisher] = _load_selectors(value, DEFAULT_RATING_SELECTORS[publisher])
         elif key.startswith("query."):
             parts = key.split(".")
             if len(parts) != 3:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
 
-from .adapters import EngineSettings, ranked_search
+from .adapters import ENGINES, EngineSettings, ranked_search
 from .errors import (
     CaptchaDetected,
     EmptyDatasetError,
@@ -32,19 +32,7 @@ from .urls import canonicalize_article_url
 logger = logging.getLogger(__name__)
 
 #: Sources that produce ranked URL lists and can be scored against the corpus.
-EVAL_SOURCES = (
-    SourceId.SNOPES_SEARCH,
-    SourceId.REUTERS_SEARCH,
-    SourceId.WEB_SEARCH,
-    SourceId.WEB_SEARCH_SITE_SNOPES,
-)
-
-DISPLAY_NAMES = {
-    SourceId.SNOPES_SEARCH: "Snopes built-in search",
-    SourceId.REUTERS_SEARCH: "Reuters built-in search",
-    SourceId.WEB_SEARCH: "Web search",
-    SourceId.WEB_SEARCH_SITE_SNOPES: "Web search (site:snopes.com)",
-}
+EVAL_SOURCES = tuple(source for source, row in ENGINES.items() if row.ranking is not None)
 
 #: What :func:`query_engine` yields per record: its results, the error its
 #: query raised, or None when it was skipped after a bot challenge.
@@ -149,10 +137,11 @@ def evaluate_engine(
     if not records:
         raise EmptyDatasetError("cannot evaluate an empty dataset")
 
+    column = ENGINES[source].ranking.relevant
     outcomes: list[QueryOutcome] = []
     misses: list[FixtureMiss] = []
     for record, result in query_engine(source, records, fetcher, settings):
-        relevant = record.reuters_url if source is SourceId.REUTERS_SEARCH else record.snopes_url
+        relevant = getattr(record, column)
         if isinstance(result, RankedResults) and relevant is not None:
             outcomes.append(reciprocal_rank(result, relevant, record.id))
             continue
@@ -188,7 +177,7 @@ def render_report(reports: Sequence[EngineReport], fmt: str = "table") -> str:
     if fmt == "table":
         header = ("Search engine", "MRR", "Mean P@1")
         rows = [header] + [
-            (DISPLAY_NAMES[r.source], _fmt(r.mrr), _fmt(r.mean_p_at_1)) for r in reports
+            (ENGINES[r.source].ranking.label, _fmt(r.mrr), _fmt(r.mean_p_at_1)) for r in reports
         ]
         widths = [max(len(row[col]) for row in rows) for col in range(3)]
         lines = ["  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip() for row in rows]

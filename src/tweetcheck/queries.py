@@ -1,9 +1,11 @@
 """Per-engine query construction: truncation, encoding, site restriction.
 
 Each engine gets a :class:`QuerySpec` describing its length restriction,
-encoding convention, and truncation style. The defaults below were chosen
-from observed query URLs on each site and are overridable through the CLI
-configuration file, because sites change their limits without notice.
+encoding convention, and truncation style. ``DEFAULT_SPECS`` below is the
+spec column of the engine table (:data:`tweetcheck.adapters.ENGINES`). The
+defaults were chosen from observed query URLs on each site and are
+overridable through the CLI configuration file, because sites change their
+limits without notice.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ class Truncation(Enum):
     WORD_BOUNDARY_PREFIX = "word-boundary-prefix"
 
 
-_SITE_FILTER_SOURCES = (SourceId.WEB_SEARCH, SourceId.WEB_SEARCH_SITE_SNOPES)
 _CONTROL_CHARS = re.compile(r"[\x00-\x1f\x7f]")
 _WORD = re.compile(r"\S+")
 
@@ -36,7 +37,6 @@ _WORD = re.compile(r"\S+")
 class QuerySpec:
     """How one engine wants its queries shaped."""
 
-    source: SourceId
     max_chars: int
     encoding: Encoding
     truncation: Truncation
@@ -46,37 +46,19 @@ class QuerySpec:
     def __post_init__(self):
         if self.max_chars < 10:
             raise ValueError("max_chars must be >= 10")
-        if self.site_filter is not None and self.source not in _SITE_FILTER_SOURCES:
-            raise ValueError(f"site_filter is not supported for {self.source.value}")
 
 
 DEFAULT_SPECS = {
-    SourceId.SNOPES_SEARCH: QuerySpec(
-        SourceId.SNOPES_SEARCH, 100, Encoding.PERCENT, Truncation.WORD_BOUNDARY_PREFIX
-    ),
-    SourceId.REUTERS_SEARCH: QuerySpec(
-        SourceId.REUTERS_SEARCH, 130, Encoding.PLUS, Truncation.WORD_BOUNDARY_PREFIX
+    SourceId.SNOPES_SEARCH: QuerySpec(100, Encoding.PERCENT, Truncation.WORD_BOUNDARY_PREFIX),
+    SourceId.REUTERS_SEARCH: QuerySpec(130, Encoding.PLUS, Truncation.WORD_BOUNDARY_PREFIX),
+    SourceId.WEB_SEARCH: QuerySpec(200, Encoding.PLUS, Truncation.WORD_BOUNDARY_PREFIX),
+    SourceId.WEB_SEARCH_SITE_SNOPES: QuerySpec(
+        200, Encoding.PLUS, Truncation.WORD_BOUNDARY_PREFIX, site_filter="snopes.com"
     ),
     # 50-character prefixes are known to work well against the deleted-tweet
     # tracker's search.
-    SourceId.POLITWOOPS: QuerySpec(
-        SourceId.POLITWOOPS, 50, Encoding.PLUS, Truncation.CHAR_PREFIX
-    ),
-    SourceId.WEB_SEARCH: QuerySpec(
-        SourceId.WEB_SEARCH, 200, Encoding.PLUS, Truncation.WORD_BOUNDARY_PREFIX
-    ),
-    SourceId.WEB_SEARCH_SITE_SNOPES: QuerySpec(
-        SourceId.WEB_SEARCH_SITE_SNOPES,
-        200,
-        Encoding.PLUS,
-        Truncation.WORD_BOUNDARY_PREFIX,
-        site_filter="snopes.com",
-    ),
+    SourceId.POLITWOOPS: QuerySpec(50, Encoding.PLUS, Truncation.CHAR_PREFIX),
 }
-
-
-def default_spec(source: SourceId) -> QuerySpec:
-    return DEFAULT_SPECS[source]
 
 
 def truncate_body(body: str, spec: QuerySpec) -> str:

@@ -20,12 +20,10 @@ from .urls import canonicalize_article_url, identify_publisher  # noqa: F401  (a
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_SNOPES_RATING_SELECTORS = {
-    "rating": "div.rating_title_wrap",
-}
-DEFAULT_REUTERS_RATING_SELECTORS = {
-    "verdict_heading": "h2, h3, strong",
-    "verdict_heading_text": "VERDICT",
+#: Every key each publisher's scraper reads, with its default.
+DEFAULT_RATING_SELECTORS = {
+    "snopes": {"rating": "div.rating_title_wrap"},
+    "reuters": {"verdict_heading": "h2, h3, strong", "verdict_heading_text": "VERDICT"},
 }
 
 _FALLBACK_LABEL = re.compile(
@@ -55,7 +53,7 @@ def scrape_snopes_rating(
     page: FetchResponse, selectors: Optional[Mapping[str, str]] = None
 ) -> TruthRating:
     """Extract the rating label from a Snopes fact-check article."""
-    sel = {**DEFAULT_SNOPES_RATING_SELECTORS, **(selectors or {})}
+    sel = {**DEFAULT_RATING_SELECTORS["snopes"], **(selectors or {})}
     root = parse_response(page)
     element = root.select_one(sel["rating"])
     if element is not None:
@@ -72,7 +70,7 @@ def scrape_reuters_rating(
     default the literal text "VERDICT"); the verdict sentence itself opens
     the following paragraph, so only the first sentence is the label.
     """
-    sel = {**DEFAULT_REUTERS_RATING_SELECTORS, **(selectors or {})}
+    sel = {**DEFAULT_RATING_SELECTORS["reuters"], **(selectors or {})}
     root = parse_response(page)
     wanted = sel["verdict_heading_text"].strip().lower()
     for heading in root.select(sel["verdict_heading"]):

@@ -6,7 +6,7 @@ from typing import Optional
 
 import pytest
 
-from tweetcheck.adapters import default_engine_settings
+from tweetcheck.adapters import ENGINES
 from tweetcheck.errors import NetworkError
 from tweetcheck.fetch import (
     Fetcher,
@@ -54,7 +54,7 @@ def page(name: str) -> bytes:
 
 def engine_query_url(source: SourceId, body: str) -> str:
     """The URL one adapter would request for this claim body."""
-    settings = default_engine_settings(source)
+    settings = ENGINES[source]
     query = build_query(TweetClaim(body=body), settings.spec)
     return settings.endpoint.format(query=encode_query(query, settings.spec.encoding))
 

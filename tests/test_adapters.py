@@ -3,8 +3,8 @@ from urllib.parse import urlsplit
 import pytest
 
 from tweetcheck.adapters import (
+    ENGINES,
     PolitwoopsHit,
-    default_engine_settings,
     match_politwoops,
     normalize_text,
     ranked_search,
@@ -240,6 +240,7 @@ class TestRankedSearchDispatch:
         assert results.source is source
 
     def test_default_settings_cover_every_source(self):
-        for source in SourceId:
-            settings = default_engine_settings(source)
+        assert list(ENGINES) == list(SourceId)
+        for source, settings in ENGINES.items():
+            assert settings.source is source
             assert "{query}" in settings.endpoint

@@ -150,6 +150,29 @@ class TestVerify:
     def test_replay_without_fixtures_dir_is_usage_error(self, capsys):
         assert main(["verify", "body", "--mode", "replay"]) == 64
 
+    @pytest.mark.parametrize(
+        "line, flag, message",
+        [
+            ("", ["--max-articles", "0"], "--max-articles must be greater than 0, got 0"),
+            ("verify.max_articles = 0", [], "verify.max_articles must be greater than 0, got 0"),
+            ("timeout_s = 0", [], "timeout_s must be greater than 0, got 0.0"),
+        ],
+        ids=["flag", "file", "timeout"],
+    )
+    def test_out_of_range_value_is_usage_error(self, tmp_path, capsys, monkeypatch, line, flag, message):
+        monkeypatch.setattr(
+            Fetcher,
+            "_requests_transport",
+            lambda self, req: (_ for _ in ()).throw(AssertionError("network touched")),
+        )
+        config = tmp_path / "tweetcheck.conf"
+        config.write_text(line + "\n", encoding="utf-8")
+        code = main(["verify", PANDEMIC_BODY, "--mode", "live", "--config", str(config), *flag])
+        captured = capsys.readouterr()
+        assert code == 64
+        assert captured.out == ""
+        assert captured.err == f"tweetcheck: {message}\n"
+
 
 class TestEval:
     def test_table_output(self, eval_store, tmp_path, capsys):
@@ -230,6 +253,24 @@ class TestEval:
 
     def test_missing_dataset_file_exits_65(self, tmp_path, capsys):
         assert main(["eval", "--dataset", str(tmp_path / "nope.tsv")]) == 65
+
+
+@pytest.mark.parametrize("command", ["eval", "record"])
+def test_empty_dataset_exits_65_before_any_query(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(
+        Fetcher,
+        "_requests_transport",
+        lambda self, req: (_ for _ in ()).throw(AssertionError("network touched")),
+    )
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("# no records yet\n", encoding="utf-8")
+    fixtures = tmp_path / "fx"
+    code = main([command, "--dataset", str(empty), "--mode", "replay", "--fixtures", str(fixtures)])
+    captured = capsys.readouterr()
+    assert code == 65
+    assert captured.out == ""
+    assert captured.err == f"tweetcheck: dataset error: no records in {empty}\n"
+    assert not fixtures.exists()
 
 
 class TestRecord:
@@ -471,18 +512,28 @@ class TestUnreadableConfig:
 
 
 class TestMalformedSelector:
-    """A selector outside the supported syntax is a usage error naming its file and key."""
+    """A selector outside the supported syntax, or a key the code never reads,
+    is a usage error naming its file and key."""
 
     @pytest.mark.parametrize("command", ["verify", "eval", "record", "scrape"])
-    @pytest.mark.parametrize("key", ["selectors.snopes", "rating-selectors.snopes"])
-    def test_exit_64_with_one_line_naming_file_and_key(self, tmp_path, capsys, monkeypatch, command, key):
+    @pytest.mark.parametrize(
+        "key, line, problem",
+        [
+            ("selectors.snopes", "results = a[[", "bad selector for results: unsupported selector syntax: 'a[['"),
+            ("rating-selectors.snopes", "rating = a[[", "bad selector for rating: unsupported selector syntax: 'a[['"),
+            ("selectors.web", "reslts = div.badge", "unknown selector key reslts"),
+            ("rating-selectors.snopes", "ratng = div.badge", "unknown selector key ratng"),
+        ],
+        ids=["selectors.snopes", "rating-selectors.snopes", "unknown-key", "unknown-rating-key"],
+    )
+    def test_exit_64_with_one_line_naming_file_and_key(self, tmp_path, capsys, monkeypatch, command, key, line, problem):
         monkeypatch.setattr(
             Fetcher,
             "_requests_transport",
             lambda self, req: (_ for _ in ()).throw(AssertionError("network touched")),
         )
         selectors = tmp_path / "bad_selectors.conf"
-        selectors.write_text("results = a[[\nrating = a[[\n", encoding="utf-8")
+        selectors.write_text(line + "\n", encoding="utf-8")
         config = tmp_path / "tweetcheck.conf"
         config.write_text(f"{key} = {selectors}\n", encoding="utf-8")
         argv = {
@@ -495,9 +546,34 @@ class TestMalformedSelector:
         captured = capsys.readouterr()
         assert code == 64
         assert captured.out == ""
-        assert captured.err == (
-            f"tweetcheck: {selectors}: bad selector for results: unsupported selector syntax: 'a[['\n"
-        )
+        assert captured.err == f"tweetcheck: {selectors}: {problem}\n"
+
+
+class TestUsageErrors:
+    """Command lines argparse rejects exit 64, the documented usage-error code."""
+
+    @pytest.mark.parametrize(
+        "argv, complaint",
+        [
+            (["eval"], "the following arguments are required: --dataset"),
+            (["verify", "body", "--max-articles", "two"], "invalid int value: 'two'"),
+            (["verify", "body", "--mode", "offline"], "invalid choice: 'offline'"),
+            (["no-such-command"], "invalid choice: 'no-such-command'"),
+            ([], "the following arguments are required: command"),
+        ],
+    )
+    def test_exit_64_with_argparse_message(self, capsys, argv, complaint):
+        assert main(argv) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert complaint in captured.err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+    def test_help_still_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: tweetcheck")
 
 
 class TestValidateDatasetFlags:
@@ -507,7 +583,5 @@ class TestValidateDatasetFlags:
 
     @pytest.mark.parametrize("flag", [["--config", "/missing.conf"], ["--mode", "replay"], ["--fixtures", "fx"]])
     def test_flags_it_never_reads_are_rejected(self, capsys, flag):
-        with pytest.raises(SystemExit) as exc:
-            main(["validate-dataset", *flag])
-        assert exc.value.code == 2
+        assert main(["validate-dataset", *flag]) == 64
         assert "unrecognized arguments" in capsys.readouterr().err

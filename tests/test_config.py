@@ -1,9 +1,14 @@
 import pytest
 
+from tweetcheck.adapters import ENGINES, ranked_search
 from tweetcheck.config import AppConfig, ConfigError, build_config, load_keyvalues, source_by_name
+from tweetcheck.errors import CaptchaDetected
 from tweetcheck.fetch import DEFAULT_USER_AGENT, FetchMode
-from tweetcheck.model import SourceId
+from tweetcheck.model import SourceId, TweetClaim
 from tweetcheck.queries import Encoding, Truncation
+from tweetcheck.ratings import DEFAULT_RATING_SELECTORS
+
+from conftest import StubPage, engine_query_url, record_pages, replay_fetcher
 
 
 class TestKeyValues:
@@ -76,6 +81,27 @@ class TestBuildConfig:
         with pytest.raises(ConfigError):
             build_config(path, env={})
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("timeout_s = -2.5", "timeout_s must be greater than 0, got -2.5"),
+            ("timeout_s = nan", "timeout_s must be greater than 0, got nan"),
+            ("verify.max_articles = -1", "verify.max_articles must be greater than 0, got -1"),
+        ],
+    )
+    def test_out_of_range_value_rejected_naming_the_key(self, tmp_path, line, message):
+        path = tmp_path / "c.conf"
+        path.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as exc:
+            build_config(path, env={})
+        assert str(exc.value) == message
+
+    def test_smallest_in_range_values_accepted(self, tmp_path):
+        path = tmp_path / "c.conf"
+        path.write_text("timeout_s = 0.001\nverify.max_articles = 1\n", encoding="utf-8")
+        config = build_config(path, env={})
+        assert (config.timeout_s, config.max_articles) == (0.001, 1)
+
     def test_out_of_range_query_override_reported_as_config_error(self, tmp_path):
         path = tmp_path / "c.conf"
         path.write_text("query.snopes.max_chars=3\n", encoding="utf-8")
@@ -143,16 +169,63 @@ class TestEngineSettings:
         assert config.engine_settings(SourceId.SNOPES_SEARCH).selectors["results"] == "div.results a[href]"
         assert config.rating_selectors == {"snopes": {"rating": "div.rating-badge"}}
 
-    @pytest.mark.parametrize("key", ["selectors.snopes", "rating-selectors.snopes"])
+    @pytest.mark.parametrize(
+        "key, selector_key",
+        [("selectors.snopes", "results"), ("rating-selectors.snopes", "rating")],
+        ids=["selectors.snopes", "rating-selectors.snopes"],
+    )
     @pytest.mark.parametrize("selector", ["a[[", "div..x", ""])
-    def test_malformed_selector_rejected_naming_file_and_key(self, tmp_path, key, selector):
+    def test_malformed_selector_rejected_naming_file_and_key(self, tmp_path, key, selector_key, selector):
         selectors = tmp_path / "bad.conf"
-        selectors.write_text(f"rating = div.ok\nresults = {selector}\n", encoding="utf-8")
+        selectors.write_text(f"{selector_key} = {selector}\n", encoding="utf-8")
         path = tmp_path / "c.conf"
         path.write_text(f"{key}={selectors}\n", encoding="utf-8")
         with pytest.raises(ConfigError) as exc:
             build_config(path, env={})
-        assert str(selectors) in str(exc.value) and "results" in str(exc.value)
+        assert str(selectors) in str(exc.value) and selector_key in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "key, typo", [("selectors.snopes", "result"), ("selectors.politwoops", "results"),
+                      ("rating-selectors.snopes", "ratng"), ("rating-selectors.reuters", "rating")]
+    )
+    def test_unknown_selector_key_rejected_naming_file_and_key(self, tmp_path, key, typo):
+        selectors = tmp_path / "typo.conf"
+        selectors.write_text(f"{typo} = div.badge\n", encoding="utf-8")
+        path = tmp_path / "c.conf"
+        path.write_text(f"{key}={selectors}\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as exc:
+            build_config(path, env={})
+        assert str(exc.value) == f"{selectors}: unknown selector key {typo}"
+
+    def test_every_key_the_defaults_name_is_accepted(self, tmp_path):
+        lines = []
+        for source, row in ENGINES.items():
+            selectors = tmp_path / f"{source.value}.conf"
+            selectors.write_text("".join(f"{key} = div.x\n" for key in row.selectors), encoding="utf-8")
+            lines.append(f"selectors.{source.value}={selectors}\n")
+        for publisher, defaults in DEFAULT_RATING_SELECTORS.items():
+            selectors = tmp_path / f"rating-{publisher}.conf"
+            selectors.write_text("".join(f"{key} = div.x\n" for key in defaults), encoding="utf-8")
+            lines.append(f"rating-selectors.{publisher}={selectors}\n")
+        path = tmp_path / "c.conf"
+        path.write_text("".join(lines), encoding="utf-8")
+        config = build_config(path, env={})
+        assert set(config.selectors) == set(SourceId)
+        assert set(config.rating_selectors) == {"snopes", "reuters"}
+
+    def test_captcha_selector_honoured_on_a_site_search_engine(self, tmp_path):
+        selectors = tmp_path / "snopes.conf"
+        selectors.write_text("captcha = div.challenge\n", encoding="utf-8")
+        path = tmp_path / "c.conf"
+        path.write_text(f"selectors.snopes={selectors}\n", encoding="utf-8")
+        settings = build_config(path, env={}).engine_settings(SourceId.SNOPES_SEARCH)
+        body = "a claim that meets a challenge"
+        challenge = b'<html><body><div class="challenge">Are you human?</div></body></html>'
+        store = record_pages(tmp_path / "fx", {engine_query_url(SourceId.SNOPES_SEARCH, body): StubPage(challenge)})
+        claim = TweetClaim(body=body)
+        assert ranked_search(SourceId.SNOPES_SEARCH, claim, replay_fetcher(store)).urls == ()
+        with pytest.raises(CaptchaDetected):
+            ranked_search(SourceId.SNOPES_SEARCH, claim, replay_fetcher(store), settings)
 
     def test_literal_text_keys_are_not_compiled(self, tmp_path):
         web = tmp_path / "web.conf"

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tweetcheck import htmldoc
-from tweetcheck.adapters import DEFAULT_SELECTORS, ranked_search
+from tweetcheck.adapters import ENGINES, ranked_search
 from tweetcheck.errors import ParseError
 from tweetcheck.fetch import FetchResponse
 from tweetcheck.htmldoc import parse_selector, parse_html, parse_response
@@ -112,7 +112,7 @@ class TestParentLinks:
 
     def test_ad_filter_drops_what_containment_drops(self, tmp_path):
         root = parse_html(SAMPLE)
-        ads = root.select(DEFAULT_SELECTORS[SourceId.WEB_SEARCH]["ads"])
+        ads = root.select(ENGINES[SourceId.WEB_SEARCH].selectors["ads"])
         kept = [
             anchor.get("href")
             for anchor in root.select("div#search a[href]")

@@ -12,7 +12,6 @@ from tweetcheck.queries import (
     QuerySpec,
     Truncation,
     build_query,
-    default_spec,
     encode_query,
     truncate_body,
 )
@@ -53,12 +52,12 @@ class TestTruncateBody:
             "a boundary somewhere near one hundred characters in total length"
         )
         assert len(body) == 130
-        spec = QuerySpec(SourceId.SNOPES_SEARCH, 100, Encoding.PERCENT, Truncation.WORD_BOUNDARY_PREFIX)
+        spec = QuerySpec(100, Encoding.PERCENT, Truncation.WORD_BOUNDARY_PREFIX)
         assert truncate_body(body, spec) == oracle_word_truncate(body, 100)
 
     def test_first_word_longer_than_limit_falls_back_to_chars(self):
         body = "x" * 40 + " tail"
-        spec = QuerySpec(SourceId.SNOPES_SEARCH, 20, Encoding.PERCENT, Truncation.WORD_BOUNDARY_PREFIX)
+        spec = QuerySpec(20, Encoding.PERCENT, Truncation.WORD_BOUNDARY_PREFIX)
         assert truncate_body(body, spec) == "x" * 20
 
     @given(st.text(min_size=1, max_size=400))
@@ -70,7 +69,7 @@ class TestTruncateBody:
 
     @given(st.text(min_size=1, max_size=400))
     def test_word_boundary_properties(self, body):
-        spec = QuerySpec(SourceId.SNOPES_SEARCH, 37, Encoding.PERCENT, Truncation.WORD_BOUNDARY_PREFIX)
+        spec = QuerySpec(37, Encoding.PERCENT, Truncation.WORD_BOUNDARY_PREFIX)
         result = truncate_body(body, spec)
         assert len(result) <= spec.max_chars
         assert body.startswith(result)
@@ -109,7 +108,7 @@ class TestEncodeQuery:
 class TestBuildQuery:
     def test_site_filter_appended_outside_length_budget(self):
         claim = TweetClaim(body="word " * 60)
-        spec = default_spec(SourceId.WEB_SEARCH_SITE_SNOPES)
+        spec = DEFAULT_SPECS[SourceId.WEB_SEARCH_SITE_SNOPES]
         query = build_query(claim, spec)
         assert query.endswith(" site:snopes.com")
         assert len(query.removesuffix(" site:snopes.com")) <= spec.max_chars
@@ -130,8 +129,7 @@ class TestBuildQuery:
 
     def test_quote_phrase_option(self):
         spec = QuerySpec(
-            SourceId.WEB_SEARCH, 50, Encoding.PLUS, Truncation.CHAR_PREFIX,
-            site_filter="snopes.com", quote_phrase=True,
+            50, Encoding.PLUS, Truncation.CHAR_PREFIX, site_filter="snopes.com", quote_phrase=True
         )
         assert build_query(TweetClaim(body="abc"), spec) == '"abc" site:snopes.com'
 
@@ -144,15 +142,7 @@ class TestBuildQuery:
 class TestQuerySpec:
     def test_minimum_length_enforced(self):
         with pytest.raises(ValueError):
-            QuerySpec(SourceId.SNOPES_SEARCH, 9, Encoding.PERCENT, Truncation.CHAR_PREFIX)
-
-    def test_site_filter_limited_to_web_sources(self):
-        with pytest.raises(ValueError):
-            QuerySpec(
-                SourceId.SNOPES_SEARCH, 100, Encoding.PERCENT, Truncation.CHAR_PREFIX,
-                site_filter="snopes.com",
-            )
+            QuerySpec(9, Encoding.PERCENT, Truncation.CHAR_PREFIX)
 
     def test_defaults_exist_for_every_source(self):
-        for source in SourceId:
-            assert default_spec(source).source is source
+        assert list(DEFAULT_SPECS) == list(SourceId)

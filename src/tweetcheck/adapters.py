@@ -30,7 +30,7 @@ from urllib.parse import parse_qs, urljoin, urlsplit
 
 from .errors import CaptchaDetected
 from .fetch import Fetcher, FetchRequest, FetchResponse
-from .htmldoc import Element, collapse_whitespace, parse_response
+from .htmldoc import Element, collapse_whitespace, outermost, parse_response
 from .model import RankedResults, SourceId, TweetClaim
 from .queries import DEFAULT_SPECS, QuerySpec, build_query, encode_query
 from .urls import host, host_matches, normalize_result_url
@@ -184,9 +184,13 @@ def ranked_search(
     selectors = settings.selectors
     _check_captcha(root, selectors, response.final_url)
 
-    ads = root.select(selectors["ads"]) if selectors.get("ads") else []
-    # ids stay unique while ``root`` keeps the whole tree alive
-    ad_ids = {id(el) for ad in ads for el in (ad, *ad.iter())}
+    # ids stay unique while ``root`` keeps the whole tree alive. Ads come in
+    # document order, so an ad inside another is covered before it is reached.
+    ad_ids: set[int] = set()
+    for ad in root.select(selectors["ads"]) if selectors.get("ads") else []:
+        if id(ad) not in ad_ids:
+            ad_ids.add(id(ad))
+            ad_ids.update(map(id, ad.iter()))
     seen: set[str] = set()
     urls: list[str] = []
     for anchor in root.select(selectors["results"]):
@@ -218,7 +222,12 @@ def ranked_search(
 def search_politwoops(
     claim: TweetClaim, fetcher: Fetcher, settings: Optional[EngineSettings] = None
 ) -> list[PolitwoopsHit]:
-    """Query the deleted-tweet tracker with the claim's leading characters."""
+    """Query the deleted-tweet tracker with the claim's leading characters.
+
+    Only the outermost cards are read: a card nested inside another card
+    (as unclosed markup nests them) is part of the outer one, whose text,
+    link and handle are the first of each found anywhere inside it.
+    """
     settings = settings or ENGINES[SourceId.POLITWOOPS]
     query = build_query(claim, settings.spec)
     response = _request_page(fetcher, settings, query)
@@ -227,7 +236,7 @@ def search_politwoops(
     root = parse_response(response)
     project_host = host(settings.endpoint)
     hits: list[PolitwoopsHit] = []
-    for card in root.select(settings.selectors["cards"]):
+    for card in outermost(root.select(settings.selectors["cards"])):
         text_el = card.select_one(settings.selectors["text"])
         link_el = card.select_one(settings.selectors["link"])
         if text_el is None or link_el is None or not link_el.get("href"):

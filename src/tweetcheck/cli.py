@@ -21,7 +21,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
-from .config import MODE_ENV_VAR, AppConfig, ConfigError, build_config, positive, source_by_name
+from .config import MODE_ENV_VAR, AppConfig, ConfigError, build_config, in_range, source_by_name
 from .dataset import GroundTruthRecord, load_dataset, shipped_dataset_path, validate_dataset
 from .errors import (
     CorruptFixture,
@@ -30,12 +30,13 @@ from .errors import (
     MissingFixtures,
     TweetCheckError,
     ValidationError,
+    describe_failure,
 )
 from .adapters import EngineSettings
 from .evaluation import EVAL_SOURCES, evaluate_engine, query_engine, render_report
 from .fetch import Fetcher, FetchMode, FetchRequest
-from .model import Outcome, SourceId, TweetClaim
-from .pipeline import rating_line, verify_claim
+from .model import Outcome, RankedResults, SourceId, TweetClaim
+from .pipeline import evidence_lines, rating_line, verify_claim
 from .ratings import scrape_rating
 from .urls import identify_publisher
 
@@ -138,7 +139,7 @@ def _resolve_config(args: argparse.Namespace) -> AppConfig:
     if args.fixtures:
         config.fixtures_dir = Path(args.fixtures)
     if getattr(args, "max_articles", None) is not None:
-        config.max_articles = positive("--max-articles", args.max_articles)
+        config.max_articles = in_range("--max-articles", args.max_articles, 0)
     return config
 
 
@@ -170,11 +171,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         run = verify_claim(claim, config, fetcher, engines)
     for source, message in run.engine_errors.items():
         print(f"tweetcheck: {source.value}: {message}", file=sys.stderr)
-    if run.engine_errors and len(run.engine_errors) == run.engines_run and not run.verdict.evidence:
+    if len(run.engine_errors) == len(engines):
         return _fail("every engine failed; cannot verify", EXIT_OPERATIONAL)
 
-    for line in run.lines:
-        print(line)
+    for item in run.verdict.evidence:
+        for line in evidence_lines(item):
+            print(line)
     print(f"Verdict: {run.verdict.outcome.value}")
     if run.verdict.conflict:
         print("Conflicting evidence detected.")
@@ -256,8 +258,8 @@ def _record_engine(
     for record, result in query_engine(source, records, fetcher, settings):
         if result is None:
             failures.append(f"record {record.id} via {source.value} skipped after a bot challenge")
-        elif isinstance(result, TweetCheckError):
-            failures.append(f"record {record.id} via {source.value} failed: {result}")
+        elif not isinstance(result, RankedResults):
+            failures.append(f"record {record.id} via {source.value} failed: {describe_failure(result)}")
     return failures
 
 

@@ -9,11 +9,11 @@ Recognized keys::
 
     mode = live | record | replay
     fixtures = <directory>
-    user_agent = <string>
-    politeness_delay_ms = <int>
-    timeout_s = <float, above 0>
+    user_agent = <printable ASCII string>
+    politeness_delay_ms = <int, 0 to 86400000>
+    timeout_s = <float, above 0 and at most 86400>
     verify.max_articles = <int, at least 1>
-    endpoint.<engine> = <url template containing {query}>
+    endpoint.<engine> = <http(s) URL template; {query} is its only field>
     query.<engine>.max_chars = <int>
     query.<engine>.encoding = plus | percent
     query.<engine>.truncation = char-prefix | word-boundary-prefix
@@ -27,16 +27,21 @@ selector file may set only the keys its engine's or publisher's defaults
 name. Selector files are read and their selectors compiled when the
 configuration is built, so an unreadable file, an unknown key or a
 malformed selector is reported there, as a :class:`ConfigError` naming the
-file. So is an out-of-range value.
+file. So is every value a live run could not use: a number out of its
+range, an endpoint that does not make an absolute http or https URL, or a
+user agent that cannot be sent in a header.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
+from string import Formatter
 from typing import Mapping, Optional, TypeVar
+from urllib.parse import urlsplit
 
 from .adapters import ENGINES, EngineSettings
 from .errors import TweetCheckError
@@ -185,13 +190,32 @@ def _parse_float(key: str, value: str) -> float:
         raise ConfigError(f"{key} expects a number, got {value!r}") from None
 
 
-def positive(key: str, value: N) -> N:
-    """``value`` if above zero (NaN is not), else a :class:`ConfigError` naming ``key``.
+def in_range(key: str, value: N, low: N, high: float = math.inf) -> N:
+    """``value`` if ``low < value <= high`` (NaN never is), else a
+    :class:`ConfigError` naming ``key``.
 
-    The one range check for ``timeout_s`` and the article budget, file or flag."""
-    if not value > 0:
-        raise ConfigError(f"{key} must be greater than 0, got {value}")
+    The one range check for every number a configuration file or flag sets."""
+    if not low < value:
+        raise ConfigError(f"{key} must be greater than {low}, got {value}")
+    if not value <= high:
+        raise ConfigError(f"{key} must be at most {high}, got {value}")
     return value
+
+
+def _endpoint(key: str, template: str) -> str:
+    """``template`` if its one replacement field is ``{query}`` (no conversion,
+    no format spec) and it makes an absolute http or https URL, else a
+    :class:`ConfigError` naming ``key``."""
+    try:
+        fields = {field[1:] for field in Formatter().parse(template) if field[1] is not None}
+        if fields == {("query", "", None)}:
+            parts = urlsplit(template.format(query="q"))
+            parts.port  # raises ValueError for a malformed port
+            if parts.scheme in ("http", "https") and parts.hostname:
+                return template
+    except ValueError:  # unbalanced braces, or an unparseable host or port
+        pass
+    raise ConfigError(f"{key} must be an http or https URL whose only field is {{query}}, got {template!r}")
 
 
 #: Query settings a configuration may override, each with its parser.
@@ -224,15 +248,17 @@ def _apply_file(config: AppConfig, values: dict[str, str]) -> None:
         elif key == "fixtures":
             config.fixtures_dir = Path(value)
         elif key == "user_agent":
+            if not (value.isascii() and value.isprintable()):  # else it cannot be sent
+                raise ConfigError(f"user_agent must be printable ASCII, got {value!r}")
             config.user_agent = value
-        elif key == "politeness_delay_ms":
-            config.politeness_delay_ms = _parse_int(key, value)
+        elif key == "politeness_delay_ms":  # 0 or more, and at most a day as is the timeout
+            config.politeness_delay_ms = in_range(key, _parse_int(key, value), -1, 86_400_000)
         elif key == "timeout_s":
-            config.timeout_s = positive(key, _parse_float(key, value))
+            config.timeout_s = in_range(key, _parse_float(key, value), 0, 86_400)
         elif key == "verify.max_articles":
-            config.max_articles = positive(key, _parse_int(key, value))
+            config.max_articles = in_range(key, _parse_int(key, value), 0)
         elif key.startswith("endpoint."):
-            config.endpoints[source_by_name(key.removeprefix("endpoint."))] = value
+            config.endpoints[source_by_name(key.removeprefix("endpoint."))] = _endpoint(key, value)
         elif key.startswith("selectors."):
             source = source_by_name(key.removeprefix("selectors."))  # before reading the file
             config.selectors[source] = _load_selectors(value, ENGINES[source].selectors)

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+An engine query that ends in one of :data:`QUERY_FAILURES` fails that engine
+only; every command words such a failure with :func:`describe_failure`.
+"""
 
 from __future__ import annotations
 
@@ -67,3 +71,16 @@ class ValidationError(TweetCheckError):
 
 class EmptyDatasetError(TweetCheckError):
     """Metrics over an empty dataset are undefined."""
+
+
+#: The failures an engine query may end in without stopping the run.
+QUERY_FAILURES = (NetworkError, FixtureMiss, CaptchaDetected, ParseError)
+
+
+def describe_failure(exc: TweetCheckError) -> str:
+    """How a failed engine query is reported, wherever it is reported."""
+    if isinstance(exc, CaptchaDetected):
+        return f"bot challenge: {exc}"
+    if isinstance(exc, ParseError):
+        return f"unparseable page: {exc}"
+    return str(exc)

@@ -16,13 +16,13 @@ from typing import Iterator, Optional, Sequence, Union
 
 from .adapters import ENGINES, EngineSettings, ranked_search
 from .errors import (
+    QUERY_FAILURES,
     CaptchaDetected,
     EmptyDatasetError,
     FixtureMiss,
     MissingFixtures,
-    NetworkError,
-    ParseError,
     TweetCheckError,
+    describe_failure,
 )
 from .dataset import GroundTruthRecord
 from .fetch import Fetcher
@@ -34,8 +34,9 @@ logger = logging.getLogger(__name__)
 #: Sources that produce ranked URL lists and can be scored against the corpus.
 EVAL_SOURCES = tuple(source for source, row in ENGINES.items() if row.ranking is not None)
 
-#: What :func:`query_engine` yields per record: its results, the error its
-#: query raised, or None when it was skipped after a bot challenge.
+#: What :func:`query_engine` yields per record: its results, the failure its
+#: query ended in (one of :data:`~tweetcheck.errors.QUERY_FAILURES`), or
+#: None when it was skipped after a bot challenge.
 QueryResult = Union[RankedResults, TweetCheckError, None]
 
 
@@ -112,7 +113,7 @@ def query_engine(
         if not challenged:
             try:
                 result = ranked_search(source, TweetClaim(body=record.tweet_body), fetcher, settings)
-            except TweetCheckError as exc:
+            except QUERY_FAILURES as exc:
                 result = exc
                 challenged = isinstance(exc, CaptchaDetected)
         yield record, result
@@ -126,7 +127,8 @@ def evaluate_engine(
 ) -> EngineReport:
     """Query one engine for every record and score where the relevant article landed.
 
-    Per-record fetch failures score zero and are flagged in the outcome.
+    A record whose query failed scores zero, and its outcome carries the
+    failure as :func:`~tweetcheck.errors.describe_failure` words it.
     After a bot challenge the records left score zero, flagged as skipped
     (see :func:`query_engine`). Missing fixtures are collected across the
     whole run and raised together as :class:`MissingFixtures` so one pass
@@ -149,15 +151,13 @@ def evaluate_engine(
             error = "skipped after a bot challenge"
         elif isinstance(result, RankedResults):
             error = "no relevant URL recorded for this engine"
-        elif isinstance(result, FixtureMiss):
-            result.record_id = record.id
-            misses.append(result)
-            error = f"missing fixture: {result.url}"
-        elif isinstance(result, (NetworkError, ParseError, CaptchaDetected)):
-            logger.warning("record %s via %s failed: %s", record.id, source.value, result)
-            error = f"{type(result).__name__}: {result}"
         else:
-            raise result
+            error = describe_failure(result)
+            if isinstance(result, FixtureMiss):
+                result.record_id = record.id
+                misses.append(result)
+            else:
+                logger.warning("record %s via %s failed: %s", record.id, source.value, error)
         outcomes.append(QueryOutcome(record.id, source, None, error))
     if misses:
         raise MissingFixtures(misses)

@@ -40,6 +40,12 @@ configuration files may use:
 * compound simple selectors: tag name, ``#id``, ``.class`` (repeatable),
   ``[attr]``, ``[attr=v]``, ``[attr*=v]``, ``[attr^=v]``, ``[attr$=v]``
 
+Matching takes time linear in the page however deeply it nests: one select
+call walks up once from the element it is called on, then down its subtree
+once, carrying to each element how much of each descendant chain that
+element's ancestors match. :func:`outermost` keeps those of a list of
+matches that no other one contains, walking each kept subtree once.
+
 Parent links are weak references: a tree is owned by its root through
 ``children`` alone, so it holds no reference cycle and is freed the moment
 its root is dropped, without waiting for the cycle collector. A tree lives
@@ -54,7 +60,7 @@ import weakref
 from functools import lru_cache
 from html import unescape
 from html.entities import html5
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import ParseError
 from .fetch import FetchResponse
@@ -127,12 +133,29 @@ class Element:
         return "".join(parts)
 
     def _matching(self, selector: str) -> Iterator["Element"]:
+        # One top-down pass: each element is paired with the matching state
+        # its strict ancestors leave, this one's included (see _advance).
         chains = parse_selector(selector)
-        for el in self.iter():
-            for chain in chains:
-                if _chain_matches(el, chain):
+        ready = tuple(chain[-1] for chain in chains if len(chain) == 1)
+        pending = tuple((chain, 0) for chain in chains if len(chain) > 1)
+        lineage = []
+        node: Optional[Element] = self
+        while node is not None:
+            lineage.append(node)
+            node = node._parent()
+        for node in reversed(lineage):
+            if pending:
+                ready, pending = _advance(ready, pending, node)
+        stack = [(child, ready, pending) for child in reversed(self.children) if isinstance(child, Element)]
+        while stack:
+            el, ready, pending = stack.pop()
+            for last in ready:
+                if _matches_simple(el, last):
                     yield el
                     break
+            if pending:
+                ready, pending = _advance(ready, pending, el)
+            stack.extend([(child, ready, pending) for child in reversed(el.children) if isinstance(child, Element)])
 
     def select(self, selector: str) -> list["Element"]:
         """Elements under this one matching the selector, in document order."""
@@ -226,17 +249,42 @@ def _matches_simple(el: Element, simple: _Simple) -> bool:
     return True
 
 
-def _chain_matches(el: Element, chain: tuple[_Simple, ...]) -> bool:
-    if not _matches_simple(el, chain[-1]):
-        return False
-    node = el._parent()
-    for simple in reversed(chain[:-1]):
-        while node is not None and not _matches_simple(node, simple):
-            node = node._parent()
-        if node is None:
-            return False
-        node = node._parent()
-    return True
+_Chain = tuple[_Simple, ...]
+
+
+def _advance(
+    ready: tuple[_Simple, ...], pending: tuple[tuple[_Chain, int], ...], el: Element
+) -> tuple[tuple[_Simple, ...], tuple[tuple[_Chain, int], ...]]:
+    """The matching state below ``el``, given the state ``el``'s ancestors leave.
+
+    ``pending`` holds each chain the ancestors do not yet complete, with how
+    many of its leading compounds they match, taken greedily from the root;
+    ``ready`` holds the last compound of each chain whose other compounds
+    they all match, so an element below matching one of those is selected.
+    Every combinator is "descendant", so greedy finds a match whenever there
+    is one."""
+    still = []
+    for chain, count in pending:
+        if _matches_simple(el, chain[count]):
+            count += 1
+            if count == len(chain) - 1:
+                ready += (chain[-1],)
+                continue
+        still.append((chain, count))
+    return ready, tuple(still)
+
+
+def outermost(elements: Iterable[Element]) -> list[Element]:
+    """Those of ``elements``, given in document order, that no other one of them
+    contains. The kept elements' subtrees are disjoint and each is walked once,
+    so this takes time linear in the page however deeply the elements nest."""
+    covered: set[int] = set()  # ids stay unique while the root keeps the tree alive
+    kept = []
+    for el in elements:
+        if id(el) not in covered:
+            kept.append(el)
+            covered.update(map(id, el.iter()))
+    return kept
 
 
 # One pattern per construct, tried at each "<" (a "<" that starts none is

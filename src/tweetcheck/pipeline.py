@@ -3,11 +3,12 @@
 Verification runs in four stages: search every enabled engine, select the
 articles to read, scrape them, and aggregate. The fetch gateway runs the
 two network stages concurrently across hosts, one request per host at a
-time. Selection and aggregation walk the engines in source declaration
-order, so output and evidence ordering are deterministic regardless of
-which request finished first. Per-engine fetch problems degrade
-gracefully: the engine is skipped with a recorded error and the verdict is
-computed from whatever evidence the others produced.
+time. Selection walks the engines in source declaration order and the
+verdict sorts its evidence by source and rank, so output is deterministic
+regardless of which request finished first. An engine whose query ends in
+one of :data:`~tweetcheck.errors.QUERY_FAILURES` is skipped with its
+failure recorded, and the verdict is computed from whatever evidence the
+others produced.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .adapters import (
     search_politwoops,
 )
 from .config import AppConfig
-from .errors import CaptchaDetected, FixtureMiss, NetworkError, ParseError
+from .errors import QUERY_FAILURES, describe_failure
 from .fetch import Fetcher, FetchRequest
 from .model import (
     EvidenceItem,
@@ -47,12 +48,11 @@ POLITWOOPS_CONFIRMATION = "That tweet was successfully queried on Politwoops"
 
 @dataclass(frozen=True)
 class VerifyRun:
-    """What one verification produced: the verdict plus presentable output."""
+    """The verdict, and each failed engine's failure as
+    :func:`~tweetcheck.errors.describe_failure` words it."""
 
     verdict: Verdict
-    lines: tuple[str, ...]
     engine_errors: dict[SourceId, str]
-    engines_run: int
 
 
 def rating_line(rating: TruthRating) -> str:
@@ -60,6 +60,13 @@ def rating_line(rating: TruthRating) -> str:
     if rating.missing:
         return "Truth rating: UNKNOWN (missing)"
     return f"Truth rating: {rating.raw_label}"
+
+
+def evidence_lines(item: EvidenceItem) -> tuple[str, ...]:
+    """How ``verify`` prints one piece of evidence."""
+    if item.rating is None:  # a Politwoops match
+        return (POLITWOOPS_CONFIRMATION,)
+    return (f"Article found at URL: {item.url}", rating_line(item.rating))
 
 
 def verify_claim(
@@ -82,42 +89,33 @@ def verify_claim(
 
     # Select: in source order, so the first engine to reach an article keeps it.
     errors: dict[SourceId, str] = {}
-    selected: dict[SourceId, list[tuple[int, str]]] = {}
+    evidence: list[EvidenceItem] = []
+    picks: list[tuple[SourceId, int, str]] = []
     seen_articles: set[str] = set()
     for source, outcome in zip(enabled, searched):
-        if isinstance(outcome, Exception):
-            errors[source] = _engine_error(source, outcome)
+        if isinstance(outcome, QUERY_FAILURES):
+            errors[source] = describe_failure(outcome)
+        elif isinstance(outcome, Exception):
+            raise outcome
         elif isinstance(outcome, RankedResults):
-            selected[source] = _select_articles(outcome, config.max_articles, seen_articles)
+            chosen = _select_articles(outcome, config.max_articles, seen_articles)
+            picks.extend((source, rank, url) for rank, url in chosen)
+        else:
+            match = _politwoops_evidence(claim, outcome)
+            if match is not None:
+                evidence.append(match)
 
     # Scrape: every selected article, concurrently across hosts.
-    urls = [url for picks in selected.values() for _, url in picks]
-    ratings = iter(
-        fetcher.run_per_host(
-            [(url, partial(_scrape_article, url, fetcher, config.rating_selectors)) for url in urls]
-        )
+    ratings = fetcher.run_per_host(
+        [(url, partial(_scrape_article, url, fetcher, config.rating_selectors)) for _, _, url in picks]
     )
+    for (source, rank, url), rating in zip(picks, ratings):
+        if isinstance(rating, Exception):
+            raise rating
+        evidence.append(EvidenceItem(source=source, url=url, rank=rank, rating=rating))
 
-    # Aggregate: lines and evidence in source order, then the verdict.
-    lines: list[str] = []
-    evidence: list[EvidenceItem] = []
-    for source, outcome in zip(enabled, searched):
-        if source is SourceId.POLITWOOPS and source not in errors:
-            _add_politwoops(claim, outcome, lines, evidence)
-        for rank, url in selected.get(source, ()):
-            rating = next(ratings)
-            if isinstance(rating, Exception):
-                raise rating
-            evidence.append(EvidenceItem(source=source, url=url, rank=rank, rating=rating))
-            lines.append(f"Article found at URL: {url}")
-            lines.append(rating_line(rating))
-
-    return VerifyRun(
-        verdict=aggregate(claim, evidence),
-        lines=tuple(lines),
-        engine_errors=errors,
-        engines_run=len(enabled),
-    )
+    # Aggregate: the verdict sorts its evidence by source, then rank.
+    return VerifyRun(verdict=aggregate(claim, evidence), engine_errors=errors)
 
 
 def _search(
@@ -126,22 +124,6 @@ def _search(
     if source is SourceId.POLITWOOPS:
         return search_politwoops(claim, fetcher, settings)
     return ranked_search(source, claim, fetcher, settings)
-
-
-def _engine_error(source: SourceId, exc: Exception) -> str:
-    """The recorded error for an engine whose search failed; re-raises the unexpected."""
-    if isinstance(exc, (NetworkError, FixtureMiss)):
-        logger.warning("%s unavailable: %s", source.value, exc)
-        return str(exc)
-    if isinstance(exc, CaptchaDetected):
-        logger.warning(
-            "%s served a bot challenge, back off and retry later: %s", source.value, exc
-        )
-        return f"bot challenge: {exc}"
-    if isinstance(exc, ParseError):
-        logger.warning("%s returned an unparseable page: %s", source.value, exc)
-        return f"unparseable page: {exc}"
-    raise exc
 
 
 def _select_articles(
@@ -162,23 +144,15 @@ def _select_articles(
     return picks
 
 
-def _add_politwoops(
-    claim: TweetClaim,
-    hits: list[PolitwoopsHit],
-    lines: list[str],
-    evidence: list[EvidenceItem],
-) -> None:
+def _politwoops_evidence(claim: TweetClaim, hits: list[PolitwoopsHit]) -> Optional[EvidenceItem]:
     hit = match_politwoops(claim, hits)
     if hit is None:
-        return
-    lines.append(POLITWOOPS_CONFIRMATION)
-    evidence.append(
-        EvidenceItem(
-            source=SourceId.POLITWOOPS,
-            url=hit.detail_url,
-            rank=hits.index(hit) + 1,
-            matched_text=hit.tweet_text,
-        )
+        return None
+    return EvidenceItem(
+        source=SourceId.POLITWOOPS,
+        url=hit.detail_url,
+        rank=hits.index(hit) + 1,
+        matched_text=hit.tweet_text,
     )
 
 
@@ -192,6 +166,6 @@ def _scrape_article(url: str, fetcher: Fetcher, selectors) -> TruthRating:
             logger.warning("article %s redirected off the publisher to %s", url, page.final_url)
             return classify_rating("")
         return scrape_rating(page, selectors)
-    except (NetworkError, FixtureMiss, ParseError) as exc:
+    except QUERY_FAILURES as exc:
         logger.warning("could not scrape %s: %s", url, exc)
         return classify_rating("")

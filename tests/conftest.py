@@ -136,6 +136,18 @@ def pandemic_pages() -> dict[str, StubPage]:
     }
 
 
+def mixed_pandemic_pages() -> dict[str, StubPage]:
+    """The pandemic pages with two engines failing: a bot challenge and a non-HTML SERP."""
+    pages = pandemic_pages()
+    pages[engine_query_url(SourceId.WEB_SEARCH, PANDEMIC_BODY)] = StubPage(
+        page("google_serp_captcha.html")
+    )
+    pages[engine_query_url(SourceId.REUTERS_SEARCH, PANDEMIC_BODY)] = StubPage(
+        b"{}", content_type="application/json"
+    )
+    return pages
+
+
 def snopes_serp_page(urls: list[str]) -> bytes:
     anchors = "\n".join(
         f'<article><h3><a href="{u}">result</a></h3></article>' for u in urls

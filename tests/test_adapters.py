@@ -139,6 +139,15 @@ class TestSearchWeb:
             "https://twitter.com/example/status/1250000000000000000",
         )
 
+    def test_ad_marked_on_the_anchor_itself_excluded(self, tmp_path):
+        serp = (
+            b'<div id="search"><a data-text-ad="1" href="https://ad.example/">ad</a>'
+            b'<a href="https://result.example/">result</a></div>'
+        )
+        store = store_for(tmp_path, SourceId.WEB_SEARCH, "anchor ad", serp)
+        results = ranked_search(SourceId.WEB_SEARCH, TweetClaim(body="anchor ad"), replay_fetcher(store))
+        assert results.urls == ("https://result.example/",)
+
     def test_empty_serp(self, tmp_path):
         store = store_for(tmp_path, SourceId.WEB_SEARCH, "yields nothing", page("google_serp_empty.html"))
         results = ranked_search(SourceId.WEB_SEARCH, TweetClaim(body="yields nothing"), replay_fetcher(store))

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import tweetcheck
 from tweetcheck.cli import main
-from tweetcheck.dataset import serialize_dataset
+from tweetcheck.dataset import GroundTruthRecord, serialize_dataset
+from tweetcheck.evaluation import evaluate_engine
 from tweetcheck.fetch import Fetcher, FetchRequest, fixture_key
 
 from conftest import (
@@ -16,8 +21,10 @@ from conftest import (
     engine_query_url,
     eval_pages,
     eval_records,
+    mixed_pandemic_pages,
     page,
     record_pages,
+    replay_fetcher,
 )
 from tweetcheck.model import SourceId
 
@@ -156,8 +163,28 @@ class TestVerify:
             ("", ["--max-articles", "0"], "--max-articles must be greater than 0, got 0"),
             ("verify.max_articles = 0", [], "verify.max_articles must be greater than 0, got 0"),
             ("timeout_s = 0", [], "timeout_s must be greater than 0, got 0.0"),
+            # The values below crashed a live run: OverflowError from the socket
+            # layer or from time.sleep, ValueError or KeyError from formatting
+            # the endpoint, UnicodeEncodeError from sending the header.
+            ("timeout_s = inf", [], "timeout_s must be at most 86400, got inf"),
+            ("timeout_s = 1e12", [], "timeout_s must be at most 86400, got 1000000000000.0"),
+            ("politeness_delay_ms = 10000000000000", [],
+             "politeness_delay_ms must be at most 86400000, got 10000000000000"),
+            ("politeness_delay_ms = -5", [], "politeness_delay_ms must be greater than -1, got -5"),
+            ("endpoint.snopes = notaurl/{query}", [],
+             "endpoint.snopes must be an http or https URL whose only field is {query}, got 'notaurl/{query}'"),
+            ("endpoint.snopes = https://x.example/search", [],
+             "endpoint.snopes must be an http or https URL whose only field is {query}, got 'https://x.example/search'"),
+            ("endpoint.snopes = https://x.example/{q}", [],
+             "endpoint.snopes must be an http or https URL whose only field is {query}, got 'https://x.example/{q}'"),
+            ("endpoint.snopes = https://x.example/{query", [],
+             "endpoint.snopes must be an http or https URL whose only field is {query}, got 'https://x.example/{query'"),
+            ("user_agent = tc \u2713", [], "user_agent must be printable ASCII, got 'tc \u2713'"),
         ],
-        ids=["flag", "file", "timeout"],
+        ids=[
+            "flag", "file", "timeout", "timeout-inf", "timeout-huge", "delay-huge", "delay-negative",
+            "endpoint-not-a-url", "endpoint-no-field", "endpoint-other-field", "endpoint-unbalanced", "user-agent-not-ascii",
+        ],
     )
     def test_out_of_range_value_is_usage_error(self, tmp_path, capsys, monkeypatch, line, flag, message):
         monkeypatch.setattr(
@@ -172,6 +199,69 @@ class TestVerify:
         assert code == 64
         assert captured.out == ""
         assert captured.err == f"tweetcheck: {message}\n"
+
+
+class TestEngineFailures:
+    """A failed engine query is worded in one place, and each command prints it once."""
+
+    # how the engines mixed_pandemic_pages fails are described
+    WORDING = {
+        SourceId.WEB_SEARCH: "bot challenge: {url}: bot challenge page served",
+        SourceId.REUTERS_SEARCH: "unparseable page: {url}: not an HTML page (application/json)",
+    }
+
+    def test_verify_prints_one_stderr_line_per_failed_engine(self, tmp_path):
+        store = record_pages(tmp_path / "fx", mixed_pandemic_pages())
+        # a fresh interpreter, so that log records reach stderr as they do outside the tests
+        verify = subprocess.run(
+            [sys.executable, "-m", "tweetcheck.cli", "verify", PANDEMIC_BODY,
+             "--mode", "replay", "--fixtures", str(store.root)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(tweetcheck.__file__).resolve().parents[1])},
+            timeout=60,
+        )
+        assert verify.returncode == 1, verify.stderr
+        for source, wording in self.WORDING.items():
+            url = engine_query_url(source, PANDEMIC_BODY)
+            assert [line for line in verify.stderr.splitlines() if url in line] == [
+                f"tweetcheck: {source.value}: {wording.format(url=url)}"
+            ]
+
+    @pytest.mark.parametrize("source", list(WORDING))
+    def test_verify_eval_and_record_describe_a_failure_alike(
+        self, tmp_path, monkeypatch, capsys, caplog, source
+    ):
+        pages = mixed_pandemic_pages()
+        described = self.WORDING[source].format(url=engine_query_url(source, PANDEMIC_BODY))
+        store = record_pages(tmp_path / "fx", pages)
+
+        main(["verify", PANDEMIC_BODY, "--mode", "replay", "--fixtures", str(store.root)])
+        verify_lines = capsys.readouterr().err.splitlines()
+        assert f"tweetcheck: {source.value}: {described}" in verify_lines
+
+        record = GroundTruthRecord(
+            id="p1", tweet_body=PANDEMIC_BODY, authentic=False,
+            snopes_url=SNOPES_PANDEMIC_ARTICLE, reuters_url=REUTERS_PANDEMIC_ARTICLE,
+        )
+        caplog.clear()
+        report = evaluate_engine(source, [record], replay_fetcher(store))
+        assert report.outcomes[0].error == described
+        assert [r.getMessage() for r in caplog.records if r.name == "tweetcheck.evaluation"] == [
+            f"record p1 via {source.value} failed: {described}"
+        ]
+
+        transport = StubTransport(pages)
+        monkeypatch.setattr(Fetcher, "_requests_transport", lambda self, req: transport(req))
+        dataset = tmp_path / "corpus.tsv"
+        dataset.write_text(serialize_dataset([record]), encoding="utf-8")
+        config = tmp_path / "tweetcheck.conf"
+        config.write_text("politeness_delay_ms=0\n", encoding="utf-8")
+        main([
+            "record", "--dataset", str(dataset), "--engine", source.value,
+            "--fixtures", str(tmp_path / "recorded"), "--config", str(config),
+        ])
+        assert capsys.readouterr().err.splitlines() == [f"tweetcheck: record p1 via {source.value} failed: {described}"]
 
 
 class TestEval:

@@ -22,7 +22,7 @@ from tweetcheck.fetch import (
     FixtureStore,
 )
 from tweetcheck.model import SourceId, TweetClaim
-from tweetcheck.pipeline import verify_claim
+from tweetcheck.pipeline import evidence_lines, verify_claim
 
 from conftest import (
     PANDEMIC_BODY,
@@ -30,7 +30,7 @@ from conftest import (
     StubTransport,
     engine_query_url,
     eval_records,
-    page,
+    mixed_pandemic_pages,
     pandemic_pages,
     record_pages,
     refusing_transport,
@@ -72,26 +72,13 @@ class TimingTransport:
         return response
 
 
-def mixed_pandemic_pages() -> dict[str, StubPage]:
-    """The pandemic pages with two engines failing: a bot challenge and a non-HTML SERP."""
-    pages = pandemic_pages()
-    pages[engine_query_url(SourceId.WEB_SEARCH, PANDEMIC_BODY)] = StubPage(
-        page("google_serp_captcha.html")
-    )
-    pages[engine_query_url(SourceId.REUTERS_SEARCH, PANDEMIC_BODY)] = StubPage(
-        b"{}", content_type="application/json"
-    )
-    return pages
-
-
 def summary(run):
     return (
-        run.lines,
+        [line for item in run.verdict.evidence for line in evidence_lines(item)],
         [(e.source, e.url, e.rank, e.rating, e.matched_text) for e in run.verdict.evidence],
         list(run.engine_errors.items()),
         run.verdict.outcome,
         run.verdict.conflict,
-        run.engines_run,
     )
 
 

@@ -102,6 +102,23 @@ class TestBuildConfig:
         config = build_config(path, env={})
         assert (config.timeout_s, config.max_articles) == (0.001, 1)
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "timeout_s = 86400",
+            "politeness_delay_ms = 0",  # the benchmark's record and replay runs
+            "politeness_delay_ms = 86400000",
+            "endpoint.snopes = http://www.snopes.com/search/{query}/",  # the benchmark's fake origin
+            "endpoint.politwoops = https://projects.propublica.org/politwoops/index?utf8=%E2%9C%93&q={query}",
+            "endpoint.web = https://mirror.example:8443/search?q={query}&literal={{braces}}",
+            "user_agent = probe/1.0 (+https://example.org/bot; contact@example.org)",
+        ],
+    )
+    def test_values_a_live_run_can_use_accepted(self, tmp_path, line):
+        path = tmp_path / "c.conf"
+        path.write_text(line + "\n", encoding="utf-8")
+        build_config(path, env={})
+
     def test_out_of_range_query_override_reported_as_config_error(self, tmp_path):
         path = tmp_path / "c.conf"
         path.write_text("query.snopes.max_chars=3\n", encoding="utf-8")

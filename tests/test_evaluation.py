@@ -19,6 +19,7 @@ from tweetcheck.model import RankedResults, SourceId
 
 from conftest import (
     StubTransport,
+    engine_query_url,
     eval_pages,
     eval_records,
     record_pages,
@@ -145,9 +146,11 @@ class TestEvaluateEngine:
         # transport only knows e1's query; e2/e3 fail at the network level
         pages = {k: v for k, v in eval_pages().items() if "alpha" in k}
         fetcher = Fetcher(FetchMode.LIVE, delay_ms=0, transport=StubTransport(pages))
-        report = evaluate_engine(SNOPES, eval_records(), fetcher)
+        records = eval_records()
+        report = evaluate_engine(SNOPES, records, fetcher)
         assert report.outcomes[0].error is None
-        assert report.outcomes[1].error and "NetworkError" in report.outcomes[1].error
+        e2_url = engine_query_url(SNOPES, records[1].tweet_body)
+        assert report.outcomes[1].error == f"no stub page for {e2_url}"
         assert report.outcomes[1].reciprocal_rank == 0
         assert report.mrr == Fraction(1, 3)  # only e1 scored
 
@@ -165,7 +168,7 @@ class TestEvaluateEngine:
         fetcher = Fetcher(FetchMode.LIVE, delay_ms=0, transport=transport)
         report = evaluate_engine(SourceId.WEB_SEARCH, records, fetcher)
         assert transport.requested == [first]  # the host is not asked again
-        assert "CaptchaDetected" in report.outcomes[0].error
+        assert report.outcomes[0].error == f"bot challenge: {first}: bot challenge page served"
         assert [o.error for o in report.outcomes[1:]] == ["skipped after a bot challenge"] * 2
         assert report.mrr == 0 and report.mean_p_at_1 == 0
 

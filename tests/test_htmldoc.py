@@ -9,13 +9,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tweetcheck import htmldoc
-from tweetcheck.adapters import ENGINES, ranked_search
+from tweetcheck.adapters import ENGINES, ranked_search, search_politwoops
 from tweetcheck.errors import ParseError
-from tweetcheck.fetch import FetchResponse
-from tweetcheck.htmldoc import parse_selector, parse_html, parse_response
+from tweetcheck.fetch import Fetcher, FetchMode, FetchResponse
+from tweetcheck.htmldoc import Element, outermost, parse_selector, parse_html, parse_response
 from tweetcheck.model import SourceId, TweetClaim
 
-from conftest import PANDEMIC_BODY, StubPage, engine_query_url, page, record_pages, replay_fetcher
+from conftest import (
+    PANDEMIC_BODY,
+    StubPage,
+    StubTransport,
+    engine_query_url,
+    page,
+    record_pages,
+    replay_fetcher,
+)
 from html_reference import reference_parse, shape
 
 try:
@@ -71,6 +79,10 @@ class TestSelectors:
     def test_numeric_entities_decoded(self):
         paragraph = self.root.select("p")[0]
         assert paragraph.text().strip() == "Tail ’quote’"
+
+    def test_chain_may_start_above_the_element_selected_from(self):
+        root = parse_html('<div class="x"><p><a href="y">in</a></p></div>')
+        assert root.select_one("p").select("div.x a") == root.select("a")
 
     def test_is_inside(self):
         search = self.root.select("div#search")[0]
@@ -275,6 +287,144 @@ class TestHostileInputTime:
         root = parse_html(text)
         assert time.perf_counter() - started < 2.0
         assert root.children == []  # one construct, open to the end of the input
+
+
+class TestHostileNesting:
+    """Unclosed tags nest, so ordinary malformed markup can nest thousands
+    deep. Matching walked every ancestor of every candidate, and the card
+    reader and the ad filter walked every nested card or ad again: each took
+    seconds to tens of seconds at these sizes."""
+
+    @staticmethod
+    def _fetcher(source: SourceId, claim: TweetClaim, body: str) -> Fetcher:
+        url = engine_query_url(source, claim.body)
+        return Fetcher(FetchMode.LIVE, delay_ms=0, transport=StubTransport({url: StubPage(body.encode())}))
+
+    def test_descendant_chain_over_nested_anchors(self):
+        depth = 16_000
+        started = time.perf_counter()
+        root = parse_html('<div id="search">' + '<a href="x">' * depth)
+        assert len(root.select("div#search a[href]")) == depth
+        assert time.perf_counter() - started < 2.5
+
+    def test_nested_politwoops_cards(self):
+        claim = TweetClaim(body="nested cards")
+        card = '<div class="tweet"><p class="tweet-content">text</p><a href="/politwoops/tweet/1">link</a>'
+        fetcher = self._fetcher(SourceId.POLITWOOPS, claim, card * 4_000)
+        started = time.perf_counter()
+        hits = search_politwoops(claim, fetcher)
+        assert time.perf_counter() - started < 2.5
+        assert [hit.tweet_text for hit in hits] == ["text"]  # the nested cards are part of the first
+
+    def test_nested_ads(self):
+        claim = TweetClaim(body="nested ads")
+        depth = 8_000
+        body = (
+            '<div id="search">' + '<div data-text-ad="1"><a href="https://ad.example/">' * depth
+            + "</div>" * depth + '<a href="https://result.example/">result</a></div>'
+        )
+        fetcher = self._fetcher(SourceId.WEB_SEARCH, claim, body)
+        started = time.perf_counter()
+        results = ranked_search(SourceId.WEB_SEARCH, claim, fetcher)
+        assert time.perf_counter() - started < 2.5
+        assert results.urls == ("https://result.example/",)
+
+
+# Generated trees for comparing selector matching with a brute-force reference.
+_NODE = st.tuples(
+    st.sampled_from(["div", "a", "p"]),
+    st.sampled_from([None, "x", "y"]),  # class
+    st.sampled_from([None, "i"]),  # id
+    st.booleans(),  # has href
+)
+# Each step opens an element under the current one, or (None) closes the
+# current one. Steps come in runs: a few kinds of element opened in turn
+# and never closed, so branches nest deep, or closes that climb back up, so
+# a new deep branch can start from the middle of an old one.
+_RUN = st.one_of(
+    st.tuples(st.lists(_NODE, min_size=1, max_size=3), st.integers(min_value=1, max_value=12)).map(
+        lambda run: run[0] * run[1]
+    ),
+    st.integers(min_value=1, max_value=30).map(lambda climb: [None] * climb),
+)
+_STEPS = st.lists(_RUN, max_size=5).map(lambda runs: [step for run in runs for step in run])
+_COMPOUND = st.tuples(
+    st.sampled_from([None, "div", "a", "p"]),
+    st.sampled_from([None, "x", "y"]),
+    st.sampled_from([None, "i"]),
+    st.booleans(),
+).filter(lambda compound: compound != (None, None, None, False))
+_SELECTOR = st.lists(st.lists(_COMPOUND, min_size=1, max_size=3), min_size=1, max_size=3)
+
+
+def _build_tree(steps) -> tuple[Element, list[Element]]:
+    root = Element("[document]")
+    elements: list[Element] = []
+    node = root
+    for step in steps:
+        if step is None:
+            node = node.parent or root
+            continue
+        tag, cls, ident, href = step
+        attrs = {"class": cls, "id": ident, "href": "" if href else None}
+        element = Element(tag, {name: value for name, value in attrs.items() if value is not None}, node)
+        node.children.append(element)
+        elements.append(element)
+        node = element
+    return root, elements
+
+
+def _render(compound) -> str:
+    tag, cls, ident, href = compound
+    return (tag or "") + (f"#{ident}" if ident else "") + (f".{cls}" if cls else "") + ("[href]" if href else "")
+
+
+def _compound_matches(el: Element, compound) -> bool:
+    tag, cls, ident, href = compound
+    return (
+        (tag is None or el.tag == tag)
+        and (cls is None or cls in el.attrs.get("class", "").split())
+        and (ident is None or el.attrs.get("id") == ident)
+        and (not href or "href" in el.attrs)
+    )
+
+
+def _chain_matches(el: Element, chain) -> bool:
+    """Every way of matching the chain's other compounds on ancestors is tried."""
+    if not _compound_matches(el, chain[-1]):
+        return False
+    if len(chain) == 1:
+        return True
+    ancestor = el.parent
+    while ancestor is not None:
+        if _chain_matches(ancestor, chain[:-1]):
+            return True
+        ancestor = ancestor.parent
+    return False
+
+
+def _descendants(el: Element) -> list[Element]:
+    found = []
+    for child in el.children:
+        found.append(child)
+        found.extend(_descendants(child))
+    return found
+
+
+@settings(max_examples=100, deadline=None)
+@given(steps=_STEPS, chains=_SELECTOR, scope_index=st.one_of(st.none(), st.integers(min_value=0)))
+def test_select_equals_brute_force_reference(steps, chains, scope_index):
+    root, elements = _build_tree(steps)
+    scope = root if scope_index is None or not elements else elements[scope_index % len(elements)]
+    selector = ", ".join(" ".join(_render(compound) for compound in chain) for chain in chains)
+    expected = [el for el in _descendants(scope) if any(_chain_matches(el, chain) for chain in chains)]
+    selected = scope.select(selector)
+    first = scope.select_one(selector)
+    assert selected == expected
+    assert first is (expected[0] if expected else None)
+    assert outermost(selected) == [
+        el for el in expected if not any(el is not other and el.is_inside(other) for other in expected)
+    ]
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tweetcheck.config import AppConfig
-from tweetcheck.fetch import FetchMode, FetchRequest, FetchResponse, FixtureStore, fixture_key
+from tweetcheck.fetch import Fetcher, FetchMode, FetchRequest, FetchResponse, FixtureStore, fixture_key
 from tweetcheck.model import Outcome, SourceId, TweetClaim
 
 from conftest import (
@@ -14,13 +14,14 @@ from conftest import (
     REUTERS_PANDEMIC_ARTICLE,
     SNOPES_PANDEMIC_ARTICLE,
     StubPage,
+    StubTransport,
     engine_query_url,
     page,
     pandemic_pages,
     record_pages,
     replay_fetcher,
 )
-from tweetcheck.pipeline import verify_claim
+from tweetcheck.pipeline import evidence_lines, verify_claim
 
 
 def run(claim_body, store, engines=None, max_articles=3):
@@ -81,9 +82,13 @@ class TestVerifyClaim:
         result = run(PANDEMIC_BODY, pandemic_store, engines=[SourceId.SNOPES_SEARCH], max_articles=1)
         assert len(result.verdict.evidence) == 1
 
-    def test_engines_run_counted(self, pandemic_store):
-        result = run(PANDEMIC_BODY, pandemic_store)
-        assert result.engines_run == len(SourceId)
+    def test_every_enabled_engine_is_queried(self):
+        transport = StubTransport(pandemic_pages())
+        fetcher = Fetcher(FetchMode.LIVE, delay_ms=0, transport=transport)
+        result = verify_claim(TweetClaim(body=PANDEMIC_BODY), AppConfig(), fetcher)
+        assert not result.engine_errors
+        for source in SourceId:
+            assert engine_query_url(source, PANDEMIC_BODY) in transport.requested
 
     def test_article_redirected_off_publisher_is_missing_rating(self, tmp_path, caplog):
         pages = pandemic_pages()
@@ -93,10 +98,10 @@ class TestVerifyClaim:
         )
         store = record_pages(tmp_path / "fx", pages)
         result = run(PANDEMIC_BODY, store, engines=[SourceId.SNOPES_SEARCH], max_articles=1)
-        assert result.lines == (
+        assert [line for item in result.verdict.evidence for line in evidence_lines(item)] == [
             f"Article found at URL: {SNOPES_PANDEMIC_ARTICLE}",
             "Truth rating: UNKNOWN (missing)",
-        )
+        ]
         assert result.verdict.evidence[0].rating.missing
         assert not result.engine_errors
         assert "consent.example.com" in caplog.text
@@ -189,5 +194,5 @@ def test_verify_claim_never_raises_on_arbitrary_fixtures(fixtures):
         first = run(PANDEMIC_BODY, store)
         again = run(PANDEMIC_BODY, store)
     assert first == again
-    assert first.engines_run == len(SourceId)
+    assert all(isinstance(line, str) for item in first.verdict.evidence for line in evidence_lines(item))
     assert all(isinstance(message, str) for message in first.engine_errors.values())

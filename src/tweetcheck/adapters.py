@@ -3,8 +3,10 @@
 :data:`ENGINES` holds every engine's defaults, one :class:`EngineSettings`
 row per source: endpoint, query spec, selectors and, for the four ranked
 engines, a :class:`Ranking` (which links are results, the eval report
-label, the corpus column of the relevant article). Configuration overrides
-a row with :func:`dataclasses.replace`.
+label, the corpus column of the relevant article). The configuration
+copies the table once and applies its overrides to the copy as it reads
+them (:attr:`tweetcheck.config.AppConfig.engines`), so an adapter is
+handed a finished row and merges nothing itself.
 
 The ranked engines (Snopes and Reuters built-in search, web search, and
 web search restricted to snopes.com) share :func:`ranked_search`: it

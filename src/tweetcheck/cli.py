@@ -218,7 +218,7 @@ def _engine_pass(
             return _fail(f"dataset error: no records in {args.dataset}", EXIT_DATA)
         jobs = []
         for source in engines:
-            settings = config.engine_settings(source)
+            settings = config.engines[source]
             jobs.append((settings.endpoint, partial(job, source, records, fetcher, settings)))
         results = fetcher.run_per_host(jobs)
     return report(args, engines, records, results)

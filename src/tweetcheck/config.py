@@ -24,12 +24,20 @@ Recognized keys::
 where <engine> is one of: snopes, reuters, web, web-snopes, politwoops,
 and <publisher> is snopes or reuters (article rating extraction). A
 selector file may set only the keys its engine's or publisher's defaults
-name. Selector files are read and their selectors compiled when the
-configuration is built, so an unreadable file, an unknown key or a
-malformed selector is reported there, as a :class:`ConfigError` naming the
-file. So is every value a live run could not use: a number out of its
-range, an endpoint that does not make an absolute http or https URL, or a
-user agent that cannot be sent in a header.
+name.
+
+This module is the one place defaults and overrides meet, and they meet
+once, as each key is read: :attr:`AppConfig.engines` starts as a copy of
+the engine table and each ``endpoint.*``, ``query.*`` and ``selectors.*``
+key replaces a field of its engine's row; :attr:`AppConfig.rating_selectors`
+starts as the rating scrapers' defaults and each ``rating-selectors.*``
+file is merged over its publisher's table. Selector files are read and
+their selectors compiled then, so an unreadable file, an unknown key or a
+malformed selector is reported while the configuration is built, as a
+:class:`ConfigError` naming the file. So is every value a live run could
+not use: a number out of its range, a query setting its query spec
+rejects, an endpoint that does not make an absolute http or https URL, or
+a user agent that cannot be sent in a header.
 """
 
 from __future__ import annotations
@@ -89,9 +97,10 @@ _LITERAL_KEYS = ("captcha_text", "verdict_heading_text")
 
 
 def _load_selectors(path: str, defaults: Mapping[str, str]) -> dict[str, str]:
-    """Read a selector file and compile every selector in it, so a bad one
-    is reported here, as a :class:`ConfigError` naming the file and key.
-    Only the keys of ``defaults``, which the code reads, may be set."""
+    """``defaults`` with a selector file's values over them. Every selector
+    in the file is compiled, so a bad one is reported here, as a
+    :class:`ConfigError` naming the file and key. Only the keys of
+    ``defaults``, which the code reads, may be set."""
     selectors = load_keyvalues(path)
     for key, selector in selectors.items():
         if key not in defaults:
@@ -101,7 +110,7 @@ def _load_selectors(path: str, defaults: Mapping[str, str]) -> dict[str, str]:
                 parse_selector(selector)
             except ValueError as exc:
                 raise ConfigError(f"{path}: bad selector for {key}: {exc}") from None
-    return selectors
+    return {**defaults, **selectors}
 
 
 def _parse_enum(enum: type[E], what: str, value: str) -> E:
@@ -129,29 +138,12 @@ class AppConfig:
     politeness_delay_ms: int = DEFAULT_DELAY_MS
     timeout_s: float = DEFAULT_TIMEOUT_S
     max_articles: int = 3
-    #: Per-engine endpoint overrides.
-    endpoints: dict[SourceId, str] = field(default_factory=dict)
-    query_overrides: dict[SourceId, dict[str, str]] = field(default_factory=dict)
-    #: Per-engine selector overrides, as read from their files.
-    selectors: dict[SourceId, dict[str, str]] = field(default_factory=dict)
-    #: Per-publisher selector overrides for the rating scrapers, as read from their files.
-    rating_selectors: dict[str, dict[str, str]] = field(default_factory=dict)
-
-    def engine_settings(self, source: SourceId) -> EngineSettings:
-        """``source``'s row of the engine table with this configuration's overrides."""
-        row = ENGINES[source]
-        overrides = self.query_overrides.get(source, {})
-        updates = {key: parse(overrides[key]) for key, parse in _QUERY_SETTINGS.items() if key in overrides}
-        try:
-            spec = replace(row.spec, **updates)
-        except ValueError as exc:
-            raise ConfigError(f"bad query override for {source.value}: {exc}") from None
-        return replace(
-            row,
-            endpoint=self.endpoints.get(source, row.endpoint),
-            spec=spec,
-            selectors={**row.selectors, **self.selectors.get(source, {})},
-        )
+    #: Every engine's row of the engine table, this configuration's overrides applied.
+    engines: dict[SourceId, EngineSettings] = field(default_factory=lambda: dict(ENGINES))
+    #: Every publisher's rating selectors, this configuration's selector files applied.
+    rating_selectors: dict[str, Mapping[str, str]] = field(
+        default_factory=lambda: dict(DEFAULT_RATING_SELECTORS)
+    )
 
     def build_fetcher(self, **kwargs) -> Fetcher:
         store = FixtureStore(self.fixtures_dir) if self.fixtures_dir else None
@@ -258,10 +250,12 @@ def _apply_file(config: AppConfig, values: dict[str, str]) -> None:
         elif key == "verify.max_articles":
             config.max_articles = in_range(key, _parse_int(key, value), 0)
         elif key.startswith("endpoint."):
-            config.endpoints[source_by_name(key.removeprefix("endpoint."))] = _endpoint(key, value)
+            source = source_by_name(key.removeprefix("endpoint."))
+            config.engines[source] = replace(config.engines[source], endpoint=_endpoint(key, value))
         elif key.startswith("selectors."):
             source = source_by_name(key.removeprefix("selectors."))  # before reading the file
-            config.selectors[source] = _load_selectors(value, ENGINES[source].selectors)
+            row = config.engines[source]
+            config.engines[source] = replace(row, selectors=_load_selectors(value, row.selectors))
         elif key.startswith("rating-selectors."):
             publisher = key.removeprefix("rating-selectors.")
             if publisher not in DEFAULT_RATING_SELECTORS:
@@ -274,6 +268,11 @@ def _apply_file(config: AppConfig, values: dict[str, str]) -> None:
             source = source_by_name(parts[1])
             if parts[2] not in _QUERY_SETTINGS:
                 raise ConfigError(f"unknown query setting: {key!r}")
-            config.query_overrides.setdefault(source, {})[parts[2]] = value
+            row = config.engines[source]
+            try:
+                spec = replace(row.spec, **{parts[2]: _QUERY_SETTINGS[parts[2]](value)})
+            except ValueError as exc:  # QuerySpec's own checks; a parser raises ConfigError
+                raise ConfigError(f"bad query override for {source.value}: {exc}") from None
+            config.engines[source] = replace(row, spec=spec)
         else:
             raise ConfigError(f"unknown configuration key: {key!r}")

@@ -109,9 +109,6 @@ class FixtureStore:
     def path_for(self, key: str) -> Path:
         return self.root / f"{key}.fixture"
 
-    def exists(self, key: str) -> bool:
-        return self.path_for(key).is_file()
-
     def load(self, key: str, url: str = "") -> FetchResponse:
         """The recorded response; :class:`FixtureMiss` if there is none,
         :class:`CorruptFixture` if the file cannot be read back."""

@@ -77,12 +77,11 @@ def verify_claim(
 ) -> VerifyRun:
     """Run the enabled engines over one claim and aggregate a verdict."""
     enabled = [source for source in SourceId if engines is None or source in engines]
-    settings = {source: config.engine_settings(source) for source in enabled}
 
     # Search: every engine, concurrently across hosts.
     searched = fetcher.run_per_host(
         [
-            (settings[source].endpoint, partial(_search, source, claim, fetcher, settings[source]))
+            (config.engines[source].endpoint, partial(_search, claim, fetcher, config.engines[source]))
             for source in enabled
         ]
     )
@@ -119,11 +118,11 @@ def verify_claim(
 
 
 def _search(
-    source: SourceId, claim: TweetClaim, fetcher: Fetcher, settings: EngineSettings
+    claim: TweetClaim, fetcher: Fetcher, settings: EngineSettings
 ) -> Union[RankedResults, list[PolitwoopsHit]]:
-    if source is SourceId.POLITWOOPS:
+    if settings.source is SourceId.POLITWOOPS:
         return search_politwoops(claim, fetcher, settings)
-    return ranked_search(source, claim, fetcher, settings)
+    return ranked_search(settings.source, claim, fetcher, settings)
 
 
 def _select_articles(

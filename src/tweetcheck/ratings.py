@@ -1,10 +1,15 @@
 """Extract truth ratings from fact-check article pages.
 
 Publisher routing is by host of the final (post-redirect) URL, never by
-content sniffing. Structural selectors are configurable per publisher; when
+content sniffing. Structural selectors are configurable per publisher: each
+scraper takes its publisher's whole table, which
+:attr:`tweetcheck.config.AppConfig.rating_selectors` builds from
+:data:`DEFAULT_RATING_SELECTORS` and the configured selector files. When
 they miss, a regex scan for "Rating:"/"VERDICT" style labels is tried and
 the result is logged as low-confidence. A page without any rating block
 yields an UNKNOWN rating with the missing flag, not a failure.
+
+Every scraper takes time linear in the page however deeply its tags nest.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import re
 from typing import Mapping, Optional
 
 from .fetch import FetchResponse
-from .htmldoc import Element, collapse_whitespace, parse_response
+from .htmldoc import Element, collapse_whitespace, outermost, parse_response
 from .model import TruthRating, classify_rating
 from .urls import canonicalize_article_url, identify_publisher  # noqa: F401  (also importable from here)
 
@@ -50,19 +55,18 @@ def _fallback_scan(root: Element, url: str, block: str) -> TruthRating:
 
 
 def scrape_snopes_rating(
-    page: FetchResponse, selectors: Optional[Mapping[str, str]] = None
+    page: FetchResponse, selectors: Mapping[str, str] = DEFAULT_RATING_SELECTORS["snopes"]
 ) -> TruthRating:
     """Extract the rating label from a Snopes fact-check article."""
-    sel = {**DEFAULT_RATING_SELECTORS["snopes"], **(selectors or {})}
     root = parse_response(page)
-    element = root.select_one(sel["rating"])
+    element = root.select_one(selectors["rating"])
     if element is not None:
         return classify_rating(collapse_whitespace(element.text()))
     return _fallback_scan(root, page.final_url, "rating block")
 
 
 def scrape_reuters_rating(
-    page: FetchResponse, selectors: Optional[Mapping[str, str]] = None
+    page: FetchResponse, selectors: Mapping[str, str] = DEFAULT_RATING_SELECTORS["reuters"]
 ) -> TruthRating:
     """Extract the verdict from a Reuters fact-check article.
 
@@ -70,16 +74,52 @@ def scrape_reuters_rating(
     default the literal text "VERDICT"); the verdict sentence itself opens
     the following paragraph, so only the first sentence is the label.
     """
-    sel = {**DEFAULT_RATING_SELECTORS["reuters"], **(selectors or {})}
     root = parse_response(page)
-    wanted = sel["verdict_heading_text"].strip().lower()
-    for heading in root.select(sel["verdict_heading"]):
-        if heading.text().strip().lower() != wanted:
-            continue
+    for heading in verdict_headings(root, selectors["verdict_heading"], selectors["verdict_heading_text"]):
         paragraph = _following_text_block(heading)
         if paragraph:
             return classify_rating(_label_head(collapse_whitespace(paragraph)))
     return _fallback_scan(root, page.final_url, "verdict section")
+
+
+def verdict_headings(root: Element, selector: str, heading_text: str) -> list[Element]:
+    """The elements under ``root`` matching ``selector`` whose text, stripped
+    and lowercased, is ``heading_text`` stripped and lowercased.
+
+    Lowercasing never shortens a string, so no element whose stripped text
+    is longer than the wanted text can qualify. Each element's text is built
+    bottom-up from its children's and kept only while it is no longer than
+    that: a nested heading's text is never rebuilt from its whole subtree,
+    so this takes time linear in the page however deeply headings nest.
+    """
+    wanted = heading_text.strip().lower()
+    headings = root.select(selector)
+    texts = _short_texts(outermost(headings), len(wanted))
+    return [h for h in headings if id(h) in texts and texts[id(h)].strip().lower() == wanted]
+
+
+def _short_texts(tops: list[Element], limit: int) -> dict[int, str]:
+    """By id, the text of each element in the subtrees of ``tops`` (which
+    must not nest) whose stripped text is at most ``limit`` characters.
+
+    A whitespace run at either end of a kept text is cut to ``limit + 1``
+    characters: stripping drops it, and a cut run makes any text that takes
+    it inside too long either way. So a kept text is short, and each
+    element costs work in proportion to its children and their own text.
+    """
+    texts: dict[int, str] = {}  # ids stay unique while the tree is alive
+    for top in tops:
+        for el in reversed([top, *top.iter()]):  # every element after its descendants
+            parts = [child if isinstance(child, str) else texts.get(id(child)) for child in el.children]
+            if None in parts:
+                continue
+            text = "".join(parts)
+            core = text.strip()
+            if len(core) <= limit:
+                lead = text[: len(text) - len(text.lstrip())]
+                trail = text[len(lead) + len(core):] if core else ""
+                texts[id(el)] = lead[: limit + 1] + core + trail[: limit + 1]
+    return texts
 
 
 def _following_text_block(heading: Element) -> Optional[str]:
@@ -100,14 +140,13 @@ def _following_text_block(heading: Element) -> Optional[str]:
 
 
 def scrape_rating(
-    page: FetchResponse, selectors: Optional[Mapping[str, Mapping[str, str]]] = None
+    page: FetchResponse, selectors: Mapping[str, Mapping[str, str]] = DEFAULT_RATING_SELECTORS
 ) -> TruthRating:
     """Route a fetched article to the right publisher scraper by final URL host."""
     publisher = identify_publisher(page.final_url)
-    per_site = selectors or {}
     if publisher == "snopes":
-        return scrape_snopes_rating(page, per_site.get("snopes"))
+        return scrape_snopes_rating(page, selectors["snopes"])
     if publisher == "reuters":
-        return scrape_reuters_rating(page, per_site.get("reuters"))
+        return scrape_reuters_rating(page, selectors["reuters"])
     raise ValueError(f"unsupported publisher host: {page.final_url}")
 

@@ -180,10 +180,20 @@ class TestVerify:
             ("endpoint.snopes = https://x.example/{query", [],
              "endpoint.snopes must be an http or https URL whose only field is {query}, got 'https://x.example/{query'"),
             ("user_agent = tc \u2713", [], "user_agent must be printable ASCII, got 'tc \u2713'"),
+            # Query settings are checked for every engine, queried or not.
+            ("query.snopes.max_chars = -5", ["--engine", "web"],
+             "bad query override for snopes: max_chars must be >= 10"),
+            ("query.snopes.max_chars = wide", ["--engine", "web"], "max_chars expects an integer, got 'wide'"),
+            ("query.reuters.encoding = bogus", ["--engine", "web"],
+             "unknown encoding 'bogus' (expected plus/percent)"),
+            ("query.politwoops.truncation = x", ["--engine", "web"],
+             "unknown truncation 'x' (expected char-prefix/word-boundary-prefix)"),
+            ("query.web.quote_phrase = maybe", ["--engine", "web"], "expected a boolean, got 'maybe'"),
         ],
         ids=[
             "flag", "file", "timeout", "timeout-inf", "timeout-huge", "delay-huge", "delay-negative",
             "endpoint-not-a-url", "endpoint-no-field", "endpoint-other-field", "endpoint-unbalanced", "user-agent-not-ascii",
+            "query-max-chars-small", "query-max-chars-text", "query-encoding", "query-truncation", "query-quote-phrase",
         ],
     )
     def test_out_of_range_value_is_usage_error(self, tmp_path, capsys, monkeypatch, line, flag, message):

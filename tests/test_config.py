@@ -122,16 +122,14 @@ class TestBuildConfig:
     def test_out_of_range_query_override_reported_as_config_error(self, tmp_path):
         path = tmp_path / "c.conf"
         path.write_text("query.snopes.max_chars=3\n", encoding="utf-8")
-        config = build_config(path, env={})
-        with pytest.raises(ConfigError):
-            config.engine_settings(SourceId.SNOPES_SEARCH)
+        with pytest.raises(ConfigError, match="bad query override for snopes: max_chars must be >= 10"):
+            build_config(path, env={})
 
     def test_non_numeric_query_override_rejected(self, tmp_path):
         path = tmp_path / "c.conf"
         path.write_text("query.snopes.max_chars=wide\n", encoding="utf-8")
-        config = build_config(path, env={})
-        with pytest.raises(ConfigError):
-            config.engine_settings(SourceId.SNOPES_SEARCH)
+        with pytest.raises(ConfigError, match="max_chars expects an integer, got 'wide'"):
+            build_config(path, env={})
 
 
 class TestEngineSettings:
@@ -139,7 +137,7 @@ class TestEngineSettings:
         path = tmp_path / "c.conf"
         path.write_text("endpoint.snopes=https://mirror.example/search/{query}/\n", encoding="utf-8")
         config = build_config(path, env={})
-        settings = config.engine_settings(SourceId.SNOPES_SEARCH)
+        settings = config.engines[SourceId.SNOPES_SEARCH]
         assert settings.endpoint.startswith("https://mirror.example/")
 
     def test_query_spec_overrides(self, tmp_path):
@@ -150,7 +148,7 @@ class TestEngineSettings:
             encoding="utf-8",
         )
         config = build_config(path, env={})
-        spec = config.engine_settings(SourceId.SNOPES_SEARCH).spec
+        spec = config.engines[SourceId.SNOPES_SEARCH].spec
         assert spec.max_chars == 40
         assert spec.encoding is Encoding.PLUS
         assert spec.truncation is Truncation.CHAR_PREFIX
@@ -162,8 +160,8 @@ class TestEngineSettings:
         path = tmp_path / "c.conf"
         path.write_text(f"selectors.snopes={selectors}\n", encoding="utf-8")
         config = build_config(path, env={})
-        settings = config.engine_settings(SourceId.SNOPES_SEARCH)
-        assert settings.selectors["results"] == "div.results a[href]"
+        settings = config.engines[SourceId.SNOPES_SEARCH]
+        assert settings.selectors == {**ENGINES[SourceId.SNOPES_SEARCH].selectors, "results": "div.results a[href]"}
 
     def test_rating_selector_file_loaded(self, tmp_path):
         selectors = tmp_path / "snopes_rating.conf"
@@ -171,7 +169,8 @@ class TestEngineSettings:
         path = tmp_path / "c.conf"
         path.write_text(f"rating-selectors.snopes={selectors}\n", encoding="utf-8")
         config = build_config(path, env={})
-        assert config.rating_selectors == {"snopes": {"rating": "div.rating-badge"}}
+        assert config.rating_selectors == {"snopes": {"rating": "div.rating-badge"},
+                                           "reuters": DEFAULT_RATING_SELECTORS["reuters"]}
 
     def test_selector_files_are_read_once_when_the_config_is_built(self, tmp_path):
         selectors = tmp_path / "snopes_selectors.conf"
@@ -183,8 +182,8 @@ class TestEngineSettings:
         config = build_config(path, env={})
         selectors.unlink()
         rating.unlink()
-        assert config.engine_settings(SourceId.SNOPES_SEARCH).selectors["results"] == "div.results a[href]"
-        assert config.rating_selectors == {"snopes": {"rating": "div.rating-badge"}}
+        assert config.engines[SourceId.SNOPES_SEARCH].selectors["results"] == "div.results a[href]"
+        assert config.rating_selectors["snopes"] == {"rating": "div.rating-badge"}
 
     @pytest.mark.parametrize(
         "key, selector_key",
@@ -227,15 +226,15 @@ class TestEngineSettings:
         path = tmp_path / "c.conf"
         path.write_text("".join(lines), encoding="utf-8")
         config = build_config(path, env={})
-        assert set(config.selectors) == set(SourceId)
-        assert set(config.rating_selectors) == {"snopes", "reuters"}
+        assert all(set(row.selectors.values()) == {"div.x"} for row in config.engines.values())
+        assert all(set(table.values()) == {"div.x"} for table in config.rating_selectors.values())
 
     def test_captcha_selector_honoured_on_a_site_search_engine(self, tmp_path):
         selectors = tmp_path / "snopes.conf"
         selectors.write_text("captcha = div.challenge\n", encoding="utf-8")
         path = tmp_path / "c.conf"
         path.write_text(f"selectors.snopes={selectors}\n", encoding="utf-8")
-        settings = build_config(path, env={}).engine_settings(SourceId.SNOPES_SEARCH)
+        settings = build_config(path, env={}).engines[SourceId.SNOPES_SEARCH]
         body = "a claim that meets a challenge"
         challenge = b'<html><body><div class="challenge">Are you human?</div></body></html>'
         store = record_pages(tmp_path / "fx", {engine_query_url(SourceId.SNOPES_SEARCH, body): StubPage(challenge)})
@@ -252,8 +251,8 @@ class TestEngineSettings:
         path = tmp_path / "c.conf"
         path.write_text(f"selectors.web={web}\nrating-selectors.reuters={reuters}\n", encoding="utf-8")
         config = build_config(path, env={})
-        assert config.engine_settings(SourceId.WEB_SEARCH).selectors["captcha_text"] == "unusual traffic [[ here"
-        assert config.rating_selectors["reuters"] == {"verdict_heading_text": "Our verdict:"}
+        assert config.engines[SourceId.WEB_SEARCH].selectors["captcha_text"] == "unusual traffic [[ here"
+        assert config.rating_selectors["reuters"] == {"verdict_heading": "h2, h3, strong", "verdict_heading_text": "Our verdict:"}
 
     def test_rating_selector_unknown_publisher_rejected(self, tmp_path):
         path = tmp_path / "c.conf"

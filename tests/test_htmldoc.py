@@ -14,6 +14,7 @@ from tweetcheck.errors import ParseError
 from tweetcheck.fetch import Fetcher, FetchMode, FetchResponse
 from tweetcheck.htmldoc import Element, outermost, parse_selector, parse_html, parse_response
 from tweetcheck.model import SourceId, TweetClaim
+from tweetcheck.ratings import scrape_rating
 
 from conftest import (
     PANDEMIC_BODY,
@@ -291,8 +292,9 @@ class TestHostileInputTime:
 
 class TestHostileNesting:
     """Unclosed tags nest, so ordinary malformed markup can nest thousands
-    deep. Matching walked every ancestor of every candidate, and the card
-    reader and the ad filter walked every nested card or ad again: each took
+    deep. Matching walked every ancestor of every candidate, the card
+    reader and the ad filter walked every nested card or ad again, and the
+    Reuters scraper read the whole text of every nested heading: each took
     seconds to tens of seconds at these sizes."""
 
     @staticmethod
@@ -328,6 +330,14 @@ class TestHostileNesting:
         results = ranked_search(SourceId.WEB_SEARCH, claim, fetcher)
         assert time.perf_counter() - started < 2.5
         assert results.urls == ("https://result.example/",)
+
+    def test_nested_reuters_headings(self):
+        body = "<html><body><article>" + "<strong>VERDICT" * 4_000
+        article = FetchResponse(200, "https://www.reuters.com/article/idUSTEST3", body.encode(), "text/html")
+        started = time.perf_counter()
+        rating = scrape_rating(article)
+        assert time.perf_counter() - started < 2.5
+        assert rating.missing  # only the innermost heading reads "VERDICT", and nothing follows it
 
 
 # Generated trees for comparing selector matching with a brute-force reference.

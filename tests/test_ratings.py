@@ -1,9 +1,10 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tweetcheck.errors import ParseError
 from tweetcheck.fetch import FetchResponse
+from tweetcheck.htmldoc import parse_html
 from tweetcheck.model import RatingKind
 from tweetcheck.ratings import (
     canonicalize_article_url,
@@ -11,6 +12,7 @@ from tweetcheck.ratings import (
     scrape_rating,
     scrape_reuters_rating,
     scrape_snopes_rating,
+    verdict_headings,
 )
 
 from conftest import REUTERS_PANDEMIC_ARTICLE, SNOPES_PANDEMIC_ARTICLE, page
@@ -87,6 +89,37 @@ class TestReutersRating:
         )
         assert rating.kind is RatingKind.MIXTURE
         assert rating.raw_label == "Partly false"
+
+
+def reference_verdict_headings(root, selector: str, heading_text: str) -> list:
+    """Each heading's whole text, stripped and lowercased, against the wanted text."""
+    wanted = heading_text.strip().lower()
+    return [h for h in root.select(selector) if h.text().strip().lower() == wanted]
+
+
+# Headings opened and left unclosed or closed, around texts that do or do not
+# read the wanted text once stripped: runs of whitespace, pieces of the word,
+# a letter whose lowercase is longer than itself.
+_HEADING_PIECES = st.sampled_from(
+    ["<strong>", "</strong>", "<h2>", "</h2>", "<h3>", "<p>", "</p>", "<b>", "</b>",
+     "VERDICT", "Verdict", "VER", "DICT", "our verdict:", "x", "\u0130", " ", "\n\t ", "   ", ""]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pieces=st.lists(_HEADING_PIECES, max_size=40),
+    heading_text=st.sampled_from(["VERDICT", " verdict ", "Our verdict:", "ver dict", "", "x", "\u0130"]),
+)
+# whitespace at an element's edge that joins the text of its parent's other children
+@example(pieces=["<strong>", "VER", "<b>", " ", "DICT"], heading_text="VERDICT")
+@example(pieces=["<strong>", "<b>", "VER", " ", "</b>", "DICT"], heading_text="VERDICT")
+@example(pieces=["<strong>", "VER", "<b>", "   ", "DICT"], heading_text="ver dict")
+@example(pieces=["<strong>", "<b>", "VER", "   ", "</b>", "DICT"], heading_text="ver dict")
+def test_verdict_headings_equal_whole_text_scan(pieces, heading_text):
+    root = parse_html("".join(pieces))
+    selector = "h2, h3, strong"
+    assert verdict_headings(root, selector, heading_text) == reference_verdict_headings(root, selector, heading_text)
 
 
 class TestRouting:

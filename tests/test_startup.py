@@ -1,5 +1,6 @@
-"""Start-up cost: offline commands never load the network stack; and the
-benchmark's span hooks find every function they wrap.
+"""Start-up cost: importing the package loads none of it, offline commands
+never load the network stack; and the benchmark's span hooks find every
+function they wrap.
 
 Each check runs in a fresh interpreter, since this test process has long
 since imported everything.
@@ -47,6 +48,15 @@ def _python(*args: str) -> subprocess.CompletedProcess:
         env={**os.environ, "PYTHONPATH": src},
         timeout=60,
     )
+
+
+def test_importing_the_package_loads_no_submodule():
+    # The package root holds its docstring and version; callers import submodules.
+    probe = _python("-S", "-c", "import sys, tweetcheck; print(tweetcheck.__version__, *sorted(sys.modules))")
+    assert probe.returncode == 0, probe.stderr
+    version, *loaded = probe.stdout.split()
+    assert version == tweetcheck.__version__
+    assert [name for name in loaded if name.startswith("tweetcheck.")] == []
 
 
 def test_importing_the_cli_loads_no_network_module():

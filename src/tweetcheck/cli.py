@@ -10,6 +10,9 @@ data; diagnostics go to stderr. Exit codes are a stable contract:
 A command line argparse rejects or a :class:`ConfigError` (64), and any
 other uncaught :class:`TweetCheckError` (69), is mapped to its exit code
 once, in :func:`main`.
+
+``record`` is the ``eval`` pass with a recording fetcher, and both print
+each failed query as one ``tweetcheck: record ID via ENGINE failed: WHY`` line.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 from .config import MODE_ENV_VAR, AppConfig, ConfigError, build_config, in_range, source_by_name
-from .dataset import GroundTruthRecord, load_dataset, shipped_dataset_path, validate_dataset
+from .dataset import load_dataset, shipped_dataset_path, validate_dataset
 from .errors import (
     CorruptFixture,
     FixtureMiss,
@@ -30,12 +33,10 @@ from .errors import (
     MissingFixtures,
     TweetCheckError,
     ValidationError,
-    describe_failure,
 )
-from .adapters import EngineSettings
-from .evaluation import EVAL_SOURCES, evaluate_engine, query_engine, render_report
-from .fetch import Fetcher, FetchMode, FetchRequest
-from .model import Outcome, RankedResults, SourceId, TweetClaim
+from .evaluation import EVAL_SOURCES, EngineReport, evaluate_engine, render_report
+from .fetch import FetchMode, FetchRequest
+from .model import Outcome, SourceId, TweetClaim
 from .pipeline import evidence_lines, rating_line, verify_claim
 from .ratings import scrape_rating
 from .urls import identify_publisher
@@ -53,8 +54,6 @@ _OUTCOME_EXIT = {
     Outcome.FABRICATED: EXIT_FABRICATED,
     Outcome.UNVERIFIABLE: EXIT_UNVERIFIABLE,
 }
-
-logger = logging.getLogger(__name__)
 
 
 def _fail(message: str, code: int) -> int:
@@ -159,8 +158,6 @@ def _parse_engines(
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if not args.body.strip():
-        return _fail("tweet body must be non-empty", EXIT_USAGE)
     try:
         claim = TweetClaim(body=args.body)
     except ValueError as exc:
@@ -184,26 +181,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    return _engine_pass(args, evaluate_engine, _report_eval)
+    return _engine_pass(args, _report_eval)
 
 
 def cmd_record(args: argparse.Namespace) -> int:
-    return _engine_pass(args, _record_engine, _report_record, FetchMode.RECORD)
+    return _engine_pass(args, _report_record, FetchMode.RECORD)
 
 
 def _engine_pass(
     args: argparse.Namespace,
-    job: Callable[[SourceId, Sequence[GroundTruthRecord], Fetcher, EngineSettings], object],
-    report: Callable[[argparse.Namespace, list[SourceId], list[GroundTruthRecord], list], int],
+    report: Callable[[argparse.Namespace, list, list[EngineReport], int], int],
     mode: Optional[FetchMode] = None,
 ) -> int:
     """What eval and record share: resolve engines, config, fetcher and
-    dataset, then run ``job(source, records, fetcher, settings)`` per engine
-    and hand the results to ``report(args, engines, records, results)``.
+    dataset, run :func:`evaluate_engine` per engine, print every failed
+    query and every missing fixture on stderr, and with no fixture missing
+    hand the reports to ``report(args, records, reports, failures)``.
 
     Engines on different hosts run at the same time; engines sharing a host
-    (web and web-snopes) run one after the other. Each result is the job's
-    return value or the exception it raised, in engine order.
+    (web and web-snopes) run one after the other. Reports stay in engine order.
     """
     engines = _parse_engines(args.engine, EVAL_SOURCES)
     config = _resolve_config(args)
@@ -219,14 +215,9 @@ def _engine_pass(
         jobs = []
         for source in engines:
             settings = config.engines[source]
-            jobs.append((settings.endpoint, partial(job, source, records, fetcher, settings)))
+            jobs.append((settings.endpoint, partial(evaluate_engine, source, records, fetcher, settings)))
         results = fetcher.run_per_host(jobs)
-    return report(args, engines, records, results)
-
-
-def _report_eval(args: argparse.Namespace, engines, records, results: list) -> int:
-    """Print the score table, or list every missing fixture on stderr."""
-    reports = []
+    reports: list[EngineReport] = []
     misses: list[FixtureMiss] = []
     for result in results:
         if isinstance(result, MissingFixtures):
@@ -235,6 +226,7 @@ def _report_eval(args: argparse.Namespace, engines, records, results: list) -> i
             raise result
         else:
             reports.append(result)
+    failures = _print_failures(reports)
     if misses:
         for miss in misses:
             if isinstance(miss, CorruptFixture):
@@ -243,36 +235,27 @@ def _report_eval(args: argparse.Namespace, engines, records, results: list) -> i
                 problem = f"missing fixture: record {miss.record_id}: {miss.url}"
             print(f"tweetcheck: {problem}", file=sys.stderr)
         return EXIT_NO_FIXTURE
+    return report(args, records, reports, failures)
+
+
+def _print_failures(reports: Sequence[EngineReport]) -> int:
+    """One stderr line per failed or skipped query, in engine then record order; returns the count."""
+    failed = [outcome for report in reports for outcome in report.outcomes if outcome.failed]
+    for outcome in failed:
+        print(
+            f"tweetcheck: record {outcome.record_id} via {outcome.source.value} failed: {outcome.error}",
+            file=sys.stderr,
+        )
+    return len(failed)
+
+
+def _report_eval(args: argparse.Namespace, records, reports: list[EngineReport], failures: int) -> int:
     sys.stdout.write(render_report(reports, args.format))
     return 0
 
 
-def _record_engine(
-    source: SourceId,
-    records: Sequence[GroundTruthRecord],
-    fetcher: Fetcher,
-    settings: EngineSettings,
-) -> list[str]:
-    """Record one engine's results for every record; one message per failed or skipped record."""
-    failures = []
-    for record, result in query_engine(source, records, fetcher, settings):
-        if result is None:
-            failures.append(f"record {record.id} via {source.value} skipped after a bot challenge")
-        elif not isinstance(result, RankedResults):
-            failures.append(f"record {record.id} via {source.value} failed: {describe_failure(result)}")
-    return failures
-
-
-def _report_record(args: argparse.Namespace, engines, records, results: list) -> int:
-    """Print each failure on stderr and a one-line summary."""
-    failures = 0
-    for result in results:
-        if isinstance(result, Exception):
-            raise result
-        for message in result:
-            print(f"tweetcheck: {message}", file=sys.stderr)
-        failures += len(result)
-    print(f"recorded {len(records)} record(s) x {len(engines)} engine(s), {failures} failure(s)")
+def _report_record(args: argparse.Namespace, records, reports: list[EngineReport], failures: int) -> int:
+    print(f"recorded {len(records)} record(s) x {len(reports)} engine(s), {failures} failure(s)")
     return 0 if failures == 0 else EXIT_OPERATIONAL
 
 

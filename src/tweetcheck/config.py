@@ -145,7 +145,7 @@ class AppConfig:
         default_factory=lambda: dict(DEFAULT_RATING_SELECTORS)
     )
 
-    def build_fetcher(self, **kwargs) -> Fetcher:
+    def build_fetcher(self) -> Fetcher:
         store = FixtureStore(self.fixtures_dir) if self.fixtures_dir else None
         if self.mode in (FetchMode.RECORD, FetchMode.REPLAY) and store is None:
             raise ConfigError(f"{self.mode.value} mode needs a fixtures directory")
@@ -155,7 +155,6 @@ class AppConfig:
             user_agent=self.user_agent,
             delay_ms=self.politeness_delay_ms,
             timeout_s=self.timeout_s,
-            **kwargs,
         )
 
 

@@ -190,10 +190,5 @@ def shipped_dataset_path() -> Path:
     return Path(__file__).with_name("data") / "ground_truth.tsv"
 
 
-def shipped_dataset_text() -> str:
-    """Contents of the corpus file distributed with the package."""
-    return shipped_dataset_path().read_text("utf-8")
-
-
 def load_shipped_dataset() -> list[GroundTruthRecord]:
-    return parse_dataset(shipped_dataset_text())
+    return parse_dataset(shipped_dataset_path().read_text("utf-8"))

@@ -18,12 +18,11 @@ class NetworkError(TweetCheckError):
 class FixtureMiss(TweetCheckError):
     """Replay mode was asked for a request that was never recorded."""
 
-    def __init__(self, key: str, url: str, record_id: str | None = None):
+    def __init__(self, key: str, url: str):
         self.key = key
         self.url = url
-        self.record_id = record_id
-        prefix = f"record {record_id}: " if record_id else ""
-        super().__init__(f"{prefix}no fixture {key} for {url}")
+        self.record_id: str | None = None  # set by the evaluation that met the miss
+        super().__init__(f"no fixture {key} for {url}")
 
 
 class CorruptFixture(FixtureMiss):

@@ -5,14 +5,16 @@ article identity equals the record's known article URL. The one stored
 fact per query is the rank of that article; reciprocal rank, P@1 and the
 engine means are derived from the ranks in exact rational arithmetic and
 rendered to four decimal places.
+
+``tweetcheck eval`` and ``tweetcheck record`` both run :func:`evaluate_engine`
+per engine; ``record`` runs it with a recording fetcher.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .adapters import ENGINES, EngineSettings, ranked_search
 from .errors import (
@@ -21,7 +23,6 @@ from .errors import (
     EmptyDatasetError,
     FixtureMiss,
     MissingFixtures,
-    TweetCheckError,
     describe_failure,
 )
 from .dataset import GroundTruthRecord
@@ -29,15 +30,13 @@ from .fetch import Fetcher
 from .model import RankedResults, SourceId, TweetClaim
 from .urls import canonicalize_article_url
 
-logger = logging.getLogger(__name__)
-
 #: Sources that produce ranked URL lists and can be scored against the corpus.
 EVAL_SOURCES = tuple(source for source, row in ENGINES.items() if row.ranking is not None)
 
-#: What :func:`query_engine` yields per record: its results, the failure its
-#: query ended in (one of :data:`~tweetcheck.errors.QUERY_FAILURES`), or
-#: None when it was skipped after a bot challenge.
-QueryResult = Union[RankedResults, TweetCheckError, None]
+#: The error of a record not queried because its engine served a bot challenge earlier.
+SKIPPED = "skipped after a bot challenge"
+#: The error of an answered query the corpus has no article to score against.
+NO_RELEVANT_URL = "no relevant URL recorded for this engine"
 
 
 @dataclass(frozen=True)
@@ -61,6 +60,11 @@ class QueryOutcome:
     @property
     def p_at_1(self) -> int:
         return 1 if self.rank_of_relevant == 1 else 0
+
+    @property
+    def failed(self) -> bool:
+        """True when the query failed or was skipped; an unscorable answer is not a failure."""
+        return self.error is not None and self.error != NO_RELEVANT_URL
 
 
 @dataclass(frozen=True)
@@ -96,43 +100,22 @@ def reciprocal_rank(results: RankedResults, relevant: str, record_id: str = "") 
     return QueryOutcome(record_id, results.source, None)
 
 
-def query_engine(
-    source: SourceId,
-    records: Sequence[GroundTruthRecord],
-    fetcher: Fetcher,
-    settings: Optional[EngineSettings] = None,
-) -> Iterator[tuple[GroundTruthRecord, QueryResult]]:
-    """Query one engine for every record, in order; yield each with its result.
-
-    After a bot challenge the engine is not queried again: the records
-    left are skipped.
-    """
-    challenged = False
-    for record in records:
-        result: QueryResult = None
-        if not challenged:
-            try:
-                result = ranked_search(source, TweetClaim(body=record.tweet_body), fetcher, settings)
-            except QUERY_FAILURES as exc:
-                result = exc
-                challenged = isinstance(exc, CaptchaDetected)
-        yield record, result
-
-
 def evaluate_engine(
     source: SourceId,
     records: Sequence[GroundTruthRecord],
     fetcher: Fetcher,
     settings: Optional[EngineSettings] = None,
 ) -> EngineReport:
-    """Query one engine for every record and score where the relevant article landed.
+    """Query one engine for every record, in order, and score where the relevant article landed.
 
     A record whose query failed scores zero, and its outcome carries the
-    failure as :func:`~tweetcheck.errors.describe_failure` words it.
-    After a bot challenge the records left score zero, flagged as skipped
-    (see :func:`query_engine`). Missing fixtures are collected across the
-    whole run and raised together as :class:`MissingFixtures` so one pass
-    reports every gap.
+    failure as :func:`~tweetcheck.errors.describe_failure` words it. After
+    a bot challenge the engine is not queried again: the records left score
+    zero with the error :data:`SKIPPED`. A record is queried even when the
+    corpus names no article for this engine (so ``record`` captures its
+    page); its outcome then carries :data:`NO_RELEVANT_URL`. Missing
+    fixtures are collected across the whole run and raised together as
+    :class:`MissingFixtures` so one pass reports every gap.
     """
     if source not in EVAL_SOURCES:
         raise ValueError(f"{source.value} cannot be evaluated against ranked results")
@@ -142,23 +125,25 @@ def evaluate_engine(
     column = ENGINES[source].ranking.relevant
     outcomes: list[QueryOutcome] = []
     misses: list[FixtureMiss] = []
-    for record, result in query_engine(source, records, fetcher, settings):
-        relevant = getattr(record, column)
-        if isinstance(result, RankedResults) and relevant is not None:
-            outcomes.append(reciprocal_rank(result, relevant, record.id))
+    challenged = False
+    for record in records:
+        if challenged:
+            outcomes.append(QueryOutcome(record.id, source, None, SKIPPED))
             continue
-        if result is None:
-            error = "skipped after a bot challenge"
-        elif isinstance(result, RankedResults):
-            error = "no relevant URL recorded for this engine"
+        try:
+            results = ranked_search(source, TweetClaim(body=record.tweet_body), fetcher, settings)
+        except QUERY_FAILURES as exc:
+            challenged = isinstance(exc, CaptchaDetected)
+            if isinstance(exc, FixtureMiss):
+                exc.record_id = record.id
+                misses.append(exc)
+            outcomes.append(QueryOutcome(record.id, source, None, describe_failure(exc)))
+            continue
+        relevant = getattr(record, column)
+        if relevant is None:
+            outcomes.append(QueryOutcome(record.id, source, None, NO_RELEVANT_URL))
         else:
-            error = describe_failure(result)
-            if isinstance(result, FixtureMiss):
-                result.record_id = record.id
-                misses.append(result)
-            else:
-                logger.warning("record %s via %s failed: %s", record.id, source.value, error)
-        outcomes.append(QueryOutcome(record.id, source, None, error))
+            outcomes.append(reciprocal_rank(results, relevant, record.id))
     if misses:
         raise MissingFixtures(misses)
     return EngineReport(source, tuple(outcomes))

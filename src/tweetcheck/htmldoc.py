@@ -69,8 +69,10 @@ VOID_TAGS = frozenset(
     "area base br col embed hr img input link meta param source track wbr".split()
 )
 
-_ATTR_RE = re.compile(r"\[\s*([\w:-]+)\s*(?:([*^$]?=)\s*\"?([^\"\]]*?)\"?\s*)?\]")
-_PART_RE = re.compile(r"([\w:-]+)|#([\w:-]+)|\.([\w:-]+)")
+#: One part of a compound selector: a tag, ``#id``, ``.class`` or ``[attr]``/``[attr op "value"]``.
+_PART_RE = re.compile(
+    r"([\w:-]+)|#([\w:-]+)|\.([\w:-]+)|\[\s*([\w:-]+)\s*(?:([*^$]?=)\s*\"?([^\"\]]*?)\"?\s*)?\]"
+)
 
 
 def _no_parent() -> None:
@@ -189,14 +191,8 @@ def _parse_compound(token: str) -> _Simple:
     id_ = None
     classes: list[str] = []
     attrs: list[tuple[str, str, str]] = []
-
-    def grab_attr(m: re.Match) -> str:
-        attrs.append((m.group(1).lower(), m.group(2) or "", m.group(3) or ""))
-        return ""
-
-    rest = _ATTR_RE.sub(grab_attr, token)
     pos = 0
-    for m in _PART_RE.finditer(rest):
+    for m in _PART_RE.finditer(token):
         if m.start() != pos:
             raise ValueError(f"unsupported selector syntax: {token!r}")
         pos = m.end()
@@ -206,9 +202,11 @@ def _parse_compound(token: str) -> _Simple:
             tag = m.group(1).lower()
         elif m.group(2):
             id_ = m.group(2)
-        else:
+        elif m.group(3):
             classes.append(m.group(3))
-    if pos != len(rest):
+        else:
+            attrs.append((m.group(4).lower(), m.group(5) or "", m.group(6) or ""))
+    if pos != len(token):
         raise ValueError(f"unsupported selector syntax: {token!r}")
     return _Simple(tag, id_, frozenset(classes), tuple(attrs))
 

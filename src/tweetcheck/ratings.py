@@ -75,8 +75,11 @@ def scrape_reuters_rating(
     the following paragraph, so only the first sentence is the label.
     """
     root = parse_response(page)
-    for heading in verdict_headings(root, selectors["verdict_heading"], selectors["verdict_heading_text"]):
-        paragraph = _following_text_block(heading)
+    headings = verdict_headings(root, selectors["verdict_heading"], selectors["verdict_heading_text"])
+    holders = _holders(headings)
+    walked: set[int] = set()
+    for heading in headings:
+        paragraph = _following_text_block(heading, holders, walked)
         if paragraph:
             return classify_rating(_label_head(collapse_whitespace(paragraph)))
     return _fallback_scan(root, page.final_url, "verdict section")
@@ -122,20 +125,38 @@ def _short_texts(tops: list[Element], limit: int) -> dict[int, str]:
     return texts
 
 
-def _following_text_block(heading: Element) -> Optional[str]:
+def _holders(elements: list[Element]) -> set[int]:
+    """By id, every element that contains one of ``elements``. Each upward
+    walk stops at the first element already marked, so every element is
+    marked at most once and this takes time linear in the page."""
+    marked: set[int] = set()  # ids stay unique while the tree is alive
+    for el in elements:
+        node = el.parent
+        while node is not None and id(node) not in marked:
+            marked.add(id(node))
+            node = node.parent
+    return marked
+
+
+def _following_text_block(heading: Element, holders: set[int], walked: set[int]) -> Optional[str]:
+    """The text of the first later sibling of ``heading`` that has any and
+    holds no verdict heading (by id in ``holders``): with unclosed tags the
+    next verdict section nests inside a sibling, and its text is no label.
+
+    The headings are tried in document order, so a later heading under a
+    parent already in ``walked`` can find nothing its first one did not:
+    each parent's children are walked once.
+    """
     parent = heading.parent
-    if parent is None:
+    if id(parent) in walked:
         return None
-    found_heading = False
-    for child in parent.children:
-        if child is heading:
-            found_heading = True
-            continue
-        if not found_heading or not isinstance(child, Element):
-            continue
-        text = child.text().strip()
-        if text:
-            return text
+    walked.add(id(parent))
+    siblings = parent.children
+    for child in siblings[siblings.index(heading) + 1:]:
+        if isinstance(child, Element) and id(child) not in holders:
+            text = child.text().strip()
+            if text:
+                return text
     return None
 
 

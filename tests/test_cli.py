@@ -240,7 +240,7 @@ class TestEngineFailures:
 
     @pytest.mark.parametrize("source", list(WORDING))
     def test_verify_eval_and_record_describe_a_failure_alike(
-        self, tmp_path, monkeypatch, capsys, caplog, source
+        self, tmp_path, monkeypatch, capsys, source
     ):
         pages = mixed_pandemic_pages()
         described = self.WORDING[source].format(url=engine_query_url(source, PANDEMIC_BODY))
@@ -254,24 +254,27 @@ class TestEngineFailures:
             id="p1", tweet_body=PANDEMIC_BODY, authentic=False,
             snopes_url=SNOPES_PANDEMIC_ARTICLE, reuters_url=REUTERS_PANDEMIC_ARTICLE,
         )
-        caplog.clear()
         report = evaluate_engine(source, [record], replay_fetcher(store))
         assert report.outcomes[0].error == described
-        assert [r.getMessage() for r in caplog.records if r.name == "tweetcheck.evaluation"] == [
-            f"record p1 via {source.value} failed: {described}"
-        ]
+        dataset = tmp_path / "corpus.tsv"
+        dataset.write_text(serialize_dataset([record]), encoding="utf-8")
+        assert main([
+            "eval", "--dataset", str(dataset), "--engine", source.value,
+            "--mode", "replay", "--fixtures", str(store.root),
+        ]) == 0
+        eval_lines = capsys.readouterr().err.splitlines()
 
         transport = StubTransport(pages)
         monkeypatch.setattr(Fetcher, "_requests_transport", lambda self, req: transport(req))
-        dataset = tmp_path / "corpus.tsv"
-        dataset.write_text(serialize_dataset([record]), encoding="utf-8")
         config = tmp_path / "tweetcheck.conf"
         config.write_text("politeness_delay_ms=0\n", encoding="utf-8")
         main([
             "record", "--dataset", str(dataset), "--engine", source.value,
             "--fixtures", str(tmp_path / "recorded"), "--config", str(config),
         ])
-        assert capsys.readouterr().err.splitlines() == [f"tweetcheck: record p1 via {source.value} failed: {described}"]
+        record_lines = capsys.readouterr().err.splitlines()
+        assert record_lines == [f"tweetcheck: record p1 via {source.value} failed: {described}"]
+        assert eval_lines == record_lines
 
 
 class TestEval:
@@ -345,6 +348,28 @@ class TestEval:
         assert capsys.readouterr().err.startswith(
             f"tweetcheck: corrupt fixture: record e2: {beta}: length mismatch: header says"
         )
+
+    def test_failed_queries_printed_before_an_unchanged_table(self, tmp_path, capsys):
+        records = eval_records()
+        pages = {
+            engine_query_url(SourceId.WEB_SEARCH, r.tweet_body): StubPage(page("google_serp_empty.html"))
+            for r in records
+        }
+        first = engine_query_url(SourceId.WEB_SEARCH, records[0].tweet_body)
+        pages[first] = StubPage(page("google_serp_captcha.html"))
+        store = record_pages(tmp_path / "fx", pages)
+        code = main([
+            "eval", "--dataset", str(write_dataset(tmp_path)), "--engine", "web",
+            "--mode", "replay", "--fixtures", str(store.root),
+        ])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out == "Search engine  MRR     Mean P@1\nWeb search     0.0000  0.0000\n"
+        assert captured.err.splitlines() == [
+            f"tweetcheck: record e1 via web failed: bot challenge: {first}: bot challenge page served",
+            "tweetcheck: record e2 via web failed: skipped after a bot challenge",
+            "tweetcheck: record e3 via web failed: skipped after a bot challenge",
+        ]
 
     def test_corrupt_dataset_exits_65(self, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"
@@ -456,10 +481,32 @@ class TestRecord:
         assert transport.requested == [first]  # no further requests to the host
         assert captured.out == "recorded 3 record(s) x 1 engine(s), 3 failure(s)\n"
         failures = [line for line in captured.err.splitlines() if line.startswith("tweetcheck: record")]
-        assert [line.split(" failed")[0].split(" skipped")[0] for line in failures] == [
+        assert [line.split(" failed: ")[0] for line in failures] == [
             f"tweetcheck: record {r.id} via web" for r in records
         ]
-        assert "bot challenge" in failures[0] and "skipped after a bot challenge" in failures[2]
+        assert failures[0].startswith(f"tweetcheck: record e1 via web failed: bot challenge: {first}")
+        assert failures[1:] == [
+            f"tweetcheck: record {r.id} via web failed: skipped after a bot challenge" for r in records[1:]
+        ]
+
+
+    def test_records_without_a_relevant_url_are_recorded_not_failed(self, tmp_path, monkeypatch, capsys):
+        records = eval_records()
+        assert all(r.reuters_url is None for r in records)
+        self._patch_transport(monkeypatch, {
+            engine_query_url(SourceId.REUTERS_SEARCH, r.tweet_body): StubPage(page("reuters_serp_empty.html"))
+            for r in records
+        })
+        fixtures = tmp_path / "fx"
+        code = main([
+            "record", "--dataset", str(write_dataset(tmp_path)), "--engine", "reuters",
+            "--fixtures", str(fixtures), "--config", str(self._quiet_config(tmp_path)),
+        ])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out == "recorded 3 record(s) x 1 engine(s), 0 failure(s)\n"
+        assert captured.err == ""
+        assert len(list(fixtures.iterdir())) == 3
 
 
 class TestValidateDataset:
@@ -621,10 +668,11 @@ class TestMalformedSelector:
         [
             ("selectors.snopes", "results = a[[", "bad selector for results: unsupported selector syntax: 'a[['"),
             ("rating-selectors.snopes", "rating = a[[", "bad selector for rating: unsupported selector syntax: 'a[['"),
+            ("selectors.web", "results = a[href]b", "bad selector for results: two tag names in selector: 'a[href]b'"),
             ("selectors.web", "reslts = div.badge", "unknown selector key reslts"),
             ("rating-selectors.snopes", "ratng = div.badge", "unknown selector key ratng"),
         ],
-        ids=["selectors.snopes", "rating-selectors.snopes", "unknown-key", "unknown-rating-key"],
+        ids=["selectors.snopes", "rating-selectors.snopes", "selectors.web", "unknown-key", "unknown-rating-key"],
     )
     def test_exit_64_with_one_line_naming_file_and_key(self, tmp_path, capsys, monkeypatch, command, key, line, problem):
         monkeypatch.setattr(

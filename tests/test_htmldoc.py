@@ -13,7 +13,7 @@ from tweetcheck.adapters import ENGINES, ranked_search, search_politwoops
 from tweetcheck.errors import ParseError
 from tweetcheck.fetch import Fetcher, FetchMode, FetchResponse
 from tweetcheck.htmldoc import Element, outermost, parse_selector, parse_html, parse_response
-from tweetcheck.model import SourceId, TweetClaim
+from tweetcheck.model import RatingKind, SourceId, TweetClaim
 from tweetcheck.ratings import scrape_rating
 
 from conftest import (
@@ -95,6 +95,20 @@ class TestSelectors:
     def test_unsupported_syntax_rejected(self):
         with pytest.raises(ValueError):
             self.root.select("div > a")
+
+    @pytest.mark.parametrize(
+        "selector, problem",
+        [
+            ("a[[", "unsupported selector syntax: 'a[['"),
+            ("div..x", "unsupported selector syntax: 'div..x'"),
+            ("a[href]b", "two tag names in selector: 'a[href]b'"),  # not read as ab[href]
+            ("", "empty selector"),
+        ],
+    )
+    def test_malformed_selector_rejected(self, selector, problem):
+        with pytest.raises(ValueError) as exc:
+            parse_selector(selector)
+        assert str(exc.value) == problem
 
     def test_select_one_is_first_match_or_none(self):
         assert self.root.select_one("a[href]").get("href") == "https://a.example/"
@@ -338,6 +352,24 @@ class TestHostileNesting:
         rating = scrape_rating(article)
         assert time.perf_counter() - started < 2.5
         assert rating.missing  # only the innermost heading reads "VERDICT", and nothing follows it
+
+    def test_nested_reuters_verdict_sections(self):
+        body = "<div><h2>VERDICT</h2>" * 4_000 + "<p>False. x</p>"
+        article = FetchResponse(200, "https://www.reuters.com/article/idUSTEST4", body.encode(), "text/html")
+        started = time.perf_counter()
+        rating = scrape_rating(article)
+        assert time.perf_counter() - started < 2.5
+        # each heading's next sibling holds the next section; only the innermost one has a label
+        assert (rating.raw_label, rating.kind) == ("False", RatingKind.FALSE)
+
+    def test_sibling_reuters_headings_holding_headings(self):
+        section = "<strong><strong>VERDICT</strong></strong><span></span>"
+        body = "<html><body><article>" + section * 4_000
+        article = FetchResponse(200, "https://www.reuters.com/article/idUSTEST5", body.encode(), "text/html")
+        started = time.perf_counter()
+        rating = scrape_rating(article)
+        assert time.perf_counter() - started < 2.5
+        assert rating.missing  # every later sibling holds a heading or is empty
 
 
 # Generated trees for comparing selector matching with a brute-force reference.

@@ -186,13 +186,9 @@ def ranked_search(
     selectors = settings.selectors
     _check_captcha(root, selectors, response.final_url)
 
-    # ids stay unique while ``root`` keeps the whole tree alive. Ads come in
-    # document order, so an ad inside another is covered before it is reached.
-    ad_ids: set[int] = set()
-    for ad in root.select(selectors["ads"]) if selectors.get("ads") else []:
-        if id(ad) not in ad_ids:
-            ad_ids.add(id(ad))
-            ad_ids.update(map(id, ad.iter()))
+    # ids stay unique while ``root`` keeps the whole tree alive.
+    ads = outermost(root.select(selectors["ads"])) if selectors.get("ads") else []
+    ad_ids = {id(el) for ad in ads for el in (ad, *ad.iter())}
     seen: set[str] = set()
     urls: list[str] = []
     for anchor in root.select(selectors["results"]):

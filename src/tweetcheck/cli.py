@@ -12,7 +12,8 @@ other uncaught :class:`TweetCheckError` (69), is mapped to its exit code
 once, in :func:`main`.
 
 ``record`` is the ``eval`` pass with a recording fetcher, and both print
-each failed query as one ``tweetcheck: record ID via ENGINE failed: WHY`` line.
+each failed query, a replay fixture miss included, as one
+``tweetcheck: record ID via ENGINE failed: WHY`` line.
 """
 
 from __future__ import annotations
@@ -26,15 +27,8 @@ from typing import Callable, Optional, Sequence
 
 from .config import MODE_ENV_VAR, AppConfig, ConfigError, build_config, in_range, source_by_name
 from .dataset import load_dataset, shipped_dataset_path, validate_dataset
-from .errors import (
-    CorruptFixture,
-    FixtureMiss,
-    FormatError,
-    MissingFixtures,
-    TweetCheckError,
-    ValidationError,
-)
-from .evaluation import EVAL_SOURCES, EngineReport, evaluate_engine, render_report
+from .errors import FixtureMiss, FormatError, TweetCheckError, ValidationError
+from .evaluation import EVAL_SOURCES, EngineReport, QueryOutcome, evaluate_engine, render_report
 from .fetch import FetchMode, FetchRequest
 from .model import Outcome, SourceId, TweetClaim
 from .pipeline import evidence_lines, rating_line, verify_claim
@@ -194,9 +188,9 @@ def _engine_pass(
     mode: Optional[FetchMode] = None,
 ) -> int:
     """What eval and record share: resolve engines, config, fetcher and
-    dataset, run :func:`evaluate_engine` per engine, print every failed
-    query and every missing fixture on stderr, and with no fixture missing
-    hand the reports to ``report(args, records, reports, failures)``.
+    dataset, run :func:`evaluate_engine` per engine and print every failed
+    query on stderr. Exit 66 if a replay fixture was missing or corrupt,
+    else hand the reports to ``report(args, records, reports, failures)``.
 
     Engines on different hosts run at the same time; engines sharing a host
     (web and web-snopes) run one after the other. Reports stay in engine order.
@@ -216,37 +210,25 @@ def _engine_pass(
         for source in engines:
             settings = config.engines[source]
             jobs.append((settings.endpoint, partial(evaluate_engine, source, records, fetcher, settings)))
-        results = fetcher.run_per_host(jobs)
-    reports: list[EngineReport] = []
-    misses: list[FixtureMiss] = []
-    for result in results:
-        if isinstance(result, MissingFixtures):
-            misses.extend(result.misses)
-        elif isinstance(result, Exception):
+        reports = fetcher.run_per_host(jobs)
+    for result in reports:
+        if isinstance(result, Exception):
             raise result
-        else:
-            reports.append(result)
-    failures = _print_failures(reports)
-    if misses:
-        for miss in misses:
-            if isinstance(miss, CorruptFixture):
-                problem = f"corrupt fixture: record {miss.record_id}: {miss.url}: {miss.reason}"
-            else:
-                problem = f"missing fixture: record {miss.record_id}: {miss.url}"
-            print(f"tweetcheck: {problem}", file=sys.stderr)
+    failed = _print_failures(reports)
+    if any(issubclass(outcome.failure, FixtureMiss) for outcome in failed):
         return EXIT_NO_FIXTURE
-    return report(args, records, reports, failures)
+    return report(args, records, reports, len(failed))
 
 
-def _print_failures(reports: Sequence[EngineReport]) -> int:
-    """One stderr line per failed or skipped query, in engine then record order; returns the count."""
+def _print_failures(reports: Sequence[EngineReport]) -> list[QueryOutcome]:
+    """One stderr line per failed or skipped query, in engine then record order; returns those outcomes."""
     failed = [outcome for report in reports for outcome in report.outcomes if outcome.failed]
     for outcome in failed:
         print(
             f"tweetcheck: record {outcome.record_id} via {outcome.source.value} failed: {outcome.error}",
             file=sys.stderr,
         )
-    return len(failed)
+    return failed
 
 
 def _report_eval(args: argparse.Namespace, records, reports: list[EngineReport], failures: int) -> int:

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 An engine query that ends in one of :data:`QUERY_FAILURES` fails that engine
-only; every command words such a failure with :func:`describe_failure`.
+only, a fixture miss included; every command words such a failure with
+:func:`describe_failure`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ class FixtureMiss(TweetCheckError):
     def __init__(self, key: str, url: str):
         self.key = key
         self.url = url
-        self.record_id: str | None = None  # set by the evaluation that met the miss
         super().__init__(f"no fixture {key} for {url}")
 
 
@@ -32,15 +32,6 @@ class CorruptFixture(FixtureMiss):
         super().__init__(key, url)
         self.reason = reason
         self.args = (f"corrupt fixture {key} for {url}: {reason}",)
-
-
-class MissingFixtures(TweetCheckError):
-    """One or more fixtures were missing during an evaluation run."""
-
-    def __init__(self, misses: list[FixtureMiss]):
-        self.misses = misses
-        lines = ", ".join(f"{m.record_id or '?'} -> {m.url}" for m in misses)
-        super().__init__(f"{len(misses)} missing fixture(s): {lines}")
 
 
 class ParseError(TweetCheckError):

@@ -7,7 +7,8 @@ engine means are derived from the ranks in exact rational arithmetic and
 rendered to four decimal places.
 
 ``tweetcheck eval`` and ``tweetcheck record`` both run :func:`evaluate_engine`
-per engine; ``record`` runs it with a recording fetcher.
+per engine; ``record`` runs it with a recording fetcher. A failed query, a
+replay fixture miss included, is one more outcome of the report.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from .errors import (
     QUERY_FAILURES,
     CaptchaDetected,
     EmptyDatasetError,
-    FixtureMiss,
-    MissingFixtures,
+    TweetCheckError,
     describe_failure,
 )
 from .dataset import GroundTruthRecord
@@ -41,12 +41,17 @@ NO_RELEVANT_URL = "no relevant URL recorded for this engine"
 
 @dataclass(frozen=True)
 class QueryOutcome:
-    """Per-record scoring for one engine: where the relevant result landed."""
+    """Per-record scoring for one engine: where the relevant result landed.
+
+    ``failure`` is the exception class a failed query ended in (for a
+    skipped one, :class:`CaptchaDetected`), and ``error`` how it is worded.
+    """
 
     record_id: str
     source: SourceId
     rank_of_relevant: Optional[int]
     error: Optional[str] = None
+    failure: Optional[type[TweetCheckError]] = None
 
     def __post_init__(self):
         if self.rank_of_relevant is not None and self.rank_of_relevant < 1:
@@ -64,7 +69,7 @@ class QueryOutcome:
     @property
     def failed(self) -> bool:
         """True when the query failed or was skipped; an unscorable answer is not a failure."""
-        return self.error is not None and self.error != NO_RELEVANT_URL
+        return self.failure is not None
 
 
 @dataclass(frozen=True)
@@ -113,9 +118,9 @@ def evaluate_engine(
     a bot challenge the engine is not queried again: the records left score
     zero with the error :data:`SKIPPED`. A record is queried even when the
     corpus names no article for this engine (so ``record`` captures its
-    page); its outcome then carries :data:`NO_RELEVANT_URL`. Missing
-    fixtures are collected across the whole run and raised together as
-    :class:`MissingFixtures` so one pass reports every gap.
+    page); its outcome then carries :data:`NO_RELEVANT_URL`. A failed
+    query never raises: a replay fixture miss is one more failed outcome,
+    and the run goes on, so one pass reports every failure.
     """
     if source not in EVAL_SOURCES:
         raise ValueError(f"{source.value} cannot be evaluated against ranked results")
@@ -124,28 +129,22 @@ def evaluate_engine(
 
     column = ENGINES[source].ranking.relevant
     outcomes: list[QueryOutcome] = []
-    misses: list[FixtureMiss] = []
     challenged = False
     for record in records:
         if challenged:
-            outcomes.append(QueryOutcome(record.id, source, None, SKIPPED))
+            outcomes.append(QueryOutcome(record.id, source, None, SKIPPED, CaptchaDetected))
             continue
         try:
             results = ranked_search(source, TweetClaim(body=record.tweet_body), fetcher, settings)
         except QUERY_FAILURES as exc:
             challenged = isinstance(exc, CaptchaDetected)
-            if isinstance(exc, FixtureMiss):
-                exc.record_id = record.id
-                misses.append(exc)
-            outcomes.append(QueryOutcome(record.id, source, None, describe_failure(exc)))
+            outcomes.append(QueryOutcome(record.id, source, None, describe_failure(exc), type(exc)))
             continue
         relevant = getattr(record, column)
         if relevant is None:
             outcomes.append(QueryOutcome(record.id, source, None, NO_RELEVANT_URL))
         else:
             outcomes.append(reciprocal_rank(results, relevant, record.id))
-    if misses:
-        raise MissingFixtures(misses)
     return EngineReport(source, tuple(outcomes))
 
 

@@ -31,16 +31,20 @@ DEFAULT_RATING_SELECTORS = {
     "reuters": {"verdict_heading": "h2, h3, strong", "verdict_heading_text": "VERDICT"},
 }
 
+#: The most characters a rating label keeps, however long its block.
+_LABEL_MAX = 81
+
 _FALLBACK_LABEL = re.compile(
-    r"\b(?:truth rating|rating|verdict)[ \t]*:[ \t]*(\S[^\n]{0,80})",
+    rf"\b(?:truth rating|rating|verdict)[ \t]*:[ \t]*(\S[^\n]{{0,{_LABEL_MAX - 1}}})",
     re.IGNORECASE,
 )
 
 
 def _label_head(text: str) -> str:
-    """First sentence of a verdict block: "False. Trump did not…" -> "False"."""
-    first_line = text.strip().split("\n", 1)[0]
-    return first_line.split(".", 1)[0].strip()
+    """The label a rating block states: the first sentence (up to a full stop
+    and a space) of its collapsed text, at most :data:`_LABEL_MAX` characters.
+    "False. Trump did not…" -> "False"; "False." stays "False."."""
+    return collapse_whitespace(text).split(". ", 1)[0][:_LABEL_MAX].rstrip()
 
 
 def _fallback_scan(root: Element, url: str, block: str) -> TruthRating:
@@ -49,7 +53,7 @@ def _fallback_scan(root: Element, url: str, block: str) -> TruthRating:
     if m is None:
         logger.warning("%s: no %s found", url, block)
         return classify_rating("")
-    label = _label_head(collapse_whitespace(m.group(1)))
+    label = _label_head(m.group(1))
     logger.warning("%s: rating found only by text scan (low confidence): %r", url, label)
     return classify_rating(label)
 
@@ -61,7 +65,7 @@ def scrape_snopes_rating(
     root = parse_response(page)
     element = root.select_one(selectors["rating"])
     if element is not None:
-        return classify_rating(collapse_whitespace(element.text()))
+        return classify_rating(_label_head(element.text()))
     return _fallback_scan(root, page.final_url, "rating block")
 
 
@@ -72,7 +76,7 @@ def scrape_reuters_rating(
 
     Reuters states its verdict in a section introduced by a heading (by
     default the literal text "VERDICT"); the verdict sentence itself opens
-    the following paragraph, so only the first sentence is the label.
+    the following paragraph, whose first sentence is the label.
     """
     root = parse_response(page)
     headings = verdict_headings(root, selectors["verdict_heading"], selectors["verdict_heading_text"])
@@ -81,7 +85,7 @@ def scrape_reuters_rating(
     for heading in headings:
         paragraph = _following_text_block(heading, holders, walked)
         if paragraph:
-            return classify_rating(_label_head(collapse_whitespace(paragraph)))
+            return classify_rating(_label_head(paragraph))
     return _fallback_scan(root, page.final_url, "verdict section")
 
 

@@ -319,8 +319,12 @@ class TestEval:
         ])
         err = capsys.readouterr().err
         assert code == 66
-        assert "missing fixture" in err
         assert "snopes.com/search" in err
+        assert err.splitlines() == [
+            f"tweetcheck: record {r.id} via snopes failed: no fixture {fixture_key(FetchRequest(url=url))} for {url}"
+            for r in eval_records()[1:]
+            for url in [engine_query_url(SourceId.SNOPES_SEARCH, r.tweet_body)]
+        ]
 
     def test_missing_fixture_stderr_line(self, tmp_path, capsys):
         dataset = write_dataset(tmp_path)
@@ -331,8 +335,11 @@ class TestEval:
             "--mode", "replay", "--fixtures", str(store.root),
         ])
         beta = engine_query_url(SourceId.SNOPES_SEARCH, eval_records()[1].tweet_body)
+        key = fixture_key(FetchRequest(url=beta))
+        captured = capsys.readouterr()
         assert code == 66
-        assert capsys.readouterr().err == f"tweetcheck: missing fixture: record e2: {beta}\n"
+        assert captured.out == ""
+        assert captured.err == f"tweetcheck: record e2 via snopes failed: no fixture {key} for {beta}\n"
 
     def test_corrupt_fixture_exits_66_named_corrupt(self, tmp_path, capsys):
         dataset = write_dataset(tmp_path)
@@ -346,8 +353,30 @@ class TestEval:
         ])
         assert code == 66
         assert capsys.readouterr().err.startswith(
-            f"tweetcheck: corrupt fixture: record e2: {beta}: length mismatch: header says"
+            f"tweetcheck: record e2 via snopes failed: corrupt fixture {fixture_key(FetchRequest(url=beta))} "
+            f"for {beta}: length mismatch: header says"
         )
+
+    def test_fixture_miss_reported_with_every_other_failure(self, tmp_path, capsys):
+        records = eval_records()
+        second, third = (engine_query_url(SourceId.WEB_SEARCH, r.tweet_body) for r in records[1:])
+        store = record_pages(tmp_path / "fx", {
+            second: StubPage(page("google_serp_captcha.html")),
+            third: StubPage(page("google_serp_empty.html")),
+        })
+        first = engine_query_url(SourceId.WEB_SEARCH, records[0].tweet_body)
+        code = main([
+            "eval", "--dataset", str(write_dataset(tmp_path)), "--engine", "web",
+            "--mode", "replay", "--fixtures", str(store.root),
+        ])
+        captured = capsys.readouterr()
+        assert code == 66
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"tweetcheck: record e1 via web failed: no fixture {fixture_key(FetchRequest(url=first))} for {first}",
+            f"tweetcheck: record e2 via web failed: bot challenge: {second}: bot challenge page served",
+            "tweetcheck: record e3 via web failed: skipped after a bot challenge",
+        ]
 
     def test_failed_queries_printed_before_an_unchanged_table(self, tmp_path, capsys):
         records = eval_records()

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tweetcheck.dataset import GroundTruthRecord
-from tweetcheck.errors import EmptyDatasetError, MissingFixtures
+from tweetcheck.errors import EmptyDatasetError, FixtureMiss
 from tweetcheck.evaluation import (
     EVAL_SOURCES,
     EngineReport,
@@ -138,9 +138,11 @@ class TestEvaluateEngine:
         for key in removed:
             del pages[key]
         store = record_pages(tmp_path / "fx", pages)
-        with pytest.raises(MissingFixtures) as exc:
-            evaluate_engine(SNOPES, eval_records(), replay_fetcher(store))
-        assert [m.record_id for m in exc.value.misses] == ["e2"]
+        report = evaluate_engine(SNOPES, eval_records(), replay_fetcher(store))
+        assert [(o.record_id, o.failure) for o in report.outcomes if o.failed] == [("e2", FixtureMiss)]
+        miss = report.outcomes[1]
+        assert miss.error.startswith("no fixture ") and miss.reciprocal_rank == 0
+        assert report.mrr == Fraction(1, 3)  # e1 still scored, e3 absent
 
     def test_live_fetch_failure_scores_zero_and_flags(self):
         # transport only knows e1's query; e2/e3 fail at the network level

@@ -22,6 +22,10 @@ def response_for(name: str, url: str, content_type="text/html; charset=utf-8") -
     return FetchResponse(status=200, final_url=url, body=page(name), content_type=content_type)
 
 
+def html_response(body: str, url: str) -> FetchResponse:
+    return FetchResponse(status=200, final_url=url, body=body.encode("utf-8"), content_type="text/html")
+
+
 class TestSnopesRating:
     def test_pandemic_article_rated_false(self):
         rating = scrape_snopes_rating(response_for("snopes_article_pandemic.html", SNOPES_PANDEMIC_ARTICLE))
@@ -62,6 +66,13 @@ class TestSnopesRating:
         with pytest.raises(ParseError):
             scrape_snopes_rating(resp)
 
+    def test_unclosed_rating_block_label_is_bounded(self):
+        # unclosed <div>s nest the rest of the page inside the rating block
+        body = '<html><body><div class="rating_title_wrap">False' + "<div>more text" * 4000
+        rating = scrape_snopes_rating(html_response(body, "https://www.snopes.com/fact-check/nested/"))
+        assert rating.raw_label == ("False" + "more text" * 4000)[:81]
+        assert len(rating.raw_label) <= 81
+
     def test_pure_given_page_bytes(self):
         resp = response_for("snopes_article_pandemic.html", SNOPES_PANDEMIC_ARTICLE)
         assert scrape_snopes_rating(resp) == scrape_snopes_rating(resp)
@@ -89,6 +100,13 @@ class TestReutersRating:
         )
         assert rating.kind is RatingKind.MIXTURE
         assert rating.raw_label == "Partly false"
+
+    def test_verdict_paragraph_without_full_stop_label_is_bounded(self):
+        words = " ".join(f"word{i}" for i in range(20000))
+        body = f"<html><body><h2>VERDICT</h2><p>{words}</p></body></html>"
+        rating = scrape_reuters_rating(html_response(body, "https://www.reuters.com/article/idUSLONG1"))
+        assert rating.raw_label == words[:81].rstrip()
+        assert len(rating.raw_label) <= 81
 
 
 def reference_verdict_headings(root, selector: str, heading_text: str) -> list:

@@ -211,9 +211,6 @@ def _engine_pass(
             settings = config.engines[source]
             jobs.append((settings.endpoint, partial(evaluate_engine, source, records, fetcher, settings)))
         reports = fetcher.run_per_host(jobs)
-    for result in reports:
-        if isinstance(result, Exception):
-            raise result
     failed = _print_failures(reports)
     if any(issubclass(outcome.failure, FixtureMiss) for outcome in failed):
         return EXIT_NO_FIXTURE

@@ -146,9 +146,17 @@ class AppConfig:
     )
 
     def build_fetcher(self) -> Fetcher:
+        """The fetcher for this configuration; a :class:`ConfigError` before any
+        request if record or replay mode has no fixtures directory, or record
+        mode one it could not write to."""
         store = FixtureStore(self.fixtures_dir) if self.fixtures_dir else None
         if self.mode in (FetchMode.RECORD, FetchMode.REPLAY) and store is None:
             raise ConfigError(f"{self.mode.value} mode needs a fixtures directory")
+        if self.mode is FetchMode.RECORD:
+            # Recording makes the directory when it saves the first fixture.
+            existing = next(path for path in (store.root, *store.root.parents) if path.exists())
+            if not existing.is_dir():
+                raise ConfigError(f"fixtures {store.root}: {existing} is not a directory")
         return Fetcher(
             self.mode,
             store,

@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import FormatError, ValidationError
+from .model import TweetClaim
 from .urls import canonicalize_article_url, is_snopes_url
 
 _FIELD_NAMES = ("id", "authentic", "tweet_body", "snopes_url", "live_url", "archived_url", "reuters_url")
@@ -71,8 +72,10 @@ def _unescape_body(text: str) -> str:
 def record_problems(record: GroundTruthRecord) -> list[str]:
     """Invariant breaches for one record; empty when the record is well-formed."""
     problems = []
-    if not record.tweet_body.strip():
-        problems.append("tweet_body is empty")
+    try:
+        TweetClaim(body=record.tweet_body)  # the body rule eval and record apply
+    except ValueError as exc:  # an empty body keeps its own short wording
+        problems.append("tweet_body is empty" if not record.tweet_body.strip() else f"tweet_body: {exc}")
     if not is_snopes_url(record.snopes_url):
         problems.append(f"snopes_url host is not snopes.com: {record.snopes_url!r}")
     if record.authentic:
@@ -137,8 +140,15 @@ def parse_dataset(text: str, validate: bool = True) -> list[GroundTruthRecord]:
 
 
 def load_dataset(path: str | Path, validate: bool = True) -> list[GroundTruthRecord]:
-    """Load and (by default) validate a corpus file."""
-    return parse_dataset(Path(path).read_text(encoding="utf-8"), validate=validate)
+    """Load and (by default) validate a corpus file; bytes that are not
+    UTF-8 are a :class:`FormatError` naming their line."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise FormatError(line_no, "row", f"not UTF-8 text ({exc.reason})") from None
+    return parse_dataset(text, validate=validate)
 
 
 def serialize_dataset(records: list[GroundTruthRecord]) -> str:
@@ -191,4 +201,4 @@ def shipped_dataset_path() -> Path:
 
 
 def load_shipped_dataset() -> list[GroundTruthRecord]:
-    return parse_dataset(shipped_dataset_path().read_text("utf-8"))
+    return load_dataset(shipped_dataset_path())

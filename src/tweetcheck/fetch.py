@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, TypeVar, Union
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, TypeVar
 from urllib.parse import urljoin, urlsplit
 
 from .errors import CorruptFixture, FixtureMiss, NetworkError
@@ -251,40 +251,37 @@ class Fetcher:
             self.store.save(key, response)
         return response
 
-    def run_per_host(
-        self, jobs: Sequence[tuple[str, Callable[[], T]]]
-    ) -> list[Union[T, Exception]]:
+    def run_per_host(self, jobs: Sequence[tuple[str, Callable[[], T]]]) -> list[T]:
         """Run ``(url, job)`` pairs, each host's jobs one after another.
 
         Jobs for different hosts (by the host of their URL) run at the same
         time, at most :data:`MAX_HOST_WORKERS` hosts at once; jobs for one
-        host keep their input order. Returns each job's result, or the
-        exception it raised, in input order. Replay never waits on the
-        network, so it runs every job inline.
+        host keep their input order. Returns each job's result in input
+        order. An exception a job raises propagates, and no later job of its
+        host runs (in replay, no later job at all); a job that may fail
+        without stopping the run returns its failure as a value. Replay
+        never waits on the network, so it runs every job inline.
         """
         by_host: dict[str, list[int]] = {}
         for index, (url, _) in enumerate(jobs):
             by_host.setdefault(urls.host(url), []).append(index)
-        outcomes: list[Union[T, Exception]] = [None] * len(jobs)  # type: ignore[list-item]
+        results: list[T] = [None] * len(jobs)  # type: ignore[list-item]
 
         def run(indices: list[int]) -> None:
             for index in indices:
-                try:
-                    outcomes[index] = jobs[index][1]()
-                except Exception as exc:  # handed back to the caller in order
-                    outcomes[index] = exc
+                results[index] = jobs[index][1]()
 
         groups = list(by_host.values())
         if self.mode is FetchMode.REPLAY or len(groups) < 2:
             for indices in groups:
                 run(indices)
-            return outcomes
+            return results
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=min(MAX_HOST_WORKERS, len(groups))) as pool:
             for future in [pool.submit(run, indices) for indices in groups]:
                 future.result()
-        return outcomes
+        return results
 
     def _polite_request(self, req: FetchRequest) -> FetchResponse:
         delay_s = self.delay_ms / 1000.0

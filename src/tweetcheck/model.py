@@ -2,7 +2,8 @@
 
 Every value type here is immutable after construction and safe to share
 between threads. The two operations (:func:`classify_rating` and
-:func:`implied_attribution`) are pure functions.
+:func:`implied_attribution`) are pure functions, and a :class:`Verdict`'s
+outcome is derived from its evidence each time it is read.
 """
 
 from __future__ import annotations
@@ -38,16 +39,9 @@ class RatingKind(Enum):
     UNKNOWN = "Unknown"
 
 
-class Attribution(Enum):
-    """What a truth rating says about whether the tweet was actually posted."""
-
-    IMPLIES_AUTHENTIC = "implies-authentic"
-    IMPLIES_FABRICATED = "implies-fabricated"
-    NO_IMPLICATION = "no-implication"
-
-
 class Outcome(Enum):
-    """Final verdict categories for an alleged tweet."""
+    """Verdict categories for an alleged tweet; also what one piece of
+    evidence implies, Unverifiable meaning it implies nothing."""
 
     AUTHENTIC = "Authentic"
     FABRICATED = "Fabricated"
@@ -133,21 +127,42 @@ class EvidenceItem:
             if self.rating is None or self.matched_text is not None:
                 raise ValueError("fact-check evidence needs a rating and no matched_text")
 
-    def implication(self) -> Attribution:
-        """Attribution implication of this item."""
+    def implication(self) -> Outcome:
+        """What this item implies: a tracker match that the tweet is authentic,
+        a rating what :func:`implied_attribution` says."""
         if self.matched_text is not None:
-            return Attribution.IMPLIES_AUTHENTIC
+            return Outcome.AUTHENTIC
         assert self.rating is not None
         return implied_attribution(self.rating)
 
 
 @dataclass(frozen=True)
 class Verdict:
-    """Aggregated conclusion for one claim, with its supporting evidence."""
+    """One claim's evidence, sorted by source then rank (see
+    :mod:`tweetcheck.verdict`); the outcome and the conflict flag are read
+    from it.
 
-    outcome: Outcome
+    The outcome is Authentic if any item implies it, else Fabricated if any
+    item implies that, else Unverifiable. Evidence that the tweet exists
+    outranks a fabrication claim: a preserved deleted tweet is primary-source
+    proof, while an editorial "False" may be about the tweet's content rather
+    than its attribution. ``conflict`` is true when items imply both, so the
+    disagreement is surfaced rather than hidden.
+    """
+
     evidence: tuple[EvidenceItem, ...]
-    conflict: bool = False
+
+    @property
+    def outcome(self) -> Outcome:
+        implied = {item.implication() for item in self.evidence}
+        for outcome in (Outcome.AUTHENTIC, Outcome.FABRICATED):
+            if outcome in implied:
+                return outcome
+        return Outcome.UNVERIFIABLE
+
+    @property
+    def conflict(self) -> bool:
+        return {Outcome.AUTHENTIC, Outcome.FABRICATED} <= {item.implication() for item in self.evidence}
 
 
 @dataclass(frozen=True)
@@ -178,15 +193,15 @@ def classify_rating(raw_label: str) -> TruthRating:
     return TruthRating(kind=kind, raw_label=raw_label)
 
 
-def implied_attribution(rating: TruthRating) -> Attribution:
+def implied_attribution(rating: TruthRating) -> Outcome:
     """What a rating implies about the tweet having been posted.
 
     A FALSE or MISATTRIBUTED rating implies the tweet was fabricated; TRUE
     or CORRECT_ATTRIBUTION implies it was really posted; everything else
-    carries no implication. Depends on ``rating.kind`` only.
+    implies nothing (Unverifiable). Depends on ``rating.kind`` only.
     """
     if rating.kind in (RatingKind.FALSE, RatingKind.MISATTRIBUTED):
-        return Attribution.IMPLIES_FABRICATED
+        return Outcome.FABRICATED
     if rating.kind in (RatingKind.TRUE, RatingKind.CORRECT_ATTRIBUTION):
-        return Attribution.IMPLIES_AUTHENTIC
-    return Attribution.NO_IMPLICATION
+        return Outcome.AUTHENTIC
+    return Outcome.UNVERIFIABLE

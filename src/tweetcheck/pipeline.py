@@ -26,7 +26,7 @@ from .adapters import (
     search_politwoops,
 )
 from .config import AppConfig
-from .errors import QUERY_FAILURES, describe_failure
+from .errors import QUERY_FAILURES, TweetCheckError, describe_failure
 from .fetch import Fetcher, FetchRequest
 from .model import (
     EvidenceItem,
@@ -94,8 +94,6 @@ def verify_claim(
     for source, outcome in zip(enabled, searched):
         if isinstance(outcome, QUERY_FAILURES):
             errors[source] = describe_failure(outcome)
-        elif isinstance(outcome, Exception):
-            raise outcome
         elif isinstance(outcome, RankedResults):
             chosen = _select_articles(outcome, config.max_articles, seen_articles)
             picks.extend((source, rank, url) for rank, url in chosen)
@@ -109,8 +107,6 @@ def verify_claim(
         [(url, partial(_scrape_article, url, fetcher, config.rating_selectors)) for _, _, url in picks]
     )
     for (source, rank, url), rating in zip(picks, ratings):
-        if isinstance(rating, Exception):
-            raise rating
         evidence.append(EvidenceItem(source=source, url=url, rank=rank, rating=rating))
 
     # Aggregate: the verdict sorts its evidence by source, then rank.
@@ -119,10 +115,14 @@ def verify_claim(
 
 def _search(
     claim: TweetClaim, fetcher: Fetcher, settings: EngineSettings
-) -> Union[RankedResults, list[PolitwoopsHit]]:
-    if settings.source is SourceId.POLITWOOPS:
-        return search_politwoops(claim, fetcher, settings)
-    return ranked_search(settings.source, claim, fetcher, settings)
+) -> Union[RankedResults, list[PolitwoopsHit], TweetCheckError]:
+    """The engine's results, or the query failure it ended in."""
+    try:
+        if settings.source is SourceId.POLITWOOPS:
+            return search_politwoops(claim, fetcher, settings)
+        return ranked_search(settings.source, claim, fetcher, settings)
+    except QUERY_FAILURES as exc:
+        return exc
 
 
 def _select_articles(

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -425,6 +426,79 @@ def test_empty_dataset_exits_65_before_any_query(tmp_path, capsys, monkeypatch, 
     assert captured.out == ""
     assert captured.err == f"tweetcheck: dataset error: no records in {empty}\n"
     assert not fixtures.exists()
+
+
+def _refuse_network(monkeypatch) -> None:
+    monkeypatch.setattr(
+        Fetcher,
+        "_requests_transport",
+        lambda self, req: (_ for _ in ()).throw(AssertionError("network touched")),
+    )
+
+
+@pytest.mark.parametrize("command", ["validate-dataset", "eval", "record"])
+def test_non_utf8_dataset_exits_65_naming_the_line(tmp_path, capsys, monkeypatch, command):
+    _refuse_network(monkeypatch)
+    dataset = tmp_path / "latin1.tsv"
+    dataset.write_bytes(serialize_dataset(eval_records()).replace("e2\tfalse\t", "e2\tfalse\t\xe9 ").encode("latin-1"))
+    fixtures = tmp_path / "fx"
+    argv = [command, "--dataset", str(dataset)]
+    if command != "validate-dataset":
+        argv += ["--fixtures", str(fixtures)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 65
+    assert captured.out == ""
+    assert captured.err == "tweetcheck: dataset error: line 3, field row: not UTF-8 text (invalid continuation byte)\n"
+    assert not fixtures.exists()
+
+
+def _overlong_body_dataset(tmp_path: Path) -> Path:
+    records = eval_records()
+    records[1] = replace(records[1], tweet_body="x" * 4001)
+    path = tmp_path / "overlong.tsv"
+    path.write_text(serialize_dataset(records), encoding="utf-8")
+    return path
+
+
+def test_validate_dataset_lists_an_overlong_body(tmp_path, capsys):
+    code = main(["validate-dataset", "--dataset", str(_overlong_body_dataset(tmp_path))])
+    captured = capsys.readouterr()
+    assert code == 65
+    assert captured.out == "record e2: tweet_body: claim body exceeds the 4000 character sanity bound\n"
+
+
+@pytest.mark.parametrize("command", ["eval", "record"])
+def test_overlong_body_exits_65_before_any_query(tmp_path, capsys, monkeypatch, command):
+    _refuse_network(monkeypatch)
+    fixtures = tmp_path / "fx"
+    code = main([command, "--dataset", str(_overlong_body_dataset(tmp_path)), "--fixtures", str(fixtures)])
+    captured = capsys.readouterr()
+    assert code == 65
+    assert captured.out == ""
+    assert captured.err == (
+        "tweetcheck: dataset error: record e2: tweet_body: claim body exceeds the 4000 character sanity bound\n"
+    )
+    assert not fixtures.exists()
+
+
+@pytest.mark.parametrize("command", ["record", "verify", "scrape"])
+@pytest.mark.parametrize("inside", [False, True])
+def test_fixtures_path_through_a_file_exits_64_before_any_request(tmp_path, capsys, monkeypatch, command, inside):
+    _refuse_network(monkeypatch)
+    a_file = tmp_path / "fixtures.txt"
+    a_file.write_text("not a directory\n", encoding="utf-8")
+    fixtures = a_file / "fx" if inside else a_file
+    argv = {
+        "record": ["record", "--dataset", str(write_dataset(tmp_path))],
+        "verify": ["verify", PANDEMIC_BODY, "--mode", "record"],
+        "scrape": ["scrape", SNOPES_PANDEMIC_ARTICLE, "--mode", "record"],
+    }[command]
+    code = main([*argv, "--fixtures", str(fixtures)])
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.out == ""
+    assert captured.err == f"tweetcheck: fixtures {fixtures}: {a_file} is not a directory\n"
 
 
 class TestRecord:

@@ -86,19 +86,30 @@ class TestRunPerHost:
     def _fetcher(self, mode=FetchMode.LIVE):
         return Fetcher(mode, FixtureStore("never-written"), delay_ms=0, transport=refusing_transport)
 
-    def test_results_and_exceptions_in_input_order(self):
+    def test_results_in_input_order(self):
+        jobs = [
+            ("https://a.example/1", lambda: 1),
+            ("https://b.example/1", lambda: 2),
+            ("https://a.example/2", lambda: 3),
+            ("https://c.example/1", lambda: 4),
+        ]
+        assert self._fetcher().run_per_host(jobs) == [1, 2, 3, 4]
+
+    @pytest.mark.parametrize("mode", [FetchMode.LIVE, FetchMode.REPLAY])
+    def test_an_exception_propagates(self, mode):
+        ran = []
+
         def boom():
             raise ValueError("boom")
 
         jobs = [
-            ("https://a.example/1", lambda: 1),
-            ("https://b.example/1", boom),
-            ("https://a.example/2", lambda: 2),
-            ("https://c.example/1", lambda: 3),
+            ("https://a.example/1", boom),
+            ("https://a.example/2", lambda: ran.append("a2")),
+            ("https://b.example/1", lambda: ran.append("b1")),
         ]
-        outcomes = self._fetcher().run_per_host(jobs)
-        assert outcomes[0] == 1 and outcomes[2] == 2 and outcomes[3] == 3
-        assert isinstance(outcomes[1], ValueError)
+        with pytest.raises(ValueError, match="boom"):
+            self._fetcher(mode).run_per_host(jobs)
+        assert ran == ([] if mode is FetchMode.REPLAY else ["b1"])  # a's later job never runs; b's does live
 
     def test_same_host_serial_in_order_and_hosts_bounded(self):
         lock = threading.Lock()

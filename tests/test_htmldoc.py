@@ -2,7 +2,9 @@ import gc
 import re
 import time
 import weakref
+from dataclasses import replace
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from tweetcheck import htmldoc
 from tweetcheck.adapters import ENGINES, ranked_search, search_politwoops
+from tweetcheck.config import build_config
 from tweetcheck.errors import ParseError
 from tweetcheck.fetch import Fetcher, FetchMode, FetchResponse
 from tweetcheck.htmldoc import Element, outermost, parse_selector, parse_html, parse_response
@@ -304,12 +307,45 @@ class TestHostileInputTime:
         assert root.children == []  # one construct, open to the end of the input
 
 
+_CHAINED_CARD_SELECTORS = {
+    "text": "div.tweet .tweet-content",
+    "link": "div.tweet a[href*=/politwoops/tweet/]",
+    "handle": "span .screen-name, div .screen-name",
+}
+# Pieces of a generated tracker page; left unclosed, they nest.
+_CARD_PAGE_STEPS = (
+    '<div class="tweet">', '<p class="tweet-content">text {i}', '<a href="/politwoops/tweet/{i}">',
+    '<span class="screen-name">@h{i}', "<span>", "</div>", "</p>", "</a>", "</span>",
+)
+
+
+def _card(i: int) -> str:
+    return (
+        f'<div class="tweet"><p class="tweet-content">text {i}</p>'
+        f'<a href="/politwoops/tweet/{i}">link</a><span class="screen-name">@h{i}</span></div>'
+    )
+
+
+def _per_card_reading(root: Element, selectors) -> list[tuple[str, str, str]]:
+    """(text, link, handle) of each card, read card by card: each outermost
+    card's selectors matched from the card. The reference for the card reader."""
+    read = []
+    for card in outermost(root.select(selectors["cards"])):
+        text_el, link_el, handle_el = (card.select_one(selectors[key]) for key in ("text", "link", "handle"))
+        if text_el is not None and link_el is not None and link_el.get("href"):
+            handle = handle_el.text().strip().lstrip("@") if handle_el is not None else ""
+            read.append((text_el.text().strip(), link_el.get("href"), handle))
+    return read
+
+
 class TestHostileNesting:
     """Unclosed tags nest, so ordinary malformed markup can nest thousands
     deep. Matching walked every ancestor of every candidate, the card
     reader and the ad filter walked every nested card or ad again, and the
     Reuters scraper read the whole text of every nested heading: each took
-    seconds to tens of seconds at these sizes."""
+    seconds to tens of seconds at these sizes. The card reader also matched
+    each card's selectors from the card, walking up every unclosed tag above
+    it first, so sibling cards deep in the page took quadratic time."""
 
     @staticmethod
     def _fetcher(source: SourceId, claim: TweetClaim, body: str) -> Fetcher:
@@ -331,6 +367,39 @@ class TestHostileNesting:
         hits = search_politwoops(claim, fetcher)
         assert time.perf_counter() - started < 2.5
         assert [hit.tweet_text for hit in hits] == ["text"]  # the nested cards are part of the first
+
+    @pytest.mark.parametrize("chained", [False, True])
+    def test_sibling_politwoops_cards_under_unclosed_tags(self, tmp_path, chained):
+        claim = TweetClaim(body="deep sibling cards")
+        settings_ = ENGINES[SourceId.POLITWOOPS]
+        if chained:  # descendant chains, set through a selector file
+            selector_file = tmp_path / "politwoops.selectors"
+            selector_file.write_text(
+                "".join(f"{key} = {value}\n" for key, value in _CHAINED_CARD_SELECTORS.items()), encoding="utf-8"
+            )
+            config_file = tmp_path / "tweetcheck.conf"
+            config_file.write_text(f"selectors.politwoops = {selector_file}\n", encoding="utf-8")
+            settings_ = build_config(config_file, env={}).engines[SourceId.POLITWOOPS]
+        count = 4_000
+        body = "<span>" * count + "".join(_card(i) for i in range(count))
+        fetcher = self._fetcher(SourceId.POLITWOOPS, claim, body)
+        started = time.perf_counter()
+        hits = search_politwoops(claim, fetcher, settings_)
+        assert time.perf_counter() - started < 2.5
+        assert [(hit.tweet_text, hit.handle) for hit in hits] == [(f"text {i}", f"h{i}") for i in range(count)]
+
+    @pytest.mark.parametrize("chained", [False, True])
+    @settings(max_examples=150, deadline=None)
+    @given(steps=st.lists(st.sampled_from(_CARD_PAGE_STEPS), max_size=30))
+    def test_card_reader_matches_per_card_reading(self, chained, steps):
+        row = ENGINES[SourceId.POLITWOOPS]
+        settings_ = replace(row, selectors={**row.selectors, **_CHAINED_CARD_SELECTORS}) if chained else row
+        body = "".join(step.format(i=i) for i, step in enumerate(steps))
+        claim = TweetClaim(body="generated cards")
+        hits = search_politwoops(claim, self._fetcher(SourceId.POLITWOOPS, claim, body), settings_)
+        assert [(hit.tweet_text, urlsplit(hit.detail_url).path, hit.handle) for hit in hits] == (
+            _per_card_reading(parse_html(body), settings_.selectors)
+        )
 
     def test_nested_ads(self):
         claim = TweetClaim(body="nested ads")

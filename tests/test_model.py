@@ -3,8 +3,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tweetcheck.model import (
-    Attribution,
     EvidenceItem,
+    Outcome,
     RankedResults,
     RatingKind,
     SourceId,
@@ -77,13 +77,13 @@ class TestClassifyRating:
 class TestImpliedAttribution:
     # exhaustive truth table over every rating kind
     EXPECTED = {
-        RatingKind.TRUE: Attribution.IMPLIES_AUTHENTIC,
-        RatingKind.CORRECT_ATTRIBUTION: Attribution.IMPLIES_AUTHENTIC,
-        RatingKind.FALSE: Attribution.IMPLIES_FABRICATED,
-        RatingKind.MISATTRIBUTED: Attribution.IMPLIES_FABRICATED,
-        RatingKind.MIXTURE: Attribution.NO_IMPLICATION,
-        RatingKind.SATIRE: Attribution.NO_IMPLICATION,
-        RatingKind.UNKNOWN: Attribution.NO_IMPLICATION,
+        RatingKind.TRUE: Outcome.AUTHENTIC,
+        RatingKind.CORRECT_ATTRIBUTION: Outcome.AUTHENTIC,
+        RatingKind.FALSE: Outcome.FABRICATED,
+        RatingKind.MISATTRIBUTED: Outcome.FABRICATED,
+        RatingKind.MIXTURE: Outcome.UNVERIFIABLE,
+        RatingKind.SATIRE: Outcome.UNVERIFIABLE,
+        RatingKind.UNKNOWN: Outcome.UNVERIFIABLE,
     }
 
     @pytest.mark.parametrize("kind", list(RatingKind))
@@ -150,7 +150,7 @@ class TestEvidenceItem:
         item = EvidenceItem(
             source=SourceId.POLITWOOPS, url="https://x/", rank=1, matched_text="t"
         )
-        assert item.implication() is Attribution.IMPLIES_AUTHENTIC
+        assert item.implication() is Outcome.AUTHENTIC
 
 
 class TestRankedResults:

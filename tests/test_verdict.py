@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -6,11 +7,11 @@ from hypothesis import strategies as st
 
 from tweetcheck.model import (
     SOURCE_ORDER,
-    Attribution,
     EvidenceItem,
     Outcome,
     SourceId,
     TweetClaim,
+    Verdict,
     classify_rating,
 )
 from tweetcheck.verdict import aggregate
@@ -78,6 +79,13 @@ class TestSpecExamples:
         assert verdict.outcome is Outcome.AUTHENTIC
         assert verdict.conflict
 
+    def test_a_verdict_is_its_sorted_evidence(self):
+        politwoops, reuters_false = make_item("politwoops", 1), make_item("false", 2)
+        verdict = aggregate(CLAIM, [politwoops, reuters_false])
+        assert [field.name for field in dataclasses.fields(Verdict)] == ["evidence"]
+        assert verdict == Verdict((reuters_false, politwoops))
+        assert (verdict.outcome, verdict.conflict) == (Outcome.AUTHENTIC, True)
+
 
 class TestExhaustiveTruthTable:
     @pytest.mark.parametrize("kinds", list(all_cases()))
@@ -106,7 +114,7 @@ class TestExhaustiveTruthTable:
             verdict = aggregate(CLAIM, items)
             if verdict.outcome is Outcome.UNVERIFIABLE:
                 assert all(
-                    item.implication() is Attribution.NO_IMPLICATION for item in verdict.evidence
+                    item.implication() is Outcome.UNVERIFIABLE for item in verdict.evidence
                 )
 
 

@@ -17,8 +17,9 @@ tweet records rather than links and has its own adapter,
 
 Selectors are configurable so site markup drift can be absorbed without
 code changes. A bot-challenge check and an ad filter run wherever an
-engine's selectors name them. Non-2xx fetches never raise here: the adapter
-logs the status and returns empty results. Adapters are stateless;
+engine's selectors name them. A results page that is not a 2xx answer is a
+:class:`~tweetcheck.errors.NetworkError` from the fetch gateway, and
+propagates like any other query failure. Adapters are stateless;
 determinism under replay comes from the fixture store.
 """
 
@@ -127,18 +128,9 @@ def normalize_text(text: str) -> str:
     return collapse_whitespace(text.lower())
 
 
-def _request_page(fetcher: Fetcher, settings: EngineSettings, query: str) -> Optional[FetchResponse]:
+def _request_page(fetcher: Fetcher, settings: EngineSettings, query: str) -> FetchResponse:
     url = settings.endpoint.format(query=encode_query(query, settings.spec.encoding))
-    response = fetcher.fetch(FetchRequest(url=url))
-    if not response.ok:
-        logger.warning(
-            "%s: HTTP %s for %s; treating as no results",
-            settings.source.value,
-            response.status,
-            url,
-        )
-        return None
-    return response
+    return fetcher.fetch(FetchRequest(url=url))
 
 
 def _unwrap_redirect(url: str) -> str:
@@ -180,8 +172,6 @@ def ranked_search(
         raise ValueError(f"{source.value} does not produce ranked URL results")
     query = build_query(claim, settings.spec)
     response = _request_page(fetcher, settings, query)
-    if response is None:
-        return RankedResults(source, query, ())
     root = parse_response(response)
     selectors = settings.selectors
     _check_captcha(root, selectors, response.final_url)
@@ -232,8 +222,6 @@ def search_politwoops(
     settings = settings or ENGINES[SourceId.POLITWOOPS]
     query = build_query(claim, settings.spec)
     response = _request_page(fetcher, settings, query)
-    if response is None:
-        return []
     root = parse_response(response)
     selectors = settings.selectors
     cards = outermost(root.select(selectors["cards"]))

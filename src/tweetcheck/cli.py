@@ -5,10 +5,11 @@ data; diagnostics go to stderr. Exit codes are a stable contract:
 
 * verify: 0 = Authentic, 1 = Fabricated, 2 = Unverifiable
 * 64 = usage error, 65 = dataset error, 66 = missing or corrupt replay fixture,
-  69 = operational failure (network, bot challenge, unparseable pages)
+  69 = operational failure (network or non-2xx answer, bot challenge, unparseable pages)
 
 A command line argparse rejects or a :class:`ConfigError` (64), and any
-other uncaught :class:`TweetCheckError` (69), is mapped to its exit code
+other uncaught :class:`TweetCheckError` (69, worded by
+:func:`~tweetcheck.errors.describe_failure`), is mapped to its exit code
 once, in :func:`main`.
 
 ``record`` is the ``eval`` pass with a recording fetcher, and both print
@@ -27,7 +28,7 @@ from typing import Callable, Optional, Sequence
 
 from .config import MODE_ENV_VAR, AppConfig, ConfigError, build_config, in_range, source_by_name
 from .dataset import load_dataset, shipped_dataset_path, validate_dataset
-from .errors import FixtureMiss, FormatError, TweetCheckError, ValidationError
+from .errors import FixtureMiss, FormatError, TweetCheckError, ValidationError, describe_failure
 from .evaluation import EVAL_SOURCES, EngineReport, QueryOutcome, evaluate_engine, render_report
 from .fetch import FetchMode, FetchRequest
 from .model import Outcome, SourceId, TweetClaim
@@ -263,12 +264,7 @@ def cmd_scrape(args: argparse.Namespace) -> int:
             page = fetcher.fetch(FetchRequest(url=args.url))
         except FixtureMiss as exc:
             return _fail(str(exc), EXIT_NO_FIXTURE)
-    if not page.ok:
-        return _fail(f"HTTP {page.status} for {args.url}", EXIT_OPERATIONAL)
-    try:
-        rating = scrape_rating(page, config.rating_selectors)
-    except ValueError as exc:  # redirected off to an unsupported host
-        return _fail(str(exc), EXIT_USAGE)
+    rating = scrape_rating(page, config.rating_selectors)
     print(rating_line(rating))
     print(f"Normalized kind: {rating.kind.value}")
     return 0
@@ -287,7 +283,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         return _fail(str(exc), EXIT_USAGE)
     except TweetCheckError as exc:
-        return _fail(str(exc), EXIT_OPERATIONAL)
+        return _fail(describe_failure(exc), EXIT_OPERATIONAL)
 
 
 if __name__ == "__main__":

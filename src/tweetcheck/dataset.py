@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import FormatError, ValidationError
 from .model import TweetClaim
@@ -123,20 +123,23 @@ def parse_dataset(text: str, validate: bool = True) -> list[GroundTruthRecord]:
     """Parse corpus text into records in file order.
 
     Records are separated by "\\n" only; other unicode line breaks may occur
-    escaped inside the body field and must not split a record.
+    escaped inside the body field and must not split a record. With
+    ``validate``, the first record that :func:`validate_dataset` has
+    findings for raises a :class:`ValidationError` carrying all of them.
     """
-    records = []
-    for line_no, line in enumerate(text.split("\n"), start=1):
-        line = line.rstrip("\r")
-        if not line.strip() or line.startswith("#"):
-            continue
-        record = _parse_line(line, line_no)
-        if validate:
-            problems = record_problems(record)
-            if problems:
-                raise ValidationError(record.id, "; ".join(problems))
-        records.append(record)
-    return records
+    records = (
+        _parse_line(line.rstrip("\r"), line_no)
+        for line_no, line in enumerate(text.split("\n"), start=1)
+        if line.strip() and not line.startswith("#")
+    )
+    if not validate:
+        return list(records)
+    valid = []
+    for record, problems, duplicates in _checked(records):
+        if problems or duplicates:
+            raise ValidationError(record.id, "; ".join(problems + duplicates))
+        valid.append(record)
+    return valid
 
 
 def load_dataset(path: str | Path, validate: bool = True) -> list[GroundTruthRecord]:
@@ -172,27 +175,32 @@ def serialize_dataset(records: list[GroundTruthRecord]) -> str:
 
 
 def validate_dataset(records: list[GroundTruthRecord]) -> list[ValidationFinding]:
-    """Corpus-level report: invariant breaches, duplicate ids, duplicate articles."""
-    findings = []
-    for record in records:
-        for problem in record_problems(record):
-            findings.append(ValidationFinding(record.id, problem))
-    seen_ids: dict[str, str] = {}
+    """Corpus-level report: every record's invariant breaches, then every
+    repeated id and article, each part in file order."""
+    checked = list(_checked(records))
+    return [ValidationFinding(r.id, p) for r, problems, _ in checked for p in problems] + [
+        ValidationFinding(r.id, d) for r, _, duplicates in checked for d in duplicates
+    ]
+
+
+def _checked(
+    records: Iterable[GroundTruthRecord],
+) -> Iterator[tuple[GroundTruthRecord, list[str], list[str]]]:
+    """Each record with its invariant breaches and with what it repeats of
+    an earlier record: its id, its article."""
+    seen_ids: set[str] = set()
     seen_urls: dict[str, str] = {}
     for record in records:
+        problems, duplicates = record_problems(record), []
         if record.id in seen_ids:
-            findings.append(ValidationFinding(record.id, "duplicate record id"))
-        seen_ids[record.id] = record.id
+            duplicates.append("duplicate record id")
+        seen_ids.add(record.id)
         canonical = canonicalize_article_url(record.snopes_url)
         if canonical in seen_urls:
-            findings.append(
-                ValidationFinding(
-                    record.id, f"duplicate snopes_url (also on {seen_urls[canonical]}): {canonical}"
-                )
-            )
+            duplicates.append(f"duplicate snopes_url (also on {seen_urls[canonical]}): {canonical}")
         else:
             seen_urls[canonical] = record.id
-    return findings
+        yield record, problems, duplicates
 
 
 def shipped_dataset_path() -> Path:

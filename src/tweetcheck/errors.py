@@ -13,7 +13,8 @@ class TweetCheckError(Exception):
 
 
 class NetworkError(TweetCheckError):
-    """A live HTTP request failed at the transport level."""
+    """A request failed: at the transport level, or with a non-2xx status
+    (``HTTP {status} for {url}``), recorded or live."""
 
 
 class FixtureMiss(TweetCheckError):
@@ -68,7 +69,7 @@ QUERY_FAILURES = (NetworkError, FixtureMiss, CaptchaDetected, ParseError)
 
 
 def describe_failure(exc: TweetCheckError) -> str:
-    """How a failed engine query is reported, wherever it is reported."""
+    """How a failed engine query, or any error that stops a command, is worded on stderr."""
     if isinstance(exc, CaptchaDetected):
         return f"bot challenge: {exc}"
     if isinstance(exc, ParseError):

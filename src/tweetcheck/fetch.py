@@ -2,9 +2,11 @@
 
 Every downstream parser receives a :class:`FetchResponse`, so the whole
 pipeline is testable offline: record once, then replay byte-identically
-with zero network access. Fixtures are one file per request, named by the
-SHA-256 of the normalized request line, with a diff-able ASCII header
-followed by the raw body bytes.
+with zero network access. Only a 2xx response is returned: any other status
+is a :class:`~tweetcheck.errors.NetworkError`, in replay as it was live,
+because record mode saves the response before raising. Fixtures are one
+file per request, named by the SHA-256 of the normalized request line,
+with a diff-able ASCII header followed by the raw body bytes.
 
 The network stack (``requests`` and what it pulls in) is imported only when
 a live or record fetcher is built without an injected transport, so replay
@@ -26,7 +28,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, TypeVar
 from urllib.parse import urljoin, urlsplit
 
-from .errors import CorruptFixture, FixtureMiss, NetworkError
+from .errors import CorruptFixture, FixtureMiss, NetworkError, TweetCheckError
 from . import urls
 
 if TYPE_CHECKING:
@@ -85,10 +87,6 @@ class FetchResponse:
         if not 100 <= self.status <= 599:
             raise ValueError(f"status out of range: {self.status}")
 
-    @property
-    def ok(self) -> bool:
-        return 200 <= self.status < 300
-
 
 def fixture_key(req: FetchRequest) -> str:
     """64-char hex digest identifying a request: SHA-256 of "GET <normalized-url>"."""
@@ -144,24 +142,29 @@ class FixtureStore:
         return response
 
     def save(self, key: str, response: FetchResponse) -> Path:
+        """Write the response under ``key``; a :class:`TweetCheckError` naming
+        the file if it cannot be written."""
         import tempfile  # only recording writes fixtures
 
-        self.root.mkdir(parents=True, exist_ok=True)
         header = (
             f"{response.status}\n{response.final_url}\n"
             f"{response.content_type}\n{len(response.body)}\n\n"
         )
         path = self.path_for(key)
-        fd, tmp_name = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(header.encode("utf-8"))
-                handle.write(response.body)
-            os.replace(tmp_name, path)  # last write wins, never a torn file
-        except BaseException:
-            if os.path.exists(tmp_name):
-                os.unlink(tmp_name)
-            raise
+            self.root.mkdir(parents=True, exist_ok=True)
+            fd, tmp_name = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+            try:
+                with os.fdopen(fd, "wb") as handle:
+                    handle.write(header.encode("utf-8"))
+                    handle.write(response.body)
+                os.replace(tmp_name, path)  # last write wins, never a torn file
+            except BaseException:
+                if os.path.exists(tmp_name):
+                    os.unlink(tmp_name)
+                raise
+        except OSError as exc:  # e.g. a directory in the fixture's place, or a full disk
+            raise TweetCheckError(f"cannot write fixture {path}: {exc.strerror or exc}") from exc
         return path
 
 
@@ -235,20 +238,24 @@ class Fetcher:
             session.close()
 
     def fetch(self, req: FetchRequest) -> FetchResponse:
-        """Resolve one request according to the mode.
+        """Resolve one request according to the mode; only a 2xx response is returned.
 
-        Non-2xx statuses are responses, not errors; callers interpret them.
-        Raises :class:`FixtureMiss` in replay mode for unrecorded requests
-        and :class:`NetworkError` on live transport failure.
+        Raises :class:`NetworkError` on live transport failure and, in every
+        mode, ``HTTP {status} for {url}`` for a non-2xx response (which
+        record mode saves first, so replay fails the same way). Raises
+        :class:`FixtureMiss` in replay mode for unrecorded requests.
         """
         key = fixture_key(req)
         if self.mode is FetchMode.REPLAY:
             assert self.store is not None
-            return self.store.load(key, req.url)
-        response = self._polite_request(req)
-        if self.mode is FetchMode.RECORD:
-            assert self.store is not None
-            self.store.save(key, response)
+            response = self.store.load(key, req.url)
+        else:
+            response = self._polite_request(req)
+            if self.mode is FetchMode.RECORD:
+                assert self.store is not None
+                self.store.save(key, response)
+        if not 200 <= response.status < 300:
+            raise NetworkError(f"HTTP {response.status} for {req.url}")
         return response
 
     def run_per_host(self, jobs: Sequence[tuple[str, Callable[[], T]]]) -> list[T]:

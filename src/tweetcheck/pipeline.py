@@ -156,15 +156,10 @@ def _politwoops_evidence(claim: TweetClaim, hits: list[PolitwoopsHit]) -> Option
 
 
 def _scrape_article(url: str, fetcher: Fetcher, selectors) -> TruthRating:
+    """The article's rating; a missing one when its query fails, as for a
+    non-2xx page or one redirected off the publisher (e.g. a consent page)."""
     try:
-        page = fetcher.fetch(FetchRequest(url=url))
-        if not page.ok:
-            logger.warning("article %s returned HTTP %s", url, page.status)
-            return classify_rating("")
-        if identify_publisher(page.final_url) is None:  # e.g. a consent page
-            logger.warning("article %s redirected off the publisher to %s", url, page.final_url)
-            return classify_rating("")
-        return scrape_rating(page, selectors)
+        return scrape_rating(fetcher.fetch(FetchRequest(url=url)), selectors)
     except QUERY_FAILURES as exc:
         logger.warning("could not scrape %s: %s", url, exc)
         return classify_rating("")

@@ -18,6 +18,7 @@ import logging
 import re
 from typing import Mapping, Optional
 
+from .errors import ParseError
 from .fetch import FetchResponse
 from .htmldoc import Element, collapse_whitespace, outermost, parse_response
 from .model import TruthRating, classify_rating
@@ -167,11 +168,15 @@ def _following_text_block(heading: Element, holders: set[int], walked: set[int])
 def scrape_rating(
     page: FetchResponse, selectors: Mapping[str, Mapping[str, str]] = DEFAULT_RATING_SELECTORS
 ) -> TruthRating:
-    """Route a fetched article to the right publisher scraper by final URL host."""
+    """Route a fetched article to the right publisher scraper by final URL host.
+
+    A page whose final URL is on neither publisher (say, a consent page it
+    was redirected to) is a :class:`~tweetcheck.errors.ParseError`.
+    """
     publisher = identify_publisher(page.final_url)
     if publisher == "snopes":
         return scrape_snopes_rating(page, selectors["snopes"])
     if publisher == "reuters":
         return scrape_reuters_rating(page, selectors["reuters"])
-    raise ValueError(f"unsupported publisher host: {page.final_url}")
+    raise ParseError(f"{page.final_url}: not a Snopes or Reuters page")
 

@@ -98,7 +98,10 @@ def record_pages(store_dir: Path, pages: dict[str, StubPage]) -> FixtureStore:
         FetchMode.RECORD, store, delay_ms=0, transport=StubTransport(pages)
     )
     for url in pages:
-        fetcher.fetch(FetchRequest(url=url))
+        try:
+            fetcher.fetch(FetchRequest(url=url))
+        except NetworkError:  # a non-2xx page is recorded, then its fetch fails
+            pass
     return store
 
 

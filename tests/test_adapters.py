@@ -10,7 +10,7 @@ from tweetcheck.adapters import (
     ranked_search,
     search_politwoops,
 )
-from tweetcheck.errors import CaptchaDetected, ParseError
+from tweetcheck.errors import CaptchaDetected, NetworkError, ParseError
 from tweetcheck.model import SourceId, TweetClaim
 
 from conftest import (
@@ -72,10 +72,12 @@ class TestSearchSnopes:
         results = ranked_search(SourceId.SNOPES_SEARCH, TweetClaim(body=body), replay_fetcher(store))
         assert list(results.urls) == urls
 
-    def test_non_2xx_yields_empty_results(self, tmp_path):
+    def test_non_2xx_is_a_network_error(self, tmp_path):
         store = store_for(tmp_path, SourceId.SNOPES_SEARCH, "server trouble", b"oops", status=503)
-        results = ranked_search(SourceId.SNOPES_SEARCH, TweetClaim(body="server trouble"), replay_fetcher(store))
-        assert results.urls == ()
+        url = engine_query_url(SourceId.SNOPES_SEARCH, "server trouble")
+        with pytest.raises(NetworkError) as exc:
+            ranked_search(SourceId.SNOPES_SEARCH, TweetClaim(body="server trouble"), replay_fetcher(store))
+        assert str(exc.value) == f"HTTP 503 for {url}"
 
     def test_non_html_page_raises_parse_error(self, tmp_path):
         store = store_for(

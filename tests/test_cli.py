@@ -10,7 +10,7 @@ import tweetcheck
 from tweetcheck.cli import main
 from tweetcheck.dataset import GroundTruthRecord, serialize_dataset
 from tweetcheck.evaluation import evaluate_engine
-from tweetcheck.fetch import Fetcher, FetchRequest, fixture_key
+from tweetcheck.fetch import Fetcher, FetchRequest, FixtureStore, fixture_key
 
 from conftest import (
     JOBS_BODY,
@@ -24,6 +24,7 @@ from conftest import (
     eval_records,
     mixed_pandemic_pages,
     page,
+    pandemic_pages,
     record_pages,
     replay_fetcher,
 )
@@ -265,10 +266,8 @@ class TestEngineFailures:
         ]) == 0
         eval_lines = capsys.readouterr().err.splitlines()
 
-        transport = StubTransport(pages)
-        monkeypatch.setattr(Fetcher, "_requests_transport", lambda self, req: transport(req))
-        config = tmp_path / "tweetcheck.conf"
-        config.write_text("politeness_delay_ms=0\n", encoding="utf-8")
+        _stub_network(monkeypatch, pages)
+        config = _quiet_config(tmp_path)
         main([
             "record", "--dataset", str(dataset), "--engine", source.value,
             "--fixtures", str(tmp_path / "recorded"), "--config", str(config),
@@ -436,6 +435,22 @@ def _refuse_network(monkeypatch) -> None:
     )
 
 
+def _stub_network(monkeypatch, pages: dict[str, StubPage]) -> StubTransport:
+    transport = StubTransport(pages)
+    monkeypatch.setattr(Fetcher, "_requests_transport", lambda self, req: transport(req))
+    return transport
+
+
+def _quiet_config(tmp_path: Path) -> Path:
+    config = tmp_path / "tweetcheck.conf"
+    config.write_text("politeness_delay_ms=0\n", encoding="utf-8")
+    return config
+
+
+def _tweetcheck_lines(err: str) -> list[str]:
+    return [line for line in err.splitlines() if line.startswith("tweetcheck:")]
+
+
 @pytest.mark.parametrize("command", ["validate-dataset", "eval", "record"])
 def test_non_utf8_dataset_exits_65_naming_the_line(tmp_path, capsys, monkeypatch, command):
     _refuse_network(monkeypatch)
@@ -502,23 +517,11 @@ def test_fixtures_path_through_a_file_exits_64_before_any_request(tmp_path, caps
 
 
 class TestRecord:
-    def _patch_transport(self, monkeypatch, pages):
-        transport = StubTransport(pages)
-        monkeypatch.setattr(
-            Fetcher, "_requests_transport", lambda self, req: transport(req), raising=True
-        )
-        return transport
-
-    def _quiet_config(self, tmp_path) -> Path:
-        config = tmp_path / "tweetcheck.conf"
-        config.write_text("politeness_delay_ms=0\n", encoding="utf-8")
-        return config
-
     def test_record_then_replay_eval_matches(self, tmp_path, monkeypatch, capsys):
-        transport = self._patch_transport(monkeypatch, eval_pages())
+        transport = _stub_network(monkeypatch, eval_pages())
         dataset = write_dataset(tmp_path)
         fixtures = tmp_path / "fx"
-        config = self._quiet_config(tmp_path)
+        config = _quiet_config(tmp_path)
 
         code = main([
             "record", "--dataset", str(dataset), "--engine", "snopes",
@@ -538,10 +541,10 @@ class TestRecord:
         assert "0.5000" in out and "0.3333" in out
 
     def test_rerecording_is_idempotent(self, tmp_path, monkeypatch, capsys):
-        self._patch_transport(monkeypatch, eval_pages())
+        _stub_network(monkeypatch, eval_pages())
         dataset = write_dataset(tmp_path)
         fixtures = tmp_path / "fx"
-        config = self._quiet_config(tmp_path)
+        config = _quiet_config(tmp_path)
         args = [
             "record", "--dataset", str(dataset), "--engine", "snopes",
             "--fixtures", str(fixtures), "--config", str(config),
@@ -553,10 +556,10 @@ class TestRecord:
 
     def test_network_failures_reported_with_partial_progress(self, tmp_path, monkeypatch, capsys):
         pages = {k: v for k, v in eval_pages().items() if "alpha" in k}
-        self._patch_transport(monkeypatch, pages)
+        _stub_network(monkeypatch, pages)
         dataset = write_dataset(tmp_path)
         fixtures = tmp_path / "fx"
-        config = self._quiet_config(tmp_path)
+        config = _quiet_config(tmp_path)
         code = main([
             "record", "--dataset", str(dataset), "--engine", "snopes",
             "--fixtures", str(fixtures), "--config", str(config),
@@ -574,10 +577,10 @@ class TestRecord:
         }
         first = engine_query_url(SourceId.WEB_SEARCH, records[0].tweet_body)
         pages[first] = StubPage(page("google_serp_captcha.html"))
-        transport = self._patch_transport(monkeypatch, pages)
+        transport = _stub_network(monkeypatch, pages)
         code = main([
             "record", "--dataset", str(write_dataset(tmp_path)), "--engine", "web",
-            "--fixtures", str(tmp_path / "fx"), "--config", str(self._quiet_config(tmp_path)),
+            "--fixtures", str(tmp_path / "fx"), "--config", str(_quiet_config(tmp_path)),
         ])
         captured = capsys.readouterr()
         assert code == 69
@@ -596,14 +599,14 @@ class TestRecord:
     def test_records_without_a_relevant_url_are_recorded_not_failed(self, tmp_path, monkeypatch, capsys):
         records = eval_records()
         assert all(r.reuters_url is None for r in records)
-        self._patch_transport(monkeypatch, {
+        _stub_network(monkeypatch, {
             engine_query_url(SourceId.REUTERS_SEARCH, r.tweet_body): StubPage(page("reuters_serp_empty.html"))
             for r in records
         })
         fixtures = tmp_path / "fx"
         code = main([
             "record", "--dataset", str(write_dataset(tmp_path)), "--engine", "reuters",
-            "--fixtures", str(fixtures), "--config", str(self._quiet_config(tmp_path)),
+            "--fixtures", str(fixtures), "--config", str(_quiet_config(tmp_path)),
         ])
         captured = capsys.readouterr()
         assert code == 0
@@ -836,3 +839,159 @@ class TestValidateDatasetFlags:
     def test_flags_it_never_reads_are_rejected(self, capsys, flag):
         assert main(["validate-dataset", *flag]) == 64
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestNon2xxPages:
+    """A page that is not a 2xx answer is a failed query, recorded or replayed alike."""
+
+    def _busy_snopes_pages(self) -> tuple[dict[str, StubPage], str]:
+        pages = eval_pages()
+        busy = engine_query_url(SourceId.SNOPES_SEARCH, eval_records()[0].tweet_body)
+        pages[busy] = StubPage(b"<p>Try again later.</p>", status=503)
+        return pages, busy
+
+    def test_eval_prints_a_503_results_page_as_a_failure_over_an_unchanged_table(self, tmp_path, capsys):
+        pages, busy = self._busy_snopes_pages()
+        store = record_pages(tmp_path / "fx", pages)
+        code = main([
+            "eval", "--dataset", str(write_dataset(tmp_path)), "--engine", "snopes",
+            "--mode", "replay", "--fixtures", str(store.root),
+        ])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out == "Search engine           MRR     Mean P@1\nSnopes built-in search  0.1667  0.0000\n"
+        assert captured.err == f"tweetcheck: record e1 via snopes failed: HTTP 503 for {busy}\n"
+
+    def test_record_counts_a_503_results_page_and_still_writes_its_fixture(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        pages, busy = self._busy_snopes_pages()
+        _stub_network(monkeypatch, pages)
+        fixtures = tmp_path / "fx"
+        code = main([
+            "record", "--dataset", str(write_dataset(tmp_path)), "--engine", "snopes",
+            "--fixtures", str(fixtures), "--config", str(_quiet_config(tmp_path)),
+        ])
+        captured = capsys.readouterr()
+        assert code == 69
+        assert captured.out == "recorded 3 record(s) x 1 engine(s), 1 failure(s)\n"
+        assert captured.err == f"tweetcheck: record e1 via snopes failed: HTTP 503 for {busy}\n"
+        assert len(list(fixtures.iterdir())) == 3
+        assert FixtureStore(fixtures).load(fixture_key(FetchRequest(url=busy))).status == 503
+
+    def test_verify_with_every_engine_answering_503_exits_69(self, tmp_path, capsys):
+        urls = {source: engine_query_url(source, PANDEMIC_BODY) for source in SourceId}
+        store = record_pages(tmp_path / "fx", {url: StubPage(b"busy", status=503) for url in urls.values()})
+        code = main(["verify", PANDEMIC_BODY, "--mode", "replay", "--fixtures", str(store.root)])
+        captured = capsys.readouterr()
+        assert code == 69
+        assert captured.out == ""
+        assert _tweetcheck_lines(captured.err) == [
+            *(f"tweetcheck: {source.value}: HTTP 503 for {url}" for source, url in urls.items()),
+            "tweetcheck: every engine failed; cannot verify",
+        ]
+
+    def test_verify_with_an_article_answering_404_prints_a_missing_rating(self, tmp_path, capsys, caplog):
+        pages = pandemic_pages()
+        pages[SNOPES_PANDEMIC_ARTICLE] = StubPage(b"gone", status=404)
+        store = record_pages(tmp_path / "fx", pages)
+        code = main(["verify", PANDEMIC_BODY, "--mode", "replay", "--fixtures", str(store.root)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == (
+            f"Article found at URL: {SNOPES_PANDEMIC_ARTICLE}\n"
+            "Truth rating: UNKNOWN (missing)\n"
+            "Article found at URL: https://www.snopes.com/fact-check/trump-pandemic-response-timeline/\n"
+            "Truth rating: UNKNOWN (missing)\n"
+            f"Article found at URL: {REUTERS_PANDEMIC_ARTICLE}\n"
+            "Truth rating: False\n"
+            "Article found at URL: https://www.reuters.com/article/us-health-coronavirus-whitehouse/"
+            "white-house-briefing-roundup-idUSKBN21X2Y0\n"
+            "Truth rating: UNKNOWN (missing)\n"
+            "Verdict: Fabricated\n"
+        )
+        assert _tweetcheck_lines(captured.err) == []
+        assert f"could not scrape {SNOPES_PANDEMIC_ARTICLE}: HTTP 404 for {SNOPES_PANDEMIC_ARTICLE}" in caplog.text
+
+    def test_scrape_of_an_article_redirected_off_the_publisher_exits_69(self, tmp_path, capsys):
+        consent = "https://consent.example.com/?continue=snopes"
+        store = record_pages(tmp_path / "fx", {
+            SNOPES_PANDEMIC_ARTICLE: StubPage(b"<p>Rating: False</p>", final_url=consent),
+        })
+        code = main(["scrape", SNOPES_PANDEMIC_ARTICLE, "--mode", "replay", "--fixtures", str(store.root)])
+        captured = capsys.readouterr()
+        assert code == 69
+        assert captured.out == ""
+        assert captured.err == f"tweetcheck: unparseable page: {consent}: not a Snopes or Reuters page\n"
+
+    def test_scrape_of_an_article_answering_404_exits_69(self, tmp_path, capsys):
+        store = record_pages(tmp_path / "fx", {SNOPES_PANDEMIC_ARTICLE: StubPage(b"gone", status=404)})
+        code = main(["scrape", SNOPES_PANDEMIC_ARTICLE, "--mode", "replay", "--fixtures", str(store.root)])
+        captured = capsys.readouterr()
+        assert code == 69
+        assert captured.out == ""
+        assert captured.err == f"tweetcheck: HTTP 404 for {SNOPES_PANDEMIC_ARTICLE}\n"
+
+    def test_scrape_of_a_page_that_is_not_html_is_an_unparseable_page(self, tmp_path, capsys):
+        store = record_pages(tmp_path / "fx", {
+            SNOPES_PANDEMIC_ARTICLE: StubPage(b"%PDF-1.4", content_type="application/pdf"),
+        })
+        code = main(["scrape", SNOPES_PANDEMIC_ARTICLE, "--mode", "replay", "--fixtures", str(store.root)])
+        captured = capsys.readouterr()
+        assert code == 69
+        assert captured.err == (
+            f"tweetcheck: unparseable page: {SNOPES_PANDEMIC_ARTICLE}: not an HTML page (application/pdf)\n"
+        )
+
+
+@pytest.mark.parametrize("command", ["record", "verify", "scrape"])
+def test_a_directory_at_a_fixture_path_exits_69_naming_the_file(tmp_path, capsys, monkeypatch, command):
+    _stub_network(monkeypatch, {**eval_pages(), **pandemic_pages()})
+    blocked_url, argv = {
+        "record": (
+            engine_query_url(SourceId.SNOPES_SEARCH, eval_records()[0].tweet_body),
+            ["record", "--dataset", str(write_dataset(tmp_path)), "--engine", "snopes"],
+        ),
+        "verify": (engine_query_url(SourceId.SNOPES_SEARCH, PANDEMIC_BODY), ["verify", PANDEMIC_BODY, "--mode", "record"]),
+        "scrape": (SNOPES_PANDEMIC_ARTICLE, ["scrape", SNOPES_PANDEMIC_ARTICLE, "--mode", "record"]),
+    }[command]
+    fixtures = tmp_path / "fx"
+    blocked = FixtureStore(fixtures).path_for(fixture_key(FetchRequest(url=blocked_url)))
+    blocked.mkdir(parents=True)
+    code = main([*argv, "--fixtures", str(fixtures), "--config", str(_quiet_config(tmp_path))])
+    captured = capsys.readouterr()
+    assert code == 69
+    assert captured.out == ""
+    assert _tweetcheck_lines(captured.err) == [f"tweetcheck: cannot write fixture {blocked}: Is a directory"]
+    assert not list(fixtures.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("command", ["eval", "record"])
+@pytest.mark.parametrize(
+    "change, complaint",
+    [
+        ({"id": "e1"}, "record e1: duplicate record id"),
+        (
+            {"snopes_url": "https://www.snopes.com/fact-check/alpha/"},
+            "record e2: duplicate snopes_url (also on e1): /fact-check/alpha",
+        ),
+    ],
+    ids=["duplicate-id", "duplicate-article"],
+)
+def test_a_corpus_validate_dataset_rejects_exits_65_before_any_query(
+    tmp_path, capsys, monkeypatch, command, change, complaint
+):
+    _refuse_network(monkeypatch)
+    records = eval_records()
+    records[1] = replace(records[1], **change)
+    dataset = tmp_path / "corpus.tsv"
+    dataset.write_text(serialize_dataset(records), encoding="utf-8")
+    assert main(["validate-dataset", "--dataset", str(dataset)]) == 65
+    assert capsys.readouterr().out == f"{complaint}\n"
+    fixtures = tmp_path / "fx"
+    code = main([command, "--dataset", str(dataset), "--fixtures", str(fixtures)])
+    captured = capsys.readouterr()
+    assert code == 65
+    assert captured.out == ""
+    assert captured.err == f"tweetcheck: dataset error: {complaint}\n"
+    assert not fixtures.exists()

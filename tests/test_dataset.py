@@ -93,6 +93,30 @@ class TestParsing:
         assert exc.value.record_id == "bad7"
         assert "archived_url" in str(exc.value)
 
+    def test_first_record_with_findings_raises_with_all_of_them(self):
+        first, repeat = make_record("r1"), make_record("r1", tweet_body=" ")
+        text = serialize_dataset([first, make_record("r2"), repeat, make_record("r2")])
+        with pytest.raises(ValidationError) as exc:
+            parse_dataset(text)
+        assert str(exc.value) == (
+            "record r1: tweet_body is empty; duplicate record id; "
+            "duplicate snopes_url (also on r1): /fact-check/r1"
+        )
+        assert [(f.record_id, f.message) for f in validate_dataset(parse_dataset(text, validate=False))] == [
+            ("r1", "tweet_body is empty"),
+            ("r1", "duplicate record id"),
+            ("r1", "duplicate snopes_url (also on r1): /fact-check/r1"),
+            ("r2", "duplicate record id"),
+            ("r2", "duplicate snopes_url (also on r2): /fact-check/r2"),
+        ]
+
+    def test_findings_and_format_errors_raise_in_line_order(self):
+        duplicate = serialize_dataset([make_record("r1"), make_record("r1")])
+        with pytest.raises(ValidationError):
+            parse_dataset(duplicate + "x1\tfalse\tbody\n")
+        with pytest.raises(FormatError):
+            parse_dataset(HEADER + "x1\tfalse\tbody\n" + duplicate)
+
     def test_validate_false_defers_invariants(self):
         line = "bad8\ttrue\tbody\thttps://www.snopes.com/fact-check/bad8/\t-\t-\t-"
         records = parse_dataset(HEADER + line + "\n", validate=False)
@@ -162,7 +186,8 @@ def _records(draw):
 
 
 class TestRoundTrip:
-    @given(st.lists(_records(), max_size=8))
+    # ids and articles unique: parse_dataset rejects a repeated one
+    @given(st.lists(_records(), max_size=8, unique_by=(lambda r: r.id, lambda r: r.snopes_url)))
     def test_parse_after_serialize_is_identity(self, records):
         assert parse_dataset(serialize_dataset(records)) == records
 

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from tweetcheck.errors import CorruptFixture, FixtureMiss, NetworkError
+from tweetcheck.errors import CorruptFixture, FixtureMiss, NetworkError, TweetCheckError
 from tweetcheck.fetch import (
     Fetcher,
     FetchMode,
@@ -89,13 +89,19 @@ class TestRecordReplay:
         fetcher = Fetcher(FetchMode.REPLAY, store, transport=refusing_transport)
         assert fetcher.fetch(FetchRequest(url="https://HOST.example/page?x=1")).body == b"payload"
 
-    def test_non_2xx_is_a_response_not_an_error(self, tmp_path):
-        store = self._record(tmp_path, b"not found", status=404)
-        response = Fetcher(FetchMode.REPLAY, store, transport=refusing_transport).fetch(
-            FetchRequest(url=self.URL)
-        )
-        assert response.status == 404
-        assert not response.ok
+    def test_non_2xx_is_recorded_then_a_network_error_in_both_modes(self, tmp_path):
+        store = FixtureStore(tmp_path / "fx")
+        transport = StubTransport({self.URL: StubPage(b"not found", status=404)})
+        request = FetchRequest(url=self.URL)
+        for fetcher in (
+            Fetcher(FetchMode.RECORD, store, delay_ms=0, transport=transport),
+            Fetcher(FetchMode.REPLAY, store, transport=refusing_transport),
+        ):
+            with pytest.raises(NetworkError) as exc:
+                fetcher.fetch(request)
+            assert str(exc.value) == f"HTTP 404 for {self.URL}"
+        recorded = store.load(fixture_key(request))
+        assert (recorded.status, recorded.body) == (404, b"not found")
 
     def test_re_recording_is_idempotent(self, tmp_path):
         store = self._record(tmp_path, b"same bytes")
@@ -123,6 +129,16 @@ class TestFixtureStoreFormat:
         path = store.save("k" * 64, response)
         raw = path.read_bytes()
         assert raw == b"200\nhttps://a/b\ntext/html\n5\n\nHELLO"
+
+    def test_unwritable_fixture_is_an_error_naming_the_file(self, tmp_path):
+        store = FixtureStore(tmp_path)
+        path = store.path_for("k" * 64)
+        path.mkdir()
+        with pytest.raises(TweetCheckError) as exc:
+            store.save("k" * 64, FetchResponse(status=200, final_url="https://a/", body=b"HELLO"))
+        assert str(exc.value) == f"cannot write fixture {path}: Is a directory"
+        assert isinstance(exc.value.__cause__, IsADirectoryError)
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temp file left behind
 
     def test_truncated_file_reports_miss(self, tmp_path):
         store = FixtureStore(tmp_path)

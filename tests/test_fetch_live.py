@@ -153,11 +153,11 @@ class TestLiveTransport:
         fetcher.fetch(FetchRequest(url=f"{server}/final"))
         assert _Handler.seen_headers[-1].get("User-Agent") == "probe-agent/9"
 
-    def test_non_2xx_returned_not_raised(self, server):
-        fetcher = Fetcher(FetchMode.LIVE, delay_ms=0)
-        response = fetcher.fetch(FetchRequest(url=f"{server}/missing"))
-        assert response.status == 404
-        assert response.body == b"gone"
+    def test_non_2xx_is_a_network_error(self, server):
+        with Fetcher(FetchMode.LIVE, delay_ms=0) as fetcher:
+            with pytest.raises(NetworkError) as exc:
+                fetcher.fetch(FetchRequest(url=f"{server}/missing"))
+        assert str(exc.value) == f"HTTP 404 for {server}/missing"
 
     def test_record_mode_persists_redirected_response(self, server, tmp_path):
         store = FixtureStore(tmp_path / "fx")

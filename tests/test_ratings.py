@@ -161,12 +161,13 @@ class TestRouting:
         assert snopes.kind is RatingKind.FALSE
         assert reuters.kind is RatingKind.FALSE
 
-    def test_unsupported_host_rejected(self):
+    def test_unsupported_host_is_a_parse_error(self):
         resp = FetchResponse(
             status=200, final_url="https://example.com/a", body=b"<p>x</p>", content_type="text/html"
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError) as exc:
             scrape_rating(resp)
+        assert str(exc.value) == "https://example.com/a: not a Snopes or Reuters page"
 
 
 # hand-derived normalization table: (input, expected canonical identity)

@@ -4,9 +4,10 @@
 row per source: endpoint, query spec, selectors and, for the four ranked
 engines, a :class:`Ranking` (which links are results, the eval report
 label, the corpus column of the relevant article). The configuration
-copies the table once and applies its overrides to the copy as it reads
-them (:attr:`tweetcheck.config.AppConfig.engines`), so an adapter is
-handed a finished row and merges nothing itself.
+copies the table once and applies its endpoint and selector overrides to
+the copy as it reads them (:attr:`tweetcheck.config.AppConfig.engines`),
+so an adapter is handed a finished row and merges nothing itself. The
+query spec is not configurable.
 
 The ranked engines (Snopes and Reuters built-in search, web search, and
 web search restricted to snopes.com) share :func:`ranked_search`: it

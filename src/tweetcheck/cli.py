@@ -258,10 +258,14 @@ def cmd_validate_dataset(args: argparse.Namespace) -> int:
 def cmd_scrape(args: argparse.Namespace) -> int:
     if identify_publisher(args.url) is None:
         return _fail(f"unsupported publisher host: {args.url}", EXIT_USAGE)
+    try:
+        request = FetchRequest(url=args.url)
+    except ValueError as exc:  # a host but no scheme, as in "//www.snopes.com/x"
+        return _fail(str(exc), EXIT_USAGE)
     config = _resolve_config(args)
     with config.build_fetcher() as fetcher:
         try:
-            page = fetcher.fetch(FetchRequest(url=args.url))
+            page = fetcher.fetch(request)
         except FixtureMiss as exc:
             return _fail(str(exc), EXIT_NO_FIXTURE)
     rating = scrape_rating(page, config.rating_selectors)

@@ -14,30 +14,27 @@ Recognized keys::
     timeout_s = <float, above 0 and at most 86400>
     verify.max_articles = <int, at least 1>
     endpoint.<engine> = <http(s) URL template; {query} is its only field>
-    query.<engine>.max_chars = <int>
-    query.<engine>.encoding = plus | percent
-    query.<engine>.truncation = char-prefix | word-boundary-prefix
-    query.<engine>.quote_phrase = true | false
     selectors.<engine> = <path to a key=value selector file>
     rating-selectors.<publisher> = <path to a key=value selector file>
 
 where <engine> is one of: snopes, reuters, web, web-snopes, politwoops,
 and <publisher> is snopes or reuters (article rating extraction). A
 selector file may set only the keys its engine's or publisher's defaults
-name.
+name. How an engine shapes its query is not configurable: it is the
+engine's row of :data:`tweetcheck.queries.DEFAULT_SPECS`.
 
 This module is the one place defaults and overrides meet, and they meet
 once, as each key is read: :attr:`AppConfig.engines` starts as a copy of
-the engine table and each ``endpoint.*``, ``query.*`` and ``selectors.*``
-key replaces a field of its engine's row; :attr:`AppConfig.rating_selectors`
-starts as the rating scrapers' defaults and each ``rating-selectors.*``
-file is merged over its publisher's table. Selector files are read and
-their selectors compiled then, so an unreadable file, an unknown key or a
+the engine table and each ``endpoint.*`` and ``selectors.*`` key replaces
+a field of its engine's row; :attr:`AppConfig.rating_selectors` starts as
+the rating scrapers' defaults and each ``rating-selectors.*`` file is
+merged over its publisher's table. Selector files are read and their
+selectors compiled then, so an unreadable file, an unknown key or a
 malformed selector is reported while the configuration is built, as a
 :class:`ConfigError` naming the file. So is every value a live run could
-not use: a number out of its range, a query setting its query spec
-rejects, an endpoint that does not make an absolute http or https URL, or
-a user agent that cannot be sent in a header.
+not use: a number out of its range, an endpoint that does not make an
+absolute http or https URL, or a user agent that cannot be sent in a
+header.
 """
 
 from __future__ import annotations
@@ -45,7 +42,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, replace
-from enum import Enum
 from pathlib import Path
 from string import Formatter
 from typing import Mapping, Optional, TypeVar
@@ -56,12 +52,10 @@ from .errors import TweetCheckError
 from .fetch import DEFAULT_DELAY_MS, DEFAULT_TIMEOUT_S, DEFAULT_USER_AGENT, FetchMode, Fetcher, FixtureStore
 from .htmldoc import parse_selector
 from .model import SourceId
-from .queries import Encoding, Truncation
 from .ratings import DEFAULT_RATING_SELECTORS
 
 MODE_ENV_VAR = "TWEETCHECK_MODE"
 
-E = TypeVar("E", bound=Enum)
 N = TypeVar("N", int, float)
 
 
@@ -113,12 +107,12 @@ def _load_selectors(path: str, defaults: Mapping[str, str]) -> dict[str, str]:
     return {**defaults, **selectors}
 
 
-def _parse_enum(enum: type[E], what: str, value: str) -> E:
+def _parse_mode(value: str) -> FetchMode:
     try:
-        return enum(value.lower())
+        return FetchMode(value.lower())
     except ValueError:
-        expected = "/".join(member.value for member in enum)
-        raise ConfigError(f"unknown {what} {value!r} (expected {expected})") from None
+        expected = "/".join(mode.value for mode in FetchMode)
+        raise ConfigError(f"unknown mode {value!r} (expected {expected})") from None
 
 
 def source_by_name(name: str) -> SourceId:
@@ -166,15 +160,6 @@ class AppConfig:
         )
 
 
-def _parse_bool(value: str) -> bool:
-    lowered = value.lower()
-    if lowered in ("true", "yes", "1"):
-        return True
-    if lowered in ("false", "no", "0"):
-        return False
-    raise ConfigError(f"expected a boolean, got {value!r}")
-
-
 def _parse_int(key: str, value: str) -> int:
     try:
         return int(value)
@@ -217,15 +202,6 @@ def _endpoint(key: str, template: str) -> str:
     raise ConfigError(f"{key} must be an http or https URL whose only field is {{query}}, got {template!r}")
 
 
-#: Query settings a configuration may override, each with its parser.
-_QUERY_SETTINGS = {
-    "max_chars": lambda value: _parse_int("max_chars", value),
-    "encoding": lambda value: _parse_enum(Encoding, "encoding", value),
-    "truncation": lambda value: _parse_enum(Truncation, "truncation", value),
-    "quote_phrase": _parse_bool,
-}
-
-
 def build_config(
     config_path: Optional[str | Path] = None,
     env: Optional[dict[str, str]] = None,
@@ -236,14 +212,14 @@ def build_config(
     if config_path is not None:
         _apply_file(config, load_keyvalues(config_path))
     if env.get(MODE_ENV_VAR):
-        config.mode = _parse_enum(FetchMode, "mode", env[MODE_ENV_VAR])
+        config.mode = _parse_mode(env[MODE_ENV_VAR])
     return config
 
 
 def _apply_file(config: AppConfig, values: dict[str, str]) -> None:
     for key, value in values.items():
         if key == "mode":
-            config.mode = _parse_enum(FetchMode, "mode", value)
+            config.mode = _parse_mode(value)
         elif key == "fixtures":
             config.fixtures_dir = Path(value)
         elif key == "user_agent":
@@ -268,18 +244,5 @@ def _apply_file(config: AppConfig, values: dict[str, str]) -> None:
             if publisher not in DEFAULT_RATING_SELECTORS:
                 raise ConfigError(f"unknown publisher in {key!r}")
             config.rating_selectors[publisher] = _load_selectors(value, DEFAULT_RATING_SELECTORS[publisher])
-        elif key.startswith("query."):
-            parts = key.split(".")
-            if len(parts) != 3:
-                raise ConfigError(f"malformed query override key: {key!r}")
-            source = source_by_name(parts[1])
-            if parts[2] not in _QUERY_SETTINGS:
-                raise ConfigError(f"unknown query setting: {key!r}")
-            row = config.engines[source]
-            try:
-                spec = replace(row.spec, **{parts[2]: _QUERY_SETTINGS[parts[2]](value)})
-            except ValueError as exc:  # QuerySpec's own checks; a parser raises ConfigError
-                raise ConfigError(f"bad query override for {source.value}: {exc}") from None
-            config.engines[source] = replace(row, spec=spec)
         else:
             raise ConfigError(f"unknown configuration key: {key!r}")

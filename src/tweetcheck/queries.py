@@ -3,9 +3,9 @@
 Each engine gets a :class:`QuerySpec` describing its length restriction,
 encoding convention, and truncation style. ``DEFAULT_SPECS`` below is the
 spec column of the engine table (:data:`tweetcheck.adapters.ENGINES`). The
-defaults were chosen from observed query URLs on each site and are
-overridable through the CLI configuration file, because sites change their
-limits without notice.
+specs were chosen from observed query URLs on each site; they are per-engine
+constants, not configuration, and a site that changes its limits is
+followed by changing its row here.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ class QuerySpec:
     encoding: Encoding
     truncation: Truncation
     site_filter: Optional[str] = None
-    quote_phrase: bool = False  # wrap the body in quotes for exact-phrase search
 
     def __post_init__(self):
         if self.max_chars < 10:
@@ -97,8 +96,6 @@ def build_query(claim: TweetClaim, spec: QuerySpec) -> str:
     """
     text = truncate_body(claim.body, spec)
     text = _CONTROL_CHARS.sub(" ", text)
-    if spec.quote_phrase:
-        text = f'"{text}"'
     if spec.site_filter:
         text = f"{text} site:{spec.site_filter}"
     return text

@@ -10,15 +10,17 @@ Each rule lives here once:
 * :func:`identify_publisher` and :func:`is_snopes_url`: which site a URL
   belongs to, judged by its host.
 
-Every function is pure and total over URLs :func:`urllib.parse.urlsplit`
-accepts. This module imports nothing from the rest of the package.
+Every function is pure and total over any string: one that
+:func:`urllib.parse.urlsplit` rejects (say ``http://[::1``) is taken as a
+bare path, so it has no host, belongs to no publisher and is its own
+identity. This module imports nothing from the rest of the package.
 """
 
 from __future__ import annotations
 
 import re
 from typing import Optional
-from urllib.parse import urlsplit, urlunsplit
+from urllib.parse import SplitResult, urlsplit, urlunsplit
 
 SNOPES_HOST = "snopes.com"
 REUTERS_HOST = "reuters.com"
@@ -26,9 +28,17 @@ REUTERS_HOST = "reuters.com"
 _REUTERS_ID = re.compile(r"idUS[A-Z0-9]+$")
 
 
+def _split(url: str) -> SplitResult:
+    """``urlsplit(url)``, or ``url`` as a bare path if urlsplit rejects it."""
+    try:
+        return urlsplit(url)
+    except ValueError:  # e.g. an unbalanced "[" in the host
+        return SplitResult("", "", url, "", "")
+
+
 def host(url: str) -> str:
     """The URL's host name, lowercased; "" when it has none."""
-    return (urlsplit(url).hostname or "").lower()
+    return (_split(url).hostname or "").lower()
 
 
 def host_matches(name: str, domain: str) -> bool:
@@ -38,14 +48,14 @@ def host_matches(name: str, domain: str) -> bool:
 
 def normalize_url_for_key(url: str) -> str:
     """Lowercase scheme and host, strip any trailing "/" from the path."""
-    parts = urlsplit(url)
+    parts = _split(url)
     path = parts.path.rstrip("/")
     return urlunsplit((parts.scheme.lower(), parts.netloc.lower(), path, parts.query, parts.fragment))
 
 
 def normalize_result_url(url: str) -> str:
     """Dedup basis for SERP links: lowercase scheme/host, drop fragment."""
-    parts = urlsplit(url)
+    parts = _split(url)
     return urlunsplit((parts.scheme.lower(), parts.netloc.lower(), parts.path, parts.query, ""))
 
 
@@ -73,7 +83,7 @@ def canonicalize_article_url(url: str) -> str:
     URLs collapse to their "/fact-check/<slug>" path. Everything else keeps
     its full normalized URL. Idempotent.
     """
-    parts = urlsplit(url)
+    parts = _split(url)
     netloc = parts.netloc.lower().removeprefix("www.")
     path = parts.path.rstrip("/")
     if host_matches(netloc, REUTERS_HOST):

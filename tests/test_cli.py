@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -5,6 +7,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import tweetcheck
 from tweetcheck.cli import main
@@ -49,6 +53,15 @@ def gibberish_pages() -> dict[str, StubPage]:
 
 
 GIBBERISH_BODY = "qzv wxm glorp fnord nothing will ever match this"
+
+#: Every query setting a configuration file could once set, with a value it accepted.
+FORMER_QUERY_KEYS = [
+    (f"query.{source.value}.{setting}", value)
+    for source in SourceId
+    for setting, value in [
+        ("max_chars", "100"), ("encoding", "plus"), ("truncation", "char-prefix"), ("quote_phrase", "false"),
+    ]
+]
 
 
 class TestVerify:
@@ -182,20 +195,17 @@ class TestVerify:
             ("endpoint.snopes = https://x.example/{query", [],
              "endpoint.snopes must be an http or https URL whose only field is {query}, got 'https://x.example/{query'"),
             ("user_agent = tc \u2713", [], "user_agent must be printable ASCII, got 'tc \u2713'"),
-            # Query settings are checked for every engine, queried or not.
-            ("query.snopes.max_chars = -5", ["--engine", "web"],
-             "bad query override for snopes: max_chars must be >= 10"),
-            ("query.snopes.max_chars = wide", ["--engine", "web"], "max_chars expects an integer, got 'wide'"),
-            ("query.reuters.encoding = bogus", ["--engine", "web"],
-             "unknown encoding 'bogus' (expected plus/percent)"),
-            ("query.politwoops.truncation = x", ["--engine", "web"],
-             "unknown truncation 'x' (expected char-prefix/word-boundary-prefix)"),
-            ("query.web.quote_phrase = maybe", ["--engine", "web"], "expected a boolean, got 'maybe'"),
+            # Query shapes are per-engine constants: a former query setting is an
+            # unknown key, even with the value its engine uses.
+            *[
+                (f"{key} = {value}", ["--engine", "web"], f"unknown configuration key: {key!r}")
+                for key, value in FORMER_QUERY_KEYS
+            ],
         ],
         ids=[
             "flag", "file", "timeout", "timeout-inf", "timeout-huge", "delay-huge", "delay-negative",
             "endpoint-not-a-url", "endpoint-no-field", "endpoint-other-field", "endpoint-unbalanced", "user-agent-not-ascii",
-            "query-max-chars-small", "query-max-chars-text", "query-encoding", "query-truncation", "query-quote-phrase",
+            *[key for key, _ in FORMER_QUERY_KEYS],
         ],
     )
     def test_out_of_range_value_is_usage_error(self, tmp_path, capsys, monkeypatch, line, flag, message):
@@ -995,3 +1005,83 @@ def test_a_corpus_validate_dataset_rejects_exits_65_before_any_query(
     assert captured.out == ""
     assert captured.err == f"tweetcheck: dataset error: {complaint}\n"
     assert not fixtures.exists()
+
+
+#: The characters of URLs, and characters urlsplit or a host check trips on:
+#: controls and line breaks (no tab or LF, which split a corpus row), non-ASCII
+#: text, and forms NFKC turns into "#", "/", "?", "@", ":" or "a/c".
+URL_ALPHABET = (
+    "abcxyzABCXYZ019-._~:/?#[]@!$&'()*+,;=% \\\"<>^`{|}"
+    "\x00\x7f\x0b\x0c\r\x1c\x85\xa0\u2028"
+    "é中\U0001f642İ"
+    "＃／？＠：℀"
+)
+#: Arbitrary text, often behind a scheme and a host the program knows.
+any_url = st.one_of(
+    st.text(URL_ALPHABET, max_size=30),
+    st.tuples(
+        st.sampled_from(["http://", "https://", "//", "ftp://", ""]),
+        st.sampled_from(["www.snopes.com", "snopes.com", "www.reuters.com", "[::1", "[", "x:99999", ""]),
+        st.text(URL_ALPHABET, max_size=20),
+    ).map("".join),
+)
+
+
+def _run(argv: list[str]) -> tuple[int, list[str]]:
+    """main's exit code and its ``tweetcheck:`` stderr lines."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, _tweetcheck_lines(err.getvalue())
+
+
+class TestAnyUrl:
+    """Whatever text a corpus or a user gives as a URL, each command exits with
+    a code the README lists and at most one ``tweetcheck:`` line per failure."""
+
+    @pytest.fixture(scope="class")
+    def store(self, tmp_path_factory) -> Path:
+        body = eval_records()[0].tweet_body
+        pages = {
+            **{url: stub for url, stub in eval_pages().items() if "alpha" in url},
+            engine_query_url(SourceId.REUTERS_SEARCH, body): StubPage(page("reuters_serp_pandemic.html")),
+        }
+        return record_pages(tmp_path_factory.mktemp("any-url") / "fx", pages).root
+
+    @given(url=any_url, column=st.sampled_from(["snopes_url", "live_url", "archived_url", "reuters_url"]))
+    def test_corpus_url_column(self, store, url, column):
+        assume(url != "-")  # "-" is the file's mark of an absent URL
+        dataset = store.parent / "corpus.tsv"
+        dataset.write_text(serialize_dataset([replace(eval_records()[0], **{column: url})]), encoding="utf-8")
+        code, lines = _run(["validate-dataset", "--dataset", str(dataset)])
+        assert code in (0, 65) and lines == []
+        eval_code, lines = _run([
+            "eval", "--dataset", str(dataset), "--engine", "snopes", "--engine", "reuters",
+            "--mode", "replay", "--fixtures", str(store),
+        ])
+        if code == 65:
+            assert eval_code == 65 and len(lines) == 1 and lines[0].startswith("tweetcheck: dataset error: ")
+        else:
+            assert eval_code == 0 and lines == []
+
+    @given(url=any_url)
+    def test_scrape_url(self, store, url):
+        code, lines = _run(["scrape", "--mode", "replay", "--fixtures", str(store), "--", url])
+        assert code in (0, 64, 66, 69) and len(lines) == (code != 0)
+
+    def test_a_snopes_url_urlsplit_rejects_is_a_finding(self, tmp_path, capsys):
+        dataset = tmp_path / "corpus.tsv"
+        dataset.write_text(serialize_dataset([replace(eval_records()[0], snopes_url="http://[::1")]), encoding="utf-8")
+        assert main(["validate-dataset", "--dataset", str(dataset)]) == 65
+        assert capsys.readouterr().out == "record e1: snopes_url host is not snopes.com: 'http://[::1'\n"
+
+    @pytest.mark.parametrize(
+        "url, message",
+        [
+            ("http://[::1/x", "unsupported publisher host: http://[::1/x"),
+            ("//www.snopes.com/x", "url must be absolute: '//www.snopes.com/x'"),
+        ],
+    )
+    def test_scrape_of_a_url_it_cannot_fetch_is_a_usage_error(self, capsys, url, message):
+        assert main(["scrape", url]) == 64
+        assert capsys.readouterr().err == f"tweetcheck: {message}\n"

@@ -5,7 +5,6 @@ from tweetcheck.config import AppConfig, ConfigError, build_config, load_keyvalu
 from tweetcheck.errors import CaptchaDetected
 from tweetcheck.fetch import DEFAULT_USER_AGENT, FetchMode
 from tweetcheck.model import SourceId, TweetClaim
-from tweetcheck.queries import Encoding, Truncation
 from tweetcheck.ratings import DEFAULT_RATING_SELECTORS
 
 from conftest import StubPage, engine_query_url, record_pages, replay_fetcher
@@ -119,18 +118,6 @@ class TestBuildConfig:
         path.write_text(line + "\n", encoding="utf-8")
         build_config(path, env={})
 
-    def test_out_of_range_query_override_reported_as_config_error(self, tmp_path):
-        path = tmp_path / "c.conf"
-        path.write_text("query.snopes.max_chars=3\n", encoding="utf-8")
-        with pytest.raises(ConfigError, match="bad query override for snopes: max_chars must be >= 10"):
-            build_config(path, env={})
-
-    def test_non_numeric_query_override_rejected(self, tmp_path):
-        path = tmp_path / "c.conf"
-        path.write_text("query.snopes.max_chars=wide\n", encoding="utf-8")
-        with pytest.raises(ConfigError, match="max_chars expects an integer, got 'wide'"):
-            build_config(path, env={})
-
 
 class TestEngineSettings:
     def test_endpoint_override(self, tmp_path):
@@ -139,20 +126,6 @@ class TestEngineSettings:
         config = build_config(path, env={})
         settings = config.engines[SourceId.SNOPES_SEARCH]
         assert settings.endpoint.startswith("https://mirror.example/")
-
-    def test_query_spec_overrides(self, tmp_path):
-        path = tmp_path / "c.conf"
-        path.write_text(
-            "query.snopes.max_chars=40\nquery.snopes.encoding=plus\n"
-            "query.snopes.truncation=char-prefix\nquery.snopes.quote_phrase=true\n",
-            encoding="utf-8",
-        )
-        config = build_config(path, env={})
-        spec = config.engines[SourceId.SNOPES_SEARCH].spec
-        assert spec.max_chars == 40
-        assert spec.encoding is Encoding.PLUS
-        assert spec.truncation is Truncation.CHAR_PREFIX
-        assert spec.quote_phrase is True
 
     def test_selector_file_merges_over_defaults(self, tmp_path):
         selectors = tmp_path / "snopes_selectors.conf"

@@ -163,7 +163,13 @@ class TestValidateDataset:
 
 _ident = st.text(alphabet="abcdefghij0123456789-", min_size=1, max_size=8)
 _slug = st.text(alphabet="abcdefghij0123456789-", min_size=1, max_size=12)
-_body = st.text(max_size=80).filter(lambda s: s.strip())
+# The characters the escape code branches on (backslash, tab, LF, CR), the
+# letters that follow a backslash in an escape, the other Unicode line breaks
+# and non-ASCII text. An explicit alphabet is cheap to draw, also in a fresh
+# checkout where hypothesis has not yet built its character tables.
+_body = st.text("a Z0\\ntr\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029é中\U0001f642", max_size=80).filter(
+    lambda s: s.strip()
+)
 
 
 @st.composite

@@ -103,9 +103,10 @@ def _jobs_pages() -> dict[str, StubPage]:
 
 
 def _article_pages() -> dict[str, StubPage]:
-    pages = {url: StubPage(page(name)) for url, name in ARTICLES.items()}
-    pages.update({url: stub for url, stub in pandemic_pages().items() if "/search" not in url and "politwoops" not in url})
-    return pages
+    """Every article page at its own URL, and the pandemic claim's articles."""
+    queries = {engine_query_url(source, PANDEMIC_BODY) for source in SourceId}
+    pandemic_articles = {url: stub for url, stub in pandemic_pages().items() if url not in queries}
+    return {**{url: StubPage(page(name)) for url, name in ARTICLES.items()}, **pandemic_articles}
 
 
 PAGE_SETS = {

@@ -127,12 +127,6 @@ class TestBuildQuery:
         assert "\n" not in query and "\r" not in query
         assert query == "line one line two  three"
 
-    def test_quote_phrase_option(self):
-        spec = QuerySpec(
-            50, Encoding.PLUS, Truncation.CHAR_PREFIX, site_filter="snopes.com", quote_phrase=True
-        )
-        assert build_query(TweetClaim(body="abc"), spec) == '"abc" site:snopes.com'
-
     @given(st.text(min_size=1, max_size=500).filter(lambda s: s.strip()))
     def test_never_emits_control_characters(self, body):
         query = build_query(TweetClaim(body=body), SNOPES_SPEC)

@@ -4,10 +4,11 @@
 row per source: endpoint, query spec, selectors and, for the four ranked
 engines, a :class:`Ranking` (which links are results, the eval report
 label, the corpus column of the relevant article). The configuration
-copies the table once and applies its endpoint and selector overrides to
-the copy as it reads them (:attr:`tweetcheck.config.AppConfig.engines`),
-so an adapter is handed a finished row and merges nothing itself. The
-query spec is not configurable.
+copies the table once and applies its endpoint overrides to the copy as
+it reads them (:attr:`tweetcheck.config.AppConfig.engines`), so an
+adapter is handed a finished row and merges nothing itself. The query
+spec and the selectors are not configurable: a site redesign is followed
+by changing its row.
 
 The ranked engines (Snopes and Reuters built-in search, web search, and
 web search restricted to snopes.com) share :func:`ranked_search`: it
@@ -16,12 +17,11 @@ reads the result links in rank order. The deleted-tweet tracker returns
 tweet records rather than links and has its own adapter,
 :func:`search_politwoops`.
 
-Selectors are configurable so site markup drift can be absorbed without
-code changes. A bot-challenge check and an ad filter run wherever an
-engine's selectors name them. A results page that is not a 2xx answer is a
-:class:`~tweetcheck.errors.NetworkError` from the fetch gateway, and
-propagates like any other query failure. Adapters are stateless;
-determinism under replay comes from the fixture store.
+A bot-challenge check and an ad filter run wherever an engine's selectors
+name them, as the web search rows do. A results page that is not a 2xx
+answer is a :class:`~tweetcheck.errors.NetworkError` from the fetch
+gateway, and propagates like any other query failure. Adapters are
+stateless; determinism under replay comes from the fixture store.
 """
 
 from __future__ import annotations
@@ -61,13 +61,14 @@ class EngineSettings:
     source: SourceId
     endpoint: str
     spec: QuerySpec
-    #: Every key the engine's adapter reads; an empty value turns that check off.
+    #: What the engine's adapter reads from its results page; the optional
+    #: "ads", "captcha" and "captcha_text" keys turn those checks on.
     selectors: Mapping[str, str]
     ranking: Optional[Ranking] = None
 
 
 _GOOGLE = "https://www.google.com/search?q={query}"
-_SITE_SELECTORS = {"results": "a[href]", "ads": "", "captcha": "", "captcha_text": ""}
+_SITE_SELECTORS = {"results": "a[href]"}
 _WEB_SELECTORS = {
     "results": "div#search a[href]",
     "ads": "div#tads, div#bottomads, [data-text-ad]",

@@ -268,7 +268,7 @@ def cmd_scrape(args: argparse.Namespace) -> int:
             page = fetcher.fetch(request)
         except FixtureMiss as exc:
             return _fail(str(exc), EXIT_NO_FIXTURE)
-    rating = scrape_rating(page, config.rating_selectors)
+    rating = scrape_rating(page)
     print(rating_line(rating))
     print(f"Normalized kind: {rating.kind.value}")
     return 0

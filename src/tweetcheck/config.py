@@ -14,27 +14,20 @@ Recognized keys::
     timeout_s = <float, above 0 and at most 86400>
     verify.max_articles = <int, at least 1>
     endpoint.<engine> = <http(s) URL template; {query} is its only field>
-    selectors.<engine> = <path to a key=value selector file>
-    rating-selectors.<publisher> = <path to a key=value selector file>
 
-where <engine> is one of: snopes, reuters, web, web-snopes, politwoops,
-and <publisher> is snopes or reuters (article rating extraction). A
-selector file may set only the keys its engine's or publisher's defaults
-name. How an engine shapes its query is not configurable: it is the
-engine's row of :data:`tweetcheck.queries.DEFAULT_SPECS`.
+where <engine> is one of: snopes, reuters, web, web-snopes, politwoops.
+How an engine shapes its query and reads its results page is not
+configurable: that is the engine's row of
+:data:`tweetcheck.adapters.ENGINES`, as the rating selectors are
+:data:`tweetcheck.ratings.DEFAULT_RATING_SELECTORS`.
 
 This module is the one place defaults and overrides meet, and they meet
 once, as each key is read: :attr:`AppConfig.engines` starts as a copy of
-the engine table and each ``endpoint.*`` and ``selectors.*`` key replaces
-a field of its engine's row; :attr:`AppConfig.rating_selectors` starts as
-the rating scrapers' defaults and each ``rating-selectors.*`` file is
-merged over its publisher's table. Selector files are read and their
-selectors compiled then, so an unreadable file, an unknown key or a
-malformed selector is reported while the configuration is built, as a
-:class:`ConfigError` naming the file. So is every value a live run could
-not use: a number out of its range, an endpoint that does not make an
-absolute http or https URL, or a user agent that cannot be sent in a
-header.
+the engine table and each ``endpoint.*`` key replaces its engine's
+endpoint. Every value a live run could not use is reported then, as a
+:class:`ConfigError` naming its key: a number out of its range, an
+endpoint that does not make an absolute http or https URL, or a user
+agent that cannot be sent in a header.
 """
 
 from __future__ import annotations
@@ -44,15 +37,13 @@ import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from string import Formatter
-from typing import Mapping, Optional, TypeVar
+from typing import Optional, TypeVar
 from urllib.parse import urlsplit
 
 from .adapters import ENGINES, EngineSettings
 from .errors import TweetCheckError
 from .fetch import DEFAULT_DELAY_MS, DEFAULT_TIMEOUT_S, DEFAULT_USER_AGENT, FetchMode, Fetcher, FixtureStore
-from .htmldoc import parse_selector
 from .model import SourceId
-from .ratings import DEFAULT_RATING_SELECTORS
 
 MODE_ENV_VAR = "TWEETCHECK_MODE"
 
@@ -86,27 +77,6 @@ def load_keyvalues(path: str | Path) -> dict[str, str]:
     return values
 
 
-#: Selector-file keys whose values are literal page text, not selectors.
-_LITERAL_KEYS = ("captcha_text", "verdict_heading_text")
-
-
-def _load_selectors(path: str, defaults: Mapping[str, str]) -> dict[str, str]:
-    """``defaults`` with a selector file's values over them. Every selector
-    in the file is compiled, so a bad one is reported here, as a
-    :class:`ConfigError` naming the file and key. Only the keys of
-    ``defaults``, which the code reads, may be set."""
-    selectors = load_keyvalues(path)
-    for key, selector in selectors.items():
-        if key not in defaults:
-            raise ConfigError(f"{path}: unknown selector key {key}")
-        if key not in _LITERAL_KEYS:
-            try:
-                parse_selector(selector)
-            except ValueError as exc:
-                raise ConfigError(f"{path}: bad selector for {key}: {exc}") from None
-    return {**defaults, **selectors}
-
-
 def _parse_mode(value: str) -> FetchMode:
     try:
         return FetchMode(value.lower())
@@ -134,10 +104,6 @@ class AppConfig:
     max_articles: int = 3
     #: Every engine's row of the engine table, this configuration's overrides applied.
     engines: dict[SourceId, EngineSettings] = field(default_factory=lambda: dict(ENGINES))
-    #: Every publisher's rating selectors, this configuration's selector files applied.
-    rating_selectors: dict[str, Mapping[str, str]] = field(
-        default_factory=lambda: dict(DEFAULT_RATING_SELECTORS)
-    )
 
     def build_fetcher(self) -> Fetcher:
         """The fetcher for this configuration; a :class:`ConfigError` before any
@@ -235,14 +201,5 @@ def _apply_file(config: AppConfig, values: dict[str, str]) -> None:
         elif key.startswith("endpoint."):
             source = source_by_name(key.removeprefix("endpoint."))
             config.engines[source] = replace(config.engines[source], endpoint=_endpoint(key, value))
-        elif key.startswith("selectors."):
-            source = source_by_name(key.removeprefix("selectors."))  # before reading the file
-            row = config.engines[source]
-            config.engines[source] = replace(row, selectors=_load_selectors(value, row.selectors))
-        elif key.startswith("rating-selectors."):
-            publisher = key.removeprefix("rating-selectors.")
-            if publisher not in DEFAULT_RATING_SELECTORS:
-                raise ConfigError(f"unknown publisher in {key!r}")
-            config.rating_selectors[publisher] = _load_selectors(value, DEFAULT_RATING_SELECTORS[publisher])
         else:
             raise ConfigError(f"unknown configuration key: {key!r}")

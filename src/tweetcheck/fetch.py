@@ -64,7 +64,8 @@ class FetchMode(Enum):
 
 @dataclass(frozen=True)
 class FetchRequest:
-    """A GET request to an absolute URL."""
+    """A GET request to an absolute URL that can be encoded as UTF-8 (a
+    command-line argument holding bytes that are not UTF-8 cannot)."""
 
     url: str
 
@@ -72,6 +73,10 @@ class FetchRequest:
         parts = urlsplit(self.url)
         if not parts.scheme or not parts.netloc:
             raise ValueError(f"url must be absolute: {self.url!r}")
+        try:
+            self.url.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate
+            raise ValueError(f"url is not UTF-8 text: {self.url!r}") from None
 
 
 @dataclass(frozen=True)

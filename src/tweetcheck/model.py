@@ -71,9 +71,10 @@ class TweetClaim:
     """The alleged tweet under verification.
 
     Args:
-        body: full alleged tweet text; must be non-empty after trimming and
+        body: full alleged tweet text; must be non-empty after trimming,
             at most 4000 characters (real tweets are far shorter, but quoted
-            threads and notes may exceed 280).
+            threads and notes may exceed 280) and encodable as UTF-8, which
+            a command-line argument holding bytes that are not UTF-8 is not.
     """
 
     body: str
@@ -83,6 +84,10 @@ class TweetClaim:
             raise ValueError("claim body must be non-empty after trimming")
         if len(self.body) > 4000:
             raise ValueError("claim body exceeds the 4000 character sanity bound")
+        try:
+            self.body.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate
+            raise ValueError("claim body is not UTF-8 text") from None
 
 
 @dataclass(frozen=True)

@@ -104,7 +104,7 @@ def verify_claim(
 
     # Scrape: every selected article, concurrently across hosts.
     ratings = fetcher.run_per_host(
-        [(url, partial(_scrape_article, url, fetcher, config.rating_selectors)) for _, _, url in picks]
+        [(url, partial(_scrape_article, url, fetcher)) for _, _, url in picks]
     )
     for (source, rank, url), rating in zip(picks, ratings):
         evidence.append(EvidenceItem(source=source, url=url, rank=rank, rating=rating))
@@ -155,11 +155,11 @@ def _politwoops_evidence(claim: TweetClaim, hits: list[PolitwoopsHit]) -> Option
     )
 
 
-def _scrape_article(url: str, fetcher: Fetcher, selectors) -> TruthRating:
+def _scrape_article(url: str, fetcher: Fetcher) -> TruthRating:
     """The article's rating; a missing one when its query fails, as for a
     non-2xx page or one redirected off the publisher (e.g. a consent page)."""
     try:
-        return scrape_rating(fetcher.fetch(FetchRequest(url=url)), selectors)
+        return scrape_rating(fetcher.fetch(FetchRequest(url=url)))
     except QUERY_FAILURES as exc:
         logger.warning("could not scrape %s: %s", url, exc)
         return classify_rating("")

@@ -1,13 +1,12 @@
 """Extract truth ratings from fact-check article pages.
 
 Publisher routing is by host of the final (post-redirect) URL, never by
-content sniffing. Structural selectors are configurable per publisher: each
-scraper takes its publisher's whole table, which
-:attr:`tweetcheck.config.AppConfig.rating_selectors` builds from
-:data:`DEFAULT_RATING_SELECTORS` and the configured selector files. When
-they miss, a regex scan for "Rating:"/"VERDICT" style labels is tried and
-the result is logged as low-confidence. A page without any rating block
-yields an UNKNOWN rating with the missing flag, not a failure.
+content sniffing. Each publisher's scraper reads its row of
+:data:`DEFAULT_RATING_SELECTORS`, which is code, not configuration: a site
+redesign is followed by changing its row. When the selectors miss, a regex
+scan for "Rating:"/"VERDICT" style labels is tried and the result is
+logged as low-confidence. A page without any rating block yields an
+UNKNOWN rating with the missing flag, not a failure.
 
 Every scraper takes time linear in the page however deeply its tags nest.
 """
@@ -16,7 +15,7 @@ from __future__ import annotations
 
 import logging
 import re
-from typing import Mapping, Optional
+from typing import Optional
 
 from .errors import ParseError
 from .fetch import FetchResponse
@@ -26,7 +25,7 @@ from .urls import canonicalize_article_url, identify_publisher  # noqa: F401  (a
 
 logger = logging.getLogger(__name__)
 
-#: Every key each publisher's scraper reads, with its default.
+#: The selectors each publisher's scraper reads ("verdict_heading_text" is literal text).
 DEFAULT_RATING_SELECTORS = {
     "snopes": {"rating": "div.rating_title_wrap"},
     "reuters": {"verdict_heading": "h2, h3, strong", "verdict_heading_text": "VERDICT"},
@@ -59,27 +58,24 @@ def _fallback_scan(root: Element, url: str, block: str) -> TruthRating:
     return classify_rating(label)
 
 
-def scrape_snopes_rating(
-    page: FetchResponse, selectors: Mapping[str, str] = DEFAULT_RATING_SELECTORS["snopes"]
-) -> TruthRating:
+def scrape_snopes_rating(page: FetchResponse) -> TruthRating:
     """Extract the rating label from a Snopes fact-check article."""
     root = parse_response(page)
-    element = root.select_one(selectors["rating"])
+    element = root.select_one(DEFAULT_RATING_SELECTORS["snopes"]["rating"])
     if element is not None:
         return classify_rating(_label_head(element.text()))
     return _fallback_scan(root, page.final_url, "rating block")
 
 
-def scrape_reuters_rating(
-    page: FetchResponse, selectors: Mapping[str, str] = DEFAULT_RATING_SELECTORS["reuters"]
-) -> TruthRating:
+def scrape_reuters_rating(page: FetchResponse) -> TruthRating:
     """Extract the verdict from a Reuters fact-check article.
 
-    Reuters states its verdict in a section introduced by a heading (by
-    default the literal text "VERDICT"); the verdict sentence itself opens
-    the following paragraph, whose first sentence is the label.
+    Reuters states its verdict in a section introduced by a heading (the
+    literal text "VERDICT"); the verdict sentence itself opens the
+    following paragraph, whose first sentence is the label.
     """
     root = parse_response(page)
+    selectors = DEFAULT_RATING_SELECTORS["reuters"]
     headings = verdict_headings(root, selectors["verdict_heading"], selectors["verdict_heading_text"])
     holders = _holders(headings)
     walked: set[int] = set()
@@ -165,9 +161,7 @@ def _following_text_block(heading: Element, holders: set[int], walked: set[int])
     return None
 
 
-def scrape_rating(
-    page: FetchResponse, selectors: Mapping[str, Mapping[str, str]] = DEFAULT_RATING_SELECTORS
-) -> TruthRating:
+def scrape_rating(page: FetchResponse) -> TruthRating:
     """Route a fetched article to the right publisher scraper by final URL host.
 
     A page whose final URL is on neither publisher (say, a consent page it
@@ -175,8 +169,8 @@ def scrape_rating(
     """
     publisher = identify_publisher(page.final_url)
     if publisher == "snopes":
-        return scrape_snopes_rating(page, selectors["snopes"])
+        return scrape_snopes_rating(page)
     if publisher == "reuters":
-        return scrape_reuters_rating(page, selectors["reuters"])
+        return scrape_reuters_rating(page)
     raise ParseError(f"{page.final_url}: not a Snopes or Reuters page")
 

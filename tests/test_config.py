@@ -1,3 +1,6 @@
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
 from tweetcheck.adapters import ENGINES, ranked_search
@@ -5,7 +8,6 @@ from tweetcheck.config import AppConfig, ConfigError, build_config, load_keyvalu
 from tweetcheck.errors import CaptchaDetected
 from tweetcheck.fetch import DEFAULT_USER_AGENT, FetchMode
 from tweetcheck.model import SourceId, TweetClaim
-from tweetcheck.ratings import DEFAULT_RATING_SELECTORS
 
 from conftest import StubPage, engine_query_url, record_pages, replay_fetcher
 
@@ -61,6 +63,16 @@ class TestBuildConfig:
         config = build_config(path, env={"TWEETCHECK_MODE": "replay"})
         assert config.mode is FetchMode.REPLAY
         assert config.user_agent == "from-file"
+
+    def test_readme_example_builds(self, tmp_path):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Configuration\n", 1)[1]
+        example = section.split("```\n", 2)[1]  # the first fenced block
+        path = tmp_path / "c.conf"
+        path.write_text(example, encoding="utf-8")
+        config = build_config(path, env={})
+        assert config.mode is FetchMode.REPLAY
+        assert config.engines[SourceId.SNOPES_SEARCH] == ENGINES[SourceId.SNOPES_SEARCH]
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "c.conf"
@@ -127,87 +139,9 @@ class TestEngineSettings:
         settings = config.engines[SourceId.SNOPES_SEARCH]
         assert settings.endpoint.startswith("https://mirror.example/")
 
-    def test_selector_file_merges_over_defaults(self, tmp_path):
-        selectors = tmp_path / "snopes_selectors.conf"
-        selectors.write_text("results=div.results a[href]\n", encoding="utf-8")
-        path = tmp_path / "c.conf"
-        path.write_text(f"selectors.snopes={selectors}\n", encoding="utf-8")
-        config = build_config(path, env={})
-        settings = config.engines[SourceId.SNOPES_SEARCH]
-        assert settings.selectors == {**ENGINES[SourceId.SNOPES_SEARCH].selectors, "results": "div.results a[href]"}
-
-    def test_rating_selector_file_loaded(self, tmp_path):
-        selectors = tmp_path / "snopes_rating.conf"
-        selectors.write_text("rating=div.rating-badge\n", encoding="utf-8")
-        path = tmp_path / "c.conf"
-        path.write_text(f"rating-selectors.snopes={selectors}\n", encoding="utf-8")
-        config = build_config(path, env={})
-        assert config.rating_selectors == {"snopes": {"rating": "div.rating-badge"},
-                                           "reuters": DEFAULT_RATING_SELECTORS["reuters"]}
-
-    def test_selector_files_are_read_once_when_the_config_is_built(self, tmp_path):
-        selectors = tmp_path / "snopes_selectors.conf"
-        selectors.write_text("results=div.results a[href]\n", encoding="utf-8")
-        rating = tmp_path / "snopes_rating.conf"
-        rating.write_text("rating=div.rating-badge\n", encoding="utf-8")
-        path = tmp_path / "c.conf"
-        path.write_text(f"selectors.snopes={selectors}\nrating-selectors.snopes={rating}\n", encoding="utf-8")
-        config = build_config(path, env={})
-        selectors.unlink()
-        rating.unlink()
-        assert config.engines[SourceId.SNOPES_SEARCH].selectors["results"] == "div.results a[href]"
-        assert config.rating_selectors["snopes"] == {"rating": "div.rating-badge"}
-
-    @pytest.mark.parametrize(
-        "key, selector_key",
-        [("selectors.snopes", "results"), ("rating-selectors.snopes", "rating")],
-        ids=["selectors.snopes", "rating-selectors.snopes"],
-    )
-    @pytest.mark.parametrize("selector", ["a[[", "div..x", ""])
-    def test_malformed_selector_rejected_naming_file_and_key(self, tmp_path, key, selector_key, selector):
-        selectors = tmp_path / "bad.conf"
-        selectors.write_text(f"{selector_key} = {selector}\n", encoding="utf-8")
-        path = tmp_path / "c.conf"
-        path.write_text(f"{key}={selectors}\n", encoding="utf-8")
-        with pytest.raises(ConfigError) as exc:
-            build_config(path, env={})
-        assert str(selectors) in str(exc.value) and selector_key in str(exc.value)
-
-    @pytest.mark.parametrize(
-        "key, typo", [("selectors.snopes", "result"), ("selectors.politwoops", "results"),
-                      ("rating-selectors.snopes", "ratng"), ("rating-selectors.reuters", "rating")]
-    )
-    def test_unknown_selector_key_rejected_naming_file_and_key(self, tmp_path, key, typo):
-        selectors = tmp_path / "typo.conf"
-        selectors.write_text(f"{typo} = div.badge\n", encoding="utf-8")
-        path = tmp_path / "c.conf"
-        path.write_text(f"{key}={selectors}\n", encoding="utf-8")
-        with pytest.raises(ConfigError) as exc:
-            build_config(path, env={})
-        assert str(exc.value) == f"{selectors}: unknown selector key {typo}"
-
-    def test_every_key_the_defaults_name_is_accepted(self, tmp_path):
-        lines = []
-        for source, row in ENGINES.items():
-            selectors = tmp_path / f"{source.value}.conf"
-            selectors.write_text("".join(f"{key} = div.x\n" for key in row.selectors), encoding="utf-8")
-            lines.append(f"selectors.{source.value}={selectors}\n")
-        for publisher, defaults in DEFAULT_RATING_SELECTORS.items():
-            selectors = tmp_path / f"rating-{publisher}.conf"
-            selectors.write_text("".join(f"{key} = div.x\n" for key in defaults), encoding="utf-8")
-            lines.append(f"rating-selectors.{publisher}={selectors}\n")
-        path = tmp_path / "c.conf"
-        path.write_text("".join(lines), encoding="utf-8")
-        config = build_config(path, env={})
-        assert all(set(row.selectors.values()) == {"div.x"} for row in config.engines.values())
-        assert all(set(table.values()) == {"div.x"} for table in config.rating_selectors.values())
-
     def test_captcha_selector_honoured_on_a_site_search_engine(self, tmp_path):
-        selectors = tmp_path / "snopes.conf"
-        selectors.write_text("captcha = div.challenge\n", encoding="utf-8")
-        path = tmp_path / "c.conf"
-        path.write_text(f"selectors.snopes={selectors}\n", encoding="utf-8")
-        settings = build_config(path, env={}).engines[SourceId.SNOPES_SEARCH]
+        row = ENGINES[SourceId.SNOPES_SEARCH]
+        settings = replace(row, selectors={**row.selectors, "captcha": "div.challenge"})
         body = "a claim that meets a challenge"
         challenge = b'<html><body><div class="challenge">Are you human?</div></body></html>'
         store = record_pages(tmp_path / "fx", {engine_query_url(SourceId.SNOPES_SEARCH, body): StubPage(challenge)})
@@ -215,17 +149,6 @@ class TestEngineSettings:
         assert ranked_search(SourceId.SNOPES_SEARCH, claim, replay_fetcher(store)).urls == ()
         with pytest.raises(CaptchaDetected):
             ranked_search(SourceId.SNOPES_SEARCH, claim, replay_fetcher(store), settings)
-
-    def test_literal_text_keys_are_not_compiled(self, tmp_path):
-        web = tmp_path / "web.conf"
-        web.write_text("captcha_text = unusual traffic [[ here\n", encoding="utf-8")
-        reuters = tmp_path / "reuters.conf"
-        reuters.write_text("verdict_heading_text = Our verdict:\n", encoding="utf-8")
-        path = tmp_path / "c.conf"
-        path.write_text(f"selectors.web={web}\nrating-selectors.reuters={reuters}\n", encoding="utf-8")
-        config = build_config(path, env={})
-        assert config.engines[SourceId.WEB_SEARCH].selectors["captcha_text"] == "unusual traffic [[ here"
-        assert config.rating_selectors["reuters"] == {"verdict_heading": "h2, h3, strong", "verdict_heading_text": "Our verdict:"}
 
     def test_rating_selector_unknown_publisher_rejected(self, tmp_path):
         path = tmp_path / "c.conf"
@@ -243,12 +166,6 @@ class TestEngineSettings:
         path = tmp_path / "c.conf"
         path.write_text("endpoint.bing=https://x/{query}\n", encoding="utf-8")
         with pytest.raises(ConfigError):
-            build_config(path, env={})
-
-    def test_unknown_engine_reported_before_its_selector_file_is_read(self, tmp_path):
-        path = tmp_path / "c.conf"
-        path.write_text("selectors.bing=/no/such/file\n", encoding="utf-8")
-        with pytest.raises(ConfigError, match="unknown engine name"):
             build_config(path, env={})
 
 

@@ -40,6 +40,10 @@ class TestFetchRequest:
         with pytest.raises(ValueError):
             FetchRequest(url="/search/x")
 
+    def test_url_that_is_not_utf8_rejected(self):
+        with pytest.raises(ValueError, match="url is not UTF-8 text"):
+            FetchRequest(url="https://www.snopes.com/\udcff")
+
 
 class TestFetchResponse:
     @pytest.mark.parametrize("status", [99, 600, 0])

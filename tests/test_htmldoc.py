@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from tweetcheck import htmldoc
 from tweetcheck.adapters import ENGINES, ranked_search, search_politwoops
-from tweetcheck.config import build_config
 from tweetcheck.errors import ParseError
 from tweetcheck.fetch import Fetcher, FetchMode, FetchResponse
 from tweetcheck.htmldoc import Element, outermost, parse_selector, parse_html, parse_response
@@ -369,17 +368,10 @@ class TestHostileNesting:
         assert [hit.tweet_text for hit in hits] == ["text"]  # the nested cards are part of the first
 
     @pytest.mark.parametrize("chained", [False, True])
-    def test_sibling_politwoops_cards_under_unclosed_tags(self, tmp_path, chained):
+    def test_sibling_politwoops_cards_under_unclosed_tags(self, chained):
         claim = TweetClaim(body="deep sibling cards")
-        settings_ = ENGINES[SourceId.POLITWOOPS]
-        if chained:  # descendant chains, set through a selector file
-            selector_file = tmp_path / "politwoops.selectors"
-            selector_file.write_text(
-                "".join(f"{key} = {value}\n" for key, value in _CHAINED_CARD_SELECTORS.items()), encoding="utf-8"
-            )
-            config_file = tmp_path / "tweetcheck.conf"
-            config_file.write_text(f"selectors.politwoops = {selector_file}\n", encoding="utf-8")
-            settings_ = build_config(config_file, env={}).engines[SourceId.POLITWOOPS]
+        row = ENGINES[SourceId.POLITWOOPS]
+        settings_ = replace(row, selectors={**row.selectors, **_CHAINED_CARD_SELECTORS}) if chained else row
         count = 4_000
         body = "<span>" * count + "".join(_card(i) for i in range(count))
         fetcher = self._fetcher(SourceId.POLITWOOPS, claim, body)

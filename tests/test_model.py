@@ -117,6 +117,12 @@ class TestClaim:
     def test_4000_chars_allowed(self):
         TweetClaim(body="x" * 4000)
 
+    @pytest.mark.parametrize("body", ["abc \udcff def", "\ud800"])
+    def test_body_that_is_not_utf8_rejected(self, body):
+        # A command-line argument holding bytes that are not UTF-8 arrives as lone surrogates.
+        with pytest.raises(ValueError, match="claim body is not UTF-8 text"):
+            TweetClaim(body=body)
+
 
 class TestEvidenceItem:
     def test_politwoops_item_needs_matched_text(self):

@@ -7,9 +7,20 @@ from tweetcheck.adapters import ENGINES, ranked_search
 from tweetcheck.config import AppConfig, ConfigError, build_config, load_keyvalues, source_by_name
 from tweetcheck.errors import CaptchaDetected
 from tweetcheck.fetch import DEFAULT_USER_AGENT, FetchMode
+from tweetcheck.htmldoc import parse_selector
 from tweetcheck.model import SourceId, TweetClaim
+from tweetcheck.ratings import DEFAULT_RATING_SELECTORS
 
 from conftest import StubPage, engine_query_url, record_pages, replay_fetcher
+
+#: Selector-table entries that hold literal page text, not a selector.
+LITERAL_TEXT_KEYS = {"captcha_text", "verdict_heading_text"}
+#: Every (table, key, selector) the engine table and the rating table hold.
+SELECTOR_CONSTANTS = [
+    *((source.value, key, value) for source, row in ENGINES.items() for key, value in row.selectors.items()),
+    *((f"rating-{publisher}", key, value) for publisher, table in DEFAULT_RATING_SELECTORS.items()
+      for key, value in table.items()),
+]
 
 
 class TestKeyValues:
@@ -150,6 +161,17 @@ class TestEngineSettings:
         with pytest.raises(CaptchaDetected):
             ranked_search(SourceId.SNOPES_SEARCH, claim, replay_fetcher(store), settings)
 
+    @pytest.mark.parametrize(
+        "key",
+        [*(f"selectors.{source.value}" for source in SourceId), "rating-selectors.snopes", "rating-selectors.reuters"],
+    )
+    def test_former_selector_file_key_is_an_unknown_key(self, tmp_path, key):
+        path = tmp_path / "c.conf"
+        path.write_text(f"{key}=/dev/null\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as exc:
+            build_config(path, env={})
+        assert str(exc.value) == f"unknown configuration key: {key!r}"
+
     def test_rating_selector_unknown_publisher_rejected(self, tmp_path):
         path = tmp_path / "c.conf"
         path.write_text("rating-selectors.apnews=/dev/null\n", encoding="utf-8")
@@ -167,6 +189,23 @@ class TestEngineSettings:
         path.write_text("endpoint.bing=https://x/{query}\n", encoding="utf-8")
         with pytest.raises(ConfigError):
             build_config(path, env={})
+
+
+class TestSelectorConstants:
+    """Selectors are constants in code, so no file is compiled when a
+    configuration is built: each constant must compile as it stands."""
+
+    @pytest.mark.parametrize(
+        "table, key, selector",
+        [entry for entry in SELECTOR_CONSTANTS if entry[1] not in LITERAL_TEXT_KEYS],
+        ids=lambda value: str(value),
+    )
+    def test_selector_compiles(self, table, key, selector):
+        assert parse_selector(selector)
+
+    def test_every_literal_text_entry_is_nonblank(self):
+        literals = [value for _, key, value in SELECTOR_CONSTANTS if key in LITERAL_TEXT_KEYS]
+        assert literals and all(value.strip() for value in literals)
 
 
 class TestFetcherConstruction:

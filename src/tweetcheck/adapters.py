@@ -17,7 +17,10 @@ reads the result links in rank order. The deleted-tweet tracker returns
 tweet records rather than links and has its own adapter,
 :func:`search_politwoops`.
 
-A bot-challenge check and an ad filter run wherever an engine's selectors
+Result links are the elements matching an engine's "results" selector;
+where its row has a "scope" selector, as the web search rows do, only those
+under an element matching it count (see :func:`result_anchors`). A
+bot-challenge check and an ad filter run wherever an engine's selectors
 name them, as the web search rows do. A results page that is not a 2xx
 answer is a :class:`~tweetcheck.errors.NetworkError` from the fetch
 gateway, and propagates like any other query failure. Adapters are
@@ -62,7 +65,8 @@ class EngineSettings:
     endpoint: str
     spec: QuerySpec
     #: What the engine's adapter reads from its results page; the optional
-    #: "ads", "captcha" and "captcha_text" keys turn those checks on.
+    #: "scope" key confines "results" to the elements under its matches, and the
+    #: optional "ads", "captcha" and "captcha_text" keys turn those checks on.
     selectors: Mapping[str, str]
     ranking: Optional[Ranking] = None
 
@@ -70,7 +74,8 @@ class EngineSettings:
 _GOOGLE = "https://www.google.com/search?q={query}"
 _SITE_SELECTORS = {"results": "a[href]"}
 _WEB_SELECTORS = {
-    "results": "div#search a[href]",
+    "scope": "div#search",
+    "results": "a[href]",
     "ads": "div#tads, div#bottomads, [data-text-ad]",
     "captcha": "form#captcha-form, div#recaptcha",
     "captcha_text": "detected unusual traffic",
@@ -155,6 +160,16 @@ def _check_captcha(root: Element, selectors: Mapping[str, str], url: str) -> Non
         raise CaptchaDetected(f"{url}: bot challenge marker found")
 
 
+def result_anchors(root: Element, selectors: Mapping[str, str]) -> list[Element]:
+    """The elements matching ``selectors["results"]`` under each outermost
+    element matching ``selectors["scope"]``, in document order; with no
+    "scope" key, every one under ``root``. The outermost scope elements do
+    not nest, so this takes time linear in the page however deeply it nests."""
+    scope = selectors.get("scope")
+    containers = outermost(root.select(scope)) if scope else [root]
+    return [anchor for container in containers for anchor in container.select(selectors["results"])]
+
+
 def ranked_search(
     source: SourceId,
     claim: TweetClaim,
@@ -183,7 +198,7 @@ def ranked_search(
     ad_ids = {id(el) for ad in ads for el in (ad, *ad.iter())}
     seen: set[str] = set()
     urls: list[str] = []
-    for anchor in root.select(selectors["results"]):
+    for anchor in result_anchors(root, selectors):
         href = anchor.get("href")
         if not href or id(anchor) in ad_ids:
             continue

@@ -32,31 +32,27 @@ children. An end tag closes the nearest open element of its name and every
 element opened inside it; an end tag with no open element of its name is
 ignored.
 
-Supported selector syntax, which is what the per-adapter selector
-configuration files may use:
+Supported selector syntax, which is what the per-engine and per-publisher
+selector constants use:
 
 * comma-separated alternatives: ``h2, h3``
-* descendant chains: ``div#search a[href]``
-* compound simple selectors: tag name, ``#id``, ``.class`` (repeatable),
-  ``[attr]``, ``[attr=v]``, ``[attr*=v]``, ``[attr^=v]``, ``[attr$=v]``
+* compound selectors: tag name, ``#id``, ``.class`` (repeatable),
+  ``[attr]``, ``[attr*=v]``
 
-Matching takes time linear in the page however deeply it nests: one select
-call walks up once from the element it is called on, then down its subtree
-once, carrying to each element how much of each descendant chain that
-element's ancestors match. :func:`outermost` keeps those of a list of
-matches that no other one contains, walking each kept subtree once.
+A selector is matched in one walk down the subtree it is called on, so
+matching takes time linear in the page however deeply it nests.
+:func:`outermost` keeps those of a list of matches that no other one
+contains, walking each kept subtree once.
 
-Parent links are weak references: a tree is owned by its root through
-``children`` alone, so it holds no reference cycle and is freed the moment
-its root is dropped, without waiting for the cycle collector. A tree lives
-as long as its root; keep the root while walking upward. An element whose
-root is gone has ``parent`` None.
+A tree points only down: an element holds its children and no link back
+up. So a tree holds no reference cycle and is freed the moment its root is
+dropped, without waiting for the cycle collector, and whatever needs to
+know what contains what works it out from the root down.
 """
 
 from __future__ import annotations
 
 import re
-import weakref
 from functools import lru_cache
 from html import unescape
 from html.entities import html5
@@ -69,39 +65,25 @@ VOID_TAGS = frozenset(
     "area base br col embed hr img input link meta param source track wbr".split()
 )
 
-#: One part of a compound selector: a tag, ``#id``, ``.class`` or ``[attr]``/``[attr op "value"]``.
+#: One part of a compound selector: a tag, ``#id``, ``.class``, ``[attr]`` or ``[attr*="value"]``.
 _PART_RE = re.compile(
-    r"([\w:-]+)|#([\w:-]+)|\.([\w:-]+)|\[\s*([\w:-]+)\s*(?:([*^$]?=)\s*\"?([^\"\]]*?)\"?\s*)?\]"
+    r"([\w:-]+)|#([\w:-]+)|\.([\w:-]+)|\[\s*([\w:-]+)\s*(?:\*=\s*\"?([^\"\]]*?)\"?\s*)?\]"
 )
 
 
-def _no_parent() -> None:
-    return None
-
-
 class Element:
-    """One HTML element: tag, attributes, and mixed text/element children.
+    """One HTML element: tag, attributes, and mixed text/element children."""
 
-    The link to the parent is weak (see the module docstring): ``parent``
-    is None for the root and for an element whose root has been dropped.
-    """
+    __slots__ = ("tag", "attrs", "children")
 
-    __slots__ = ("tag", "attrs", "children", "_parent", "__weakref__")
-
-    def __init__(self, tag: str, attrs: Optional[dict[str, str]] = None, parent=None):
+    def __init__(self, tag: str, attrs: Optional[dict[str, str]] = None):
         self.tag = tag
         self.attrs = attrs or {}
         self.children: list[Element | str] = []
-        # Called to dereference, so hot loops walk up with ``node._parent()``.
-        self._parent = _no_parent if parent is None else weakref.ref(parent)
 
     def __repr__(self):
         ident = f"#{self.attrs['id']}" if "id" in self.attrs else ""
         return f"<Element {self.tag}{ident}>"
-
-    @property
-    def parent(self) -> Optional["Element"]:
-        return self._parent()
 
     @property
     def classes(self) -> list[str]:
@@ -135,29 +117,12 @@ class Element:
         return "".join(parts)
 
     def _matching(self, selector: str) -> Iterator["Element"]:
-        # One top-down pass: each element is paired with the matching state
-        # its strict ancestors leave, this one's included (see _advance).
-        chains = parse_selector(selector)
-        ready = tuple(chain[-1] for chain in chains if len(chain) == 1)
-        pending = tuple((chain, 0) for chain in chains if len(chain) > 1)
-        lineage = []
-        node: Optional[Element] = self
-        while node is not None:
-            lineage.append(node)
-            node = node._parent()
-        for node in reversed(lineage):
-            if pending:
-                ready, pending = _advance(ready, pending, node)
-        stack = [(child, ready, pending) for child in reversed(self.children) if isinstance(child, Element)]
-        while stack:
-            el, ready, pending = stack.pop()
-            for last in ready:
-                if _matches_simple(el, last):
+        compounds = parse_selector(selector)
+        for el in self.iter():
+            for compound in compounds:
+                if _matches_simple(el, compound):
                     yield el
                     break
-            if pending:
-                ready, pending = _advance(ready, pending, el)
-            stack.extend([(child, ready, pending) for child in reversed(el.children) if isinstance(child, Element)])
 
     def select(self, selector: str) -> list["Element"]:
         """Elements under this one matching the selector, in document order."""
@@ -166,14 +131,6 @@ class Element:
     def select_one(self, selector: str) -> Optional["Element"]:
         """The first element :meth:`select` would return, without finding the rest."""
         return next(self._matching(selector), None)
-
-    def is_inside(self, container: "Element") -> bool:
-        node = self._parent()
-        while node is not None:
-            if node is container:
-                return True
-            node = node._parent()
-        return False
 
 
 class _Simple:
@@ -190,7 +147,7 @@ def _parse_compound(token: str) -> _Simple:
     tag = None
     id_ = None
     classes: list[str] = []
-    attrs: list[tuple[str, str, str]] = []
+    attrs: list[tuple[str, Optional[str]]] = []
     pos = 0
     for m in _PART_RE.finditer(token):
         if m.start() != pos:
@@ -205,24 +162,23 @@ def _parse_compound(token: str) -> _Simple:
         elif m.group(3):
             classes.append(m.group(3))
         else:
-            attrs.append((m.group(4).lower(), m.group(5) or "", m.group(6) or ""))
+            attrs.append((m.group(4).lower(), m.group(5)))
     if pos != len(token):
         raise ValueError(f"unsupported selector syntax: {token!r}")
     return _Simple(tag, id_, frozenset(classes), tuple(attrs))
 
 
 @lru_cache(maxsize=256)
-def parse_selector(selector: str) -> tuple[tuple[_Simple, ...], ...]:
-    """Compiled selector, one chain per alternative; cached, so never mutate it."""
-    chains = []
-    for alternative in selector.split(","):
-        tokens = alternative.split()
-        if not tokens:
-            continue
-        chains.append(tuple(_parse_compound(token) for token in tokens))
-    if not chains:
+def parse_selector(selector: str) -> tuple[_Simple, ...]:
+    """Compiled selector, one compound per alternative; cached, so never mutate it.
+
+    A descendant chain (compounds separated by whitespace) is unsupported
+    syntax."""
+    alternatives = [alternative.strip() for alternative in selector.split(",")]
+    compounds = tuple(_parse_compound(alternative) for alternative in alternatives if alternative)
+    if not compounds:
         raise ValueError("empty selector")
-    return tuple(chains)
+    return compounds
 
 
 def _matches_simple(el: Element, simple: _Simple) -> bool:
@@ -232,44 +188,11 @@ def _matches_simple(el: Element, simple: _Simple) -> bool:
         return False
     if simple.classes and not simple.classes.issubset(el.classes):
         return False
-    for name, op, value in simple.attrs:
+    for name, contained in simple.attrs:
         actual = el.attrs.get(name)
-        if actual is None:
-            return False
-        if op == "=" and actual != value:
-            return False
-        if op == "*=" and value not in actual:
-            return False
-        if op == "^=" and not actual.startswith(value):
-            return False
-        if op == "$=" and not actual.endswith(value):
+        if actual is None or (contained is not None and contained not in actual):
             return False
     return True
-
-
-_Chain = tuple[_Simple, ...]
-
-
-def _advance(
-    ready: tuple[_Simple, ...], pending: tuple[tuple[_Chain, int], ...], el: Element
-) -> tuple[tuple[_Simple, ...], tuple[tuple[_Chain, int], ...]]:
-    """The matching state below ``el``, given the state ``el``'s ancestors leave.
-
-    ``pending`` holds each chain the ancestors do not yet complete, with how
-    many of its leading compounds they match, taken greedily from the root;
-    ``ready`` holds the last compound of each chain whose other compounds
-    they all match, so an element below matching one of those is selected.
-    Every combinator is "descendant", so greedy finds a match whenever there
-    is one."""
-    still = []
-    for chain, count in pending:
-        if _matches_simple(el, chain[count]):
-            count += 1
-            if count == len(chain) - 1:
-                ready += (chain[-1],)
-                continue
-        still.append((chain, count))
-    return ready, tuple(still)
 
 
 def outermost(elements: Iterable[Element]) -> list[Element]:
@@ -371,7 +294,7 @@ def parse_html(text: str) -> Element:
             if not closed:
                 break  # unterminated start tag: dropped, as browsers do
             tag = name.lower()
-            element = Element(tag, _attributes(text, m.start(2), m.end(2)) if attrs else {}, node)
+            element = Element(tag, _attributes(text, m.start(2), m.end(2)) if attrs else {})
             node.children.append(element)
             if slash or tag in VOID_TAGS:
                 continue
@@ -411,18 +334,24 @@ def collapse_whitespace(text: str) -> str:
 
 
 _CHARSET_RE = re.compile(r"charset=([\w.-]+)", re.IGNORECASE)
+_SURROGATE = re.compile("[\ud800-\udfff]")
 _HTMLISH_CT = re.compile(r"(^text/|html|xml)", re.IGNORECASE)
 
 
 def decode_body(response: FetchResponse) -> str:
+    """The body as text in the charset its Content-Type names (UTF-8 if none or
+    unknown). What cannot be decoded becomes U+FFFD, and so does each surrogate
+    a codec such as ``unicode_escape`` or ``utf-7`` decodes: no later step could
+    encode one."""
     charset = "utf-8"
     m = _CHARSET_RE.search(response.content_type)
     if m:
         charset = m.group(1)
     try:
-        return response.body.decode(charset, errors="replace")
+        text = response.body.decode(charset, errors="replace")
     except (LookupError, UnicodeError):  # unknown charset, or one that cannot replace (idna)
-        return response.body.decode("utf-8", errors="replace")
+        text = response.body.decode("utf-8", errors="replace")
+    return _SURROGATE.sub("\ufffd", text)
 
 
 def parse_response(response: FetchResponse) -> Element:

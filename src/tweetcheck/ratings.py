@@ -77,10 +77,10 @@ def scrape_reuters_rating(page: FetchResponse) -> TruthRating:
     root = parse_response(page)
     selectors = DEFAULT_RATING_SELECTORS["reuters"]
     headings = verdict_headings(root, selectors["verdict_heading"], selectors["verdict_heading_text"])
-    holders = _holders(headings)
+    places, holders = _heading_places(root, headings)
     walked: set[int] = set()
     for heading in headings:
-        paragraph = _following_text_block(heading, holders, walked)
+        paragraph = _following_text_block(*places[id(heading)], holders, walked)
         if paragraph:
             return classify_rating(_label_head(paragraph))
     return _fallback_scan(root, page.final_url, "verdict section")
@@ -126,34 +126,41 @@ def _short_texts(tops: list[Element], limit: int) -> dict[int, str]:
     return texts
 
 
-def _holders(elements: list[Element]) -> set[int]:
-    """By id, every element that contains one of ``elements``. Each upward
-    walk stops at the first element already marked, so every element is
-    marked at most once and this takes time linear in the page."""
-    marked: set[int] = set()  # ids stay unique while the tree is alive
-    for el in elements:
-        node = el.parent
-        while node is not None and id(node) not in marked:
-            marked.add(id(node))
-            node = node.parent
-    return marked
+def _heading_places(
+    root: Element, headings: list[Element]
+) -> tuple[dict[int, tuple[Element, int]], set[int]]:
+    """By id, each of ``headings``' parent and its index among the parent's
+    children; and by id, every element that contains one of ``headings``.
+
+    One walk down from ``root`` reads every element's children once, each
+    element after its descendants, so this takes time linear in the page."""
+    wanted = {id(heading) for heading in headings}  # ids stay unique while the tree is alive
+    places: dict[int, tuple[Element, int]] = {}
+    holders: set[int] = set()
+    for el in reversed([root, *root.iter()]):
+        for index, child in enumerate(el.children):
+            if id(child) in wanted:
+                places[id(child)] = (el, index)
+                holders.add(id(el))
+            elif id(child) in holders:
+                holders.add(id(el))
+    return places, holders
 
 
-def _following_text_block(heading: Element, holders: set[int], walked: set[int]) -> Optional[str]:
-    """The text of the first later sibling of ``heading`` that has any and
-    holds no verdict heading (by id in ``holders``): with unclosed tags the
-    next verdict section nests inside a sibling, and its text is no label.
+def _following_text_block(parent: Element, index: int, holders: set[int], walked: set[int]) -> Optional[str]:
+    """The text of the first child of ``parent`` after the heading at
+    ``index`` that has any and holds no verdict heading (by id in
+    ``holders``): with unclosed tags the next verdict section nests inside a
+    sibling, and its text is no label.
 
     The headings are tried in document order, so a later heading under a
     parent already in ``walked`` can find nothing its first one did not:
     each parent's children are walked once.
     """
-    parent = heading.parent
     if id(parent) in walked:
         return None
     walked.add(id(parent))
-    siblings = parent.children
-    for child in siblings[siblings.index(heading) + 1:]:
+    for child in parent.children[index + 1:]:
         if isinstance(child, Element) and id(child) not in holders:
             text = child.text().strip()
             if text:

@@ -18,7 +18,7 @@ class _TreeBuilder(HTMLParser):
         self.open_counts: dict[str, int] = {}
 
     def handle_starttag(self, tag, attrs):
-        element = Element(tag, dict(attrs), parent=self.stack[-1])
+        element = Element(tag, dict(attrs))
         self.stack[-1].children.append(element)
         if tag not in VOID_TAGS:
             self.stack.append(element)

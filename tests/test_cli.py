@@ -713,6 +713,40 @@ class TestScrape:
         )
 
 
+#: A lone surrogate (U+DCFF) as page bytes in each charset whose codec decodes one.
+SURROGATE_IN_CHARSET = {"unicode_escape": b"\\udcff", "utf-7": b"+3P8-"}
+
+
+@pytest.mark.parametrize("charset", sorted(SURROGATE_IN_CHARSET))
+class TestSurrogateFromCharset:
+    """A page whose charset decodes its bytes to a lone surrogate gets U+FFFD
+    in its place, as for an undecodable byte."""
+
+    def test_verify_reads_the_result_as_a_missing_rating(self, tmp_path, capsys, charset):
+        href = b"/fact-check/x" + SURROGATE_IN_CHARSET[charset] + b"/"
+        results = StubPage(b'<html><body><a href="' + href + b'">x</a></body></html>',
+                           content_type=f"text/html; charset={charset}")
+        store = record_pages(tmp_path / "fx", {engine_query_url(SourceId.SNOPES_SEARCH, GIBBERISH_BODY): results})
+        code = main(["verify", GIBBERISH_BODY, "--engine", "snopes", "--mode", "replay", "--fixtures", str(store.root)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == (
+            "Article found at URL: https://www.snopes.com/fact-check/x\ufffd/\n"
+            "Truth rating: UNKNOWN (missing)\n"
+            "Verdict: Unverifiable\n"
+        )
+        assert _tweetcheck_lines(captured.err) == []
+
+    def test_scrape_label_carries_the_replacement_character(self, tmp_path, capsys, charset):
+        article = b'<div class="rating_title_wrap">False' + SURROGATE_IN_CHARSET[charset] + b"</div>"
+        store = record_pages(tmp_path / "fx", {
+            SNOPES_PANDEMIC_ARTICLE: StubPage(article, content_type=f"text/html; charset={charset}"),
+        })
+        code = main(["scrape", SNOPES_PANDEMIC_ARTICLE, "--mode", "replay", "--fixtures", str(store.root)])
+        assert code == 0
+        assert capsys.readouterr().out == "Truth rating: False\ufffd\nNormalized kind: Unknown\n"
+
+
 class TestModeEnvVar:
     def test_env_var_selects_replay(self, pandemic_store, monkeypatch, capsys):
         monkeypatch.setenv("TWEETCHECK_MODE", "REPLAY")

@@ -203,6 +203,15 @@ class TestSelectorConstants:
     def test_selector_compiles(self, table, key, selector):
         assert parse_selector(selector)
 
+    def test_web_rows_scope_their_results(self):
+        for table in ("web", "web-snopes"):
+            assert (table, "scope", "div#search") in SELECTOR_CONSTANTS
+            assert (table, "results", "a[href]") in SELECTOR_CONSTANTS
+
+    def test_no_selector_is_a_descendant_chain(self):
+        selectors = [value for _, key, value in SELECTOR_CONSTANTS if key not in LITERAL_TEXT_KEYS]
+        assert not [value for value in selectors if any(len(part.split()) > 1 for part in value.split(","))]
+
     def test_every_literal_text_entry_is_nonblank(self):
         literals = [value for _, key, value in SELECTOR_CONSTANTS if key in LITERAL_TEXT_KEYS]
         assert literals and all(value.strip() for value in literals)

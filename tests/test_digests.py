@@ -3,10 +3,12 @@
 Each scenario runs one command in-process through :func:`tweetcheck.cli.main`
 over the pages in ``tests/pages``: ``verify`` in replay, ``eval`` as table
 and machine lines, ``record`` through a stub transport, ``scrape`` on each
-article and ``validate-dataset`` on the corpora. What a user sees of a run
-(stdout, the exit code, the ``tweetcheck:`` lines on stderr, and for
-``record`` the sorted fixture file names, which pin every query URL) is
-hashed with SHA-256 and compared with ``output_digests.json``.
+article and ``validate-dataset`` on the corpora. Inline pages add the hard
+cases of the Reuters scraper (``scrape``) and of the card reader (``verify
+--engine politwoops``). What a user sees of a run (stdout, the exit code,
+the ``tweetcheck:`` lines on stderr, and for ``record`` the sorted fixture
+file names, which pin every query URL) is hashed with SHA-256 and compared
+with ``output_digests.json``.
 
 A change that alters behaviour on purpose regenerates the table and names
 each changed scenario in its change notes::
@@ -79,6 +81,70 @@ ARTICLES = {
     )
 }
 
+#: Reuters articles whose verdict is hard to find, each at its own URL.
+HARD_ARTICLES = {
+    f"https://www.reuters.com/article/idUSHARD-{name}": html
+    for name, html in {
+        # a heading inside a heading: both read "VERDICT", or only the inner one
+        "heading-in-heading": "<article><h2><strong>VERDICT</strong></h2><p>False. Made up.</p></article>",
+        "inner-heading-only": "<article><h2>Our <strong>VERDICT</strong> <em>Partly false. x</em></h2></article>",
+        # verdict sections nested by unclosed <div>s, and a closed one inside an open one
+        "nested-sections": "<div><h2>VERDICT</h2>" * 3 + "<p>Misleading. The rest.</p>",
+        "section-inside-section": (
+            "<div><h2>VERDICT</h2><div><h2>VERDICT</h2><p>Misleading. y</p></div><p>False. z</p></div>"
+        ),
+        # a sibling heading before the paragraph: another heading, or another verdict heading
+        "sibling-heading-first": "<h2>VERDICT</h2><h3>Why we say so</h3><p>False. x</p>",
+        "sibling-verdict-heading-first": "<h2>VERDICT</h2><h3>VERDICT</h3><p>False. x</p>",
+        # only text nodes, or empty elements, after the heading
+        "text-after-heading": "<article><h2>VERDICT</h2>False. Only text follows.</article>",
+        "text-scan-after-heading": "<article><h2>VERDICT</h2> Verdict: Mostly false. x</article>",
+        "empty-siblings-first": "<h2>VERDICT</h2><p> \n </p><br><span></span><p>Mostly false. x</p>",
+        # heading text that matches only after stripping, or not at all
+        "stripped-heading": "<h2>\n\t Verdict \n</h2><p>False. x</p>",
+        "heading-across-tags": "<strong> <b>VER</b>DICT </strong><p>Partly false. x</p>",
+        "heading-split-by-space": "<h2>VER DICT</h2><p>False. x</p>",
+        # no verdict heading at all: the text scan, or nothing
+        "no-heading-text-scan": "<p>Verdict: Mostly false. More text.</p>",
+        "no-heading-no-rating": "<p>Nothing rated here.</p>",
+    }.items()
+}
+
+#: Tracker pages whose cards nest, sit under unclosed tags or miss a part,
+#: by case: the claim searched for, and the page served for it.
+HARD_CARDS = {
+    "nested-claim-in-inner-card": (
+        "Nested cards with the claim in the inner card",
+        '<div class="results"><div class="tweet"><div class="tweet">'
+        '<p class="tweet-content">Nested cards with the claim in the inner card</p>'
+        '<a href="/politwoops/tweet/1">l</a><span class="screen-name">@inner</span></div></div></div>',
+    ),
+    "nested-outer-text-first": (
+        "Nested cards with the outer text read first",
+        '<div class="results"><div class="tweet"><p class="tweet-content">another tweet</p>'
+        '<div class="tweet"><p class="tweet-content">Nested cards with the outer text read first</p>'
+        '<a href="/politwoops/tweet/2">l</a>',
+    ),
+    "siblings-under-unclosed-spans": (
+        "Sibling cards under unclosed spans",
+        '<div class="results">' + "<span>" * 5
+        + '<div class="tweet"><p class="tweet-content">another tweet</p><a href="/politwoops/tweet/3">l</a></div>'
+        + '<div class="tweet"><p class="tweet-content">Sibling cards under unclosed spans</p>'
+        '<a href="/politwoops/tweet/4">l</a></div>',
+    ),
+    "link-without-text": (
+        "A card with a link but no text",
+        '<div class="results"><div class="tweet"><a href="/politwoops/tweet/5">l</a></div>'
+        '<div class="tweet"><p class="tweet-content">A card with a link but no text</p></div></div>',
+    ),
+    "link-without-text-then-whole-card": (
+        "A card without text, then a whole card",
+        '<div class="results"><div class="tweet"><a href="/politwoops/tweet/6">l</a></div>'
+        '<div class="tweet"><p class="tweet-content">A card without text, then a whole card</p>'
+        '<a href="/politwoops/tweet/7">l</a></div></div>',
+    ),
+}
+
 
 def _serp_pages(google_page: str) -> dict[str, StubPage]:
     """Every engine's results page for every scenario body: the empty page of
@@ -117,6 +183,10 @@ PAGE_SETS = {
     "captcha": lambda: _serp_pages("google_serp_captcha.html"),
     "empty": lambda: _serp_pages("google_serp_empty.html"),
     "articles": _article_pages,
+    "hard-articles": lambda: {url: StubPage(html.encode()) for url, html in HARD_ARTICLES.items()},
+    "hard-cards": lambda: {
+        engine_query_url(SourceId.POLITWOOPS, body): StubPage(html.encode()) for body, html in HARD_CARDS.values()
+    },
 }
 
 DATASETS = {
@@ -154,6 +224,10 @@ def _scenarios() -> dict[str, tuple[str, str, list[str]]]:
     for url in [*ARTICLES, SNOPES_PANDEMIC_ARTICLE, REUTERS_PANDEMIC_ARTICLE, REUTERS_PANDEMIC_SHORT,
                 "https://www.snopes.com/fact-check/never-recorded/", "https://example.com/article"]:
         scenarios[f"scrape/{url}"] = ("scrape", "articles", [url])
+    for url in HARD_ARTICLES:
+        scenarios[f"scrape/{url}"] = ("scrape", "hard-articles", [url])
+    for case, (body, _) in HARD_CARDS.items():
+        scenarios[f"verify/hard-cards/{case}"] = ("verify", "hard-cards", [body, "--engine", "politwoops"])
     scenarios["validate-dataset/shipped"] = ("validate-dataset", "", [])
     for dataset in DATASETS:
         scenarios[f"validate-dataset/{dataset}"] = ("validate-dataset", dataset, [])

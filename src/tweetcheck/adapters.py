@@ -232,32 +232,19 @@ def search_politwoops(
     Only the outermost cards are read: a card nested inside another card
     (as unclosed markup nests them) is part of the outer one, whose text,
     link and handle are the first of each found anywhere inside it. Each
-    of those three selectors is matched once over the whole page, and each
-    match goes to the card that contains it, so reading takes time linear
-    in the page however deeply it nests.
+    card is read from the card down, and the outermost cards' subtrees are
+    disjoint, so reading takes time linear in the page however deeply it
+    nests.
     """
     settings = settings or ENGINES[SourceId.POLITWOOPS]
     query = build_query(claim, settings.spec)
     response = _request_page(fetcher, settings, query)
     root = parse_response(response)
     selectors = settings.selectors
-    cards = outermost(root.select(selectors["cards"]))
-    # The cards' subtrees are disjoint, so this walks each element once;
-    # ids stay unique while ``root`` keeps the whole tree alive.
-    card_of = {id(el): index for index, card in enumerate(cards) for el in card.iter()}
-
-    def first_in_each_card(key: str) -> dict[Optional[int], Element]:
-        found: dict[Optional[int], Element] = {}
-        for el in root.select(selectors[key]):
-            found.setdefault(card_of.get(id(el)), el)
-        return found
-
-    texts, links, handles = (first_in_each_card(key) for key in ("text", "link", "handle"))
     project_host = host(settings.endpoint)
     hits: list[PolitwoopsHit] = []
-    for index in range(len(cards)):
-        text_el = texts.get(index)
-        link_el = links.get(index)
+    for card in outermost(root.select(selectors["cards"])):
+        text_el, link_el, handle_el = (card.select_one(selectors[key]) for key in ("text", "link", "handle"))
         if text_el is None or link_el is None or not link_el.get("href"):
             logger.debug("politwoops: skipping card without text/link")
             continue
@@ -270,7 +257,6 @@ def search_politwoops(
         if detail_host != project_host:
             logger.debug("politwoops: skipping off-host link %s", detail_url)
             continue
-        handle_el = handles.get(index)
         handle = handle_el.text().strip().lstrip("@") if handle_el is not None else ""
         hits.append(
             PolitwoopsHit(

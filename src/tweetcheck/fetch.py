@@ -341,17 +341,19 @@ class Fetcher:
                 url = urljoin(resp.url, location)
             else:
                 raise NetworkError(f"GET {req.url} failed: Exceeded {MAX_REDIRECTS} redirects.")
-        except requests.RequestException as exc:
+            return FetchResponse(
+                status=resp.status_code,
+                final_url=resp.url,
+                body=body,
+                content_type=resp.headers.get("Content-Type", ""),
+            )
+        # A ValueError is an answer nothing here can read: a Location that
+        # urljoin rejects or that is not UTF-8, or a status past 599.
+        except (requests.RequestException, ValueError) as exc:
             raise NetworkError(f"GET {req.url} failed: {exc}") from exc
         finally:
             with self._sessions_lock:
                 self._idle_sessions.append(session)
-        return FetchResponse(
-            status=resp.status_code,
-            final_url=resp.url,
-            body=body,
-            content_type=resp.headers.get("Content-Type", ""),
-        )
 
 
 def _read_capped_body(url: str, resp: "requests.Response") -> bytes:

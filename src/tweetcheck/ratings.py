@@ -8,7 +8,9 @@ scan for "Rating:"/"VERDICT" style labels is tried and the result is
 logged as low-confidence. A page without any rating block yields an
 UNKNOWN rating with the missing flag, not a failure.
 
-Every scraper takes time linear in the page however deeply its tags nest.
+Every scraper takes time linear in the page however deeply its tags nest;
+the Reuters scraper finds its verdict headings in one walk that visits
+every element after its descendants.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Optional
 
 from .errors import ParseError
 from .fetch import FetchResponse
-from .htmldoc import Element, collapse_whitespace, outermost, parse_response
+from .htmldoc import Element, collapse_whitespace, parse_response
 from .model import TruthRating, classify_rating
 from .urls import canonicalize_article_url, identify_publisher  # noqa: F401  (also importable from here)
 
@@ -70,102 +72,69 @@ def scrape_snopes_rating(page: FetchResponse) -> TruthRating:
 def scrape_reuters_rating(page: FetchResponse) -> TruthRating:
     """Extract the verdict from a Reuters fact-check article.
 
-    Reuters states its verdict in a section introduced by a heading (the
-    literal text "VERDICT"); the verdict sentence itself opens the
-    following paragraph, whose first sentence is the label.
+    Reuters states its verdict in a section introduced by a heading: an
+    element matching the row's selector whose text, stripped and lowercased,
+    is the literal "VERDICT". The label is the first sentence of the first
+    later sibling of a heading that has text and holds no verdict heading
+    (with unclosed tags the next verdict section nests inside a sibling, and
+    its text is no label); the headings are tried in document order.
+
+    One walk visits every element after its descendants and builds each
+    element's text from its children's, keeping it only while it is short
+    enough to be the heading text: a nested heading's text is never rebuilt
+    from its whole subtree. A later heading under a parent already walked
+    can find nothing the first one did not, so each parent's children are
+    walked once, and the scraper takes time linear in the page however
+    deeply it nests.
     """
     root = parse_response(page)
     selectors = DEFAULT_RATING_SELECTORS["reuters"]
-    headings = verdict_headings(root, selectors["verdict_heading"], selectors["verdict_heading_text"])
-    places, holders = _heading_places(root, headings)
-    walked: set[int] = set()
-    for heading in headings:
-        paragraph = _following_text_block(*places[id(heading)], holders, walked)
-        if paragraph:
-            return classify_rating(_label_head(paragraph))
-    return _fallback_scan(root, page.final_url, "verdict section")
-
-
-def verdict_headings(root: Element, selector: str, heading_text: str) -> list[Element]:
-    """The elements under ``root`` matching ``selector`` whose text, stripped
-    and lowercased, is ``heading_text`` stripped and lowercased.
-
-    Lowercasing never shortens a string, so no element whose stripped text
-    is longer than the wanted text can qualify. Each element's text is built
-    bottom-up from its children's and kept only while it is no longer than
-    that: a nested heading's text is never rebuilt from its whole subtree,
-    so this takes time linear in the page however deeply headings nest.
-    """
-    wanted = heading_text.strip().lower()
-    headings = root.select(selector)
-    texts = _short_texts(outermost(headings), len(wanted))
-    return [h for h in headings if id(h) in texts and texts[id(h)].strip().lower() == wanted]
-
-
-def _short_texts(tops: list[Element], limit: int) -> dict[int, str]:
-    """By id, the text of each element in the subtrees of ``tops`` (which
-    must not nest) whose stripped text is at most ``limit`` characters.
-
-    A whitespace run at either end of a kept text is cut to ``limit + 1``
-    characters: stripping drops it, and a cut run makes any text that takes
-    it inside too long either way. So a kept text is short, and each
-    element costs work in proportion to its children and their own text.
-    """
-    texts: dict[int, str] = {}  # ids stay unique while the tree is alive
-    for top in tops:
-        for el in reversed([top, *top.iter()]):  # every element after its descendants
-            parts = [child if isinstance(child, str) else texts.get(id(child)) for child in el.children]
-            if None in parts:
-                continue
-            text = "".join(parts)
-            core = text.strip()
-            if len(core) <= limit:
-                lead = text[: len(text) - len(text.lstrip())]
-                trail = text[len(lead) + len(core):] if core else ""
-                texts[id(el)] = lead[: limit + 1] + core + trail[: limit + 1]
-    return texts
-
-
-def _heading_places(
-    root: Element, headings: list[Element]
-) -> tuple[dict[int, tuple[Element, int]], set[int]]:
-    """By id, each of ``headings``' parent and its index among the parent's
-    children; and by id, every element that contains one of ``headings``.
-
-    One walk down from ``root`` reads every element's children once, each
-    element after its descendants, so this takes time linear in the page."""
-    wanted = {id(heading) for heading in headings}  # ids stay unique while the tree is alive
+    wanted = selectors["verdict_heading_text"].strip().lower()
+    limit = len(wanted)  # lowercasing never shortens a string
+    candidates = root.select(selectors["verdict_heading"])
+    candidate_ids = set(map(id, candidates))
+    # By id (unique while ``root`` keeps the tree alive): each element's text
+    # if it is short, each verdict heading's parent and index there, and
+    # every element that holds a verdict heading.
+    texts: dict[int, str] = {}
     places: dict[int, tuple[Element, int]] = {}
     holders: set[int] = set()
-    for el in reversed([root, *root.iter()]):
+    for el in reversed([root, *root.iter()]):  # every element after its descendants
+        parts: list[Optional[str]] = []
         for index, child in enumerate(el.children):
-            if id(child) in wanted:
+            if isinstance(child, str):
+                parts.append(child)
+                continue
+            text = texts.get(id(child))
+            parts.append(text)
+            if id(child) in candidate_ids and text is not None and text.strip().lower() == wanted:
                 places[id(child)] = (el, index)
                 holders.add(id(el))
             elif id(child) in holders:
                 holders.add(id(el))
-    return places, holders
-
-
-def _following_text_block(parent: Element, index: int, holders: set[int], walked: set[int]) -> Optional[str]:
-    """The text of the first child of ``parent`` after the heading at
-    ``index`` that has any and holds no verdict heading (by id in
-    ``holders``): with unclosed tags the next verdict section nests inside a
-    sibling, and its text is no label.
-
-    The headings are tried in document order, so a later heading under a
-    parent already in ``walked`` can find nothing its first one did not:
-    each parent's children are walked once.
-    """
-    if id(parent) in walked:
-        return None
-    walked.add(id(parent))
-    for child in parent.children[index + 1:]:
-        if isinstance(child, Element) and id(child) not in holders:
-            text = child.text().strip()
-            if text:
-                return text
-    return None
+        if None in parts:
+            continue
+        text = "".join(parts)
+        core = text.strip()
+        if len(core) <= limit:
+            # A whitespace run at either end is cut to ``limit + 1`` characters:
+            # stripping drops it, and a cut run makes any text that takes it
+            # inside too long either way. So each element costs work in
+            # proportion to its children and their own text.
+            lead = text[: len(text) - len(text.lstrip())]
+            trail = text[len(lead) + len(core):] if core else ""
+            texts[id(el)] = lead[: limit + 1] + core + trail[: limit + 1]
+    walked: set[int] = set()
+    for parent, index in [places[id(heading)] for heading in candidates if id(heading) in places]:
+        if id(parent) in walked:
+            continue
+        walked.add(id(parent))
+        for child in parent.children[index + 1:]:
+            if isinstance(child, Element) and id(child) not in holders:
+                label = child.text().strip()
+                if label:
+                    return classify_rating(_label_head(label))
+    return _fallback_scan(root, page.final_url, "verdict section")
 
 
 def scrape_rating(page: FetchResponse) -> TruthRating:

@@ -18,8 +18,18 @@ from tweetcheck.fetch import (
 )
 from tweetcheck.model import SourceId, TweetClaim
 from tweetcheck.queries import build_query, encode_query
+from tweetcheck.ratings import DEFAULT_RATING_SELECTORS
 
 PAGES_DIR = Path(__file__).parent / "pages"
+
+#: Selector-table entries that hold literal page text, not a selector.
+LITERAL_TEXT_KEYS = {"captcha_text", "verdict_heading_text"}
+#: Every (table, key, selector) the engine table and the rating table hold.
+SELECTOR_CONSTANTS = [
+    *((source.value, key, value) for source, row in ENGINES.items() for key, value in row.selectors.items()),
+    *((f"rating-{publisher}", key, value) for publisher, table in DEFAULT_RATING_SELECTORS.items()
+      for key, value in table.items()),
+]
 
 # The fabricated pandemic tweet body, with the doubled spaces the original
 # screenshot transcription carried (they show up as ++ / %20%20 in queries).

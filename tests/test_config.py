@@ -9,18 +9,15 @@ from tweetcheck.errors import CaptchaDetected
 from tweetcheck.fetch import DEFAULT_USER_AGENT, FetchMode
 from tweetcheck.htmldoc import parse_selector
 from tweetcheck.model import SourceId, TweetClaim
-from tweetcheck.ratings import DEFAULT_RATING_SELECTORS
 
-from conftest import StubPage, engine_query_url, record_pages, replay_fetcher
-
-#: Selector-table entries that hold literal page text, not a selector.
-LITERAL_TEXT_KEYS = {"captcha_text", "verdict_heading_text"}
-#: Every (table, key, selector) the engine table and the rating table hold.
-SELECTOR_CONSTANTS = [
-    *((source.value, key, value) for source, row in ENGINES.items() for key, value in row.selectors.items()),
-    *((f"rating-{publisher}", key, value) for publisher, table in DEFAULT_RATING_SELECTORS.items()
-      for key, value in table.items()),
-]
+from conftest import (
+    LITERAL_TEXT_KEYS,
+    SELECTOR_CONSTANTS,
+    StubPage,
+    engine_query_url,
+    record_pages,
+    replay_fetcher,
+)
 
 
 class TestKeyValues:

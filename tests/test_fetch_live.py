@@ -8,8 +8,12 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+from tweetcheck.adapters import ENGINES
+from tweetcheck.cli import main
 from tweetcheck.errors import NetworkError
 from tweetcheck.fetch import MAX_REDIRECTS, Fetcher, FetchMode, FetchRequest, FixtureStore
+from tweetcheck.model import SourceId, TweetClaim
+from tweetcheck.queries import build_query, encode_query
 
 #: Body cap the size tests run under, so that no test moves megabytes.
 SMALL_CAP = 64
@@ -28,6 +32,16 @@ _SIZED_ROUTES = {
     "/gzip-over-cap": (gzip.compress(OVER_CAP), None, {"Content-Encoding": "gzip"}),
 }
 
+#: Answers no server should send, each of which the HTTP stack takes without
+#: complaint: path, any query string aside -> (status, Location or None, what
+#: the failure says after "GET <url> failed: ").
+HOSTILE_ROUTES = {
+    "/redirect-to-bad-ipv6": (302, "http://[::1", "Invalid IPv6 URL"),
+    "/redirect-to-bad-netloc": (302, "//[", "Invalid IPv6 URL"),
+    # the Location is written as the bytes ff fe
+    "/redirect-not-utf8": (302, "\xff\xfe", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    "/status-700": (700, None, "status out of range: 700"),
+}
 
 #: How long the endless redirect body is written if the client keeps reading.
 ENDLESS_BODY_S = 5.0
@@ -40,7 +54,15 @@ class _Handler(BaseHTTPRequestHandler):
     def do_GET(self):
         type(self).seen_headers.append(dict(self.headers))
         type(self).seen_paths.append(self.path)
-        if self.path in _SIZED_ROUTES:
+        hostile = HOSTILE_ROUTES.get(self.path.split("?", 1)[0])
+        if hostile is not None:
+            status, location, _ = hostile
+            self.send_response(status)
+            if location is not None:
+                self.send_header("Location", location)
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+        elif self.path in _SIZED_ROUTES:
             body, declared, headers = _SIZED_ROUTES[self.path]
             self.send_response(200)
             if declared is not None:
@@ -173,10 +195,36 @@ class TestLiveTransport:
             assert len(fetcher._idle_sessions) == 1
         assert fetcher._idle_sessions == []
 
+    @pytest.mark.parametrize("path", list(HOSTILE_ROUTES))
+    def test_hostile_answer_is_a_network_error_naming_the_request(self, server, path):
+        with Fetcher(FetchMode.LIVE, delay_ms=0) as fetcher:
+            with pytest.raises(NetworkError) as exc:
+                fetcher.fetch(FetchRequest(url=f"{server}{path}"))
+            # the session went back to the pool and still works
+            assert fetcher.fetch(FetchRequest(url=f"{server}/final")).body == b"arrived"
+        assert str(exc.value) == f"GET {server}{path} failed: {HOSTILE_ROUTES[path][2]}"
+
     def test_connection_refused_is_a_network_error(self):
         fetcher = Fetcher(FetchMode.LIVE, delay_ms=0, timeout_s=2)
         with pytest.raises(NetworkError):
             fetcher.fetch(FetchRequest(url="http://127.0.0.1:1/nothing-here"))
+
+
+@pytest.mark.parametrize("path", list(HOSTILE_ROUTES))
+def test_verify_reports_a_hostile_answer_as_a_failed_engine(server, tmp_path, capsys, path):
+    body = "a hostile answer to a live query"
+    spec = ENGINES[SourceId.SNOPES_SEARCH].spec
+    url = f"{server}{path}?q={encode_query(build_query(TweetClaim(body=body), spec), spec.encoding)}"
+    config = tmp_path / "tweetcheck.conf"
+    config.write_text(f"politeness_delay_ms = 0\nendpoint.snopes = {server}{path}?q={{query}}\n", encoding="utf-8")
+    code = main(["verify", body, "--engine", "snopes", "--mode", "live", "--config", str(config)])
+    captured = capsys.readouterr()
+    assert code == 69
+    assert captured.out == ""
+    assert captured.err == (
+        f"tweetcheck: snopes: GET {url} failed: {HOSTILE_ROUTES[path][2]}\n"
+        "tweetcheck: every engine failed; cannot verify\n"
+    )
 
 
 class TestBodyCap:

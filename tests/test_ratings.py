@@ -1,18 +1,22 @@
+from unittest import mock
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tweetcheck.errors import ParseError
 from tweetcheck.fetch import FetchResponse
-from tweetcheck.htmldoc import parse_html
-from tweetcheck.model import RatingKind
+from tweetcheck.htmldoc import Element, parse_response
+from tweetcheck.model import RatingKind, TruthRating, classify_rating
 from tweetcheck.ratings import (
+    DEFAULT_RATING_SELECTORS,
+    _fallback_scan,
+    _label_head,
     canonicalize_article_url,
     identify_publisher,
     scrape_rating,
     scrape_reuters_rating,
     scrape_snopes_rating,
-    verdict_headings,
 )
 
 from conftest import REUTERS_PANDEMIC_ARTICLE, SNOPES_PANDEMIC_ARTICLE, page
@@ -109,18 +113,39 @@ class TestReutersRating:
         assert len(rating.raw_label) <= 81
 
 
-def reference_verdict_headings(root, selector: str, heading_text: str) -> list:
-    """Each heading's whole text, stripped and lowercased, against the wanted text."""
-    wanted = heading_text.strip().lower()
-    return [h for h in root.select(selector) if h.text().strip().lower() == wanted]
+def reference_reuters_rating(page: FetchResponse) -> TruthRating:
+    """The Reuters scraper's rule read from whole texts: each heading's whole
+    ``text()``, a parent map built by a walk, and the elements holding a
+    verdict heading found through ``iter()``."""
+    root = parse_response(page)
+    selectors = DEFAULT_RATING_SELECTORS["reuters"]
+    wanted = selectors["verdict_heading_text"].strip().lower()
+    headings = [h for h in root.select(selectors["verdict_heading"]) if h.text().strip().lower() == wanted]
+    heading_ids = {id(heading) for heading in headings}
+    parent_of = {
+        id(child): (el, index)
+        for el in [root, *root.iter()]
+        for index, child in enumerate(el.children)
+        if isinstance(child, Element)
+    }
+    for heading in headings:
+        parent, index = parent_of[id(heading)]
+        for child in parent.children[index + 1:]:
+            if isinstance(child, Element) and not any(id(el) in heading_ids for el in child.iter()):
+                text = child.text().strip()
+                if text:
+                    return classify_rating(_label_head(text))
+    return _fallback_scan(root, page.final_url, "verdict section")
 
 
 # Headings opened and left unclosed or closed, around texts that do or do not
-# read the wanted text once stripped: runs of whitespace, pieces of the word,
-# a letter whose lowercase is longer than itself.
+# read the wanted text once stripped (runs of whitespace, pieces of the word,
+# a letter whose lowercase is longer than itself), whole headings, and
+# paragraphs and sections that may follow them with a label.
 _HEADING_PIECES = st.sampled_from(
-    ["<strong>", "</strong>", "<h2>", "</h2>", "<h3>", "<p>", "</p>", "<b>", "</b>",
-     "VERDICT", "Verdict", "VER", "DICT", "our verdict:", "x", "\u0130", " ", "\n\t ", "   ", ""]
+    ["<strong>", "</strong>", "<h2>", "</h2>", "<h3>", "<p>", "</p>", "<b>", "</b>", "<div>", "</div>",
+     "VERDICT", "Verdict", "VER", "DICT", "our verdict:", "x", "\u0130", " ", "\n\t ", "   ", "",
+     "<h2>VERDICT</h2>", "<strong> Verdict </strong>", "False. x", "<p>False. x</p>", "<p>Misleading</p>"]
 )
 
 
@@ -134,10 +159,10 @@ _HEADING_PIECES = st.sampled_from(
 @example(pieces=["<strong>", "<b>", "VER", " ", "</b>", "DICT"], heading_text="VERDICT")
 @example(pieces=["<strong>", "VER", "<b>", "   ", "DICT"], heading_text="ver dict")
 @example(pieces=["<strong>", "<b>", "VER", "   ", "</b>", "DICT"], heading_text="ver dict")
-def test_verdict_headings_equal_whole_text_scan(pieces, heading_text):
-    root = parse_html("".join(pieces))
-    selector = "h2, h3, strong"
-    assert verdict_headings(root, selector, heading_text) == reference_verdict_headings(root, selector, heading_text)
+def test_reuters_scraper_equals_whole_text_scraper(pieces, heading_text):
+    page = html_response("".join(pieces), "https://www.reuters.com/article/idUSDRAWN")
+    with mock.patch.dict(DEFAULT_RATING_SELECTORS["reuters"], verdict_heading_text=heading_text):
+        assert scrape_reuters_rating(page) == reference_reuters_rating(page)
 
 
 class TestRouting:

@@ -31,22 +31,20 @@ from __future__ import annotations
 
 import html
 import logging
-from dataclasses import dataclass
 from typing import Mapping, Optional
 from urllib.parse import parse_qs, urljoin, urlsplit
 
 from .errors import CaptchaDetected
 from .fetch import Fetcher, FetchRequest, FetchResponse
 from .htmldoc import Element, collapse_whitespace, outermost, parse_response
-from .model import RankedResults, SourceId, TweetClaim
+from .model import RankedResults, Record, SourceId, TweetClaim
 from .queries import DEFAULT_SPECS, QuerySpec, build_query, encode_query
 from .urls import host, host_matches, normalize_result_url
 
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class Ranking:
+class Ranking(Record):
     """How a ranked engine's results page is read, and how eval scores it."""
 
     label: str  # the engine's name in the eval report
@@ -57,8 +55,7 @@ class Ranking:
     unwrap: bool = False  # targets hide in "/url?q=<target>" redirect wrappers
 
 
-@dataclass(frozen=True)
-class EngineSettings:
+class EngineSettings(Record):
     """One engine: endpoint template, query spec, selectors, and ranking if it ranks."""
 
     source: SourceId
@@ -112,8 +109,7 @@ def default_engine_settings(source: SourceId) -> EngineSettings:
     return ENGINES[source]
 
 
-@dataclass(frozen=True)
-class PolitwoopsHit:
+class PolitwoopsHit(Record):
     """One deleted-tweet record returned by the tracker's search."""
 
     tweet_text: str

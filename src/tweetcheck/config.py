@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
 from pathlib import Path
 from string import Formatter
 from typing import Optional, TypeVar
@@ -92,18 +91,30 @@ def source_by_name(name: str) -> SourceId:
     raise ConfigError(f"unknown engine name {name!r}")
 
 
-@dataclass
 class AppConfig:
-    """Resolved runtime settings for the CLI and library entry points."""
+    """Resolved runtime settings for the CLI and library entry points.
 
-    mode: FetchMode = FetchMode.LIVE
-    fixtures_dir: Optional[Path] = None
-    user_agent: str = DEFAULT_USER_AGENT
-    politeness_delay_ms: int = DEFAULT_DELAY_MS
-    timeout_s: float = DEFAULT_TIMEOUT_S
-    max_articles: int = 3
-    #: Every engine's row of the engine table, this configuration's overrides applied.
-    engines: dict[SourceId, EngineSettings] = field(default_factory=lambda: dict(ENGINES))
+    ``engines`` is every engine's row of the engine table, this
+    configuration's overrides applied; by default a copy of the table.
+    """
+
+    def __init__(
+        self,
+        mode: FetchMode = FetchMode.LIVE,
+        fixtures_dir: Optional[Path] = None,
+        user_agent: str = DEFAULT_USER_AGENT,
+        politeness_delay_ms: int = DEFAULT_DELAY_MS,
+        timeout_s: float = DEFAULT_TIMEOUT_S,
+        max_articles: int = 3,
+        engines: Optional[dict[SourceId, EngineSettings]] = None,
+    ):
+        self.mode = mode
+        self.fixtures_dir = fixtures_dir
+        self.user_agent = user_agent
+        self.politeness_delay_ms = politeness_delay_ms
+        self.timeout_s = timeout_s
+        self.max_articles = max_articles
+        self.engines = dict(ENGINES) if engines is None else engines
 
     def build_fetcher(self) -> Fetcher:
         """The fetcher for this configuration; a :class:`ConfigError` before any
@@ -200,6 +211,6 @@ def _apply_file(config: AppConfig, values: dict[str, str]) -> None:
             config.max_articles = in_range(key, _parse_int(key, value), 0)
         elif key.startswith("endpoint."):
             source = source_by_name(key.removeprefix("endpoint."))
-            config.engines[source] = replace(config.engines[source], endpoint=_endpoint(key, value))
+            config.engines[source] = config.engines[source].replace(endpoint=_endpoint(key, value))
         else:
             raise ConfigError(f"unknown configuration key: {key!r}")

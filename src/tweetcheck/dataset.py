@@ -11,19 +11,17 @@ the Reuters overlap evaluation; 6-field rows are accepted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 from .errors import FormatError, ValidationError
-from .model import TweetClaim
+from .model import Record, TweetClaim
 from .urls import canonicalize_article_url, is_snopes_url
 
 _FIELD_NAMES = ("id", "authentic", "tweet_body", "snopes_url", "live_url", "archived_url", "reuters_url")
 
 
-@dataclass(frozen=True)
-class GroundTruthRecord:
+class GroundTruthRecord(Record):
     """One corpus row: an alleged tweet with its known fact-check article."""
 
     id: str
@@ -35,8 +33,7 @@ class GroundTruthRecord:
     reuters_url: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class ValidationFinding:
+class ValidationFinding(Record):
     record_id: str
     message: str
 

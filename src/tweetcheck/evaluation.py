@@ -4,7 +4,8 @@ Relevance is binary: a result counts as relevant when its canonical
 article identity equals the record's known article URL. The one stored
 fact per query is the rank of that article; reciprocal rank, P@1 and the
 engine means are derived from the ranks in exact rational arithmetic and
-rendered to four decimal places.
+rendered to four decimal places. :mod:`fractions` is imported where a score
+is computed, so only a process that scores loads it.
 
 ``tweetcheck eval`` and ``tweetcheck record`` both run :func:`evaluate_engine`
 per engine; ``record`` runs it with a recording fetcher. A failed query, a
@@ -13,9 +14,7 @@ replay fixture miss included, is one more outcome of the report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .adapters import ENGINES, EngineSettings, ranked_search
 from .errors import (
@@ -27,8 +26,11 @@ from .errors import (
 )
 from .dataset import GroundTruthRecord
 from .fetch import Fetcher
-from .model import RankedResults, SourceId, TweetClaim
+from .model import RankedResults, Record, SourceId, TweetClaim
 from .urls import canonicalize_article_url
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 #: Sources that produce ranked URL lists and can be scored against the corpus.
 EVAL_SOURCES = tuple(source for source, row in ENGINES.items() if row.ranking is not None)
@@ -39,8 +41,7 @@ SKIPPED = "skipped after a bot challenge"
 NO_RELEVANT_URL = "no relevant URL recorded for this engine"
 
 
-@dataclass(frozen=True)
-class QueryOutcome:
+class QueryOutcome(Record):
     """Per-record scoring for one engine: where the relevant result landed.
 
     ``failure`` is the exception class a failed query ended in (for a
@@ -60,6 +61,8 @@ class QueryOutcome:
     @property
     def reciprocal_rank(self) -> Fraction:
         """1/rank, or 0 when the relevant result is absent."""
+        from fractions import Fraction
+
         return Fraction(1, self.rank_of_relevant) if self.rank_of_relevant else Fraction(0)
 
     @property
@@ -72,8 +75,7 @@ class QueryOutcome:
         return self.failure is not None
 
 
-@dataclass(frozen=True)
-class EngineReport:
+class EngineReport(Record):
     """All outcomes for one engine; the means are derived from them."""
 
     source: SourceId
@@ -85,10 +87,14 @@ class EngineReport:
 
     @property
     def mrr(self) -> Fraction:
+        from fractions import Fraction
+
         return sum((o.reciprocal_rank for o in self.outcomes), Fraction(0)) / len(self.outcomes)
 
     @property
     def mean_p_at_1(self) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(sum(o.p_at_1 for o in self.outcomes), len(self.outcomes))
 
 

@@ -22,13 +22,13 @@ import logging
 import os
 import threading
 import time
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, TypeVar
 from urllib.parse import urljoin, urlsplit
 
 from .errors import CorruptFixture, FixtureMiss, NetworkError, TweetCheckError
+from .model import Record
 from . import urls
 
 if TYPE_CHECKING:
@@ -62,8 +62,7 @@ class FetchMode(Enum):
     REPLAY = "replay"
 
 
-@dataclass(frozen=True)
-class FetchRequest:
+class FetchRequest(Record):
     """A GET request to an absolute URL that can be encoded as UTF-8 (a
     command-line argument holding bytes that are not UTF-8 cannot)."""
 
@@ -79,8 +78,7 @@ class FetchRequest:
             raise ValueError(f"url is not UTF-8 text: {self.url!r}") from None
 
 
-@dataclass(frozen=True)
-class FetchResponse:
+class FetchResponse(Record):
     """An HTTP response with the body preserved byte-exact (post-decompression)."""
 
     status: int

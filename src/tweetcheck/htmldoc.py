@@ -104,14 +104,21 @@ class Element:
             yield node
             stack.extend([child for child in reversed(node.children) if isinstance(child, Element)])
 
-    def text(self) -> str:
-        """Concatenated text of all descendants, entities already decoded."""
+    def text(self, breaks: frozenset[str] = frozenset()) -> str:
+        """Concatenated text of all descendants, entities already decoded.
+
+        Where a descendant's tag is in ``breaks``, its start and its end each
+        read as a line break, so the text of one block does not run on into
+        the next.
+        """
         parts: list[str] = []
         stack: list[Element | str] = list(reversed(self.children))
         while stack:
             node = stack.pop()
             if isinstance(node, str):
                 parts.append(node)
+            elif node.tag in breaks:
+                stack += ("\n", *reversed(node.children), "\n")
             else:
                 stack.extend(reversed(node.children))
         return "".join(parts)

@@ -1,16 +1,94 @@
 """Shared domain vocabulary: claims, evidence, ratings, verdicts, ranked results.
 
-Every value type here is immutable after construction and safe to share
-between threads. The two operations (:func:`classify_rating` and
-:func:`implied_attribution`) are pure functions, and a :class:`Verdict`'s
-outcome is derived from its evidence each time it is read.
+Every value type here is a :class:`Record`, the base of the package's value
+types: immutable after construction and safe to share between threads. The
+two operations (:func:`classify_rating` and :func:`implied_attribution`) are
+pure functions, and a :class:`Verdict`'s outcome is derived from its
+evidence each time it is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Optional, TypeVar
+
+R = TypeVar("R", bound="Record")
+
+
+class Record:
+    """Base of the package's value types: immutable, compared and hashed by value.
+
+    A subclass declares its fields, in order, as annotated class attributes,
+    and a field's default as the attribute's value::
+
+        class Hit(Record):
+            url: str
+            rank: int = 1
+
+    A record is built from its fields by position or by keyword, then
+    checked by ``__post_init__``; a missing, unknown or repeated argument is
+    a :class:`TypeError`. Its fields cannot be assigned or deleted
+    afterwards: :meth:`replace` builds a changed copy, checked again. Two
+    records are equal when they are of one class and their fields are
+    equal, and a record hashes as the tuple of its field values. The fields
+    are read once, when the subclass is created, and no code is generated
+    for them, so importing a module of records stays cheap.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = [name for name in cls.__annotations__ if name not in cls._fields]  # this class's own
+        cls._fields = cls._fields + tuple(own)
+        cls._defaults = {**cls._defaults, **{name: vars(cls)[name] for name in own if name in vars(cls)}}
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if len(args) > len(fields):
+            raise TypeError(f"{type(self).__name__}() takes {len(fields)} arguments but {len(args)} were given")
+        values = self.__dict__
+        values.update(zip(fields, args))
+        if kwargs:
+            for name in kwargs:
+                if name in values:
+                    raise TypeError(f"{type(self).__name__}() got multiple values for argument {name!r}")
+                if name not in fields:
+                    raise TypeError(f"{type(self).__name__}() got an unexpected keyword argument {name!r}")
+            values.update(kwargs)
+        if len(values) < len(fields):
+            for name in fields:
+                if name not in values:
+                    if name not in self._defaults:
+                        raise TypeError(f"{type(self).__name__}() missing required argument {name!r}")
+                    values[name] = self._defaults[name]
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Check the fields just set; a subclass raises :class:`ValueError` for a bad value."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(getattr(self, name) for name in self._fields))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def replace(self: R, **changes) -> R:
+        """A copy with ``changes`` applied to its fields, checked as a new record is."""
+        return type(self)(**{**self.__dict__, **changes})
 
 
 class SourceId(Enum):
@@ -66,8 +144,7 @@ RATING_LABEL_TABLE = {
 _LABEL_TRAILING_PUNCT = ".!?,:;"
 
 
-@dataclass(frozen=True)
-class TweetClaim:
+class TweetClaim(Record):
     """The alleged tweet under verification.
 
     Args:
@@ -90,8 +167,7 @@ class TweetClaim:
             raise ValueError("claim body is not UTF-8 text") from None
 
 
-@dataclass(frozen=True)
-class TruthRating:
+class TruthRating(Record):
     """A rating scraped from a fact-check article.
 
     ``raw_label`` is preserved verbatim (case and punctuation) for audit.
@@ -107,8 +183,7 @@ class TruthRating:
             raise ValueError("an UNKNOWN rating with no label must carry the missing flag")
 
 
-@dataclass(frozen=True)
-class EvidenceItem:
+class EvidenceItem(Record):
     """One found artifact: a fact-check article or a Politwoops record.
 
     Politwoops evidence carries ``matched_text`` (the stored tweet text that
@@ -141,8 +216,7 @@ class EvidenceItem:
         return implied_attribution(self.rating)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """One claim's evidence, sorted by source then rank (see
     :mod:`tweetcheck.verdict`); the outcome and the conflict flag are read
     from it.
@@ -170,8 +244,7 @@ class Verdict:
         return {Outcome.AUTHENTIC, Outcome.FABRICATED} <= {item.implication() for item in self.evidence}
 
 
-@dataclass(frozen=True)
-class RankedResults:
+class RankedResults(Record):
     """Links returned by one source for one query, in presentation order."""
 
     source: SourceId

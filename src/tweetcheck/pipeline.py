@@ -14,7 +14,6 @@ others produced.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Sequence, Union
 
@@ -31,6 +30,7 @@ from .fetch import Fetcher, FetchRequest
 from .model import (
     EvidenceItem,
     RankedResults,
+    Record,
     SourceId,
     TruthRating,
     TweetClaim,
@@ -46,8 +46,7 @@ logger = logging.getLogger(__name__)
 POLITWOOPS_CONFIRMATION = "That tweet was successfully queried on Politwoops"
 
 
-@dataclass(frozen=True)
-class VerifyRun:
+class VerifyRun(Record):
     """The verdict, and each failed engine's failure as
     :func:`~tweetcheck.errors.describe_failure` words it."""
 

@@ -11,12 +11,11 @@ followed by changing its row here.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 from urllib.parse import quote, quote_plus
 
-from .model import SourceId, TweetClaim
+from .model import Record, SourceId, TweetClaim
 
 
 class Encoding(Enum):
@@ -33,8 +32,7 @@ _CONTROL_CHARS = re.compile(r"[\x00-\x1f\x7f]")
 _WORD = re.compile(r"\S+")
 
 
-@dataclass(frozen=True)
-class QuerySpec:
+class QuerySpec(Record):
     """How one engine wants its queries shaped."""
 
     max_chars: int

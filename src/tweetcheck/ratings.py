@@ -4,9 +4,11 @@ Publisher routing is by host of the final (post-redirect) URL, never by
 content sniffing. Each publisher's scraper reads its row of
 :data:`DEFAULT_RATING_SELECTORS`, which is code, not configuration: a site
 redesign is followed by changing its row. When the selectors miss, a regex
-scan for "Rating:"/"VERDICT" style labels is tried and the result is
-logged as low-confidence. A page without any rating block yields an
-UNKNOWN rating with the missing flag, not a failure.
+scan for "Rating:"/"VERDICT" style labels is tried over the page's text, in
+which each block element (``p``, ``div``, ``li``, ``td``, ``br``, …) starts
+and ends a line, and the result is logged as low-confidence. A page without
+any rating block yields an UNKNOWN rating with the missing flag, not a
+failure.
 
 Every scraper takes time linear in the page however deeply its tags nest;
 the Reuters scraper finds its verdict headings in one walk that visits
@@ -36,9 +38,18 @@ DEFAULT_RATING_SELECTORS = {
 #: The most characters a rating label keeps, however long its block.
 _LABEL_MAX = 81
 
+#: A label runs to the end of its line, and a label on the line after the
+#: colon (a "Rating:" heading above it) is read too.
 _FALLBACK_LABEL = re.compile(
-    rf"\b(?:truth rating|rating|verdict)[ \t]*:[ \t]*(\S[^\n]{{0,{_LABEL_MAX - 1}}})",
+    rf"\b(?:truth rating|rating|verdict)[ \t]*:\s*(\S[^\n]{{0,{_LABEL_MAX - 1}}})",
     re.IGNORECASE,
+)
+
+#: Elements whose start and end the text scan reads as line breaks, so that a
+#: label ends where its block does; inline elements (``b``, ``span``, ``a``) join.
+_BLOCK_TAGS = frozenset(
+    "address article aside blockquote br dd div dl dt figcaption figure footer form h1 h2 h3 h4 h5 h6 "
+    "header hr li main nav ol p pre section table tbody td tfoot th thead tr ul".split()
 )
 
 
@@ -51,7 +62,7 @@ def _label_head(text: str) -> str:
 
 def _fallback_scan(root: Element, url: str, block: str) -> TruthRating:
     """When the selectors miss: the label a text scan finds, else a missing rating."""
-    m = _FALLBACK_LABEL.search(root.text())
+    m = _FALLBACK_LABEL.search(root.text(_BLOCK_TAGS))
     if m is None:
         logger.warning("%s: no %s found", url, block)
         return classify_rating("")

@@ -3,7 +3,6 @@ import io
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -493,7 +492,7 @@ def test_non_utf8_dataset_exits_65_naming_the_line(tmp_path, capsys, monkeypatch
 
 def _overlong_body_dataset(tmp_path: Path) -> Path:
     records = eval_records()
-    records[1] = replace(records[1], tweet_body="x" * 4001)
+    records[1] = records[1].replace(tweet_body="x" * 4001)
     path = tmp_path / "overlong.tsv"
     path.write_text(serialize_dataset(records), encoding="utf-8")
     return path
@@ -1005,7 +1004,7 @@ def test_a_corpus_validate_dataset_rejects_exits_65_before_any_query(
 ):
     _refuse_network(monkeypatch)
     records = eval_records()
-    records[1] = replace(records[1], **change)
+    records[1] = records[1].replace(**change)
     dataset = tmp_path / "corpus.tsv"
     dataset.write_text(serialize_dataset(records), encoding="utf-8")
     assert main(["validate-dataset", "--dataset", str(dataset)]) == 65
@@ -1080,7 +1079,7 @@ class TestAnyUrl:
     def test_corpus_url_column(self, store, url, column):
         assume(url != "-")  # "-" is the file's mark of an absent URL
         dataset = store.parent / "corpus.tsv"
-        dataset.write_text(serialize_dataset([replace(eval_records()[0], **{column: url})]), encoding="utf-8")
+        dataset.write_text(serialize_dataset([eval_records()[0].replace(**{column: url})]), encoding="utf-8")
         code, lines = _run(["validate-dataset", "--dataset", str(dataset)])
         assert code in (0, 65) and lines == []
         eval_code, lines = _run([
@@ -1099,7 +1098,7 @@ class TestAnyUrl:
 
     def test_a_snopes_url_urlsplit_rejects_is_a_finding(self, tmp_path, capsys):
         dataset = tmp_path / "corpus.tsv"
-        dataset.write_text(serialize_dataset([replace(eval_records()[0], snopes_url="http://[::1")]), encoding="utf-8")
+        dataset.write_text(serialize_dataset([eval_records()[0].replace(snopes_url="http://[::1")]), encoding="utf-8")
         assert main(["validate-dataset", "--dataset", str(dataset)]) == 65
         assert capsys.readouterr().out == "record e1: snopes_url host is not snopes.com: 'http://[::1'\n"
 

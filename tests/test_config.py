@@ -1,4 +1,3 @@
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -149,7 +148,7 @@ class TestEngineSettings:
 
     def test_captcha_selector_honoured_on_a_site_search_engine(self, tmp_path):
         row = ENGINES[SourceId.SNOPES_SEARCH]
-        settings = replace(row, selectors={**row.selectors, "captcha": "div.challenge"})
+        settings = row.replace(selectors={**row.selectors, "captcha": "div.challenge"})
         body = "a claim that meets a challenge"
         challenge = b'<html><body><div class="challenge">Are you human?</div></body></html>'
         store = record_pages(tmp_path / "fx", {engine_query_url(SourceId.SNOPES_SEARCH, body): StubPage(challenge)})

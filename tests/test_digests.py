@@ -107,6 +107,9 @@ HARD_ARTICLES = {
         # no verdict heading at all: the text scan, or nothing
         "no-heading-text-scan": "<p>Verdict: Mostly false. More text.</p>",
         "no-heading-no-rating": "<p>Nothing rated here.</p>",
+        # the text scan's label ends with its block, and may sit in the block below "Verdict:"
+        "text-scan-block-follows": "<div>Verdict: False</div><div>Next para here</div>",
+        "text-scan-label-below": "<h3>Verdict:</h3><p>Partly false. x</p>",
     }.items()
 }
 

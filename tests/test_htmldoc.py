@@ -1,7 +1,6 @@
 import gc
 import re
 import time
-from dataclasses import replace
 from pathlib import Path
 from urllib.parse import urlsplit
 
@@ -380,7 +379,7 @@ class TestHostileNesting:
     def test_sibling_politwoops_cards_under_unclosed_tags(self, listed):
         claim = TweetClaim(body="deep sibling cards")
         row = ENGINES[SourceId.POLITWOOPS]
-        settings_ = replace(row, selectors={**row.selectors, **_LISTED_CARD_SELECTORS}) if listed else row
+        settings_ = row.replace(selectors={**row.selectors, **_LISTED_CARD_SELECTORS}) if listed else row
         count = 4_000
         body = "<span>" * count + "".join(_card(i) for i in range(count))
         fetcher = self._fetcher(SourceId.POLITWOOPS, claim, body)
@@ -394,7 +393,7 @@ class TestHostileNesting:
     @given(steps=st.lists(st.sampled_from(_CARD_PAGE_STEPS), max_size=30))
     def test_card_reader_matches_per_card_reading(self, listed, steps):
         row = ENGINES[SourceId.POLITWOOPS]
-        settings_ = replace(row, selectors={**row.selectors, **_LISTED_CARD_SELECTORS}) if listed else row
+        settings_ = row.replace(selectors={**row.selectors, **_LISTED_CARD_SELECTORS}) if listed else row
         body = "".join(step.format(i=i) for i, step in enumerate(steps))
         claim = TweetClaim(body="generated cards")
         hits = search_politwoops(claim, self._fetcher(SourceId.POLITWOOPS, claim, body), settings_)

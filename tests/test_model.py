@@ -7,6 +7,7 @@ from tweetcheck.model import (
     Outcome,
     RankedResults,
     RatingKind,
+    Record,
     SourceId,
     TruthRating,
     TweetClaim,
@@ -167,3 +168,86 @@ class TestRankedResults:
     def test_order_preserved(self):
         results = RankedResults(SourceId.WEB_SEARCH, "q", ("https://b/", "https://a/"))
         assert results.urls == ("https://b/", "https://a/")
+
+
+class Hit(Record):
+    url: str
+    rank: int = 1
+
+    def __post_init__(self):
+        if self.rank < 1:
+            raise ValueError("rank must be >= 1")
+
+
+class Link(Record):
+    url: str
+    rank: int = 1
+
+
+class TestRecord:
+    def test_built_by_position_or_keyword_with_defaults(self):
+        assert Hit("https://a/", 2) == Hit(url="https://a/", rank=2) == Hit("https://a/", rank=2)
+        assert Hit("https://a/").rank == 1
+        assert Hit._fields == ("url", "rank")
+
+    @pytest.mark.parametrize(
+        "args, kwargs",
+        [
+            ((), {}),  # url missing
+            ((), {"rank": 2}),
+            (("https://a/",), {"title": "x"}),  # unknown
+            (("https://a/", 2, 3), {}),  # one too many
+            (("https://a/",), {"url": "https://b/"}),  # repeated
+            (("https://a/", 2), {"rank": 3}),
+        ],
+    )
+    def test_missing_unknown_or_repeated_argument_is_a_type_error(self, args, kwargs):
+        with pytest.raises(TypeError):
+            Hit(*args, **kwargs)
+
+    def test_checks_run_at_construction(self):
+        with pytest.raises(ValueError, match="rank must be >= 1"):
+            Hit("https://a/", 0)
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        hit = Hit("https://a/")
+        with pytest.raises(AttributeError):
+            hit.rank = 2
+        with pytest.raises(AttributeError):
+            hit.title = "x"
+        with pytest.raises(AttributeError):
+            del hit.url
+        assert hit == Hit("https://a/", 1)
+
+    def test_equal_only_within_one_class(self):
+        assert Hit("https://a/") != Link("https://a/")
+        assert Hit("https://a/") != ("https://a/", 1)
+        assert Hit("https://a/") != Hit("https://a/", 2)
+
+    def test_equal_records_hash_alike(self):
+        assert hash(Hit("https://a/")) == hash(Hit(url="https://a/", rank=1)) == hash(("https://a/", 1))
+        assert len({Hit("https://a/"), Hit("https://a/", 1), Hit("https://b/")}) == 2
+
+    def test_repr_names_every_field(self):
+        assert repr(Hit("https://a/")) == "Hit(url='https://a/', rank=1)"
+        assert repr(TruthRating(RatingKind.FALSE, "False")) == (
+            "TruthRating(kind=<RatingKind.FALSE: 'False'>, raw_label='False', missing=False)"
+        )
+
+    def test_replace_copies_and_checks_again(self):
+        hit = Hit("https://a/")
+        assert hit.replace(rank=3) == Hit("https://a/", 3)
+        assert hit == Hit("https://a/", 1)
+        with pytest.raises(ValueError, match="claim body must be non-empty"):
+            TweetClaim("x").replace(body=" ")
+        with pytest.raises(TypeError):
+            hit.replace(title="x")
+
+    def test_a_subclass_adds_fields_after_its_base(self):
+        class RankedHit(Hit):
+            score: float = 0.5
+
+        assert RankedHit._fields == ("url", "rank", "score")
+        assert RankedHit("https://a/", 2) == RankedHit(url="https://a/", rank=2, score=0.5)
+        with pytest.raises(ValueError):
+            RankedHit("https://a/", 0)

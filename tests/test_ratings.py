@@ -82,6 +82,39 @@ class TestSnopesRating:
         assert scrape_snopes_rating(resp) == scrape_snopes_rating(resp)
 
 
+#: One article page per publisher whose selectors find no rating block.
+_SCAN_URLS = ("https://www.snopes.com/fact-check/scan/", "https://www.reuters.com/article/idUSSCAN")
+
+
+class TestTextScan:
+    """The fallback scan reads a block element's start and end as line breaks."""
+
+    @pytest.mark.parametrize("url", _SCAN_URLS)
+    @pytest.mark.parametrize(
+        "body, label",
+        [
+            # a block after the label's block does not run on into the label
+            ("<div>Rating: False</div><div>Next para here</div>", "False"),
+            ("<p>Rating: False</p><p>Rating: True</p>", "False"),
+            ("<li>Verdict: Misattributed</li><li>Sources</li>", "Misattributed"),
+            ("<p>Rating: False<br>Posted on Monday</p>", "False"),
+            ("<table><tr><td>Rating: True</td><td>2020</td></tr></table>", "True"),
+            ("<section>Truth rating: Satire</section><article>More</article>", "Satire"),
+            # inline elements still join, and a label may sit in the block below its heading
+            ("<p>Rating: <b>False</b></p>", "False"),
+            ("<p>Rating: <span>Fa</span>lse. Because</p>", "False"),
+            ("<h3>Rating:</h3><p>Mixture. Some of it</p>", "Mixture"),
+        ],
+    )
+    def test_label_ends_at_its_block(self, url, body, label, caplog):
+        with caplog.at_level("WARNING", logger="tweetcheck.ratings"):
+            rating = scrape_rating(html_response(f"<html><body>{body}</body></html>", url))
+        assert rating == classify_rating(label)
+        assert [r.getMessage().split(": ", 1)[1] for r in caplog.records] == [
+            f"rating found only by text scan (low confidence): {label!r}"
+        ]
+
+
 class TestReutersRating:
     def test_pandemic_article_rated_false(self):
         rating = scrape_reuters_rating(response_for("reuters_article_pandemic.html", REUTERS_PANDEMIC_ARTICLE))

@@ -1,6 +1,6 @@
-"""Start-up cost: importing the package loads none of it, offline commands
-never load the network stack; and the benchmark's span hooks find every
-function they wrap.
+"""Start-up cost: importing the package loads none of it, importing the CLI
+generates no code and loads no fractions, offline commands never load the
+network stack; and the benchmark's span hooks find every function they wrap.
 
 Each check runs in a fresh interpreter, since this test process has long
 since imported everything.
@@ -69,6 +69,23 @@ def test_importing_the_cli_loads_no_network_module():
     loaded = set(probe.stdout.split())
     assert "tweetcheck.cli" in loaded
     assert loaded.isdisjoint(NETWORK_ONLY), sorted(loaded.intersection(NETWORK_ONLY))
+
+
+#: Modules only the code generation of ``dataclasses`` or the scores of
+#: ``eval`` need: records are built without generated code, and
+#: :mod:`fractions` is imported where a score is computed.
+NOT_AT_START = ("dataclasses", "inspect", "fractions", "decimal")
+
+
+def test_importing_the_cli_generates_no_code_and_loads_no_fractions():
+    probe = _python(
+        "-S", "-c",
+        "import sys, tweetcheck.cli; print(' '.join(sorted(sys.modules)))",
+    )
+    assert probe.returncode == 0, probe.stderr
+    loaded = set(probe.stdout.split())
+    assert "tweetcheck.evaluation" in loaded
+    assert loaded.isdisjoint(NOT_AT_START), sorted(loaded.intersection(NOT_AT_START))
 
 
 def test_importing_the_cli_loads_no_stdlib_html_parser():

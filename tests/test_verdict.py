@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import pytest
@@ -82,7 +81,7 @@ class TestSpecExamples:
     def test_a_verdict_is_its_sorted_evidence(self):
         politwoops, reuters_false = make_item("politwoops", 1), make_item("false", 2)
         verdict = aggregate(CLAIM, [politwoops, reuters_false])
-        assert [field.name for field in dataclasses.fields(Verdict)] == ["evidence"]
+        assert list(Verdict._fields) == ["evidence"]
         assert verdict == Verdict((reuters_false, politwoops))
         assert (verdict.outcome, verdict.conflict) == (Outcome.AUTHENTIC, True)
 

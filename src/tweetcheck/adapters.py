@@ -19,9 +19,9 @@ tweet records rather than links and has its own adapter,
 
 Result links are the elements matching an engine's "results" selector;
 where its row has a "scope" selector, as the web search rows do, only those
-under an element matching it count (see :func:`result_anchors`). A
-bot-challenge check and an ad filter run wherever an engine's selectors
-name them, as the web search rows do. A results page that is not a 2xx
+under an element matching it count. A bot-challenge check and an ad filter
+run wherever an engine's selectors name them, as the web search rows do, in
+the same walk (:func:`read_results_page`). A results page that is not a 2xx
 answer is a :class:`~tweetcheck.errors.NetworkError` from the fetch
 gateway, and propagates like any other query failure. Adapters are
 stateless; determinism under replay comes from the fixture store.
@@ -32,14 +32,14 @@ from __future__ import annotations
 import html
 import logging
 from typing import Mapping, Optional
-from urllib.parse import parse_qs, urljoin, urlsplit
+from urllib.parse import urljoin
 
 from .errors import CaptchaDetected
 from .fetch import Fetcher, FetchRequest, FetchResponse
-from .htmldoc import Element, collapse_whitespace, outermost, parse_response
+from .htmldoc import Element, collapse_whitespace, matches, outermost, parse_response, parse_selector
 from .model import RankedResults, Record, SourceId, TweetClaim
 from .queries import DEFAULT_SPECS, QuerySpec, build_query, encode_query
-from .urls import host, host_matches, normalize_result_url
+from .urls import host, host_matches, result_link
 
 logger = logging.getLogger(__name__)
 
@@ -136,34 +136,25 @@ def _request_page(fetcher: Fetcher, settings: EngineSettings, query: str) -> Fet
     return fetcher.fetch(FetchRequest(url=url))
 
 
-def _unwrap_redirect(url: str) -> str:
-    """Strip search-engine redirect wrappers like /url?q=<target>."""
-    parts = urlsplit(url)
-    if parts.path == "/url":
-        params = parse_qs(parts.query)
-        for key in ("q", "url"):
-            if params.get(key):
-                return params[key][0]
-    return url
-
-
-def _check_captcha(root: Element, selectors: Mapping[str, str], url: str) -> None:
-    selector = selectors.get("captcha")
-    if selector and root.select(selector):
-        raise CaptchaDetected(f"{url}: bot challenge page served")
-    marker = selectors.get("captcha_text")
-    if marker and marker.lower() in root.text().lower():
-        raise CaptchaDetected(f"{url}: bot challenge marker found")
-
-
-def result_anchors(root: Element, selectors: Mapping[str, str]) -> list[Element]:
-    """The elements matching ``selectors["results"]`` under each outermost
-    element matching ``selectors["scope"]``, in document order; with no
-    "scope" key, every one under ``root``. The outermost scope elements do
-    not nest, so this takes time linear in the page however deeply it nests."""
-    scope = selectors.get("scope")
-    containers = outermost(root.select(scope)) if scope else [root]
-    return [anchor for container in containers for anchor in container.select(selectors["results"])]
+def read_results_page(root: Element, selectors: Mapping[str, str]) -> tuple[list[Element], bool]:
+    """In document order, the elements matching "results" that have an ancestor
+    matching "scope" (with no "scope" key, all do) and neither match "ads" nor
+    have an ancestor that does; and whether any element matches "captcha". One
+    walk, carrying down whether it is in a scope or an ad: linear in the page."""
+    keys = ("scope", "results", "ads", "captcha")
+    scope, results, ads, captcha = (parse_selector(selectors[key]) if selectors.get(key) else () for key in keys)
+    anchors: list[Element] = []
+    challenge = False
+    stack = [(child, not scope, False) for child in reversed(root.children) if isinstance(child, Element)]
+    while stack:
+        el, scoped, in_ad = stack.pop()
+        in_ad = in_ad or matches(el, ads)
+        if scoped and not in_ad and matches(el, results):
+            anchors.append(el)
+        challenge = challenge or matches(el, captcha)
+        scoped = scoped or matches(el, scope)
+        stack.extend([(child, scoped, in_ad) for child in reversed(el.children) if isinstance(child, Element)])
+    return anchors, challenge
 
 
 def ranked_search(
@@ -175,8 +166,8 @@ def ranked_search(
     """Query one ranked-results engine and parse its results page.
 
     Result links are returned in rank order, redirect wrappers stripped,
-    normalized (see :func:`~tweetcheck.urls.normalize_result_url`) and
-    with duplicates removed (first occurrence wins). Raises
+    normalized (see :func:`~tweetcheck.urls.result_link`) and with
+    duplicates removed (first occurrence wins). Raises
     :class:`CaptchaDetected` when the page carries a bot-challenge marker.
     """
     settings = settings or ENGINES[source]
@@ -186,37 +177,26 @@ def ranked_search(
     query = build_query(claim, settings.spec)
     response = _request_page(fetcher, settings, query)
     root = parse_response(response)
-    selectors = settings.selectors
-    _check_captcha(root, selectors, response.final_url)
+    anchors, challenge = read_results_page(root, settings.selectors)
+    if challenge:
+        raise CaptchaDetected(f"{response.final_url}: bot challenge page served")
+    marker = settings.selectors.get("captcha_text")
+    if marker and marker.lower() in root.text().lower():
+        raise CaptchaDetected(f"{response.final_url}: bot challenge marker found")
 
-    # ids stay unique while ``root`` keeps the whole tree alive.
-    ads = outermost(root.select(selectors["ads"])) if selectors.get("ads") else []
-    ad_ids = {id(el) for ad in ads for el in (ad, *ad.iter())}
-    seen: set[str] = set()
-    urls: list[str] = []
-    for anchor in result_anchors(root, selectors):
+    urls: dict[str, None] = {}  # first occurrence wins, in rank order
+    for anchor in anchors:
         href = anchor.get("href")
-        if not href or id(anchor) in ad_ids:
+        link = result_link(response.final_url, href, engine.unwrap) if href else None
+        if link is None:
             continue
-        try:
-            absolute = urljoin(response.final_url, href)
-            if engine.unwrap:
-                absolute = _unwrap_redirect(absolute)
-            parts = urlsplit(absolute)
-        except ValueError:  # unparseable, e.g. an unbalanced "[" in the host
-            continue
-        link_host = parts.hostname or ""
-        if (
-            parts.scheme not in ("http", "https")
-            or (engine.domain and not host_matches(link_host, engine.domain))
-            or not parts.path.startswith(engine.path_prefix)
+        url, link_host, path = link
+        if not (
+            (engine.domain and not host_matches(link_host, engine.domain))
+            or not path.startswith(engine.path_prefix)
             or (engine.excluded_domain and host_matches(link_host, engine.excluded_domain))
         ):
-            continue
-        normalized = normalize_result_url(absolute)
-        if normalized not in seen:
-            seen.add(normalized)
-            urls.append(normalized)
+            urls[url] = None
     return RankedResults(source, query, tuple(urls))
 
 

@@ -43,6 +43,7 @@ DEFAULT_TIMEOUT_S = 30.0
 MAX_REDIRECTS = 5
 #: Largest live response body, after decompression; a larger one is a network error.
 MAX_BODY_BYTES = 16 * 1024 * 1024
+_MAX_FIXTURE_BYTES = MAX_BODY_BYTES + 1024 * 1024 + 1  # the body's cap, room for a header, one byte over
 _BODY_CHUNK_BYTES = 64 * 1024
 #: Hosts queried at the same time by :meth:`Fetcher.run_per_host`.
 MAX_HOST_WORKERS = 4
@@ -113,9 +114,14 @@ class FixtureStore:
     def load(self, key: str, url: str = "") -> FetchResponse:
         """The recorded response; :class:`FixtureMiss` if there is none,
         :class:`CorruptFixture` if the file cannot be read back."""
-        path = self.path_for(key)
-        try:
-            data = path.read_bytes()
+        import stat  # loaded with os
+
+        try:  # without blocking, so that a FIFO in the fixture's place cannot hang the open
+            with open(self.path_for(key), "rb", opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK)) as handle:
+                info = os.fstat(handle.fileno())
+                if not stat.S_ISREG(info.st_mode):
+                    raise CorruptFixture(key, url, "not a regular file")
+                data = handle.read(min(info.st_size, _MAX_FIXTURE_BYTES))
         except FileNotFoundError:
             raise FixtureMiss(key, url) from None
         except OSError as exc:  # e.g. a directory or an unreadable file in its place
@@ -138,6 +144,8 @@ class FixtureStore:
             urlsplit(response.final_url)  # later stages must be able to parse it
         except ValueError as exc:  # UnicodeDecodeError is one too
             raise CorruptFixture(key, url, f"bad header: {exc}") from exc
+        if len(body) > MAX_BODY_BYTES:
+            raise CorruptFixture(key, url, f"body exceeds the {MAX_BODY_BYTES}-byte cap")
         if len(body) != expected:
             raise CorruptFixture(
                 key, url, f"length mismatch: header says {expected} bytes, body has {len(body)}"

@@ -125,11 +125,7 @@ class Element:
 
     def _matching(self, selector: str) -> Iterator["Element"]:
         compounds = parse_selector(selector)
-        for el in self.iter():
-            for compound in compounds:
-                if _matches_simple(el, compound):
-                    yield el
-                    break
+        return (el for el in self.iter() if matches(el, compounds))
 
     def select(self, selector: str) -> list["Element"]:
         """Elements under this one matching the selector, in document order."""
@@ -188,18 +184,22 @@ def parse_selector(selector: str) -> tuple[_Simple, ...]:
     return compounds
 
 
-def _matches_simple(el: Element, simple: _Simple) -> bool:
-    if simple.tag is not None and el.tag != simple.tag:
-        return False
-    if simple.id is not None and el.attrs.get("id") != simple.id:
-        return False
-    if simple.classes and not simple.classes.issubset(el.classes):
-        return False
-    for name, contained in simple.attrs:
-        actual = el.attrs.get(name)
-        if actual is None or (contained is not None and contained not in actual):
-            return False
-    return True
+def matches(el: Element, compounds: tuple[_Simple, ...]) -> bool:
+    """Whether ``el`` matches one of a compiled selector's compounds (see :func:`parse_selector`)."""
+    for simple in compounds:
+        if simple.tag is not None and el.tag != simple.tag:
+            continue
+        if simple.id is not None and el.attrs.get("id") != simple.id:
+            continue
+        if simple.classes and not simple.classes.issubset(el.classes):
+            continue
+        for name, contained in simple.attrs:
+            actual = el.attrs.get(name)
+            if actual is None or (contained is not None and contained not in actual):
+                break
+        else:
+            return True
+    return False
 
 
 def outermost(elements: Iterable[Element]) -> list[Element]:
@@ -349,15 +349,15 @@ def decode_body(response: FetchResponse) -> str:
     """The body as text in the charset its Content-Type names (UTF-8 if none or
     unknown). What cannot be decoded becomes U+FFFD, and so does each surrogate
     a codec such as ``unicode_escape`` or ``utf-7`` decodes: no later step could
-    encode one."""
-    charset = "utf-8"
+    encode one. UTF-8 decodes none, so its text is not searched for one."""
     m = _CHARSET_RE.search(response.content_type)
-    if m:
-        charset = m.group(1)
+    charset = m.group(1) if m else "utf-8"
     try:
         text = response.body.decode(charset, errors="replace")
     except (LookupError, UnicodeError):  # unknown charset, or one that cannot replace (idna)
         text = response.body.decode("utf-8", errors="replace")
+    if text.isascii() or charset.lower() in ("utf-8", "utf8"):
+        return text
     return _SURROGATE.sub("\ufffd", text)
 
 

@@ -3,8 +3,8 @@
 Each rule lives here once:
 
 * :func:`normalize_url_for_key`: the URL a fixture is keyed by;
-* :func:`normalize_result_url`: the form a search result is reported and
-  deduplicated in;
+* :func:`result_link`: where a link on a results page leads, in the form a
+  search result is reported and deduplicated in;
 * :func:`canonicalize_article_url`: the identity under which an article is
   read once per verification and matched against the corpus;
 * :func:`identify_publisher` and :func:`is_snopes_url`: which site a URL
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from typing import Optional
-from urllib.parse import SplitResult, urlsplit, urlunsplit
+from urllib.parse import SplitResult, unquote, urljoin, urlsplit, urlunsplit
 
 SNOPES_HOST = "snopes.com"
 REUTERS_HOST = "reuters.com"
@@ -53,10 +53,50 @@ def normalize_url_for_key(url: str) -> str:
     return urlunsplit((parts.scheme.lower(), parts.netloc.lower(), path, parts.query, parts.fragment))
 
 
-def normalize_result_url(url: str) -> str:
-    """Dedup basis for SERP links: lowercase scheme/host, drop fragment."""
-    parts = _split(url)
-    return urlunsplit((parts.scheme.lower(), parts.netloc.lower(), parts.path, parts.query, ""))
+# A link none of urljoin's or urlsplit's special cases touch: "http(s)://host" and a
+# path, or a path alone, of the listed ASCII characters up to its fragment (so no
+# whitespace, control character, "[", backslash or ";"). Groups: scheme, host, path, query.
+_PLAIN_LINK = re.compile(
+    r"(?:(https?)://([-\w.~!$&'()*+,=:@%]+))?([-\w.~!$&'()*+,=:@%/]*)(?:\?([-\w.~!$&'()*+,=:@%/?]*))?(?:#.*)?\Z",
+    re.ASCII | re.IGNORECASE | re.DOTALL,
+)
+
+
+def _plain(url: str) -> Optional[SplitResult]:
+    m = _PLAIN_LINK.match(url)
+    return m and SplitResult((m[1] or "").lower(), m[2] or "", m[3], m[4] or "", "")
+
+
+def result_link(base: str, href: str, unwrap: bool) -> Optional[tuple[str, str, str]]:
+    """(URL, host, path) of the http(s) page the link ``href`` on the page at
+    ``base`` leads to, or None. With ``unwrap``, a "/url?" redirect wrapper
+    leads to its first non-blank "q", else "url". The URL, as a result is
+    reported, has its scheme and host lowercased and no fragment. The answer is
+    that of urljoin, parse_qs and urlsplit in turn; a plain link is split once."""
+    try:
+        page = urlsplit(base)  # urljoin reads the base first, and may reject it
+        parts = _plain(href)
+        if parts and not parts.netloc:  # a path, joined here only if root-relative without dot segments
+            path = parts.path
+            joins = page.scheme in ("http", "https") and path[:1] == "/" and path[1:2] != "/" and "/." not in path
+            parts = SplitResult(page.scheme, page.netloc, path, parts.query, "") if joins else None
+        parts = parts or urlsplit(urljoin(base, href))
+        if unwrap and parts.path == "/url":
+            values: dict[str, str] = {}
+            for field in parts.query.split("&"):
+                name, _, value = field.partition("=")
+                if value:
+                    values.setdefault(unquote(name.replace("+", " ")), value)
+            target = values.get("q") or values.get("url")
+            if target:
+                target = unquote(target.replace("+", " "))
+                parts = _plain(target) or urlsplit(target)
+    except ValueError:  # e.g. an unbalanced "[" in the host
+        return None
+    if parts.scheme not in ("http", "https"):
+        return None
+    url = urlunsplit((parts.scheme, parts.netloc.lower(), parts.path, parts.query, ""))
+    return url, parts.hostname or "", parts.path
 
 
 def identify_publisher(url: str) -> Optional[str]:

@@ -1,6 +1,8 @@
-from urllib.parse import urlsplit
+from urllib.parse import parse_qs, urljoin, urlsplit, urlunsplit
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tweetcheck.adapters import (
     ENGINES,
@@ -12,6 +14,8 @@ from tweetcheck.adapters import (
 )
 from tweetcheck.errors import CaptchaDetected, NetworkError, ParseError
 from tweetcheck.model import SourceId, TweetClaim
+from tweetcheck import urls
+from tweetcheck.urls import result_link
 
 from conftest import (
     JOBS_BODY,
@@ -255,3 +259,98 @@ class TestRankedSearchDispatch:
         for source, settings in ENGINES.items():
             assert settings.source is source
             assert "{query}" in settings.endpoint
+
+
+def _unwrap_redirect(url: str) -> str:
+    parts = urlsplit(url)
+    if parts.path == "/url":
+        params = parse_qs(parts.query)
+        for key in ("q", "url"):
+            if params.get(key):
+                return params[key][0]
+    return url
+
+
+def _reference_link(base: str, href: str, unwrap: bool):
+    """What ``ranked_search`` made of a link before each was split once: urljoin,
+    parse_qs on a redirect wrapper, urlsplit, and the result URL's normal form."""
+    try:
+        absolute = urljoin(base, href)
+        if unwrap:
+            absolute = _unwrap_redirect(absolute)
+        parts = urlsplit(absolute)
+    except ValueError:
+        return None
+    if parts.scheme not in ("http", "https"):
+        return None
+    normalized = urlunsplit((parts.scheme.lower(), parts.netloc.lower(), parts.path, parts.query, ""))
+    return normalized, parts.hostname or "", parts.path
+
+
+# Links built from the parts a results page's links have, with what urljoin,
+# urlsplit or parse_qs treat specially put in: "[", "//", "\\", ";", "%", dot
+# segments, an empty "?" or "#", tab and newline (which urlsplit deletes),
+# leading C0 characters, non-ASCII text and NFKC forms of "/" and "a/c" in a
+# host. The first two kinds are mostly the shapes split without a join, and
+# "ſ", which a case-blind Unicode match takes for "s", must not make "https".
+_NEAR_PLAIN_LINKS = st.tuples(
+    st.sampled_from([
+        "", "", "", "https://www.snopes.com", "HTTP://Www.Google.COM", "http://", "//www.snopes.com", "//h",
+        "HTTPſ://h", "http://u@h:80", "http://a%B.snopes.com",
+    ]),
+    st.sampled_from([
+        "/url", "/fact-check/x/", "/", "", "/x/./y", "/x/../y", "/.", "/..", "/a;b", "/a/b;", "/%2e%2e/x", "x/y",
+    ]),
+    st.sampled_from(["", "?", "?q=https://www.snopes.com/fact-check/x/&sa=U", "?q=%2Fx#f"]),
+    st.sampled_from(["", "#", "#f", "#:~:text=x"]),
+).map("".join)
+_WRAPPER_LINKS = st.tuples(
+    st.sampled_from(["", "", "https://www.google.com", "http://"]),
+    st.sampled_from(["/url?", "/url?", "/url/?", "/url;?"]),
+    st.lists(st.sampled_from([
+        "q=https://a.example/x+y", "url=https://b.example/", "q=", "url=", "%71=https://c.example/", "q+=x", "=x", "",
+        "q", "sa=U", "q=%2Fx", "q=//h/p", "q=http://[::1", "q=http:%2F%2Fd.example", "q=%01https://f.example/",
+    ]), min_size=1, max_size=3).map("&".join),
+    st.sampled_from(["", "#f"]),
+).map("".join)
+_ODD_LINKS = st.tuples(
+    st.sampled_from(["", " ", "\x00", "\x1f\t", "\n"]),
+    st.sampled_from(["", "http://", "https://", "//", "http:", "http:///", "ftp://", "javascript:"]),
+    st.sampled_from(["", "www.snopes.com", "[::1]", "[::1", "x]", "例.com", "℀.com", "h／x", "h\\x", "h\tx"]),
+    st.lists(st.sampled_from(["x", "", ".", "..", ";", "%", "\\", "é", "a b", "\t", "\n", "[", "//"]), max_size=4).map(
+        "/".join
+    ),
+    st.sampled_from(["", "?", "?q=http:%2F%2Fd.example", "?q=\x01https://f.example/", "?=x&&q=https://e.example/a%20b+c"]),
+    st.sampled_from(["", "#", "#[", "#a?b"]),
+).map("".join)
+_LINKS = st.one_of(_NEAR_PLAIN_LINKS, _WRAPPER_LINKS, _ODD_LINKS, st.text(max_size=12))
+_BASES = st.one_of(
+    st.sampled_from(["https://www.google.com/search?q=x", "http://www.snopes.com/search/x/", "https://www.snopes.com"]),
+    st.sampled_from(["HTTPS://WWW.GOOGLE.COM/a/b;p?q#f", "", "ftp://h/", "http:/x", "https://[::1]/a/b", "https://[::1/"]),
+    _LINKS,
+)
+
+
+class TestResultLink:
+    """Each link on a results page is split once, where ``ranked_search`` used
+    to join it, unwrap it, split it and normalize it: the answer is the same."""
+
+    @settings(max_examples=1_000, deadline=None)
+    @given(base=_BASES, href=_LINKS, unwrap=st.booleans())
+    def test_equals_the_join_unwrap_split_chain(self, base, href, unwrap):
+        assert result_link(base, href, unwrap) == _reference_link(base, href, unwrap)
+
+    @pytest.mark.parametrize("href, unwrap, expected", [
+        ("/url?q=https://www.snopes.com/fact-check/x/&sa=U", True, "https://www.snopes.com/fact-check/x/"),
+        ("/url?url=https://Www.Reuters.com/article/idUSX#top", True, "https://www.reuters.com/article/idUSX"),
+        ("/search?q=next&start=10", False, "https://www.google.com/search?q=next&start=10"),
+        ("HTTP://A.example/p?x=1#f", False, "http://a.example/p?x=1"),
+    ])
+    def test_plain_shapes_are_not_joined(self, monkeypatch, href, unwrap, expected):
+        def refuse(*args):
+            raise AssertionError("joined or parsed again")
+
+        monkeypatch.setattr(urls, "urljoin", refuse)
+        link = result_link("https://www.google.com/search?q=claim", href, unwrap)
+        assert link == _reference_link("https://www.google.com/search?q=claim", href, unwrap)
+        assert link[0] == expected

@@ -13,7 +13,7 @@ import tweetcheck
 from tweetcheck.cli import main
 from tweetcheck.dataset import GroundTruthRecord, serialize_dataset
 from tweetcheck.evaluation import evaluate_engine
-from tweetcheck.fetch import Fetcher, FetchRequest, FixtureStore, fixture_key
+from tweetcheck.fetch import MAX_BODY_BYTES, Fetcher, FetchRequest, FixtureStore, fixture_key
 
 from conftest import (
     JOBS_BODY,
@@ -710,6 +710,53 @@ class TestScrape:
         assert capsys.readouterr().err == (
             f"tweetcheck: corrupt fixture {key} for {url}: bad header: truncated\n"
         )
+
+    #: ``scrape`` in a child process whose address space is capped at 256 MB,
+    #: so that an open which waits for a FIFO's writer fails the test by its
+    #: timeout and an unbounded read fails it by running out of memory.
+    _CAPPED_MAIN = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
+        "from tweetcheck.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+
+    def _scrape_over(self, tmp_path, put) -> tuple[int, str, str]:
+        """Exit code and stderr of a capped ``scrape`` whose fixture ``put(path)``
+        replaced, and the stderr line that names it corrupt, less the reason."""
+        url = "https://www.snopes.com/fact-check/hostile/"
+        store = record_pages(tmp_path / "fx", {url: StubPage(b"<p>Rating: False</p>")})
+        key = fixture_key(FetchRequest(url=url))
+        store.path_for(key).unlink()
+        put(store.path_for(key))
+        src = str(Path(tweetcheck.__file__).resolve().parents[1])
+        child = subprocess.run(
+            [sys.executable, "-c", self._CAPPED_MAIN, "scrape", url, "--mode", "replay", "--fixtures", str(store.root)],
+            capture_output=True, text=True, timeout=20, env={**os.environ, "PYTHONPATH": src},
+        )
+        return child.returncode, child.stderr, f"tweetcheck: corrupt fixture {key} for {url}: "
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+    def test_fifo_in_a_fixtures_place_exits_66(self, tmp_path):
+        code, err, prefix = self._scrape_over(tmp_path, os.mkfifo)
+        assert (code, err) == (66, prefix + "not a regular file\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero on this platform")
+    def test_endless_device_in_a_fixtures_place_exits_66(self, tmp_path):
+        code, err, prefix = self._scrape_over(tmp_path, lambda path: path.symlink_to("/dev/zero"))
+        assert (code, err) == (66, prefix + "not a regular file\n")
+
+    def test_fixture_body_past_the_cap_exits_66(self, tmp_path):
+        # as live and record mode refuse such a body, replay does
+        def put(path):
+            body_size = MAX_BODY_BYTES + 1
+            header = f"200\nhttps://www.snopes.com/fact-check/hostile/\ntext/html\n{body_size}\n\n".encode()
+            with open(path, "wb") as sparse:
+                sparse.write(header)
+                sparse.truncate(len(header) + body_size)
+
+        code, err, prefix = self._scrape_over(tmp_path, put)
+        assert (code, err) == (66, prefix + f"body exceeds the {MAX_BODY_BYTES}-byte cap\n")
 
 
 #: A lone surrogate (U+DCFF) as page bytes in each charset whose codec decodes one.

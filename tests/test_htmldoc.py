@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tweetcheck import htmldoc
-from tweetcheck.adapters import ENGINES, ranked_search, result_anchors, search_politwoops
+from tweetcheck.adapters import ENGINES, ranked_search, read_results_page, search_politwoops
 from tweetcheck.errors import ParseError
 from tweetcheck.fetch import Fetcher, FetchMode, FetchResponse
 from tweetcheck.htmldoc import Element, outermost, parse_selector, parse_html, parse_response
@@ -289,6 +289,18 @@ class TestParseResponse:
         assert "\udcff" in body.decode(charset)
         assert htmldoc.decode_body(resp) == decoded
 
+    @pytest.mark.parametrize("content_type", ["text/html; charset=utf-8", "text/html; charset=UTF8", "text/html", ""])
+    @pytest.mark.parametrize("body", [
+        "Café – “quoted” 中文 🙂".encode(),
+        b"\xed\xa0\x80 \xed\xb3\xbf",  # surrogates encoded as UTF-8: the decoder never yields one
+        b"caf\xe9 \xff\xfe torn \xe2\x82",
+    ])
+    def test_a_utf8_page_decodes_as_before(self, content_type, body):
+        # what each page decoded to when every page was searched for surrogates
+        before = re.sub("[\ud800-\udfff]", "\ufffd", body.decode("utf-8", errors="replace"))
+        resp = FetchResponse(status=200, final_url="https://x/", body=body, content_type=content_type)
+        assert htmldoc.decode_body(resp) == before
+
 
 class TestHostileInputTime:
     """Inputs that held the stdlib parser for seconds to minutes: it rescanned
@@ -363,7 +375,8 @@ class TestHostileNesting:
         depth = 16_000
         started = time.perf_counter()
         root = parse_html('<div id="search">' + '<a href="x">' * depth)
-        assert len(result_anchors(root, ENGINES[SourceId.WEB_SEARCH].selectors)) == depth
+        anchors, challenge = read_results_page(root, ENGINES[SourceId.WEB_SEARCH].selectors)
+        assert (len(anchors), challenge) == (depth, False)
         assert time.perf_counter() - started < 2.5
 
     def test_nested_politwoops_cards(self):
@@ -388,15 +401,18 @@ class TestHostileNesting:
         assert time.perf_counter() - started < 2.5
         assert [(hit.tweet_text, hit.handle) for hit in hits] == [(f"text {i}", f"h{i}") for i in range(count)]
 
+    # static, as a property test under parametrize must be: pytest gives each
+    # parameter its own instance, which hypothesis rejects as a second executor
+    @staticmethod
     @pytest.mark.parametrize("listed", [False, True])
     @settings(max_examples=150, deadline=None)
     @given(steps=st.lists(st.sampled_from(_CARD_PAGE_STEPS), max_size=30))
-    def test_card_reader_matches_per_card_reading(self, listed, steps):
+    def test_card_reader_matches_per_card_reading(listed, steps):
         row = ENGINES[SourceId.POLITWOOPS]
         settings_ = row.replace(selectors={**row.selectors, **_LISTED_CARD_SELECTORS}) if listed else row
         body = "".join(step.format(i=i) for i, step in enumerate(steps))
         claim = TweetClaim(body="generated cards")
-        hits = search_politwoops(claim, self._fetcher(SourceId.POLITWOOPS, claim, body), settings_)
+        hits = search_politwoops(claim, TestHostileNesting._fetcher(SourceId.POLITWOOPS, claim, body), settings_)
         assert [(hit.tweet_text, urlsplit(hit.detail_url).path, hit.handle) for hit in hits] == (
             _per_card_reading(parse_html(body), settings_.selectors)
         )
@@ -542,7 +558,29 @@ def test_scoped_web_read_equals_the_descendant_chain(steps):
             expected.append(el)
         below = under_search or _compound_matches(el, ("div", None, "search", False))
         stack.extend((child, below) for child in reversed(el.children))
-    assert result_anchors(root, ENGINES[SourceId.WEB_SEARCH].selectors) == expected
+    assert read_results_page(root, ENGINES[SourceId.WEB_SEARCH].selectors) == (expected, False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    steps=_STEPS,
+    results=_ALTERNATIVES,
+    optional=st.fixed_dictionaries({}, optional={key: _ALTERNATIVES for key in ("scope", "ads", "captcha")}),
+)
+def test_one_walk_read_equals_select_outermost_and_descendant_sets(steps, results, optional):
+    """The results page reader against what it replaced: the results under each
+    outermost scope match (or under the root), less each one that is an ads
+    match or lies under one, and a bot challenge if "captcha" selects anything."""
+    root, _ = _build_tree(steps)
+    selectors = {key: ", ".join(map(_render, alternatives)) for key, alternatives in optional.items()}
+    selectors["results"] = ", ".join(map(_render, results))
+    containers = outermost(root.select(selectors["scope"])) if "scope" in selectors else [root]
+    candidates = [anchor for container in containers for anchor in container.select(selectors["results"])]
+    ads = outermost(root.select(selectors["ads"])) if "ads" in selectors else []
+    in_ads = {id(el) for ad in ads for el in (ad, *_descendants(ad))}
+    expected = [anchor for anchor in candidates if id(anchor) not in in_ads]
+    challenge = "captcha" in selectors and bool(root.select(selectors["captcha"]))
+    assert read_results_page(root, selectors) == (expected, challenge)
 
 
 @settings(max_examples=60, deadline=None)

@@ -92,9 +92,12 @@ class TestImpliedAttribution:
         rating = TruthRating(kind=kind, raw_label="whatever")
         assert implied_attribution(rating) is self.EXPECTED[kind]
 
+    # static, as a property test under parametrize must be: pytest gives each
+    # parameter its own instance, which hypothesis rejects as a second executor
+    @staticmethod
     @pytest.mark.parametrize("kind", list(RatingKind))
     @given(raw=st.text(max_size=30))
-    def test_depends_on_kind_only(self, kind, raw):
+    def test_depends_on_kind_only(kind, raw):
         missing = kind is RatingKind.UNKNOWN and not raw
         a = TruthRating(kind=kind, raw_label=raw, missing=missing)
         b = TruthRating(kind=kind, raw_label="something else")

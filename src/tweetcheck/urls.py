@@ -72,7 +72,7 @@ def result_link(base: str, href: str, unwrap: bool) -> Optional[tuple[str, str, 
     ``base`` leads to, or None. With ``unwrap``, a "/url?" redirect wrapper
     leads to its first non-blank "q", else "url". The URL, as a result is
     reported, has its scheme and host lowercased and no fragment. The answer is
-    that of urljoin, parse_qs and urlsplit in turn; a plain link is split once."""
+    that of urljoin, parse_qs and urlsplit in turn; a plain link is not joined."""
     try:
         page = urlsplit(base)  # urljoin reads the base first, and may reject it
         parts = _plain(href)
@@ -90,7 +90,7 @@ def result_link(base: str, href: str, unwrap: bool) -> Optional[tuple[str, str, 
             target = values.get("q") or values.get("url")
             if target:
                 target = unquote(target.replace("+", " "))
-                parts = _plain(target) or urlsplit(target)
+                parts = urlsplit(target)
     except ValueError:  # e.g. an unbalanced "[" in the host
         return None
     if parts.scheme not in ("http", "https"):

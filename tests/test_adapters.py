@@ -310,6 +310,7 @@ _WRAPPER_LINKS = st.tuples(
     st.lists(st.sampled_from([
         "q=https://a.example/x+y", "url=https://b.example/", "q=", "url=", "%71=https://c.example/", "q+=x", "=x", "",
         "q", "sa=U", "q=%2Fx", "q=//h/p", "q=http://[::1", "q=http:%2F%2Fd.example", "q=%01https://f.example/",
+        "q=https:/h/p", "q=http:x", "q=http:", "q=http:///p",
     ]), min_size=1, max_size=3).map("&".join),
     st.sampled_from(["", "#f"]),
 ).map("".join)

@@ -6,7 +6,8 @@ engines, a :class:`Ranking` (which links are results, the eval report
 label, the corpus column of the relevant article). The configuration
 copies the table once and applies its endpoint overrides to the copy as
 it reads them (:attr:`tweetcheck.config.AppConfig.engines`), so an
-adapter is handed a finished row and merges nothing itself. The query
+adapter is handed a finished row as its first argument and merges nothing
+itself; whether an engine ranks is asked of its row alone. The query
 spec and the selectors are not configurable: a site redesign is followed
 by changing its row.
 
@@ -38,7 +39,7 @@ from .errors import CaptchaDetected
 from .fetch import Fetcher, FetchRequest, FetchResponse
 from .htmldoc import Element, collapse_whitespace, matches, outermost, parse_response, parse_selector
 from .model import RankedResults, Record, SourceId, TweetClaim
-from .queries import DEFAULT_SPECS, QuerySpec, build_query, encode_query
+from .queries import Encoding, QuerySpec, Truncation, build_query, encode_query
 from .urls import host, host_matches, result_link
 
 logger = logging.getLogger(__name__)
@@ -69,6 +70,7 @@ class EngineSettings(Record):
 
 
 _GOOGLE = "https://www.google.com/search?q={query}"
+_WORDS = Truncation.WORD_BOUNDARY_PREFIX
 _SITE_SELECTORS = {"results": "a[href]"}
 _WEB_SELECTORS = {
     "scope": "div#search",
@@ -80,26 +82,28 @@ _WEB_SELECTORS = {
 _POLITWOOPS_SELECTORS = {
     "cards": "div.tweet",
     "text": ".tweet-content",
-    "handle": ".screen-name",
     "link": "a[href*=/politwoops/tweet/]",
 }
 
 #: Every engine's defaults, one row per source, in :class:`SourceId` order.
 #: The web-snopes row differs from the web row by its query spec's site: filter.
 ENGINES = {
-    source: EngineSettings(source, endpoint, DEFAULT_SPECS[source], selectors, ranking)
-    for source, endpoint, selectors, ranking in (
-        (SourceId.SNOPES_SEARCH, "https://www.snopes.com/search/{query}/", _SITE_SELECTORS,
-         Ranking("Snopes built-in search", "snopes_url", domain="snopes.com", path_prefix="/fact-check/")),
-        (SourceId.REUTERS_SEARCH, "https://www.reuters.com/search/news?sortBy=&dateRange=&blob={query}",
-         _SITE_SELECTORS,
-         Ranking("Reuters built-in search", "reuters_url", domain="reuters.com", path_prefix="/article/")),
-        (SourceId.WEB_SEARCH, _GOOGLE, _WEB_SELECTORS,
-         Ranking("Web search", "snopes_url", excluded_domain="google.com", unwrap=True)),
-        (SourceId.WEB_SEARCH_SITE_SNOPES, _GOOGLE, _WEB_SELECTORS,
-         Ranking("Web search (site:snopes.com)", "snopes_url", excluded_domain="google.com", unwrap=True)),
-        (SourceId.POLITWOOPS, "https://projects.propublica.org/politwoops/index?utf8=%E2%9C%93&q={query}",
-         _POLITWOOPS_SELECTORS, None),
+    row.source: row
+    for row in (
+        EngineSettings(SourceId.SNOPES_SEARCH, "https://www.snopes.com/search/{query}/",
+                       QuerySpec(100, Encoding.PERCENT, _WORDS), _SITE_SELECTORS,
+                       Ranking("Snopes built-in search", "snopes_url", domain="snopes.com", path_prefix="/fact-check/")),
+        EngineSettings(SourceId.REUTERS_SEARCH, "https://www.reuters.com/search/news?sortBy=&dateRange=&blob={query}",
+                       QuerySpec(130, Encoding.PLUS, _WORDS), _SITE_SELECTORS,
+                       Ranking("Reuters built-in search", "reuters_url", domain="reuters.com", path_prefix="/article/")),
+        EngineSettings(SourceId.WEB_SEARCH, _GOOGLE, QuerySpec(200, Encoding.PLUS, _WORDS), _WEB_SELECTORS,
+                       Ranking("Web search", "snopes_url", excluded_domain="google.com", unwrap=True)),
+        EngineSettings(SourceId.WEB_SEARCH_SITE_SNOPES, _GOOGLE,
+                       QuerySpec(200, Encoding.PLUS, _WORDS, site_filter="snopes.com"), _WEB_SELECTORS,
+                       Ranking("Web search (site:snopes.com)", "snopes_url", excluded_domain="google.com", unwrap=True)),
+        # 50-character prefixes are known to work well against the deleted-tweet tracker's search.
+        EngineSettings(SourceId.POLITWOOPS, "https://projects.propublica.org/politwoops/index?utf8=%E2%9C%93&q={query}",
+                       QuerySpec(50, Encoding.PLUS, Truncation.CHAR_PREFIX), _POLITWOOPS_SELECTORS),
     )
 }
 
@@ -114,7 +118,6 @@ class PolitwoopsHit(Record):
 
     tweet_text: str
     detail_url: str
-    handle: str
 
 
 _CURLY_QUOTES = str.maketrans({"‘": "'", "’": "'", "“": '"', "”": '"'})
@@ -157,12 +160,7 @@ def read_results_page(root: Element, selectors: Mapping[str, str]) -> tuple[list
     return anchors, challenge
 
 
-def ranked_search(
-    source: SourceId,
-    claim: TweetClaim,
-    fetcher: Fetcher,
-    settings: Optional[EngineSettings] = None,
-) -> RankedResults:
+def ranked_search(settings: EngineSettings, claim: TweetClaim, fetcher: Fetcher) -> RankedResults:
     """Query one ranked-results engine and parse its results page.
 
     Result links are returned in rank order, redirect wrappers stripped,
@@ -170,10 +168,9 @@ def ranked_search(
     duplicates removed (first occurrence wins). Raises
     :class:`CaptchaDetected` when the page carries a bot-challenge marker.
     """
-    settings = settings or ENGINES[source]
     engine = settings.ranking
     if engine is None:
-        raise ValueError(f"{source.value} does not produce ranked URL results")
+        raise ValueError(f"{settings.source.value} does not produce ranked URL results")
     query = build_query(claim, settings.spec)
     response = _request_page(fetcher, settings, query)
     root = parse_response(response)
@@ -197,22 +194,19 @@ def ranked_search(
             or (engine.excluded_domain and host_matches(link_host, engine.excluded_domain))
         ):
             urls[url] = None
-    return RankedResults(source, query, tuple(urls))
+    return RankedResults(settings.source, query, tuple(urls))
 
 
-def search_politwoops(
-    claim: TweetClaim, fetcher: Fetcher, settings: Optional[EngineSettings] = None
-) -> list[PolitwoopsHit]:
+def search_politwoops(settings: EngineSettings, claim: TweetClaim, fetcher: Fetcher) -> list[PolitwoopsHit]:
     """Query the deleted-tweet tracker with the claim's leading characters.
 
     Only the outermost cards are read: a card nested inside another card
-    (as unclosed markup nests them) is part of the outer one, whose text,
-    link and handle are the first of each found anywhere inside it. Each
+    (as unclosed markup nests them) is part of the outer one, whose text
+    and link are the first of each found anywhere inside it. Each
     card is read from the card down, and the outermost cards' subtrees are
     disjoint, so reading takes time linear in the page however deeply it
     nests.
     """
-    settings = settings or ENGINES[SourceId.POLITWOOPS]
     query = build_query(claim, settings.spec)
     response = _request_page(fetcher, settings, query)
     root = parse_response(response)
@@ -220,7 +214,7 @@ def search_politwoops(
     project_host = host(settings.endpoint)
     hits: list[PolitwoopsHit] = []
     for card in outermost(root.select(selectors["cards"])):
-        text_el, link_el, handle_el = (card.select_one(selectors[key]) for key in ("text", "link", "handle"))
+        text_el, link_el = card.select_one(selectors["text"]), card.select_one(selectors["link"])
         if text_el is None or link_el is None or not link_el.get("href"):
             logger.debug("politwoops: skipping card without text/link")
             continue
@@ -233,14 +227,7 @@ def search_politwoops(
         if detail_host != project_host:
             logger.debug("politwoops: skipping off-host link %s", detail_url)
             continue
-        handle = handle_el.text().strip().lstrip("@") if handle_el is not None else ""
-        hits.append(
-            PolitwoopsHit(
-                tweet_text=text_el.text().strip(),
-                detail_url=detail_url,
-                handle=handle,
-            )
-        )
+        hits.append(PolitwoopsHit(tweet_text=text_el.text().strip(), detail_url=detail_url))
     return hits
 
 

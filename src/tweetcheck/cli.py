@@ -210,7 +210,7 @@ def _engine_pass(
         jobs = []
         for source in engines:
             settings = config.engines[source]
-            jobs.append((settings.endpoint, partial(evaluate_engine, source, records, fetcher, settings)))
+            jobs.append((settings.endpoint, partial(evaluate_engine, settings, records, fetcher)))
         reports = fetcher.run_per_host(jobs)
     failed = _print_failures(reports)
     if any(issubclass(outcome.failure, FixtureMiss) for outcome in failed):

@@ -60,10 +60,6 @@ class ValidationError(TweetCheckError):
         super().__init__(f"record {record_id}: {message}")
 
 
-class EmptyDatasetError(TweetCheckError):
-    """Metrics over an empty dataset are undefined."""
-
-
 #: The failures an engine query may end in without stopping the run.
 QUERY_FAILURES = (NetworkError, FixtureMiss, CaptchaDetected, ParseError)
 

@@ -17,13 +17,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .adapters import ENGINES, EngineSettings, ranked_search
-from .errors import (
-    QUERY_FAILURES,
-    CaptchaDetected,
-    EmptyDatasetError,
-    TweetCheckError,
-    describe_failure,
-)
+from .errors import QUERY_FAILURES, CaptchaDetected, TweetCheckError, describe_failure
 from .dataset import GroundTruthRecord
 from .fetch import Fetcher
 from .model import RankedResults, Record, SourceId, TweetClaim
@@ -111,12 +105,7 @@ def reciprocal_rank(results: RankedResults, relevant: str, record_id: str = "") 
     return QueryOutcome(record_id, results.source, None)
 
 
-def evaluate_engine(
-    source: SourceId,
-    records: Sequence[GroundTruthRecord],
-    fetcher: Fetcher,
-    settings: Optional[EngineSettings] = None,
-) -> EngineReport:
+def evaluate_engine(settings: EngineSettings, records: Sequence[GroundTruthRecord], fetcher: Fetcher) -> EngineReport:
     """Query one engine for every record, in order, and score where the relevant article landed.
 
     A record whose query failed scores zero, and its outcome carries the
@@ -128,12 +117,11 @@ def evaluate_engine(
     query never raises: a replay fixture miss is one more failed outcome,
     and the run goes on, so one pass reports every failure.
     """
-    if source not in EVAL_SOURCES:
+    source = settings.source
+    if settings.ranking is None:
         raise ValueError(f"{source.value} cannot be evaluated against ranked results")
-    if not records:
-        raise EmptyDatasetError("cannot evaluate an empty dataset")
 
-    column = ENGINES[source].ranking.relevant
+    column = settings.ranking.relevant
     outcomes: list[QueryOutcome] = []
     challenged = False
     for record in records:
@@ -141,7 +129,7 @@ def evaluate_engine(
             outcomes.append(QueryOutcome(record.id, source, None, SKIPPED, CaptchaDetected))
             continue
         try:
-            results = ranked_search(source, TweetClaim(body=record.tweet_body), fetcher, settings)
+            results = ranked_search(settings, TweetClaim(body=record.tweet_body), fetcher)
         except QUERY_FAILURES as exc:
             challenged = isinstance(exc, CaptchaDetected)
             outcomes.append(QueryOutcome(record.id, source, None, describe_failure(exc), type(exc)))

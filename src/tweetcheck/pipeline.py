@@ -117,9 +117,9 @@ def _search(
 ) -> Union[RankedResults, list[PolitwoopsHit], TweetCheckError]:
     """The engine's results, or the query failure it ended in."""
     try:
-        if settings.source is SourceId.POLITWOOPS:
-            return search_politwoops(claim, fetcher, settings)
-        return ranked_search(settings.source, claim, fetcher, settings)
+        if settings.ranking is None:
+            return search_politwoops(settings, claim, fetcher)
+        return ranked_search(settings, claim, fetcher)
     except QUERY_FAILURES as exc:
         return exc
 

@@ -1,11 +1,11 @@
 """Per-engine query construction: truncation, encoding, site restriction.
 
 Each engine gets a :class:`QuerySpec` describing its length restriction,
-encoding convention, and truncation style. ``DEFAULT_SPECS`` below is the
-spec column of the engine table (:data:`tweetcheck.adapters.ENGINES`). The
-specs were chosen from observed query URLs on each site; they are per-engine
-constants, not configuration, and a site that changes its limits is
-followed by changing its row here.
+encoding convention, and truncation style, held in its row of the engine
+table (:data:`tweetcheck.adapters.ENGINES`). The specs were chosen from
+observed query URLs on each site; they are per-engine constants, not
+configuration, and a site that changes its limits is followed by changing
+its row there.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Optional
 from urllib.parse import quote, quote_plus
 
-from .model import Record, SourceId, TweetClaim
+from .model import Record, TweetClaim
 
 
 class Encoding(Enum):
@@ -43,19 +43,6 @@ class QuerySpec(Record):
     def __post_init__(self):
         if self.max_chars < 10:
             raise ValueError("max_chars must be >= 10")
-
-
-DEFAULT_SPECS = {
-    SourceId.SNOPES_SEARCH: QuerySpec(100, Encoding.PERCENT, Truncation.WORD_BOUNDARY_PREFIX),
-    SourceId.REUTERS_SEARCH: QuerySpec(130, Encoding.PLUS, Truncation.WORD_BOUNDARY_PREFIX),
-    SourceId.WEB_SEARCH: QuerySpec(200, Encoding.PLUS, Truncation.WORD_BOUNDARY_PREFIX),
-    SourceId.WEB_SEARCH_SITE_SNOPES: QuerySpec(
-        200, Encoding.PLUS, Truncation.WORD_BOUNDARY_PREFIX, site_filter="snopes.com"
-    ),
-    # 50-character prefixes are known to work well against the deleted-tweet
-    # tracker's search.
-    SourceId.POLITWOOPS: QuerySpec(50, Encoding.PLUS, Truncation.CHAR_PREFIX),
-}
 
 
 def truncate_body(body: str, spec: QuerySpec) -> str:

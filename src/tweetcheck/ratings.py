@@ -25,7 +25,7 @@ from .errors import ParseError
 from .fetch import FetchResponse
 from .htmldoc import Element, collapse_whitespace, parse_response
 from .model import TruthRating, classify_rating
-from .urls import canonicalize_article_url, identify_publisher  # noqa: F401  (also importable from here)
+from .urls import identify_publisher
 
 logger = logging.getLogger(__name__)
 

@@ -20,13 +20,10 @@ from tweetcheck.errors import ValidationError
 from tweetcheck.evaluation import evaluate_engine, reciprocal_rank, render_report
 from tweetcheck.fetch import FetchMode, Fetcher, FetchRequest, FixtureStore
 from tweetcheck.model import RankedResults, SourceId, TweetClaim
-from tweetcheck.adapters import match_politwoops, search_politwoops
-from tweetcheck.queries import DEFAULT_SPECS, Encoding, truncate_body, encode_query
-from tweetcheck.ratings import (
-    canonicalize_article_url,
-    scrape_reuters_rating,
-    scrape_snopes_rating,
-)
+from tweetcheck.adapters import ENGINES, match_politwoops, search_politwoops
+from tweetcheck.queries import Encoding, truncate_body, encode_query
+from tweetcheck.ratings import scrape_reuters_rating, scrape_snopes_rating
+from tweetcheck.urls import canonicalize_article_url
 from tweetcheck.verdict import aggregate
 
 import pytest
@@ -56,7 +53,7 @@ def _ok(number: int, text: str) -> None:
 
 def test_criterion_1_metric_oracle(eval_store):
     started = time.perf_counter()
-    report = evaluate_engine(SourceId.SNOPES_SEARCH, eval_records(), replay_fetcher(eval_store))
+    report = evaluate_engine(ENGINES[SourceId.SNOPES_SEARCH], eval_records(), replay_fetcher(eval_store))
     elapsed = time.perf_counter() - started
     assert [o.rank_of_relevant for o in report.outcomes] == [1, 2, None]
     assert report.mrr == Fraction(1, 2)          # exactly (1 + 1/2 + 0) / 3
@@ -103,7 +100,7 @@ def test_criterion_3_rating_extraction(pandemic_store):
 
 
 def test_criterion_4_politwoops_prefix_and_match(jobs_store, capsys):
-    spec = DEFAULT_SPECS[SourceId.POLITWOOPS]
+    spec = ENGINES[SourceId.POLITWOOPS].spec
     prefix = truncate_body(JOBS_BODY, spec)
     assert prefix == JOBS_PREFIX_50
     assert len(prefix) == 50
@@ -113,7 +110,7 @@ def test_criterion_4_politwoops_prefix_and_match(jobs_store, capsys):
     assert engine_query_url(SourceId.POLITWOOPS, JOBS_BODY) == POLITWOOPS_QUERY_URL
 
     claim = TweetClaim(body=JOBS_BODY)
-    hits = search_politwoops(claim, replay_fetcher(jobs_store))
+    hits = search_politwoops(ENGINES[SourceId.POLITWOOPS], claim, replay_fetcher(jobs_store))
     assert match_politwoops(claim, hits) is not None
 
     code = main([
@@ -148,14 +145,14 @@ def test_criterion_6_record_replay_equivalence(tmp_path):
     transport = StubTransport(pages)
     store = FixtureStore(tmp_path / "fx")
     recorder = Fetcher(FetchMode.RECORD, store, delay_ms=0, transport=transport)
-    live_report = evaluate_engine(SourceId.SNOPES_SEARCH, eval_records(), recorder)
+    live_report = evaluate_engine(ENGINES[SourceId.SNOPES_SEARCH], eval_records(), recorder)
     assert transport.requested  # the recording run really used the transport
 
     # replay: byte-identical bodies, identical report, zero network use
     replayer = replay_fetcher(store)  # its transport raises if ever touched
     for url, stub in pages.items():
         assert replayer.fetch(FetchRequest(url=url)).body == stub.body
-    replay_report = evaluate_engine(SourceId.SNOPES_SEARCH, eval_records(), replayer)
+    replay_report = evaluate_engine(ENGINES[SourceId.SNOPES_SEARCH], eval_records(), replayer)
     assert replay_report == live_report
     _ok(6, "replay returns byte-identical bodies and an identical report without network access")
 
@@ -193,7 +190,7 @@ def test_criterion_8_invariant_bundle(body, text, url_slug, ranks):
     from urllib.parse import unquote, unquote_plus
 
     # truncation: bounded prefix, idempotent
-    spec = DEFAULT_SPECS[SourceId.POLITWOOPS]
+    spec = ENGINES[SourceId.POLITWOOPS].spec
     truncated = truncate_body(body, spec)
     assert body.startswith(truncated) and len(truncated) <= spec.max_chars
     assert truncate_body(truncated, spec) == truncated

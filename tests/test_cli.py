@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import tweetcheck
 from tweetcheck.cli import main
 from tweetcheck.dataset import GroundTruthRecord, serialize_dataset
+from tweetcheck.adapters import ENGINES
 from tweetcheck.evaluation import evaluate_engine
 from tweetcheck.fetch import MAX_BODY_BYTES, Fetcher, FetchRequest, FixtureStore, fixture_key
 
@@ -190,6 +191,7 @@ class TestVerify:
             ("", ["--max-articles", "0"], "--max-articles must be greater than 0, got 0"),
             ("verify.max_articles = 0", [], "verify.max_articles must be greater than 0, got 0"),
             ("timeout_s = 0", [], "timeout_s must be greater than 0, got 0.0"),
+            ("timeout_s = abc", [], "timeout_s expects a number, got 'abc'"),
             # The values below crashed a live run: OverflowError from the socket
             # layer or from time.sleep, ValueError or KeyError from formatting
             # the endpoint, UnicodeEncodeError from sending the header.
@@ -215,7 +217,8 @@ class TestVerify:
             ],
         ],
         ids=[
-            "flag", "file", "timeout", "timeout-inf", "timeout-huge", "delay-huge", "delay-negative",
+            "flag", "file", "timeout", "timeout-not-a-number", "timeout-inf", "timeout-huge", "delay-huge",
+            "delay-negative",
             "endpoint-not-a-url", "endpoint-no-field", "endpoint-other-field", "endpoint-unbalanced", "user-agent-not-ascii",
             *[key for key, _ in FORMER_QUERY_KEYS],
         ],
@@ -278,7 +281,7 @@ class TestEngineFailures:
             id="p1", tweet_body=PANDEMIC_BODY, authentic=False,
             snopes_url=SNOPES_PANDEMIC_ARTICLE, reuters_url=REUTERS_PANDEMIC_ARTICLE,
         )
-        report = evaluate_engine(source, [record], replay_fetcher(store))
+        report = evaluate_engine(ENGINES[source], [record], replay_fetcher(store))
         assert report.outcomes[0].error == described
         dataset = tmp_path / "corpus.tsv"
         dataset.write_text(serialize_dataset([record]), encoding="utf-8")
@@ -426,6 +429,12 @@ class TestEval:
         bad = tmp_path / "bad.tsv"
         bad.write_text("one\tfield\n", encoding="utf-8")
         assert main(["eval", "--dataset", str(bad)]) == 65
+
+    def test_empty_record_id_exits_65(self, tmp_path, capsys):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text(serialize_dataset(eval_records()).replace("e2\t", "\t"), encoding="utf-8")
+        assert main(["eval", "--dataset", str(bad)]) == 65
+        assert "field id: must be non-empty" in capsys.readouterr().err
 
     def test_missing_dataset_file_exits_65(self, tmp_path, capsys):
         assert main(["eval", "--dataset", str(tmp_path / "nope.tsv")]) == 65

@@ -153,9 +153,9 @@ class TestEngineSettings:
         challenge = b'<html><body><div class="challenge">Are you human?</div></body></html>'
         store = record_pages(tmp_path / "fx", {engine_query_url(SourceId.SNOPES_SEARCH, body): StubPage(challenge)})
         claim = TweetClaim(body=body)
-        assert ranked_search(SourceId.SNOPES_SEARCH, claim, replay_fetcher(store)).urls == ()
+        assert ranked_search(ENGINES[SourceId.SNOPES_SEARCH], claim, replay_fetcher(store)).urls == ()
         with pytest.raises(CaptchaDetected):
-            ranked_search(SourceId.SNOPES_SEARCH, claim, replay_fetcher(store), settings)
+            ranked_search(settings, claim, replay_fetcher(store))
 
     @pytest.mark.parametrize(
         "key",

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tweetcheck.adapters import ENGINES
 from tweetcheck.dataset import GroundTruthRecord
-from tweetcheck.errors import EmptyDatasetError, FixtureMiss
+from tweetcheck.errors import FixtureMiss
 from tweetcheck.evaluation import (
     EVAL_SOURCES,
     EngineReport,
@@ -99,36 +100,36 @@ class TestQueryOutcomeInvariants:
 
 class TestEvaluateEngine:
     def test_three_record_corpus_scores_exactly(self, eval_store):
-        report = evaluate_engine(SNOPES, eval_records(), replay_fetcher(eval_store))
+        report = evaluate_engine(ENGINES[SNOPES], eval_records(), replay_fetcher(eval_store))
         assert report.mrr == Fraction(1, 2)
         assert report.mean_p_at_1 == Fraction(1, 3)
         ranks = [o.rank_of_relevant for o in report.outcomes]
         assert ranks == [1, 2, None]
 
     def test_single_record_at_rank_one(self, eval_store):
-        report = evaluate_engine(SNOPES, eval_records()[:1], replay_fetcher(eval_store))
+        report = evaluate_engine(ENGINES[SNOPES], eval_records()[:1], replay_fetcher(eval_store))
         assert report.mrr == 1
         assert report.mean_p_at_1 == 1
 
     def test_empty_dataset_rejected(self, eval_store):
-        with pytest.raises(EmptyDatasetError):
-            evaluate_engine(SNOPES, [], replay_fetcher(eval_store))
+        with pytest.raises(ValueError, match="at least one outcome"):
+            evaluate_engine(ENGINES[SNOPES], [], replay_fetcher(eval_store))
 
     def test_politwoops_not_evaluable(self, eval_store):
         with pytest.raises(ValueError):
-            evaluate_engine(SourceId.POLITWOOPS, eval_records(), replay_fetcher(eval_store))
+            evaluate_engine(ENGINES[SourceId.POLITWOOPS], eval_records(), replay_fetcher(eval_store))
 
     def test_outcomes_follow_dataset_order_and_means_are_permutation_invariant(self, eval_store):
         records = eval_records()
         fetcher = replay_fetcher(eval_store)
-        forward = evaluate_engine(SNOPES, records, fetcher)
-        backward = evaluate_engine(SNOPES, list(reversed(records)), fetcher)
+        forward = evaluate_engine(ENGINES[SNOPES], records, fetcher)
+        backward = evaluate_engine(ENGINES[SNOPES], list(reversed(records)), fetcher)
         assert [o.record_id for o in backward.outcomes] == ["e3", "e2", "e1"]
         assert backward.mrr == forward.mrr
         assert backward.mean_p_at_1 == forward.mean_p_at_1
 
     def test_mrr_dominates_mean_p1(self, eval_store):
-        report = evaluate_engine(SNOPES, eval_records(), replay_fetcher(eval_store))
+        report = evaluate_engine(ENGINES[SNOPES], eval_records(), replay_fetcher(eval_store))
         assert report.mrr >= report.mean_p_at_1
 
     def test_missing_fixtures_collected_with_record_ids(self, tmp_path):
@@ -138,7 +139,7 @@ class TestEvaluateEngine:
         for key in removed:
             del pages[key]
         store = record_pages(tmp_path / "fx", pages)
-        report = evaluate_engine(SNOPES, eval_records(), replay_fetcher(store))
+        report = evaluate_engine(ENGINES[SNOPES], eval_records(), replay_fetcher(store))
         assert [(o.record_id, o.failure) for o in report.outcomes if o.failed] == [("e2", FixtureMiss)]
         miss = report.outcomes[1]
         assert miss.error.startswith("no fixture ") and miss.reciprocal_rank == 0
@@ -149,7 +150,7 @@ class TestEvaluateEngine:
         pages = {k: v for k, v in eval_pages().items() if "alpha" in k}
         fetcher = Fetcher(FetchMode.LIVE, delay_ms=0, transport=StubTransport(pages))
         records = eval_records()
-        report = evaluate_engine(SNOPES, records, fetcher)
+        report = evaluate_engine(ENGINES[SNOPES], records, fetcher)
         assert report.outcomes[0].error is None
         e2_url = engine_query_url(SNOPES, records[1].tweet_body)
         assert report.outcomes[1].error == f"no stub page for {e2_url}"
@@ -168,11 +169,25 @@ class TestEvaluateEngine:
         pages[first] = StubPage(page("google_serp_captcha.html"))
         transport = StubTransport(pages)
         fetcher = Fetcher(FetchMode.LIVE, delay_ms=0, transport=transport)
-        report = evaluate_engine(SourceId.WEB_SEARCH, records, fetcher)
+        report = evaluate_engine(ENGINES[SourceId.WEB_SEARCH], records, fetcher)
         assert transport.requested == [first]  # the host is not asked again
         assert report.outcomes[0].error == f"bot challenge: {first}: bot challenge page served"
         assert [o.error for o in report.outcomes[1:]] == ["skipped after a bot challenge"] * 2
         assert report.mrr == 0 and report.mean_p_at_1 == 0
+
+    def test_bot_challenge_marker_text_stops_the_engine(self):
+        from conftest import StubPage, engine_query_url
+
+        records = eval_records()
+        serp = b'<div id="search"><p>Our systems have detected unusual traffic.</p></div>'
+        pages = {engine_query_url(SourceId.WEB_SEARCH, r.tweet_body): StubPage(serp) for r in records}
+        transport = StubTransport(pages)
+        fetcher = Fetcher(FetchMode.LIVE, delay_ms=0, transport=transport)
+        report = evaluate_engine(ENGINES[SourceId.WEB_SEARCH], records, fetcher)
+        first = engine_query_url(SourceId.WEB_SEARCH, records[0].tweet_body)
+        assert transport.requested == [first]
+        assert report.outcomes[0].error == f"bot challenge: {first}: bot challenge marker found"
+        assert [o.error for o in report.outcomes[1:]] == ["skipped after a bot challenge"] * 2
 
     def test_reuters_engine_uses_overlap_column(self, tmp_path):
         record = GroundTruthRecord(
@@ -191,7 +206,7 @@ class TestEvaluateEngine:
             tmp_path / "fx",
             {engine_query_url(SourceId.REUTERS_SEARCH, record.tweet_body): StubPage(serp)},
         )
-        report = evaluate_engine(SourceId.REUTERS_SEARCH, [record], replay_fetcher(store))
+        report = evaluate_engine(ENGINES[SourceId.REUTERS_SEARCH], [record], replay_fetcher(store))
         assert report.outcomes[0].rank_of_relevant == 1
 
     def test_record_without_overlap_url_flagged(self, tmp_path):
@@ -203,7 +218,7 @@ class TestEvaluateEngine:
             tmp_path / "fx",
             {engine_query_url(SourceId.REUTERS_SEARCH, record.tweet_body): StubPage(serp)},
         )
-        report = evaluate_engine(SourceId.REUTERS_SEARCH, [record], replay_fetcher(store))
+        report = evaluate_engine(ENGINES[SourceId.REUTERS_SEARCH], [record], replay_fetcher(store))
         outcome = report.outcomes[0]
         assert outcome.reciprocal_rank == 0
         assert outcome.error and "no relevant URL" in outcome.error
@@ -216,8 +231,8 @@ class TestRecordReplayEquivalence:
         from tweetcheck.fetch import FixtureStore
 
         recording = Fetcher(FetchMode.RECORD, FixtureStore(store_dir), delay_ms=0, transport=transport)
-        live_report = evaluate_engine(SNOPES, eval_records(), recording)
-        replay_report = evaluate_engine(SNOPES, eval_records(), replay_fetcher(FixtureStore(store_dir)))
+        live_report = evaluate_engine(ENGINES[SNOPES], eval_records(), recording)
+        replay_report = evaluate_engine(ENGINES[SNOPES], eval_records(), replay_fetcher(FixtureStore(store_dir)))
         assert replay_report == live_report
 
 

@@ -134,7 +134,7 @@ class TestParentLinks:
         kept = [anchor.get("href") for anchor in anchors if id(anchor) not in in_ads]
         url = engine_query_url(SourceId.WEB_SEARCH, "sample page")
         store = record_pages(tmp_path / "fx", {url: StubPage(SAMPLE.encode())})
-        results = ranked_search(SourceId.WEB_SEARCH, TweetClaim(body="sample page"), replay_fetcher(store))
+        results = ranked_search(ENGINES[SourceId.WEB_SEARCH], TweetClaim(body="sample page"), replay_fetcher(store))
         assert list(results.urls) == kept == ["https://a.example/", "https://b.example/"]
 
 
@@ -171,9 +171,9 @@ class TestTreeLifetime:
     def test_search_web_leaves_nothing_for_the_collector(self, pandemic_store):
         fetcher = replay_fetcher(pandemic_store)
         claim = TweetClaim(body=PANDEMIC_BODY)
-        ranked_search(SourceId.WEB_SEARCH, claim, fetcher)  # first use fills module-level caches
+        ranked_search(ENGINES[SourceId.WEB_SEARCH], claim, fetcher)  # first use fills module-level caches
         gc.collect()
-        assert ranked_search(SourceId.WEB_SEARCH, claim, fetcher).urls
+        assert ranked_search(ENGINES[SourceId.WEB_SEARCH], claim, fetcher).urls
         assert gc.collect() == 0
 
 
@@ -328,7 +328,6 @@ class TestHostileInputTime:
 _LISTED_CARD_SELECTORS = {
     "text": "p.tweet-content, div.tweet-content",
     "link": "link[href*=/politwoops/tweet/], a[href*=/politwoops/tweet/]",
-    "handle": "span.screen-name, div.screen-name, .handle",
 }
 # Pieces of a generated tracker page; left unclosed, they nest.
 _CARD_PAGE_STEPS = (
@@ -344,15 +343,14 @@ def _card(i: int) -> str:
     )
 
 
-def _per_card_reading(root: Element, selectors) -> list[tuple[str, str, str]]:
-    """(text, link, handle) of each card, read card by card: each outermost
-    card's selectors matched from the card. The reference for the card reader."""
+def _per_card_reading(root: Element, selectors) -> list[tuple[str, str]]:
+    """(text, link) of each card, read card by card: each outermost card's
+    selectors matched from the card. The reference for the card reader."""
     read = []
     for card in outermost(root.select(selectors["cards"])):
-        text_el, link_el, handle_el = (card.select_one(selectors[key]) for key in ("text", "link", "handle"))
+        text_el, link_el = (card.select_one(selectors[key]) for key in ("text", "link"))
         if text_el is not None and link_el is not None and link_el.get("href"):
-            handle = handle_el.text().strip().lstrip("@") if handle_el is not None else ""
-            read.append((text_el.text().strip(), link_el.get("href"), handle))
+            read.append((text_el.text().strip(), link_el.get("href")))
     return read
 
 
@@ -384,7 +382,7 @@ class TestHostileNesting:
         card = '<div class="tweet"><p class="tweet-content">text</p><a href="/politwoops/tweet/1">link</a>'
         fetcher = self._fetcher(SourceId.POLITWOOPS, claim, card * 4_000)
         started = time.perf_counter()
-        hits = search_politwoops(claim, fetcher)
+        hits = search_politwoops(ENGINES[SourceId.POLITWOOPS], claim, fetcher)
         assert time.perf_counter() - started < 2.5
         assert [hit.tweet_text for hit in hits] == ["text"]  # the nested cards are part of the first
 
@@ -397,9 +395,9 @@ class TestHostileNesting:
         body = "<span>" * count + "".join(_card(i) for i in range(count))
         fetcher = self._fetcher(SourceId.POLITWOOPS, claim, body)
         started = time.perf_counter()
-        hits = search_politwoops(claim, fetcher, settings_)
+        hits = search_politwoops(settings_, claim, fetcher)
         assert time.perf_counter() - started < 2.5
-        assert [(hit.tweet_text, hit.handle) for hit in hits] == [(f"text {i}", f"h{i}") for i in range(count)]
+        assert [hit.tweet_text for hit in hits] == [f"text {i}" for i in range(count)]
 
     # static, as a property test under parametrize must be: pytest gives each
     # parameter its own instance, which hypothesis rejects as a second executor
@@ -412,8 +410,8 @@ class TestHostileNesting:
         settings_ = row.replace(selectors={**row.selectors, **_LISTED_CARD_SELECTORS}) if listed else row
         body = "".join(step.format(i=i) for i, step in enumerate(steps))
         claim = TweetClaim(body="generated cards")
-        hits = search_politwoops(claim, TestHostileNesting._fetcher(SourceId.POLITWOOPS, claim, body), settings_)
-        assert [(hit.tweet_text, urlsplit(hit.detail_url).path, hit.handle) for hit in hits] == (
+        hits = search_politwoops(settings_, claim, TestHostileNesting._fetcher(SourceId.POLITWOOPS, claim, body))
+        assert [(hit.tweet_text, urlsplit(hit.detail_url).path) for hit in hits] == (
             _per_card_reading(parse_html(body), settings_.selectors)
         )
 
@@ -426,7 +424,7 @@ class TestHostileNesting:
         )
         fetcher = self._fetcher(SourceId.WEB_SEARCH, claim, body)
         started = time.perf_counter()
-        results = ranked_search(SourceId.WEB_SEARCH, claim, fetcher)
+        results = ranked_search(ENGINES[SourceId.WEB_SEARCH], claim, fetcher)
         assert time.perf_counter() - started < 2.5
         assert results.urls == ("https://result.example/",)
 

@@ -24,7 +24,7 @@ import time
 
 import pytest
 
-from tweetcheck.adapters import ranked_search, search_politwoops
+from tweetcheck.adapters import ENGINES, ranked_search, search_politwoops
 from tweetcheck.config import source_by_name
 from tweetcheck.errors import TweetCheckError
 from tweetcheck.fetch import Fetcher, FetchMode, FetchResponse
@@ -80,8 +80,8 @@ def _reader(table: str):
         with Fetcher(FetchMode.LIVE, delay_ms=0, transport=transport) as fetcher:
             try:
                 if source is SourceId.POLITWOOPS:
-                    return search_politwoops(claim, fetcher)
-                return ranked_search(source, claim, fetcher)
+                    return search_politwoops(ENGINES[source], claim, fetcher)
+                return ranked_search(ENGINES[source], claim, fetcher)
             except TweetCheckError as exc:
                 return exc
 

@@ -71,6 +71,10 @@ class TestClassifyRating:
         assert isinstance(rating, TruthRating)
         assert rating.raw_label == label
 
+    def test_unknown_rating_without_a_label_must_be_missing(self):
+        with pytest.raises(ValueError, match="missing flag"):
+            TruthRating(RatingKind.UNKNOWN, "")
+
     def test_whitespace_only_is_missing(self):
         assert classify_rating("   ").missing
 

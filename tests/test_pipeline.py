@@ -55,6 +55,17 @@ class TestVerifyClaim:
         assert item.matched_text
         assert item.rating is None
 
+    def test_politwoops_card_with_an_unparseable_link_skipped(self, tmp_path):
+        card = '<div class="tweet"><p class="tweet-content">{}</p><a href="{}">x</a></div>'
+        cards = card.format(JOBS_BODY, "http://[::1/politwoops/tweet/1") + card.format(JOBS_BODY, "/politwoops/tweet/2")
+        url = engine_query_url(SourceId.POLITWOOPS, JOBS_BODY)
+        store = record_pages(tmp_path / "fx", {url: StubPage(cards.encode())})
+        result = run(JOBS_BODY, store, engines=[SourceId.POLITWOOPS])
+        assert result.verdict.outcome is Outcome.AUTHENTIC
+        assert [(item.url, item.rank) for item in result.verdict.evidence] == [
+            ("https://projects.propublica.org/politwoops/tweet/2", 1)
+        ]
+
     def test_captcha_degrades_to_remaining_engines(self, tmp_path):
         pages = pandemic_pages()
         pages[engine_query_url(SourceId.WEB_SEARCH, PANDEMIC_BODY)] = StubPage(

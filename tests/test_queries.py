@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tweetcheck.adapters import ENGINES
 from tweetcheck.model import SourceId, TweetClaim
 from tweetcheck.queries import (
-    DEFAULT_SPECS,
     Encoding,
     QuerySpec,
     Truncation,
@@ -18,8 +18,8 @@ from tweetcheck.queries import (
 
 from conftest import JOBS_BODY
 
-POLITWOOPS_SPEC = DEFAULT_SPECS[SourceId.POLITWOOPS]
-SNOPES_SPEC = DEFAULT_SPECS[SourceId.SNOPES_SEARCH]
+POLITWOOPS_SPEC = ENGINES[SourceId.POLITWOOPS].spec
+SNOPES_SPEC = ENGINES[SourceId.SNOPES_SEARCH].spec
 
 
 def _is_space(ch: str) -> bool:
@@ -108,7 +108,7 @@ class TestEncodeQuery:
 class TestBuildQuery:
     def test_site_filter_appended_outside_length_budget(self):
         claim = TweetClaim(body="word " * 60)
-        spec = DEFAULT_SPECS[SourceId.WEB_SEARCH_SITE_SNOPES]
+        spec = ENGINES[SourceId.WEB_SEARCH_SITE_SNOPES].spec
         query = build_query(claim, spec)
         assert query.endswith(" site:snopes.com")
         assert len(query.removesuffix(" site:snopes.com")) <= spec.max_chars
@@ -139,4 +139,4 @@ class TestQuerySpec:
             QuerySpec(9, Encoding.PERCENT, Truncation.CHAR_PREFIX)
 
     def test_defaults_exist_for_every_source(self):
-        assert list(DEFAULT_SPECS) == list(SourceId)
+        assert all(isinstance(ENGINES[source].spec, QuerySpec) for source in SourceId)

@@ -12,12 +12,11 @@ from tweetcheck.ratings import (
     DEFAULT_RATING_SELECTORS,
     _fallback_scan,
     _label_head,
-    canonicalize_article_url,
-    identify_publisher,
     scrape_rating,
     scrape_reuters_rating,
     scrape_snopes_rating,
 )
+from tweetcheck.urls import canonicalize_article_url, identify_publisher
 
 from conftest import REUTERS_PANDEMIC_ARTICLE, SNOPES_PANDEMIC_ARTICLE, page
 

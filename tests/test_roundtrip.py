@@ -21,7 +21,7 @@ from urllib.parse import quote
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tweetcheck.adapters import ranked_search, search_politwoops
+from tweetcheck.adapters import ENGINES, ranked_search, search_politwoops
 from tweetcheck.fetch import Fetcher, FetchMode, FetchResponse
 from tweetcheck.model import RATING_LABEL_TABLE, SourceId, TweetClaim, classify_rating
 from tweetcheck.ratings import scrape_rating
@@ -106,7 +106,7 @@ def _site_serp(hrefs: list[str], escaped: bool, host: str) -> bytes:
 def _ranked(source: SourceId, page: bytes):
     url = engine_query_url(source, BODY)
     fetcher = Fetcher(FetchMode.LIVE, delay_ms=0, transport=StubTransport({url: StubPage(page)}))
-    return ranked_search(source, CLAIM, fetcher)
+    return ranked_search(ENGINES[source], CLAIM, fetcher)
 
 
 def _unique(urls):
@@ -182,7 +182,7 @@ def _card(draw):
     else:
         host = draw(_POLITWOOPS_HOST) if kind == "absolute" else "elsewhere.example"
         href = want = f"https://{host}{tail}"
-    hit = None if kind == "off-host" else (text.strip(), want, handle)
+    hit = None if kind == "off-host" else (text.strip(), want)
     return (text, href, handle), hit
 
 
@@ -205,8 +205,8 @@ def test_politwoops_cards_round_trip(cards, escaped):
     url = engine_query_url(SourceId.POLITWOOPS, BODY)
     page = _politwoops_page([markup for markup, _ in cards], escaped)
     fetcher = Fetcher(FetchMode.LIVE, delay_ms=0, transport=StubTransport({url: StubPage(page)}))
-    hits = search_politwoops(CLAIM, fetcher)
-    assert [(h.tweet_text, h.detail_url, h.handle) for h in hits] == [hit for _, hit in cards if hit]
+    hits = search_politwoops(ENGINES[SourceId.POLITWOOPS], CLAIM, fetcher)
+    assert [(h.tweet_text, h.detail_url) for h in hits] == [hit for _, hit in cards if hit]
 
 
 # Label pieces as (decoded text, how the page serializes it).

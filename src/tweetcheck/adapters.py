@@ -22,10 +22,13 @@ Result links are the elements matching an engine's "results" selector;
 where its row has a "scope" selector, as the web search rows do, only those
 under an element matching it count. A bot-challenge check and an ad filter
 run wherever an engine's selectors name them, as the web search rows do, in
-the same walk (:func:`read_results_page`). A results page that is not a 2xx
-answer is a :class:`~tweetcheck.errors.NetworkError` from the fetch
-gateway, and propagates like any other query failure. Adapters are
-stateless; determinism under replay comes from the fixture store.
+the same pass (:func:`read_results_page`): one pass of the tokenizer over the
+page's text that builds no tree and keeps only the links. The tracker's page
+is parsed into a tree, since its cards are read from the card down. A
+results page that is not a 2xx answer is a
+:class:`~tweetcheck.errors.NetworkError` from the fetch gateway, and
+propagates like any other query failure. Adapters are stateless;
+determinism under replay comes from the fixture store.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from urllib.parse import urljoin
 
 from .errors import CaptchaDetected
 from .fetch import Fetcher, FetchRequest, FetchResponse
-from .htmldoc import Element, collapse_whitespace, matches, outermost, parse_response, parse_selector
+from .htmldoc import collapse_whitespace, matches, outermost, page_text, parse_response, parse_selector, tokenize
 from .model import RankedResults, Record, SourceId, TweetClaim
 from .queries import Encoding, QuerySpec, Truncation, build_query, encode_query
 from .urls import host, host_matches, result_link
@@ -139,25 +142,44 @@ def _request_page(fetcher: Fetcher, settings: EngineSettings, query: str) -> Fet
     return fetcher.fetch(FetchRequest(url=url))
 
 
-def read_results_page(root: Element, selectors: Mapping[str, str]) -> tuple[list[Element], bool]:
-    """In document order, the elements matching "results" that have an ancestor
-    matching "scope" (with no "scope" key, all do) and neither match "ads" nor
-    have an ancestor that does; and whether any element matches "captcha". One
-    walk, carrying down whether it is in a scope or an ad: linear in the page."""
+def read_results_page(text: str, selectors: Mapping[str, str]) -> tuple[list[Optional[str]], bool, bool]:
+    """In document order, the href of each element matching "results" that has
+    an ancestor matching "scope" (with no "scope" key, all do) and neither
+    matches "ads" nor has an ancestor that does; whether any element matches
+    "captcha"; and whether the lowercased text holds the "captcha_text" marker.
+    One pass of the tokenizer that builds no tree: whether an element lies in
+    a scope or an ad is kept on a stack of the open elements, and the text is
+    searched as it arrives, its last ``len(marker) - 1`` characters carried
+    over, so a marker split by tags or character references is found."""
     keys = ("scope", "results", "ads", "captcha")
     scope, results, ads, captcha = (parse_selector(selectors[key]) if selectors.get(key) else () for key in keys)
-    anchors: list[Element] = []
-    challenge = False
-    stack = [(child, not scope, False) for child in reversed(root.children) if isinstance(child, Element)]
-    while stack:
-        el, scoped, in_ad = stack.pop()
-        in_ad = in_ad or matches(el, ads)
-        if scoped and not in_ad and matches(el, results):
-            anchors.append(el)
-        challenge = challenge or matches(el, captcha)
-        scoped = scoped or matches(el, scope)
-        stack.extend([(child, scoped, in_ad) for child in reversed(el.children) if isinstance(child, Element)])
-    return anchors, challenge
+    # Lowercasing piece by piece differs from lowercasing the whole text only
+    # in a capital sigma's final form, which no marker without a sigma can see.
+    marker = selectors.get("captcha_text", "").lower()
+    carried = len(marker) - 1
+    hrefs: list[Optional[str]] = []
+    challenge = marked = False
+    tail = ""
+
+    def open_element(state: tuple[bool, bool], tag: str, attrs: dict) -> tuple[bool, bool]:
+        nonlocal challenge
+        scoped, in_ad = state
+        in_ad = in_ad or matches(tag, attrs, ads)
+        if scoped and not in_ad and matches(tag, attrs, results):
+            hrefs.append(attrs.get("href"))
+        challenge = challenge or matches(tag, attrs, captcha)
+        return scoped or matches(tag, attrs, scope), in_ad
+
+    def add_text(state: tuple[bool, bool], text: str) -> None:
+        nonlocal marked, tail
+        if marker and not marked:
+            window = tail + text.lower()
+            marked = marker in window
+            tail = window[max(len(window) - carried, 0):]
+
+    # an element's state: whether it lies in a scope, and whether in an ad
+    tokenize(text, (not scope, False), open_element, add_text)
+    return hrefs, challenge, marked
 
 
 def ranked_search(settings: EngineSettings, claim: TweetClaim, fetcher: Fetcher) -> RankedResults:
@@ -173,17 +195,14 @@ def ranked_search(settings: EngineSettings, claim: TweetClaim, fetcher: Fetcher)
         raise ValueError(f"{settings.source.value} does not produce ranked URL results")
     query = build_query(claim, settings.spec)
     response = _request_page(fetcher, settings, query)
-    root = parse_response(response)
-    anchors, challenge = read_results_page(root, settings.selectors)
+    hrefs, challenge, marked = read_results_page(page_text(response), settings.selectors)
     if challenge:
         raise CaptchaDetected(f"{response.final_url}: bot challenge page served")
-    marker = settings.selectors.get("captcha_text")
-    if marker and marker.lower() in root.text().lower():
+    if marked:
         raise CaptchaDetected(f"{response.final_url}: bot challenge marker found")
 
     urls: dict[str, None] = {}  # first occurrence wins, in rank order
-    for anchor in anchors:
-        href = anchor.get("href")
+    for href in hrefs:
         link = result_link(response.final_url, href, engine.unwrap) if href else None
         if link is None:
             continue

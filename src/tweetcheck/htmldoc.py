@@ -1,6 +1,7 @@
-"""Lightweight HTML tree with the small CSS-selector subset the scrapers need.
+"""HTML tokenizer, element tree and the small CSS-selector subset the scrapers need.
 
-Pages are read by a tokenizer of this module's own, in one pass:
+Pages are read by a tokenizer of this module's own (:func:`tokenize`), in
+one pass:
 
 * From each ``<`` it matches one construct: a start tag (attribute values
   quoted, bare or absent), an end tag, a comment, or other markup opened by
@@ -17,20 +18,31 @@ Pages are read by a tokenizer of this module's own, in one pass:
   named reference without its ``;`` stays literal when ``=`` or an ASCII
   letter or digit follows it, as in HTML: ``href="?a=1&copy=2"`` keeps its
   ``copy`` parameter.
+* A quote that is never closed opens no attribute value, as in
+  :mod:`html.parser`: its attribute has no value, and the ``=`` after the
+  name starts the next attribute's name if whitespace, a slash or a quote
+  comes before it (``<div x' ='>`` has the attributes ``x'`` and ``='``),
+  and otherwise leaves the tag unterminated (``<a title="x>``).
 * A construct left open at the end of the input runs to the end: an
-  unterminated comment, quoted attribute value or raw-text element takes
-  the rest of the input, and an unterminated tag is dropped, as browsers do.
+  unterminated comment or raw-text element takes the rest of the input,
+  and an unterminated tag is dropped with the rest, as browsers do.
 
-Since every construct ends at its terminator or at the end of the input,
-nothing is scanned twice, and parsing takes time linear in the input
-whatever the page holds.
+Every construct ends at its terminator or at the end of the input, and only
+the last ``'`` and the last ``"`` of a page can be an unclosed quote, each
+scanned to the end at most twice, so parsing takes time linear in the
+input whatever the page holds.
 
 Unclosed tags are recovered from without a full HTML5 tree builder, which
 handles the result pages and article pages this package scrapes. Void
 elements (``<br>``, ``<img>``) and self-closing tags (``<div/>``) take no
 children. An end tag closes the nearest open element of its name and every
 element opened inside it; an end tag with no open element of its name is
-ignored.
+ignored. The tokenizer applies these rules itself, and :func:`parse_html`
+builds a tree from what it reports. A results page is read in the same one
+pass with no tree (:func:`tweetcheck.adapters.read_results_page`): whether an
+element matches a compound is known at its start tag. Politwoops pages and
+articles are parsed into a tree, since their readers look inside the
+elements they find.
 
 Supported selector syntax, which is what the per-engine and per-publisher
 selector constants use:
@@ -56,10 +68,12 @@ import re
 from functools import lru_cache
 from html import unescape
 from html.entities import html5
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional, TypeVar
 
 from .errors import ParseError
 from .fetch import FetchResponse
+
+S = TypeVar("S")
 
 VOID_TAGS = frozenset(
     "area base br col embed hr img input link meta param source track wbr".split()
@@ -84,10 +98,6 @@ class Element:
     def __repr__(self):
         ident = f"#{self.attrs['id']}" if "id" in self.attrs else ""
         return f"<Element {self.tag}{ident}>"
-
-    @property
-    def classes(self) -> list[str]:
-        return self.attrs.get("class", "").split()
 
     def get(self, name: str, default: Optional[str] = None) -> Optional[str]:
         return self.attrs.get(name, default)
@@ -125,7 +135,7 @@ class Element:
 
     def _matching(self, selector: str) -> Iterator["Element"]:
         compounds = parse_selector(selector)
-        return (el for el in self.iter() if matches(el, compounds))
+        return (el for el in self.iter() if matches(el.tag, el.attrs, compounds))
 
     def select(self, selector: str) -> list["Element"]:
         """Elements under this one matching the selector, in document order."""
@@ -184,17 +194,18 @@ def parse_selector(selector: str) -> tuple[_Simple, ...]:
     return compounds
 
 
-def matches(el: Element, compounds: tuple[_Simple, ...]) -> bool:
-    """Whether ``el`` matches one of a compiled selector's compounds (see :func:`parse_selector`)."""
+def matches(tag: str, attrs: Mapping[str, Optional[str]], compounds: tuple[_Simple, ...]) -> bool:
+    """Whether an element with this tag and these attributes matches one of a
+    compiled selector's compounds (see :func:`parse_selector`)."""
     for simple in compounds:
-        if simple.tag is not None and el.tag != simple.tag:
+        if simple.tag is not None and tag != simple.tag:
             continue
-        if simple.id is not None and el.attrs.get("id") != simple.id:
+        if simple.id is not None and attrs.get("id") != simple.id:
             continue
-        if simple.classes and not simple.classes.issubset(el.classes):
+        if simple.classes and not simple.classes.issubset((attrs.get("class") or "").split()):
             continue
         for name, contained in simple.attrs:
-            actual = el.attrs.get(name)
+            actual = attrs.get(name)
             if actual is None or (contained is not None and contained not in actual):
                 break
         else:
@@ -222,16 +233,22 @@ def outermost(elements: Iterable[Element]) -> list[Element]:
 # tag and attribute grammar is html.parser's. The patterns keep to Python 3.10
 # syntax: no possessive quantifiers, no atomic groups.
 _TAG_NAME = r"[a-zA-Z][^\t\n\r\f />\x00]*"
-# One attribute: name, "=" if it has a value, and the value single-quoted,
-# double-quoted or bare. An unterminated quoted value runs to the end.
-_ATTR = r"""[\s/]*([^\s/>][^\s/=>]*)(?:\s*(=)=*\s*(?:'([^']*)'?|"([^"]*)"?|([^'"\s>][^\s>]*))?)?"""
+# One attribute: a name, then "=" and a value single-quoted, double-quoted or
+# bare, if it has one. A quote that is never closed opens no value; the "="
+# before it is left over, and starts the next attribute's name only after
+# whitespace, a slash or a quote, as html.parser reads it (only a left-over
+# "=" can follow a name directly, so no other name start needs the check).
+# Only the last quote of each kind in a page can be unclosed, and at most two
+# tries reach it (a name's, then a left-over "="'s), so its scans cost O(n).
+_ATTR = r"""[\s/]*((?:[^\s/>=]|=(?<=['"\s/]=))[^\s/=>]*)(?:\s*(=)=*\s*(?:'([^']*)'|"([^"]*)"|([^'"\s>][^\s>]*)|(?!['"])))?"""
 _TAG_ATTR_RE = re.compile(_ATTR)
-# The same without groups, which cost time in a repeat.
-_ATTR_UNGROUPED = _ATTR.replace("(?:", "(").replace("(", "(?:")
+# The same without capturing groups, which cost time in a repeat.
+_ATTR_UNGROUPED = _ATTR.replace("(", "(?:").replace("(?:?", "(?")
 _MARKUP_RE = re.compile(
     "<(?:"
-    # start tag: name, attributes, "/" if self-closing, ">" unless unterminated
-    rf"({_TAG_NAME})((?:{_ATTR_UNGROUPED})*)[\s/]*?(/?)(>|\Z)"
+    # start tag: name, attributes, "/" if self-closing, and ">"; or, unterminated,
+    # the end of the input or the "=" before a quote that is never closed
+    rf"({_TAG_NAME})((?:{_ATTR_UNGROUPED})*)[\s/]*?(/?)(>|\Z|(?==))"
     # end tag: name, and ">" unless unterminated; anything after the name is ignored
     rf"|/({_TAG_NAME})[^>]*(>|\Z)"
     r"|!--.*?(?:--\s*>|\Z)"  # comment
@@ -265,9 +282,9 @@ def _attribute_reference(m: re.Match) -> str:
     return unescape(m.group(0))
 
 
-def _attributes(text: str, start: int, end: int) -> dict[str, Optional[str]]:
+def _attributes(text: str) -> dict[str, Optional[str]]:
     attrs: dict[str, Optional[str]] = {}
-    for name, equals, single, double, bare in _TAG_ATTR_RE.findall(text, start, end):
+    for name, equals, single, double, bare in _TAG_ATTR_RE.findall(text):
         if equals:
             value = single or double or bare
             attrs[name.lower()] = _CHARREF_RE.sub(_attribute_reference, value) if "&" in value else value
@@ -276,11 +293,18 @@ def _attributes(text: str, start: int, end: int) -> dict[str, Optional[str]]:
     return attrs
 
 
-def parse_html(text: str) -> Element:
-    """Parse HTML text into an element tree; returns the document root."""
-    root = Element("[document]")
-    stack = [root]
-    node = root
+def tokenize(text: str, document: S, open_element: Callable[[S, str, dict], S],
+             add_text: Callable[[S, str], object]) -> None:
+    """Read ``text`` in one pass, telling the caller what it holds in document
+    order. Each open element has a state: ``document`` for the document, and
+    for an element the value ``open_element(parent_state, tag, attributes)``
+    returns when its start tag is read. A void or self-closing element opens
+    nothing, so what it returns is dropped. Each run of text, character
+    references decoded, goes to ``add_text(state, text)`` with the state of
+    the innermost open element; the content of a raw-text element is one run.
+    End tags close elements by the rules in the module docstring."""
+    states = [document]
+    open_tags: list[str] = []
     # Open elements per tag name, so a stray end tag is dropped in O(1)
     # instead of scanning the whole stack.
     open_counts: dict[str, int] = {}
@@ -294,26 +318,25 @@ def parse_html(text: str) -> Element:
         start = m.start()
         if start > pos:
             data = text[pos:start]
-            node.children.append(unescape(data) if "&" in data else data)
+            add_text(states[-1], unescape(data) if "&" in data else data)
         pos = m.end()
         name, attrs, slash, closed, end_name, end_closed = m.groups()
         if name is not None:
             if not closed:
-                break  # unterminated start tag: dropped, as browsers do
+                return  # unterminated start tag: dropped with the rest, as browsers do
             tag = name.lower()
-            element = Element(tag, _attributes(text, m.start(2), m.end(2)) if attrs else {})
-            node.children.append(element)
+            state = open_element(states[-1], tag, _attributes(attrs) if attrs else {})
             if slash or tag in VOID_TAGS:
                 continue
-            stack.append(element)
-            node = element
+            states.append(state)
+            open_tags.append(tag)
             open_counts[tag] = open_counts.get(tag, 0) + 1
             raw_end = _RAW_TEXT_END.get(tag)
             if raw_end is not None:
                 found = raw_end.search(text, pos)
                 raw_stop = end if found is None else found.start()
                 if raw_stop > pos:
-                    element.children.append(text[pos:raw_stop])
+                    add_text(state, text[pos:raw_stop])
                 pos = raw_stop
         elif end_name is not None:
             tag = end_name.lower()
@@ -321,14 +344,34 @@ def parse_html(text: str) -> Element:
                 continue  # unterminated or stray end tag: ignore
             # close everything above the nearest open element with this tag
             while True:
-                closed_tag = stack.pop().tag
+                states.pop()
+                closed_tag = open_tags.pop()
                 open_counts[closed_tag] -= 1
                 if closed_tag == tag:
                     break
-            node = stack[-1]
     if pos < end:
         data = text[pos:]
-        node.children.append(unescape(data) if "&" in data else data)
+        add_text(states[-1], unescape(data) if "&" in data else data)
+
+
+_new_object = object.__new__
+
+
+def _add_element(children: list, tag: str, attrs: dict) -> list:
+    # the fields are set here rather than by Element(tag, attrs), whose
+    # __init__ would be a second Python call for every element of a page
+    element = _new_object(Element)
+    element.tag = tag
+    element.attrs = attrs
+    element.children = []
+    children.append(element)
+    return element.children
+
+
+def parse_html(text: str) -> Element:
+    """Parse HTML text into an element tree; returns the document root."""
+    root = Element("[document]")
+    tokenize(text, root.children, _add_element, list.append)
     return root
 
 
@@ -361,9 +404,14 @@ def decode_body(response: FetchResponse) -> str:
     return _SURROGATE.sub("\ufffd", text)
 
 
-def parse_response(response: FetchResponse) -> Element:
-    """Parse a fetched page, or raise :class:`ParseError` if it is not HTML."""
+def page_text(response: FetchResponse) -> str:
+    """A fetched page's decoded text, or raise :class:`ParseError` if it is not HTML."""
     ct = response.content_type.split(";")[0].strip()
     if ct and not _HTMLISH_CT.search(ct):
         raise ParseError(f"{response.final_url}: not an HTML page ({ct})")
-    return parse_html(decode_body(response))
+    return decode_body(response)
+
+
+def parse_response(response: FetchResponse) -> Element:
+    """Parse a fetched page, or raise :class:`ParseError` if it is not HTML."""
+    return parse_html(page_text(response))

@@ -5,6 +5,7 @@ from pathlib import Path
 from typing import Optional
 
 import pytest
+from hypothesis import settings
 
 from tweetcheck.adapters import ENGINES
 from tweetcheck.errors import NetworkError
@@ -19,6 +20,12 @@ from tweetcheck.fetch import (
 from tweetcheck.model import SourceId, TweetClaim
 from tweetcheck.queries import build_query, encode_query
 from tweetcheck.ratings import DEFAULT_RATING_SELECTORS
+
+# A failing property prints a @reproduce_failure blob, so a failure seen once
+# (say, on a cold CI run) can be replayed; each test keeps its own example
+# count and deadline.
+settings.register_profile("tweetcheck", print_blob=True)
+settings.load_profile("tweetcheck")
 
 PAGES_DIR = Path(__file__).parent / "pages"
 

@@ -1,13 +1,19 @@
-"""Reference tree builder on the stdlib ``html.parser``, for parity tests.
+"""Reference readers for parity tests.
 
-This is the builder ``tweetcheck.htmldoc`` used before it got a tokenizer of
-its own. It builds the same :class:`~tweetcheck.htmldoc.Element` tree with the
-same recovery rules, so the tests can compare the two trees node for node.
+:func:`reference_parse` is the tree builder on the stdlib ``html.parser`` that
+``tweetcheck.htmldoc`` used before it got a tokenizer of its own. It builds the
+same :class:`~tweetcheck.htmldoc.Element` tree with the same recovery rules, so
+the tests can compare the two trees node for node.
+
+:func:`read_results_tree` is the results-page reader as a walk down a parsed
+tree, which :func:`tweetcheck.adapters.read_results_page` was before it read
+the page in one tokenizer pass with no tree.
 """
 
 from html.parser import HTMLParser
+from typing import Mapping
 
-from tweetcheck.htmldoc import VOID_TAGS, Element
+from tweetcheck.htmldoc import VOID_TAGS, Element, matches, parse_selector
 
 
 class _TreeBuilder(HTMLParser):
@@ -76,3 +82,24 @@ def shape(root: Element) -> list:
             stack.append(("close", node.tag))
             stack.extend(reversed(node.children))
     return events
+
+
+def read_results_tree(root: Element, selectors: Mapping[str, str]) -> tuple[list[Element], bool]:
+    """In document order, the elements matching "results" that have an ancestor
+    matching "scope" (with no "scope" key, all do) and neither match "ads" nor
+    have an ancestor that does; and whether any element matches "captcha". One
+    walk, carrying down whether it is in a scope or an ad: linear in the page."""
+    keys = ("scope", "results", "ads", "captcha")
+    scope, results, ads, captcha = (parse_selector(selectors[key]) if selectors.get(key) else () for key in keys)
+    anchors: list[Element] = []
+    challenge = False
+    stack = [(child, not scope, False) for child in reversed(root.children) if isinstance(child, Element)]
+    while stack:
+        el, scoped, in_ad = stack.pop()
+        in_ad = in_ad or matches(el.tag, el.attrs, ads)
+        if scoped and not in_ad and matches(el.tag, el.attrs, results):
+            anchors.append(el)
+        challenge = challenge or matches(el.tag, el.attrs, captcha)
+        scoped = scoped or matches(el.tag, el.attrs, scope)
+        stack.extend([(child, scoped, in_ad) for child in reversed(el.children) if isinstance(child, Element)])
+    return anchors, challenge

@@ -1,3 +1,4 @@
+import tracemalloc
 from urllib.parse import parse_qs, urljoin, urlsplit, urlunsplit
 
 import pytest
@@ -13,6 +14,7 @@ from tweetcheck.adapters import (
     search_politwoops,
 )
 from tweetcheck.errors import CaptchaDetected, NetworkError, ParseError
+from tweetcheck.fetch import Fetcher, FetchMode
 from tweetcheck.model import SourceId, TweetClaim
 from tweetcheck import urls
 from tweetcheck.urls import result_link
@@ -24,6 +26,7 @@ from conftest import (
     REUTERS_PANDEMIC_ARTICLE,
     SNOPES_PANDEMIC_ARTICLE,
     StubPage,
+    StubTransport,
     engine_query_url,
     page,
     record_pages,
@@ -164,6 +167,35 @@ class TestSearchWeb:
         results = ranked_search(ENGINES[SourceId.WEB_SEARCH], TweetClaim(body="yields nothing"), replay_fetcher(store))
         assert results.urls == ()
 
+    def test_reading_a_results_page_holds_less_than_four_times_its_bytes(self):
+        # a tree of the page took about 6.8 times its bytes; the one-pass reader
+        # holds the decoded text, one tag's attributes and the links
+        words = "fact check claim viral tweet deleted screenshot image context report".split()
+        snippet = " ".join(words[k % len(words)] for k in range(52))
+        results = "".join(
+            f'<div class="g"><div class="r"><a href="/url?q=https://www.snopes.com/fact-check/r-{i}/&amp;sa=U'
+            f'&amp;ved={i}"><h3>Result {i} {snippet[:40]}</h3></a></div>'
+            f'<div class="s"><span class="st">{snippet}</span></div></div>\n'
+            for i in range(300)
+        )
+        body = (
+            '<html><body><div id="tads"><a href="https://ad.example/">ad</a></div>'
+            f'<div id="search"><div id="rso">\n{results}</div></div></body></html>\n'
+        ).encode()
+        assert 160_000 < len(body) < 180_000
+        claim = TweetClaim(body="memory bound")
+        transport = StubTransport({engine_query_url(SourceId.WEB_SEARCH, claim.body): StubPage(body)})
+        with Fetcher(FetchMode.LIVE, delay_ms=0, transport=transport) as fetcher:
+            ranked_search(ENGINES[SourceId.WEB_SEARCH], claim, fetcher)  # fills module-level caches
+            tracemalloc.start()
+            try:
+                found = ranked_search(ENGINES[SourceId.WEB_SEARCH], claim, fetcher)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert len(found.urls) == 300
+        assert peak < 4 * len(body), f"peak {peak / len(body):.2f} times the body's bytes"
+
     def test_captcha_page_detected(self, tmp_path):
         store = store_for(tmp_path, SourceId.WEB_SEARCH, "blocked query", page("google_serp_captcha.html"))
         with pytest.raises(CaptchaDetected):
@@ -176,6 +208,13 @@ class TestSearchPolitwoops:
         assert len(hits) == 2
         assert hits[0].detail_url == POLITWOOPS_JOBS_DETAIL
         assert hits[1].detail_url == "https://projects.propublica.org/politwoops/tweet/1181300000000000000"
+
+    def test_valueless_class_attribute_is_no_class(self, tmp_path):
+        # "<div class>" made every class selector raise AttributeError
+        body = b"<div class>" + page("politwoops_serp_jobs.html")
+        store = store_for(tmp_path, SourceId.POLITWOOPS, JOBS_BODY, body)
+        hits = search_politwoops(ENGINES[SourceId.POLITWOOPS], CLAIM_JOBS, replay_fetcher(store))
+        assert [hit.detail_url for hit in hits][:1] == [POLITWOOPS_JOBS_DETAIL]
 
     def test_nonsense_prefix_yields_no_hits(self, tmp_path):
         body = "zqxwv bogus prefix that matches nothing"

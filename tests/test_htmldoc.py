@@ -5,7 +5,7 @@ from pathlib import Path
 from urllib.parse import urlsplit
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tweetcheck import htmldoc
@@ -25,7 +25,7 @@ from conftest import (
     record_pages,
     replay_fetcher,
 )
-from html_reference import reference_parse, shape
+from html_reference import read_results_tree, reference_parse, shape
 
 try:
     from re import _parser as sre_parse  # Python 3.11+
@@ -104,6 +104,10 @@ class TestSelectors:
         with pytest.raises(ValueError) as exc:
             parse_selector(selector)
         assert str(exc.value) == problem
+
+    def test_valueless_class_attribute_has_no_classes(self):
+        root = parse_html('<div class><p class="x">a</p></div>')
+        assert [el.tag for el in root.select("div.x, .x")] == ["p"]
 
     def test_select_one_is_first_match_or_none(self):
         assert self.root.select_one("a[href]").get("href") == "https://a.example/"
@@ -372,9 +376,10 @@ class TestHostileNesting:
         # the web rows' scoped read, which replaced the "div#search a[href]" chain
         depth = 16_000
         started = time.perf_counter()
-        root = parse_html('<div id="search">' + '<a href="x">' * depth)
-        anchors, challenge = read_results_page(root, ENGINES[SourceId.WEB_SEARCH].selectors)
-        assert (len(anchors), challenge) == (depth, False)
+        hrefs, challenge, marked = read_results_page(
+            '<div id="search">' + '<a href="x">' * depth, ENGINES[SourceId.WEB_SEARCH].selectors
+        )
+        assert (len(hrefs), challenge, marked) == (depth, False, False)
         assert time.perf_counter() - started < 2.5
 
     def test_nested_politwoops_cards(self):
@@ -491,13 +496,39 @@ def _build_tree(steps) -> tuple[Element, list[Element]]:
             if len(open_elements) > 1:
                 open_elements.pop()
             continue
-        tag, cls, ident, href = step
-        attrs = {"class": cls, "id": ident, "href": "" if href else None}
-        element = Element(tag, {name: value for name, value in attrs.items() if value is not None})
+        element = Element(step[0], _attributes(step, len(elements)))
         open_elements[-1].children.append(element)
         elements.append(element)
         open_elements.append(element)
     return root, elements
+
+
+def _attributes(step, index: int) -> dict[str, str]:
+    """An opened element's attributes; its href, if it has one, is its index."""
+    _, cls, ident, href = step
+    attrs = {"class": cls, "id": ident, "href": str(index) if href else None}
+    return {name: value for name, value in attrs.items() if value is not None}
+
+
+def _markup(steps) -> str:
+    """``steps`` as markup: a start tag for each element opened, an end tag for
+    each close, and a string step as it is. With no string steps, it parses to
+    the tree :func:`_build_tree` builds."""
+    out: list[str] = []
+    open_tags: list[str] = []
+    index = 0
+    for step in steps:
+        if isinstance(step, str):
+            out.append(step)
+        elif step is None:
+            if open_tags:
+                out.append(f"</{open_tags.pop()}>")
+        else:
+            attrs = "".join(f' {name}="{value}"' for name, value in _attributes(step, index).items())
+            out.append(f"<{step[0]}{attrs}>")
+            open_tags.append(step[0])
+            index += 1
+    return "".join(out)
 
 
 def _render(compound) -> str:
@@ -553,10 +584,10 @@ def test_scoped_web_read_equals_the_descendant_chain(steps):
     while stack:
         el, under_search = stack.pop()
         if under_search and _compound_matches(el, ("a", None, None, True)):
-            expected.append(el)
+            expected.append(el.get("href"))
         below = under_search or _compound_matches(el, ("div", None, "search", False))
         stack.extend((child, below) for child in reversed(el.children))
-    assert read_results_page(root, ENGINES[SourceId.WEB_SEARCH].selectors) == (expected, False)
+    assert read_results_page(_markup(steps), ENGINES[SourceId.WEB_SEARCH].selectors) == (expected, False, False)
 
 
 @settings(max_examples=150, deadline=None)
@@ -566,9 +597,10 @@ def test_scoped_web_read_equals_the_descendant_chain(steps):
     optional=st.fixed_dictionaries({}, optional={key: _ALTERNATIVES for key in ("scope", "ads", "captcha")}),
 )
 def test_one_walk_read_equals_select_outermost_and_descendant_sets(steps, results, optional):
-    """The results page reader against what it replaced: the results under each
-    outermost scope match (or under the root), less each one that is an ads
-    match or lies under one, and a bot challenge if "captcha" selects anything."""
+    """The results page reader against the select and outermost calls it
+    replaced: the results under each outermost scope match (or under the root),
+    less each one that is an ads match or lies under one, and a bot challenge
+    if "captcha" selects anything."""
     root, _ = _build_tree(steps)
     selectors = {key: ", ".join(map(_render, alternatives)) for key, alternatives in optional.items()}
     selectors["results"] = ", ".join(map(_render, results))
@@ -576,9 +608,62 @@ def test_one_walk_read_equals_select_outermost_and_descendant_sets(steps, result
     candidates = [anchor for container in containers for anchor in container.select(selectors["results"])]
     ads = outermost(root.select(selectors["ads"])) if "ads" in selectors else []
     in_ads = {id(el) for ad in ads for el in (ad, *_descendants(ad))}
-    expected = [anchor for anchor in candidates if id(anchor) not in in_ads]
+    expected = [anchor.get("href") for anchor in candidates if id(anchor) not in in_ads]
     challenge = "captcha" in selectors and bool(root.select(selectors["captcha"]))
-    assert read_results_page(root, selectors) == (expected, challenge)
+    assert read_results_page(_markup(steps), selectors) == (expected, challenge, False)
+
+
+_MARKER = ENGINES[SourceId.WEB_SEARCH].selectors["captcha_text"]
+# Text between generated elements: pieces of the bot-challenge marker, split
+# by tags, character references, comments and raw text, in either case.
+_MARKER_PIECES = st.sampled_from([
+    "detected", "DETECTED ", " unusual", "Unusual", " traffic", "<b>Unusual</b>", "&#100;etected", "&#x55;nusual",
+    " ", "&amp;", "x", "<!-- traffic -->", "<script>detected unusual traffic</script>", "<br>",
+])
+_PAGE_STEPS = st.lists(st.one_of(_RUN, _MARKER_PIECES.map(lambda piece: [piece])), max_size=10).map(
+    lambda runs: [step for run in runs for step in run]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    steps=_PAGE_STEPS,
+    results=_ALTERNATIVES,
+    optional=st.fixed_dictionaries({}, optional={key: _ALTERNATIVES for key in ("scope", "ads", "captcha")}),
+)
+def test_tree_free_read_equals_the_tree_walk(steps, results, optional):
+    """The one-pass reader against the walk down the tree parse_html builds of
+    the same markup, and its marker check against the tree's whole text."""
+    markup = _markup(steps)
+    selectors = {key: ", ".join(map(_render, alternatives)) for key, alternatives in optional.items()}
+    selectors["results"] = ", ".join(map(_render, results))
+    selectors["captcha_text"] = _MARKER
+    root = parse_html(markup)
+    anchors, challenge = read_results_tree(root, selectors)
+    assert read_results_page(markup, selectors) == (
+        [anchor.get("href") for anchor in anchors], challenge, _MARKER in root.text().lower()
+    )
+
+
+@pytest.mark.parametrize("body, marked", [
+    ("<p>We have DETECTED <b>Unusual</b> traffic</p>", True),
+    ("<p>&#100;etected unusual traffic</p>", True),
+    ("<script>var s = 'detected unusual traffic';</script>", True),
+    ("<p>detected unusual </p><!-- x --><p>traffic</p>", True),
+    ("<p>detected unusual</p><p>traffic</p>", False),
+    ("<p>detected unusual <img alt='traffic'></p>", False),
+])
+def test_marker_found_across_tags_references_and_raw_text(body, marked):
+    assert read_results_page(body, ENGINES[SourceId.WEB_SEARCH].selectors)[2] is marked
+    assert (_MARKER in parse_html(body).text().lower()) is marked
+
+
+def test_text_after_a_tag_whose_quote_never_closes_is_kept():
+    # the last "'" has no partner, so it opens no value: html.parser reads "='"
+    # as an attribute name, and the tag ends at its ">", not at the page's end
+    text = "<div href== href = '='>x</div><p>after</p>"
+    assert parse_html(text).select_one("p").text() == "after"
+    assert read_results_page(text, {"results": "p", "captcha_text": "after"}) == ([None], False, True)
 
 
 @settings(max_examples=60, deadline=None)
@@ -770,6 +855,7 @@ _TERMINATED_MARKUP = st.lists(
 
 @settings(max_examples=300, deadline=None)
 @given(_TERMINATED_MARKUP)
+@example("<div href== href = '='>x</div><p>after</p>")
 def test_same_tree_as_the_reference_builder(text):
     assert shape(parse_html(text)) == shape(reference_parse(text))
 

@@ -36,7 +36,6 @@ from __future__ import annotations
 import html
 import logging
 from typing import Mapping, Optional
-from urllib.parse import urljoin
 
 from .errors import CaptchaDetected
 from .fetch import Fetcher, FetchRequest, FetchResponse
@@ -221,7 +220,8 @@ def search_politwoops(settings: EngineSettings, claim: TweetClaim, fetcher: Fetc
 
     Only the outermost cards are read: a card nested inside another card
     (as unclosed markup nests them) is part of the outer one, whose text
-    and link are the first of each found anywhere inside it. Each
+    and link are the first of each found anywhere inside it. The link is
+    resolved as a result link is, and must lead to the tracker's host. Each
     card is read from the card down, and the outermost cards' subtrees are
     disjoint, so reading takes time linear in the page however deeply it
     nests.
@@ -234,19 +234,12 @@ def search_politwoops(settings: EngineSettings, claim: TweetClaim, fetcher: Fetc
     hits: list[PolitwoopsHit] = []
     for card in outermost(root.select(selectors["cards"])):
         text_el, link_el = card.select_one(selectors["text"]), card.select_one(selectors["link"])
-        if text_el is None or link_el is None or not link_el.get("href"):
-            logger.debug("politwoops: skipping card without text/link")
+        href = link_el and link_el.get("href")
+        link = result_link(response.final_url, href, False) if href else None
+        if text_el is None or link is None or link[1] != project_host:
+            logger.debug("politwoops: skipping a card without text or a link to the tracker: %r", href)
             continue
-        try:
-            detail_url = urljoin(response.final_url, link_el.get("href"))
-            detail_host = host(detail_url)
-        except ValueError:  # unparseable, e.g. an unbalanced "[" in the host
-            logger.debug("politwoops: skipping unparseable link %r", link_el.get("href"))
-            continue
-        if detail_host != project_host:
-            logger.debug("politwoops: skipping off-host link %s", detail_url)
-            continue
-        hits.append(PolitwoopsHit(tweet_text=text_el.text().strip(), detail_url=detail_url))
+        hits.append(PolitwoopsHit(tweet_text=text_el.text().strip(), detail_url=link[0]))
     return hits
 
 

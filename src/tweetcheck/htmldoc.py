@@ -48,8 +48,9 @@ Supported selector syntax, which is what the per-engine and per-publisher
 selector constants use:
 
 * comma-separated alternatives: ``h2, h3``
-* compound selectors: tag name, ``#id``, ``.class`` (repeatable),
-  ``[attr]``, ``[attr*=v]``
+* compound selectors, read as CSS reads them: tag name, ``#id``, ``.class``
+  (repeatable; a class list splits on ASCII whitespace only), ``[attr]``
+  (present, with a value or none), ``[attr*=v]`` (``v`` not empty)
 
 A selector is matched in one walk down the subtree it is called on, so
 matching takes time linear in the page however deeply it nests.
@@ -83,6 +84,7 @@ VOID_TAGS = frozenset(
 _PART_RE = re.compile(
     r"([\w:-]+)|#([\w:-]+)|\.([\w:-]+)|\[\s*([\w:-]+)\s*(?:\*=\s*\"?([^\"\]]*?)\"?\s*)?\]"
 )
+_CLASS_SEP = re.compile(r"[ \t\n\f\r]+")  # HTML's ASCII whitespace, which alone separates classes
 
 
 class Element:
@@ -174,6 +176,8 @@ def _parse_compound(token: str) -> _Simple:
             id_ = m.group(2)
         elif m.group(3):
             classes.append(m.group(3))
+        elif m.group(5) == "":
+            raise ValueError(f"empty substring in selector: {token!r}")  # CSS matches nothing with it
         else:
             attrs.append((m.group(4).lower(), m.group(5)))
     if pos != len(token):
@@ -202,11 +206,11 @@ def matches(tag: str, attrs: Mapping[str, Optional[str]], compounds: tuple[_Simp
             continue
         if simple.id is not None and attrs.get("id") != simple.id:
             continue
-        if simple.classes and not simple.classes.issubset((attrs.get("class") or "").split()):
+        if simple.classes and not simple.classes.issubset(_CLASS_SEP.split(attrs.get("class") or "")):
             continue
         for name, contained in simple.attrs:
-            actual = attrs.get(name)
-            if actual is None or (contained is not None and contained not in actual):
+            # presence alone for [attr]; contained is never "", so no valueless attribute holds it
+            if name not in attrs or (contained is not None and contained not in (attrs[name] or "")):
                 break
         else:
             return True

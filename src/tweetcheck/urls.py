@@ -56,8 +56,9 @@ def normalize_url_for_key(url: str) -> str:
 # A link none of urljoin's or urlsplit's special cases touch: "http(s)://host" and a
 # path, or a path alone, of the listed ASCII characters up to its fragment (so no
 # whitespace, control character, "[", backslash or ";"). Groups: scheme, host, path, query.
+# The host ends at "/", "?", "#" or the end, or a failing match tries every host/path split.
 _PLAIN_LINK = re.compile(
-    r"(?:(https?)://([-\w.~!$&'()*+,=:@%]+))?([-\w.~!$&'()*+,=:@%/]*)(?:\?([-\w.~!$&'()*+,=:@%/?]*))?(?:#.*)?\Z",
+    r"(?:(https?)://([-\w.~!$&'()*+,=:@%]+)(?=[/?#]|\Z))?([-\w.~!$&'()*+,=:@%/]*)(?:\?([-\w.~!$&'()*+,=:@%/?]*))?(?:#.*)?\Z",
     re.ASCII | re.IGNORECASE | re.DOTALL,
 )
 
@@ -99,14 +100,18 @@ def result_link(base: str, href: str, unwrap: bool) -> Optional[tuple[str, str, 
     return url, parts.hostname or "", parts.path
 
 
-def identify_publisher(url: str) -> Optional[str]:
-    """"snopes" or "reuters" by host, else None."""
-    name = host(url)
+def _publisher(name: str) -> Optional[str]:
+    """"snopes" or "reuters" for a host on either site, else None."""
     if host_matches(name, SNOPES_HOST):
         return "snopes"
     if host_matches(name, REUTERS_HOST):
         return "reuters"
     return None
+
+
+def identify_publisher(url: str) -> Optional[str]:
+    """"snopes" or "reuters" by host, else None."""
+    return _publisher(host(url))
 
 
 def is_snopes_url(url: str) -> bool:
@@ -120,16 +125,14 @@ def canonicalize_article_url(url: str) -> str:
     Lowercases scheme and host, strips "www.", trailing slashes, query and
     fragment. Two special shapes get shorter identities: Reuters article
     URLs collapse to their trailing "idUS…" token, and Snopes fact-check
-    URLs collapse to their "/fact-check/<slug>" path. Everything else keeps
-    its full normalized URL. Idempotent.
+    URLs collapse to their "/fact-check/<slug>" path, the site judged by host as
+    :func:`identify_publisher` judges it. Anything else keeps its full normalized URL. Idempotent.
     """
     parts = _split(url)
-    netloc = parts.netloc.lower().removeprefix("www.")
     path = parts.path.rstrip("/")
-    if host_matches(netloc, REUTERS_HOST):
-        m = _REUTERS_ID.search(path)
-        if m:
-            return m.group(0)
-    if host_matches(netloc, SNOPES_HOST) and path.startswith("/fact-check/"):
+    publisher = _publisher((parts.hostname or "").lower())
+    if publisher == "reuters" and (m := _REUTERS_ID.search(path)):
+        return m.group(0)
+    if publisher == "snopes" and path.startswith("/fact-check/"):
         return path
-    return urlunsplit((parts.scheme.lower(), netloc, path, "", ""))
+    return urlunsplit((parts.scheme.lower(), parts.netloc.lower().removeprefix("www."), path, "", ""))

@@ -8,10 +8,13 @@ the tests can compare the two trees node for node.
 :func:`read_results_tree` is the results-page reader as a walk down a parsed
 tree, which :func:`tweetcheck.adapters.read_results_page` was before it read
 the page in one tokenizer pass with no tree.
+
+:func:`reference_matches` is the supported selector subset as the Selectors
+spec and the DOM define it, on compounds given as data rather than text.
 """
 
 from html.parser import HTMLParser
-from typing import Mapping
+from typing import Mapping, Optional
 
 from tweetcheck.htmldoc import VOID_TAGS, Element, matches, parse_selector
 
@@ -103,3 +106,34 @@ def read_results_tree(root: Element, selectors: Mapping[str, str]) -> tuple[list
         scoped = scoped or matches(el.tag, el.attrs, scope)
         stack.extend([(child, scoped, in_ad) for child in reversed(el.children) if isinstance(child, Element)])
     return anchors, challenge
+
+
+#: HTML's ASCII whitespace, on which the DOM splits a class list.
+ASCII_WHITESPACE = "\t\n\x0c\r "
+
+
+def reference_matches(tag: str, attrs: Mapping[str, Optional[str]], compounds) -> bool:
+    """Whether an element matches one of ``compounds``, each a tuple
+    ``(tag, id, classes, attributes)`` of a compound selector's parts, where
+    ``attributes`` holds ``(name, substring)`` pairs, the substring None for
+    ``[name]``. ``attrs`` maps an attribute to its value, None for one written
+    without a value, whose value in the DOM is the empty string. From the
+    Selectors spec: a type selector compares the tag; ``#id`` the value of the
+    id attribute; ``.c`` holds where ``c`` is one of the class attribute's
+    tokens, split on ASCII whitespace; ``[name]`` holds where the attribute is
+    present, whatever its value; and ``[name*=v]`` where its value contains
+    ``v``, and never for an empty ``v``."""
+    values = {name: value or "" for name, value in attrs.items()}
+    class_list = values.get("class", "").translate({ord(c): " " for c in ASCII_WHITESPACE}).split(" ")
+    for c_tag, c_id, c_classes, c_attrs in compounds:
+        if (
+            (c_tag is None or c_tag == tag)
+            and (c_id is None or values.get("id") == c_id)
+            and all(name in class_list for name in c_classes)
+            and all(
+                name in values and (sub is None or (sub != "" and sub in values[name]))
+                for name, sub in c_attrs
+            )
+        ):
+            return True
+    return False

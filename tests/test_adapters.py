@@ -162,6 +162,16 @@ class TestSearchWeb:
         results = ranked_search(ENGINES[SourceId.WEB_SEARCH], TweetClaim(body="anchor ad"), replay_fetcher(store))
         assert results.urls == ("https://result.example/",)
 
+    def test_ad_marked_by_a_valueless_attribute_excluded(self, tmp_path):
+        # "[data-text-ad]" tests presence: the attribute need carry no value
+        serp = (
+            b'<div id=search><div data-text-ad><a href="https://ad.example/">ad</a></div>'
+            b'<a href="https://result.example/">r</a></div>'
+        )
+        store = store_for(tmp_path, SourceId.WEB_SEARCH, "valueless ad", serp)
+        results = ranked_search(ENGINES[SourceId.WEB_SEARCH], TweetClaim(body="valueless ad"), replay_fetcher(store))
+        assert results.urls == ("https://result.example/",)
+
     def test_empty_serp(self, tmp_path):
         store = store_for(tmp_path, SourceId.WEB_SEARCH, "yields nothing", page("google_serp_empty.html"))
         results = ranked_search(ENGINES[SourceId.WEB_SEARCH], TweetClaim(body="yields nothing"), replay_fetcher(store))
@@ -215,6 +225,16 @@ class TestSearchPolitwoops:
         store = store_for(tmp_path, SourceId.POLITWOOPS, JOBS_BODY, body)
         hits = search_politwoops(ENGINES[SourceId.POLITWOOPS], CLAIM_JOBS, replay_fetcher(store))
         assert [hit.detail_url for hit in hits][:1] == [POLITWOOPS_JOBS_DETAIL]
+
+    def test_card_links_follow_the_result_link_rules(self, tmp_path):
+        # a card's link leads to an http(s) page on the tracker's host, reported
+        # with its host lowercased and no fragment, as a result link is
+        card = '<div class="tweet"><p class="tweet-content">t</p><a href="{}">x</a></div>'
+        hrefs = ["ftp://projects.propublica.org/politwoops/tweet/1",
+                 "HTTPS://Projects.ProPublica.org/politwoops/tweet/2#top"]
+        store = store_for(tmp_path, SourceId.POLITWOOPS, JOBS_BODY, "".join(map(card.format, hrefs)).encode())
+        hits = search_politwoops(ENGINES[SourceId.POLITWOOPS], CLAIM_JOBS, replay_fetcher(store))
+        assert [hit.detail_url for hit in hits] == ["https://projects.propublica.org/politwoops/tweet/2"]
 
     def test_nonsense_prefix_yields_no_hits(self, tmp_path):
         body = "zqxwv bogus prefix that matches nothing"

@@ -189,7 +189,8 @@ class TestEngineSettings:
 
 class TestSelectorConstants:
     """Selectors are constants in code, so no file is compiled when a
-    configuration is built: each constant must compile as it stands."""
+    configuration is built: each constant must compile as it stands. So none
+    holds ``[attr*=""]``, which CSS matches nowhere and parse_selector rejects."""
 
     @pytest.mark.parametrize(
         "table, key, selector",

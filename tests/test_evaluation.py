@@ -68,6 +68,11 @@ class TestReciprocalRank:
         )
         assert score.rank_of_relevant == 1
 
+    def test_a_site_is_judged_by_the_host(self):
+        # the netloc ends in ".snopes.com", but the host is evil.example
+        score = reciprocal_rank(ranked(["https://evil.example:x.snopes.com/fact-check/target/"]), self.RELEVANT)
+        assert score.rank_of_relevant is None
+
     @given(
         st.lists(st.integers(1, 30), unique=True, min_size=1, max_size=10),
         st.integers(0, 10),

@@ -25,7 +25,7 @@ from conftest import (
     record_pages,
     replay_fetcher,
 )
-from html_reference import read_results_tree, reference_parse, shape
+from html_reference import read_results_tree, reference_matches, reference_parse, shape
 
 try:
     from re import _parser as sre_parse  # Python 3.11+
@@ -98,6 +98,8 @@ class TestSelectors:
             ("[id=x]", "unsupported selector syntax: '[id=x]'"),
             ("[href^=x]", "unsupported selector syntax: '[href^=x]'"),
             ("[href$=x]", "unsupported selector syntax: '[href$=x]'"),
+            ('a[href*=""]', """empty substring in selector: 'a[href*=""]'"""),
+            ("a[href*=]", "empty substring in selector: 'a[href*=]'"),
         ],
     )
     def test_malformed_selector_rejected(self, selector, problem):
@@ -108,6 +110,15 @@ class TestSelectors:
     def test_valueless_class_attribute_has_no_classes(self):
         root = parse_html('<div class><p class="x">a</p></div>')
         assert [el.tag for el in root.select("div.x, .x")] == ["p"]
+
+    def test_valueless_attribute_is_present_and_contains_nothing(self):
+        root = parse_html("<div data-text-ad>x</div>")
+        assert [el.tag for el in root.select("[data-text-ad]")] == ["div"]
+        assert root.select("[data-text-ad*=x]") == []
+
+    def test_class_list_splits_on_ascii_whitespace_only(self):
+        root = parse_html('<div class="tweet\xa0x">a</div><p class="x\x0ctweet">b</p><b class="tweet\x0bx">c</b>')
+        assert [el.tag for el in root.select("div.tweet, p.tweet, b.tweet, .x")] == ["p"]
 
     def test_select_one_is_first_match_or_none(self):
         assert self.root.select_one("a[href]").get("href") == "https://a.example/"
@@ -570,6 +581,39 @@ def test_select_equals_brute_force_reference(steps, alternatives, scope_index):
     assert first is (expected[0] if expected else None)
     inside = {id(el) for other in expected for el in _descendants(other)}
     assert outermost(selected) == [el for el in expected if id(el) not in inside]
+
+
+_SPEC_NAMES = st.sampled_from(["a", "b"])
+_SPEC_ATTRS = st.sampled_from(["id", "class", "href", "data-ad"])
+_SPEC_TEXT = st.text(alphabet=["a", "b", " ", "\xa0", "\x0c", "\t", "\x0b", "\n"], max_size=4)
+#: (tag, id, classes, attributes), as :func:`html_reference.reference_matches` takes a compound.
+_SPEC_COMPOUND = st.tuples(
+    st.sampled_from([None, "div", "a"]),
+    st.one_of(st.none(), _SPEC_NAMES),
+    st.lists(_SPEC_NAMES, max_size=2),
+    st.lists(st.tuples(_SPEC_ATTRS, st.one_of(st.none(), _SPEC_TEXT.filter(bool))), max_size=2),
+).filter(lambda compound: compound != (None, None, [], []))
+
+
+def _spec_selector(compound) -> str:
+    tag, ident, classes, attrs = compound
+    return (
+        (tag or "") + (f"#{ident}" if ident else "") + "".join(f".{name}" for name in classes)
+        + "".join(f"[{name}]" if sub is None else f'[{name}*="{sub}"]' for name, sub in attrs)
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    tag=st.sampled_from(["div", "a", "p"]),
+    attrs=st.dictionaries(_SPEC_ATTRS, st.one_of(st.none(), st.sampled_from(["", "\xa0", "\x0c"]), _SPEC_TEXT)),
+    alternatives=st.lists(_SPEC_COMPOUND, min_size=1, max_size=2),
+)
+def test_matches_equals_the_selectors_spec(tag, attrs, alternatives):
+    """Valueless attributes (None), empty values and class lists holding
+    non-ASCII or ASCII-only whitespace, matched as the spec matches them."""
+    compounds = parse_selector(", ".join(map(_spec_selector, alternatives)))
+    assert htmldoc.matches(tag, attrs, compounds) == reference_matches(tag, attrs, alternatives)
 
 
 @settings(max_examples=150, deadline=None)

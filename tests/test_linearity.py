@@ -12,6 +12,11 @@ text-scan fallback reads a page its selectors miss). Each copy holds a
 nested Reuters heading reads "VERDICT". A selector added to a table is
 swept without a new test.
 
+Two sweeps read what a page holds besides its elements: for each engine
+row, a page whose one link is a long run that a URL's host and path both
+take; and start tags whose attributes are parted by long runs of spaces,
+slashes, "=" or quotes.
+
 Each case is bounded twice: a page 8 times larger may take at most 16 times
 as long (best of 3 runs each, measured up to 3 times), and the larger page
 at most 2.5 s. A quadratic reader takes about 64 times as long.
@@ -36,6 +41,8 @@ from conftest import LITERAL_TEXT_KEYS, SELECTOR_CONSTANTS, StubPage, StubTransp
 
 #: Copies of an element at the smaller size; the larger page has 8 times as many.
 SIZE = 200
+#: Characters in the run of a hostile link at the smaller size.
+LINK_SIZE = 1_000
 #: Keys whose elements hold the others: every page opens one of each first.
 CONTAINER_KEYS = ("scope", "cards")
 #: A page one publisher's scraper reads, by rating table.
@@ -127,9 +134,44 @@ def test_reader_time_is_linear(table, selector, element, shape, text):
     small, large = (
         (context + SHAPES[shape](start, end, text, count)).encode() for count in (SIZE, 8 * SIZE)
     )
+    _assert_linear(read, small, large)
+
+
+def _assert_linear(read, small: bytes, large: bytes) -> None:
     for _ in range(3):  # a machine busy with other work can slow one page's runs: measure again
         small_s, large_s = _best_of_3(read, small, large)
         if large_s <= 16 * small_s:
             break
     assert large_s <= 16 * small_s, f"8 times the page took {large_s / small_s:.1f} times as long"
     assert large_s < 2.5
+
+
+@pytest.mark.parametrize("source", list(ENGINES), ids=lambda source: source.value)
+def test_link_split_time_is_linear(source):
+    """A page whose one link is "http://", a run of characters that a host and
+    a path both take, then a "[" that no plain link holds: the split must not
+    try every place the host could end. The link holds what the row's link
+    selector needs (the tracker's "/politwoops/tweet/") after the run."""
+    selectors = ENGINES[source].selectors
+    context = "".join(_element(parse_selector(selectors[key])[0])[0] for key in CONTAINER_KEYS if key in selectors)
+    if "text" in selectors:  # a tracker card is read only if it has text
+        start, end = _element(parse_selector(selectors["text"])[0])
+        context += f"{start}linearity sweep{end}"
+    key = "link" if "link" in selectors else "results"
+    _, contained = parse_selector(selectors[key])[0].attrs[0]
+    small, large = (
+        f'{context}<a href="http://{"a" * count}{contained or ""}[">x</a>' for count in (LINK_SIZE, 8 * LINK_SIZE)
+    )
+    assert parse_html(small).select(selectors[key]), f"the link does not match {selectors[key]!r}"
+    _assert_linear(_reader(source.value), small.encode(), large.encode())
+
+
+@pytest.mark.parametrize("run", ["/ ", " / ", "\t", "= ", "' "])
+@pytest.mark.parametrize("tail", [">", "x>", ""])
+def test_attribute_runs_parse_in_linear_time(run, tail):
+    """Long runs of whitespace, slashes and the like between a tag's attributes.
+    The attribute pattern alone rescans such a run from each of its characters
+    when no attribute follows it; the tokenizer hands it only the attributes
+    its tag pattern found, so every scan of it starts at an attribute."""
+    small, large = (f"<a x{run * count}{tail}y".encode() for count in (SIZE * 20, SIZE * 160))
+    _assert_linear(lambda body: parse_html(body.decode()), small, large)

@@ -66,6 +66,22 @@ class TestVerifyClaim:
             ("https://projects.propublica.org/politwoops/tweet/2", 1)
         ]
 
+    def test_article_linked_from_a_valueless_ad_not_scraped(self, tmp_path):
+        # the ad block "<div data-text-ad>" links a rated Snopes article; the
+        # only organic result is no publisher's, so nothing is scraped
+        serp = (
+            f'<div id=search><div data-text-ad><a href="{SNOPES_PANDEMIC_ARTICLE}">ad</a></div>'
+            '<a href="https://result.example/">r</a></div>'
+        )
+        pages = {
+            engine_query_url(SourceId.WEB_SEARCH, PANDEMIC_BODY): StubPage(serp.encode()),
+            SNOPES_PANDEMIC_ARTICLE: StubPage(page("snopes_article_pandemic.html")),
+        }
+        store = record_pages(tmp_path / "fx", pages)
+        result = run(PANDEMIC_BODY, store, engines=[SourceId.WEB_SEARCH])
+        assert result.verdict.evidence == ()
+        assert result.verdict.outcome is Outcome.UNVERIFIABLE
+
     def test_captcha_degrades_to_remaining_engines(self, tmp_path):
         pages = pandemic_pages()
         pages[engine_query_url(SourceId.WEB_SEARCH, PANDEMIC_BODY)] = StubPage(

@@ -237,6 +237,8 @@ CANONICAL_TABLE = [
     ("https://www.snopes.com/news/2020/roundup/", "https://snopes.com/news/2020/roundup"),
     ("HTTPS://WWW.SNOPES.COM/fact-check/Case/", "/fact-check/Case"),
     ("https://www.reuters.com/news/archive", "https://reuters.com/news/archive"),
+    ("https://www.snopes.com:443/fact-check/x/", "/fact-check/x"),
+    ("https://www.reuters.com:443/article/idUSKBN1", "idUSKBN1"),
 ]
 
 

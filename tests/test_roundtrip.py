@@ -174,14 +174,16 @@ _POLITWOOPS_HOST = st.sampled_from(["projects.propublica.org", "Projects.ProPubl
 def _card(draw):
     """(card markup pieces, the hit search_politwoops should report, or None)."""
     text, handle = draw(_CARD_TEXT), draw(st.text(alphabet="abcXYZ_019", min_size=1, max_size=8))
-    path = "/politwoops/tweet/" + draw(_PATH_TAIL)
-    tail = _tail(path, draw(_QUERY), draw(_FRAGMENT))
+    path, query = "/politwoops/tweet/" + draw(_PATH_TAIL), draw(_QUERY)
+    tail = _tail(path, query, draw(_FRAGMENT))
     kind = draw(st.sampled_from(["absolute", "relative", "off-host"]))
     if kind == "relative":
-        href, want = tail, "https://projects.propublica.org" + tail
+        href = tail
     else:
         host = draw(_POLITWOOPS_HOST) if kind == "absolute" else "elsewhere.example"
-        href = want = f"https://{host}{tail}"
+        href = f"https://{host}{tail}"
+    # a hit's link is reported as a result link is: host lowercased, no fragment
+    want = "https://projects.propublica.org" + _tail(path, query, "")
     hit = None if kind == "off-host" else (text.strip(), want)
     return (text, href, handle), hit
 

@@ -3,11 +3,11 @@
 :data:`ENGINES` holds every engine's defaults, one :class:`EngineSettings`
 row per source: endpoint, query spec, selectors and, for the four ranked
 engines, a :class:`Ranking` (which links are results, the eval report
-label, the corpus column of the relevant article). The configuration
-copies the table once and applies its endpoint overrides to the copy as
-it reads them (:attr:`tweetcheck.config.AppConfig.engines`), so an
-adapter is handed a finished row as its first argument and merges nothing
-itself; whether an engine ranks is asked of its row alone. The query
+label, the corpus column of the relevant article). The table is
+read-only: a configuration shares it, or holds a copy if an endpoint
+override replaces a row (:attr:`tweetcheck.config.AppConfig.engines`), so
+an adapter is handed a finished row as its first argument and merges
+nothing itself; whether an engine ranks is asked of its row alone. The query
 spec and the selectors are not configurable: a site redesign is followed
 by changing its row.
 
@@ -33,13 +33,13 @@ determinism under replay comes from the fixture store.
 
 from __future__ import annotations
 
-import html
 import logging
+from types import MappingProxyType
 from typing import Mapping, Optional
 
 from .errors import CaptchaDetected
 from .fetch import Fetcher, FetchRequest, FetchResponse
-from .htmldoc import collapse_whitespace, matches, outermost, page_text, parse_response, parse_selector, tokenize
+from .htmldoc import collapse_whitespace, matches, outermost, page_text, parse_response, parse_selector, tokenize, unescape
 from .model import RankedResults, Record, SourceId, TweetClaim
 from .queries import Encoding, QuerySpec, Truncation, build_query, encode_query
 from .urls import host, host_matches, result_link
@@ -89,7 +89,7 @@ _POLITWOOPS_SELECTORS = {
 
 #: Every engine's defaults, one row per source, in :class:`SourceId` order.
 #: The web-snopes row differs from the web row by its query spec's site: filter.
-ENGINES = {
+ENGINES = MappingProxyType({
     row.source: row
     for row in (
         EngineSettings(SourceId.SNOPES_SEARCH, "https://www.snopes.com/search/{query}/",
@@ -107,7 +107,7 @@ ENGINES = {
         EngineSettings(SourceId.POLITWOOPS, "https://projects.propublica.org/politwoops/index?utf8=%E2%9C%93&q={query}",
                        QuerySpec(50, Encoding.PLUS, Truncation.CHAR_PREFIX), _POLITWOOPS_SELECTORS),
     )
-}
+})
 
 
 def default_engine_settings(source: SourceId) -> EngineSettings:
@@ -131,7 +131,7 @@ def normalize_text(text: str) -> str:
     Decodes HTML entities, maps curly quotes to straight ones, lowercases,
     and collapses whitespace runs to single spaces.
     """
-    text = html.unescape(text)
+    text = unescape(text)
     text = text.translate(_CURLY_QUOTES)
     return collapse_whitespace(text.lower())
 

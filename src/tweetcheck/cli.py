@@ -24,12 +24,12 @@ import logging
 import sys
 from functools import partial
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .config import MODE_ENV_VAR, AppConfig, ConfigError, build_config, in_range, source_by_name
+from .config import MODE_ENV_VAR, AppConfig, ConfigError, build_config, source_by_name
 from .dataset import load_dataset, shipped_dataset_path, validate_dataset
 from .errors import FixtureMiss, FormatError, TweetCheckError, ValidationError, describe_failure
-from .evaluation import EVAL_SOURCES, EngineReport, QueryOutcome, evaluate_engine, render_report
+from .evaluation import EVAL_SOURCES, evaluate_engine, render_report
 from .fetch import FetchMode, FetchRequest
 from .model import Outcome, SourceId, TweetClaim
 from .pipeline import evidence_lines, rating_line, verify_claim
@@ -96,12 +96,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--dataset", required=True, metavar="PATH")
     p_eval.add_argument("--engine", action="append", metavar="NAME")
     p_eval.add_argument("--format", choices=["table", "machine"], default="table")
-    p_eval.set_defaults(func=cmd_eval)
+    p_eval.set_defaults(func=_engine_pass)
 
     p_record = sub.add_parser("record", parents=[common], help="record fixtures for a dataset")
     p_record.add_argument("--dataset", required=True, metavar="PATH")
     p_record.add_argument("--engine", action="append", metavar="NAME")
-    p_record.set_defaults(func=cmd_record)
+    p_record.set_defaults(func=_engine_pass)
 
     p_validate = sub.add_parser("validate-dataset", parents=[verbose], help="check a dataset file")
     p_validate.add_argument(
@@ -126,15 +126,14 @@ def _configure_logging(verbosity: int) -> None:
     )
 
 
-def _resolve_config(args: argparse.Namespace) -> AppConfig:
-    config = build_config(args.config)
-    if args.mode:
-        config.mode = FetchMode(args.mode)
-    if args.fixtures:
-        config.fixtures_dir = Path(args.fixtures)
-    if getattr(args, "max_articles", None) is not None:
-        config.max_articles = in_range("--max-articles", args.max_articles, 0)
-    return config
+def _resolve_config(args: argparse.Namespace, mode: Optional[FetchMode] = None) -> AppConfig:
+    """The configuration of ``--config``, the environment and the flags; ``mode``, if given, over ``--mode``."""
+    return build_config(
+        args.config,
+        mode=mode or (FetchMode(args.mode) if args.mode else None),
+        fixtures_dir=Path(args.fixtures) if args.fixtures else None,
+        max_articles=getattr(args, "max_articles", None),
+    )
 
 
 def _parse_engines(
@@ -175,31 +174,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return _OUTCOME_EXIT[run.verdict.outcome]
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    return _engine_pass(args, _report_eval)
-
-
-def cmd_record(args: argparse.Namespace) -> int:
-    return _engine_pass(args, _report_record, FetchMode.RECORD)
-
-
-def _engine_pass(
-    args: argparse.Namespace,
-    report: Callable[[argparse.Namespace, list, list[EngineReport], int], int],
-    mode: Optional[FetchMode] = None,
-) -> int:
-    """What eval and record share: resolve engines, config, fetcher and
-    dataset, run :func:`evaluate_engine` per engine and print every failed
-    query on stderr. Exit 66 if a replay fixture was missing or corrupt,
-    else hand the reports to ``report(args, records, reports, failures)``.
+def _engine_pass(args: argparse.Namespace) -> int:
+    """eval and record: resolve engines, config, fetcher and dataset, run
+    :func:`evaluate_engine` per engine and print every failed or skipped
+    query on stderr. Exit 66 if a replay fixture was missing or corrupt;
+    else eval prints its report, and record its counts (69 if a query
+    failed). Record exits 64 before any request if ``--mode`` is not record.
 
     Engines on different hosts run at the same time; engines sharing a host
     (web and web-snopes) run one after the other. Reports stay in engine order.
     """
+    recording = args.command == "record"
     engines = _parse_engines(args.engine, EVAL_SOURCES)
-    config = _resolve_config(args)
-    if mode is not None:
-        config.mode = mode
+    config = _resolve_config(args, FetchMode.RECORD if recording else None)
     with config.build_fetcher() as fetcher:
         try:
             records = load_dataset(args.dataset)
@@ -207,36 +194,26 @@ def _engine_pass(
             return _fail(f"dataset error: {exc}", EXIT_DATA)
         if not records:
             return _fail(f"dataset error: no records in {args.dataset}", EXIT_DATA)
+        if recording and args.mode not in (None, FetchMode.RECORD.value):
+            return _fail(f"record cannot run with --mode {args.mode}; it always records", EXIT_USAGE)
         jobs = []
         for source in engines:
             settings = config.engines[source]
             jobs.append((settings.endpoint, partial(evaluate_engine, settings, records, fetcher)))
         reports = fetcher.run_per_host(jobs)
-    failed = _print_failures(reports)
-    if any(issubclass(outcome.failure, FixtureMiss) for outcome in failed):
-        return EXIT_NO_FIXTURE
-    return report(args, records, reports, len(failed))
-
-
-def _print_failures(reports: Sequence[EngineReport]) -> list[QueryOutcome]:
-    """One stderr line per failed or skipped query, in engine then record order; returns those outcomes."""
     failed = [outcome for report in reports for outcome in report.outcomes if outcome.failed]
-    for outcome in failed:
+    for outcome in failed:  # in engine then record order
         print(
             f"tweetcheck: record {outcome.record_id} via {outcome.source.value} failed: {outcome.error}",
             file=sys.stderr,
         )
-    return failed
-
-
-def _report_eval(args: argparse.Namespace, records, reports: list[EngineReport], failures: int) -> int:
+    if any(issubclass(outcome.failure, FixtureMiss) for outcome in failed):
+        return EXIT_NO_FIXTURE
+    if recording:
+        print(f"recorded {len(records)} record(s) x {len(reports)} engine(s), {len(failed)} failure(s)")
+        return 0 if not failed else EXIT_OPERATIONAL
     sys.stdout.write(render_report(reports, args.format))
     return 0
-
-
-def _report_record(args: argparse.Namespace, records, reports: list[EngineReport], failures: int) -> int:
-    print(f"recorded {len(records)} record(s) x {len(reports)} engine(s), {failures} failure(s)")
-    return 0 if failures == 0 else EXIT_OPERATIONAL
 
 
 def cmd_validate_dataset(args: argparse.Namespace) -> int:

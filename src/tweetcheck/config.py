@@ -22,12 +22,13 @@ configurable: that is the engine's row of
 :data:`tweetcheck.ratings.DEFAULT_RATING_SELECTORS`.
 
 This module is the one place defaults and overrides meet, and they meet
-once, as each key is read: :attr:`AppConfig.engines` starts as a copy of
-the engine table and each ``endpoint.*`` key replaces its engine's
-endpoint. Every value a live run could not use is reported then, as a
-:class:`ConfigError` naming its key: a number out of its range, an
-endpoint that does not make an absolute http or https URL, or a user
-agent that cannot be sent in a header.
+once, in :func:`build_config`, whose :class:`AppConfig` nothing changes
+afterwards. :attr:`AppConfig.engines` is the read-only engine table itself,
+copied only when an ``endpoint.*`` key replaces a row. Every value a live
+run could not use is reported as it is read, as a :class:`ConfigError`
+naming its key or flag: a number out of its range, an endpoint that does
+not make an absolute http or https URL, or a user agent that cannot be
+sent in a header.
 """
 
 from __future__ import annotations
@@ -36,13 +37,14 @@ import math
 import os
 from pathlib import Path
 from string import Formatter
-from typing import Optional, TypeVar
+from types import MappingProxyType
+from typing import Mapping, Optional, TypeVar
 from urllib.parse import urlsplit
 
 from .adapters import ENGINES, EngineSettings
 from .errors import TweetCheckError
 from .fetch import DEFAULT_DELAY_MS, DEFAULT_TIMEOUT_S, DEFAULT_USER_AGENT, FetchMode, Fetcher, FixtureStore
-from .model import SourceId
+from .model import Record, SourceId
 
 MODE_ENV_VAR = "TWEETCHECK_MODE"
 
@@ -91,30 +93,20 @@ def source_by_name(name: str) -> SourceId:
     raise ConfigError(f"unknown engine name {name!r}")
 
 
-class AppConfig:
+class AppConfig(Record):
     """Resolved runtime settings for the CLI and library entry points.
 
     ``engines`` is every engine's row of the engine table, this
-    configuration's overrides applied; by default a copy of the table.
+    configuration's overrides applied; by default the read-only table itself.
     """
 
-    def __init__(
-        self,
-        mode: FetchMode = FetchMode.LIVE,
-        fixtures_dir: Optional[Path] = None,
-        user_agent: str = DEFAULT_USER_AGENT,
-        politeness_delay_ms: int = DEFAULT_DELAY_MS,
-        timeout_s: float = DEFAULT_TIMEOUT_S,
-        max_articles: int = 3,
-        engines: Optional[dict[SourceId, EngineSettings]] = None,
-    ):
-        self.mode = mode
-        self.fixtures_dir = fixtures_dir
-        self.user_agent = user_agent
-        self.politeness_delay_ms = politeness_delay_ms
-        self.timeout_s = timeout_s
-        self.max_articles = max_articles
-        self.engines = dict(ENGINES) if engines is None else engines
+    mode: FetchMode = FetchMode.LIVE
+    fixtures_dir: Optional[Path] = None
+    user_agent: str = DEFAULT_USER_AGENT
+    politeness_delay_ms: int = DEFAULT_DELAY_MS
+    timeout_s: float = DEFAULT_TIMEOUT_S
+    max_articles: int = 3
+    engines: Mapping[SourceId, EngineSettings] = ENGINES
 
     def build_fetcher(self) -> Fetcher:
         """The fetcher for this configuration; a :class:`ConfigError` before any
@@ -137,18 +129,11 @@ class AppConfig:
         )
 
 
-def _parse_int(key: str, value: str) -> int:
+def _parse_number(key: str, value: str, kind: type[N]) -> N:
     try:
-        return int(value)
+        return kind(value)
     except ValueError:
-        raise ConfigError(f"{key} expects an integer, got {value!r}") from None
-
-
-def _parse_float(key: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"{key} expects a number, got {value!r}") from None
+        raise ConfigError(f"{key} expects {'an integer' if kind is int else 'a number'}, got {value!r}") from None
 
 
 def in_range(key: str, value: N, low: N, high: float = math.inf) -> N:
@@ -181,36 +166,44 @@ def _endpoint(key: str, template: str) -> str:
 
 def build_config(
     config_path: Optional[str | Path] = None,
-    env: Optional[dict[str, str]] = None,
+    env: Optional[Mapping[str, str]] = None,
+    **flags,
 ) -> AppConfig:
-    """Assemble configuration from file then environment (mode only)."""
+    """Defaults < the file at ``config_path`` < :data:`MODE_ENV_VAR` in ``env``
+    (the process environment by default) < ``flags``, each an :class:`AppConfig`
+    field's value or None if not given; ``max_articles`` is checked as ``--max-articles``."""
     env = os.environ if env is None else env
-    config = AppConfig()
-    if config_path is not None:
-        _apply_file(config, load_keyvalues(config_path))
+    fields = {} if config_path is None else _file_fields(load_keyvalues(config_path))
     if env.get(MODE_ENV_VAR):
-        config.mode = _parse_mode(env[MODE_ENV_VAR])
-    return config
+        fields["mode"] = _parse_mode(env[MODE_ENV_VAR])
+    if flags.get("max_articles") is not None:
+        in_range("--max-articles", flags["max_articles"], 0)
+    fields.update((name, value) for name, value in flags.items() if value is not None)
+    return AppConfig(**fields)
 
 
-def _apply_file(config: AppConfig, values: dict[str, str]) -> None:
+def _file_fields(values: dict[str, str]) -> dict[str, object]:
+    """The :class:`AppConfig` fields a configuration file sets, each value checked as it is read."""
+    fields: dict[str, object] = {}
     for key, value in values.items():
         if key == "mode":
-            config.mode = _parse_mode(value)
+            fields["mode"] = _parse_mode(value)
         elif key == "fixtures":
-            config.fixtures_dir = Path(value)
+            fields["fixtures_dir"] = Path(value)
         elif key == "user_agent":
             if not (value.isascii() and value.isprintable()):  # else it cannot be sent
                 raise ConfigError(f"user_agent must be printable ASCII, got {value!r}")
-            config.user_agent = value
+            fields["user_agent"] = value
         elif key == "politeness_delay_ms":  # 0 or more, and at most a day as is the timeout
-            config.politeness_delay_ms = in_range(key, _parse_int(key, value), -1, 86_400_000)
+            fields["politeness_delay_ms"] = in_range(key, _parse_number(key, value, int), -1, 86_400_000)
         elif key == "timeout_s":
-            config.timeout_s = in_range(key, _parse_float(key, value), 0, 86_400)
+            fields["timeout_s"] = in_range(key, _parse_number(key, value, float), 0, 86_400)
         elif key == "verify.max_articles":
-            config.max_articles = in_range(key, _parse_int(key, value), 0)
+            fields["max_articles"] = in_range(key, _parse_number(key, value, int), 0)
         elif key.startswith("endpoint."):
             source = source_by_name(key.removeprefix("endpoint."))
-            config.engines[source] = config.engines[source].replace(endpoint=_endpoint(key, value))
+            row = ENGINES[source].replace(endpoint=_endpoint(key, value))
+            fields["engines"] = MappingProxyType({**fields.get("engines", ENGINES), source: row})  # ENGINES unchanged
         else:
             raise ConfigError(f"unknown configuration key: {key!r}")
+    return fields

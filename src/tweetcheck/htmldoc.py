@@ -14,7 +14,8 @@ one pass:
   element's end tag (its name followed by a space, ``/`` or ``>``): no tag
   or character reference in it is read.
 * Character references (``&amp;``, ``&#8217;``) in text and attribute values
-  are decoded by :func:`html.unescape`, except that in an attribute value a
+  are decoded by :func:`unescape`, which is :func:`html.unescape` for a
+  decimal reference of any length, except that in an attribute value a
   named reference without its ``;`` stays literal when ``=`` or an ASCII
   letter or digit follows it, as in HTML: ``href="?a=1&copy=2"`` keeps its
   ``copy`` parameter.
@@ -65,9 +66,9 @@ know what contains what works it out from the root down.
 
 from __future__ import annotations
 
+import html
 import re
 from functools import lru_cache
-from html import unescape
 from html.entities import html5
 from typing import Callable, Iterable, Iterator, Mapping, Optional, TypeVar
 
@@ -264,6 +265,20 @@ _MARKUP_RE = re.compile(
 _RAW_TEXT_END = {
     tag: re.compile(rf"</{tag}[\s/>]", re.IGNORECASE) for tag in ("script", "style")
 }
+
+
+# html.unescape reads a decimal reference's digits with int(), which refuses over
+# 4,300 of them. In a reference of 8 digits or more, leading zeros are dropped, and
+# a value past U+10FFFF becomes U+10FFFF + 1, which reads as U+FFFD as they all do.
+_LONG_DECIMAL = re.compile(r"&#(?=[0-9]{8})0*([0-9]+)")
+
+
+def unescape(text: str) -> str:
+    """``text`` with its character references decoded as :func:`html.unescape`
+    decodes them, a decimal reference of any length among them."""
+    if "&#" in text:
+        text = _LONG_DECIMAL.sub(lambda m: "&#" + (m[1] if len(m[1]) <= 7 else "1114112"), text)
+    return html.unescape(text)
 
 
 # A character reference as html.unescape finds one: numeric, or a name of at

@@ -26,6 +26,7 @@ SNOPES_HOST = "snopes.com"
 REUTERS_HOST = "reuters.com"
 
 _REUTERS_ID = re.compile(r"idUS[A-Z0-9]+$")
+_LEADING_WWW = re.compile(r"\A(?:www\.)+")
 
 
 def _split(url: str) -> SplitResult:
@@ -122,17 +123,24 @@ def is_snopes_url(url: str) -> bool:
 def canonicalize_article_url(url: str) -> str:
     """Collapse an article URL to a canonical identity for comparison.
 
-    Lowercases scheme and host, strips "www.", trailing slashes, query and
+    Lowercases scheme and host, strips every leading "www.", trailing slashes, query and
     fragment. Two special shapes get shorter identities: Reuters article
     URLs collapse to their trailing "idUS…" token, and Snopes fact-check
     URLs collapse to their "/fact-check/<slug>" path, the site judged by host as
-    :func:`identify_publisher` judges it. Anything else keeps its full normalized URL. Idempotent.
+    :func:`identify_publisher` judges it. Anything else keeps its full normalized URL. Idempotent: with
+    no host, a path's leading slashes become one, or urlunsplit would write "//x" to be read as a host.
     """
-    parts = _split(url)
+    try:
+        parts = urlsplit(url)
+    except ValueError:  # a bare path, kept whole: urlunsplit may read a leading "//" as a host
+        return url.rstrip("/")
     path = parts.path.rstrip("/")
     publisher = _publisher((parts.hostname or "").lower())
     if publisher == "reuters" and (m := _REUTERS_ID.search(path)):
         return m.group(0)
     if publisher == "snopes" and path.startswith("/fact-check/"):
         return path
-    return urlunsplit((parts.scheme.lower(), parts.netloc.lower().removeprefix("www."), path, "", ""))
+    netloc = _LEADING_WWW.sub("", parts.netloc.lower())
+    if not netloc and path.startswith("//"):
+        path = "/" + path.lstrip("/")
+    return urlunsplit((parts.scheme.lower(), netloc, path, "", ""))

@@ -295,6 +295,9 @@ class TestNormalizeText:
             ("it’s “fine”", "it's \"fine\""),
             ("  a \n\t b  ", "a b"),
             ("plain", "plain"),
+            # int() refuses a decimal reference of over 4,300 digits
+            pytest.param("a &#" + "1" * 5000 + "; b", "a \ufffd b", id="long-reference-past-max"),
+            pytest.param("a &#" + "0" * 5000 + "65; b", "a a b", id="long-reference-with-leading-zeros"),
         ],
     )
     def test_cases(self, raw, expected):

@@ -547,6 +547,20 @@ def test_fixtures_path_through_a_file_exits_64_before_any_request(tmp_path, caps
     assert captured.err == f"tweetcheck: fixtures {fixtures}: {a_file} is not a directory\n"
 
 
+@pytest.mark.parametrize("mode", ["replay", "live"])
+def test_record_with_another_mode_exits_64_before_any_request(tmp_path, capsys, monkeypatch, mode):
+    # record always records: a --mode naming another mode was once ignored,
+    # and record went to the network
+    _refuse_network(monkeypatch)
+    fixtures = tmp_path / "fx"
+    code = main(["record", "--dataset", str(write_dataset(tmp_path)), "--mode", mode, "--fixtures", str(fixtures)])
+    captured = capsys.readouterr()
+    assert code == 64
+    assert captured.out == ""
+    assert captured.err == f"tweetcheck: record cannot run with --mode {mode}; it always records\n"
+    assert not fixtures.exists()
+
+
 class TestRecord:
     def test_record_then_replay_eval_matches(self, tmp_path, monkeypatch, capsys):
         transport = _stub_network(monkeypatch, eval_pages())
@@ -766,6 +780,27 @@ class TestScrape:
 
         code, err, prefix = self._scrape_over(tmp_path, put)
         assert (code, err) == (66, prefix + f"body exceeds the {MAX_BODY_BYTES}-byte cap\n")
+
+
+def test_replay_verify_reads_a_results_page_holding_a_long_character_reference(tmp_path, capsys):
+    # int() refuses a decimal reference of over 4,300 digits; it reads as U+FFFD
+    reference = "&#" + "1" * 5000 + ";"
+    pages = pandemic_pages()
+    url = engine_query_url(SourceId.SNOPES_SEARCH, PANDEMIC_BODY)
+    pages[url] = StubPage(pages[url].body.replace(
+        b"</body>", f'<p>{reference}</p><a href="/search/{reference}">x</a></body>'.encode()
+    ))
+    store = record_pages(tmp_path / "fx", pages)
+    code = main([
+        "verify", PANDEMIC_BODY, "--engine", "snopes",
+        "--mode", "replay", "--fixtures", str(store.root), "--max-articles", "1",
+    ])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    assert captured.out == (
+        f"Article found at URL: {SNOPES_PANDEMIC_ARTICLE}\nTruth rating: False\nVerdict: Fabricated\n"
+    )
 
 
 #: A lone surrogate (U+DCFF) as page bytes in each charset whose codec decodes one.

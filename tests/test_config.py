@@ -71,6 +71,24 @@ class TestBuildConfig:
         assert config.mode is FetchMode.REPLAY
         assert config.user_agent == "from-file"
 
+    def test_file_env_and_flags_in_one_call(self, tmp_path):
+        path = tmp_path / "c.conf"
+        path.write_text("mode=record\nfixtures=/tmp/from-file\nuser_agent=from-file\nverify.max_articles=5\n",
+                        encoding="utf-8")
+        config = build_config(
+            path, env={"TWEETCHECK_MODE": "replay"}, mode=None, fixtures_dir=Path("/tmp/from-flag"), max_articles=2
+        )
+        # a flag of None is not given: the environment's mode stands over the file's
+        assert config.mode is FetchMode.REPLAY
+        assert config.fixtures_dir == Path("/tmp/from-flag")
+        assert config.user_agent == "from-file"
+        assert config.max_articles == 2
+        assert build_config(path, env={"TWEETCHECK_MODE": "replay"}, mode=FetchMode.LIVE).mode is FetchMode.LIVE
+
+    def test_max_articles_flag_checked_under_its_flag_name(self):
+        with pytest.raises(ConfigError, match="^--max-articles must be greater than 0, got 0$"):
+            build_config(env={}, max_articles=0)
+
     def test_readme_example_builds(self, tmp_path):
         readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
         section = readme.split("\n## Configuration\n", 1)[1]
@@ -145,6 +163,11 @@ class TestEngineSettings:
         config = build_config(path, env={})
         settings = config.engines[SourceId.SNOPES_SEARCH]
         assert settings.endpoint.startswith("https://mirror.example/")
+        # in a read-only copy: the shared table keeps its row
+        assert ENGINES[SourceId.SNOPES_SEARCH].endpoint == "https://www.snopes.com/search/{query}/"
+        assert config.engines[SourceId.REUTERS_SEARCH] is ENGINES[SourceId.REUTERS_SEARCH]
+        with pytest.raises(TypeError):
+            config.engines[SourceId.REUTERS_SEARCH] = settings
 
     def test_captcha_selector_honoured_on_a_site_search_engine(self, tmp_path):
         row = ENGINES[SourceId.SNOPES_SEARCH]
@@ -212,6 +235,25 @@ class TestSelectorConstants:
     def test_every_literal_text_entry_is_nonblank(self):
         literals = [value for _, key, value in SELECTOR_CONSTANTS if key in LITERAL_TEXT_KEYS]
         assert literals and all(value.strip() for value in literals)
+
+
+class TestFinishedConfig:
+    """A configuration is a Record: finished when it is built."""
+
+    def test_fields_cannot_be_assigned(self):
+        for config in (AppConfig(), build_config(env={})):
+            with pytest.raises(AttributeError):
+                config.mode = FetchMode.REPLAY
+            assert config.mode is FetchMode.LIVE
+        assert AppConfig().replace(mode=FetchMode.REPLAY).mode is FetchMode.REPLAY
+
+    def test_default_engines_are_the_shared_read_only_table(self):
+        config = AppConfig()
+        assert build_config(env={}).engines is config.engines is ENGINES
+        row = ENGINES[SourceId.SNOPES_SEARCH]
+        with pytest.raises(TypeError):
+            config.engines[SourceId.SNOPES_SEARCH] = row.replace(endpoint="https://x.example/{query}")
+        assert ENGINES[SourceId.SNOPES_SEARCH] is row
 
 
 class TestFetcherConstruction:

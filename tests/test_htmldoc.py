@@ -1,4 +1,5 @@
 import gc
+import html
 import re
 import time
 from pathlib import Path
@@ -811,6 +812,35 @@ class TestAttributeReferences:
     def test_the_reference_builder_decodes_them(self):
         root = reference_parse('<a href="?a=1&copy=3">x</a>')
         assert root.select_one("a").get("href") == "?a=1©=3"
+
+
+#: Decimal references too long for int(), which refuses over 4,300 digits, and
+#: what they decode to: past U+10FFFF, U+FFFD; leading zeros keep the value.
+LONG_DECIMAL_REFERENCES = [
+    pytest.param("&#" + "1" * 5000 + ";", "\ufffd", id="past-max"),
+    pytest.param("&#" + "9" * 5000, "\ufffd", id="past-max-no-semicolon"),
+    pytest.param("&#" + "0" * 5000 + "65;", "A", id="leading-zeros"),
+    pytest.param("&#" + "0" * 5000 + "65", "A", id="leading-zeros-no-semicolon"),
+    pytest.param("&#" + "0" * 5000 + ";", "\ufffd", id="zero"),
+]
+
+
+class TestLongDecimalReferences:
+    """A decimal reference of any length decodes as html.unescape decodes a short one."""
+
+    @pytest.mark.parametrize("reference, decoded", LONG_DECIMAL_REFERENCES)
+    def test_in_text(self, reference, decoded):
+        assert parse_html(f"<p>x{reference} y</p>").select_one("p").text() == f"x{decoded} y"
+
+    @pytest.mark.parametrize("reference, decoded", LONG_DECIMAL_REFERENCES)
+    def test_in_an_attribute_value(self, reference, decoded):
+        root = parse_html(f'<a href="/x{reference} y">x</a>')
+        assert root.select_one("a").get("href") == f"/x{decoded} y"
+
+    @example(zeros=5000, digits="65", end=";")
+    @given(zeros=st.integers(0, 5000), digits=st.text("0123456789", min_size=1, max_size=12), end=st.sampled_from(";x "))
+    def test_leading_zeros_keep_the_value_html_unescape_reads(self, zeros, digits, end):
+        assert htmldoc.unescape("&#" + "0" * zeros + digits + end) == html.unescape("&#" + digits + end)
 
 
 class TestReferenceParity:

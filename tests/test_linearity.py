@@ -12,9 +12,10 @@ text-scan fallback reads a page its selectors miss). Each copy holds a
 nested Reuters heading reads "VERDICT". A selector added to a table is
 swept without a new test.
 
-Two sweeps read what a page holds besides its elements: for each engine
+Three sweeps read what a page holds besides its elements: for each engine
 row, a page whose one link is a long run that a URL's host and path both
-take; and start tags whose attributes are parted by long runs of spaces,
+take; for each table, a decimal character reference of a long run of
+digits; and start tags whose attributes are parted by long runs of spaces,
 slashes, "=" or quotes.
 
 Each case is bounded twice: a page 8 times larger may take at most 16 times
@@ -164,6 +165,20 @@ def test_link_split_time_is_linear(source):
     )
     assert parse_html(small).select(selectors[key]), f"the link does not match {selectors[key]!r}"
     _assert_linear(_reader(source.value), small.encode(), large.encode())
+
+
+@pytest.mark.parametrize("table", sorted({table for table, _, _ in SELECTOR_CONSTANTS}))
+def test_long_decimal_references_read_in_linear_time(table):
+    """A decimal reference of a long run of digits, in text and in a link's
+    href: html.unescape reads the digits with int(), which refuses a run of
+    over 4,300 of them."""
+    selectors = _table_selectors(table)
+    context = "".join(_element(parse_selector(selectors[key])[0])[0] for key in CONTAINER_KEYS if key in selectors)
+    small, large = (
+        f'{context}<p>&#{"1" * count};</p><a href="/&#{"1" * count};">x</a>'.encode()
+        for count in (10 * LINK_SIZE, 80 * LINK_SIZE)
+    )
+    _assert_linear(_reader(table), small, large)
 
 
 @pytest.mark.parametrize("run", ["/ ", " / ", "\t", "= ", "' "])

@@ -66,6 +66,19 @@ class TestVerifyClaim:
             ("https://projects.propublica.org/politwoops/tweet/2", 1)
         ]
 
+    def test_politwoops_cards_holding_a_long_character_reference(self, tmp_path):
+        # int() refuses a decimal reference of over 4,300 digits. The second card's
+        # text holds one once its "&amp;" is decoded, for the matcher to decode.
+        reference = "&#" + "1" * 5000 + ";"
+        card = '<div class="tweet"><p class="tweet-content">{}</p><a href="/politwoops/tweet/{}">x</a></div>'
+        cards = card.format(reference, 1) + card.format("&amp;" + reference[1:], 2) + card.format(JOBS_BODY, 3)
+        url = engine_query_url(SourceId.POLITWOOPS, JOBS_BODY)
+        store = record_pages(tmp_path / "fx", {url: StubPage(cards.encode())})
+        result = run(JOBS_BODY, store, engines=[SourceId.POLITWOOPS])
+        assert not result.engine_errors
+        assert result.verdict.outcome is Outcome.AUTHENTIC
+        assert [item.url for item in result.verdict.evidence] == ["https://projects.propublica.org/politwoops/tweet/3"]
+
     def test_article_linked_from_a_valueless_ad_not_scraped(self, tmp_path):
         # the ad block "<div data-text-ad>" links a rated Snopes article; the
         # only organic result is no publisher's, so nothing is scraped

@@ -283,3 +283,24 @@ class TestCanonicalize:
         url = f"{scheme}://{host}{path}{'/' if slash and not path.endswith('/') else ''}{query}"
         once = canonicalize_article_url(url)
         assert canonicalize_article_url(once) == once
+
+    @example("http:////www.")
+    @example("http:////www.x/y")
+    @example("http://www.www.x")
+    @example("//[x#y")  # a string urlsplit rejects
+    @given(
+        url=st.tuples(
+            st.sampled_from(["", "http:", "HTTPS:", "x:"]),
+            st.text("/", max_size=4),  # an empty host, and "//" paths
+            st.lists(st.sampled_from(["www.", "WWW."]), max_size=2).map("".join),
+            st.sampled_from(["", "snopes.com", "reuters.com", "x", "[::1]", "[x", "a@", ":80"]),
+            st.lists(st.sampled_from(["", "www.", "fact-check", "idUSA1", "a:b", "["]), max_size=4).map(
+                lambda segments: "".join("/" + segment for segment in segments)
+            ),
+            st.sampled_from(["", "/", "?a=1", "#f"]),
+        ).map("".join)
+    )
+    def test_idempotent_on_link_like_strings(self, url):
+        # empty hosts, "//" paths and "www." prefixes among them
+        once = canonicalize_article_url(url)
+        assert canonicalize_article_url(once) == once

@@ -34,8 +34,8 @@ determinism under replay comes from the fixture store.
 from __future__ import annotations
 
 import logging
+from collections.abc import Mapping
 from types import MappingProxyType
-from typing import Mapping, Optional
 
 from .errors import CaptchaDetected
 from .fetch import Fetcher, FetchRequest, FetchResponse
@@ -68,7 +68,7 @@ class EngineSettings(Record):
     #: "scope" key confines "results" to the elements under its matches, and the
     #: optional "ads", "captcha" and "captcha_text" keys turn those checks on.
     selectors: Mapping[str, str]
-    ranking: Optional[Ranking] = None
+    ranking: Ranking | None = None
 
 
 _GOOGLE = "https://www.google.com/search?q={query}"
@@ -141,7 +141,7 @@ def _request_page(fetcher: Fetcher, settings: EngineSettings, query: str) -> Fet
     return fetcher.fetch(FetchRequest(url=url))
 
 
-def read_results_page(text: str, selectors: Mapping[str, str]) -> tuple[list[Optional[str]], bool, bool]:
+def read_results_page(text: str, selectors: Mapping[str, str]) -> tuple[list[str | None], bool, bool]:
     """In document order, the href of each element matching "results" that has
     an ancestor matching "scope" (with no "scope" key, all do) and neither
     matches "ads" nor has an ancestor that does; whether any element matches
@@ -156,7 +156,7 @@ def read_results_page(text: str, selectors: Mapping[str, str]) -> tuple[list[Opt
     # in a capital sigma's final form, which no marker without a sigma can see.
     marker = selectors.get("captcha_text", "").lower()
     carried = len(marker) - 1
-    hrefs: list[Optional[str]] = []
+    hrefs: list[str | None] = []
     challenge = marked = False
     tail = ""
 
@@ -243,7 +243,7 @@ def search_politwoops(settings: EngineSettings, claim: TweetClaim, fetcher: Fetc
     return hits
 
 
-def match_politwoops(claim: TweetClaim, hits: list[PolitwoopsHit]) -> Optional[PolitwoopsHit]:
+def match_politwoops(claim: TweetClaim, hits: list[PolitwoopsHit]) -> PolitwoopsHit | None:
     """First hit whose stored text equals the claim body after normalization."""
     target = normalize_text(claim.body)
     for hit in hits:

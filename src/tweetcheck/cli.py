@@ -24,7 +24,7 @@ import logging
 import sys
 from functools import partial
 from pathlib import Path
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .config import MODE_ENV_VAR, AppConfig, ConfigError, build_config, source_by_name
 from .dataset import load_dataset, shipped_dataset_path, validate_dataset
@@ -126,7 +126,7 @@ def _configure_logging(verbosity: int) -> None:
     )
 
 
-def _resolve_config(args: argparse.Namespace, mode: Optional[FetchMode] = None) -> AppConfig:
+def _resolve_config(args: argparse.Namespace, mode: FetchMode | None = None) -> AppConfig:
     """The configuration of ``--config``, the environment and the flags; ``mode``, if given, over ``--mode``."""
     return build_config(
         args.config,
@@ -137,7 +137,7 @@ def _resolve_config(args: argparse.Namespace, mode: Optional[FetchMode] = None) 
 
 
 def _parse_engines(
-    names: Optional[Sequence[str]], allowed: Sequence[SourceId]
+    names: Sequence[str] | None, allowed: Sequence[SourceId]
 ) -> list[SourceId]:
     if not names:
         return list(allowed)
@@ -251,7 +251,7 @@ def cmd_scrape(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help

@@ -37,8 +37,8 @@ import math
 import os
 from pathlib import Path
 from string import Formatter
+from collections.abc import Mapping
 from types import MappingProxyType
-from typing import Mapping, Optional, TypeVar
 from urllib.parse import urlsplit
 
 from .adapters import ENGINES, EngineSettings
@@ -47,8 +47,6 @@ from .fetch import DEFAULT_DELAY_MS, DEFAULT_TIMEOUT_S, DEFAULT_USER_AGENT, Fetc
 from .model import Record, SourceId
 
 MODE_ENV_VAR = "TWEETCHECK_MODE"
-
-N = TypeVar("N", int, float)
 
 
 class ConfigError(TweetCheckError):
@@ -101,7 +99,7 @@ class AppConfig(Record):
     """
 
     mode: FetchMode = FetchMode.LIVE
-    fixtures_dir: Optional[Path] = None
+    fixtures_dir: Path | None = None
     user_agent: str = DEFAULT_USER_AGENT
     politeness_delay_ms: int = DEFAULT_DELAY_MS
     timeout_s: float = DEFAULT_TIMEOUT_S
@@ -129,14 +127,14 @@ class AppConfig(Record):
         )
 
 
-def _parse_number(key: str, value: str, kind: type[N]) -> N:
+def _parse_number(key: str, value: str, kind: type[int] | type[float]) -> int | float:
     try:
         return kind(value)
     except ValueError:
         raise ConfigError(f"{key} expects {'an integer' if kind is int else 'a number'}, got {value!r}") from None
 
 
-def in_range(key: str, value: N, low: N, high: float = math.inf) -> N:
+def in_range(key: str, value: int | float, low: int | float, high: float = math.inf) -> int | float:
     """``value`` if ``low < value <= high`` (NaN never is), else a
     :class:`ConfigError` naming ``key``.
 
@@ -165,8 +163,8 @@ def _endpoint(key: str, template: str) -> str:
 
 
 def build_config(
-    config_path: Optional[str | Path] = None,
-    env: Optional[Mapping[str, str]] = None,
+    config_path: str | Path | None = None,
+    env: Mapping[str, str] | None = None,
     **flags,
 ) -> AppConfig:
     """Defaults < the file at ``config_path`` < :data:`MODE_ENV_VAR` in ``env``

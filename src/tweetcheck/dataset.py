@@ -12,7 +12,7 @@ the Reuters overlap evaluation; 6-field rows are accepted.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from collections.abc import Iterable, Iterator
 
 from .errors import FormatError, ValidationError
 from .model import Record, TweetClaim
@@ -28,9 +28,9 @@ class GroundTruthRecord(Record):
     tweet_body: str
     snopes_url: str
     authentic: bool
-    live_url: Optional[str] = None
-    archived_url: Optional[str] = None
-    reuters_url: Optional[str] = None
+    live_url: str | None = None
+    archived_url: str | None = None
+    reuters_url: str | None = None
 
 
 class ValidationFinding(Record):
@@ -102,7 +102,7 @@ def _parse_line(line: str, line_no: int) -> GroundTruthRecord:
     except ValueError as exc:
         raise FormatError(line_no, "tweet_body", str(exc)) from None
 
-    def optional(value: str) -> Optional[str]:
+    def optional(value: str) -> str | None:
         return None if value == "-" else value
 
     return GroundTruthRecord(

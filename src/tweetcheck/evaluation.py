@@ -14,7 +14,7 @@ replay fixture miss included, is one more outcome of the report.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence
+from collections.abc import Sequence
 
 from .adapters import ENGINES, EngineSettings, ranked_search
 from .errors import QUERY_FAILURES, CaptchaDetected, TweetCheckError, describe_failure
@@ -22,9 +22,6 @@ from .dataset import GroundTruthRecord
 from .fetch import Fetcher
 from .model import RankedResults, Record, SourceId, TweetClaim
 from .urls import canonicalize_article_url
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 #: Sources that produce ranked URL lists and can be scored against the corpus.
 EVAL_SOURCES = tuple(source for source, row in ENGINES.items() if row.ranking is not None)
@@ -44,9 +41,9 @@ class QueryOutcome(Record):
 
     record_id: str
     source: SourceId
-    rank_of_relevant: Optional[int]
-    error: Optional[str] = None
-    failure: Optional[type[TweetCheckError]] = None
+    rank_of_relevant: int | None
+    error: str | None = None
+    failure: type[TweetCheckError] | None = None
 
     def __post_init__(self):
         if self.rank_of_relevant is not None and self.rank_of_relevant < 1:

@@ -20,19 +20,17 @@ from __future__ import annotations
 import hashlib
 import logging
 import os
+import re
 import threading
 import time
+from collections.abc import Callable, Sequence
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, TypeVar
 from urllib.parse import urljoin, urlsplit
 
 from .errors import CorruptFixture, FixtureMiss, NetworkError, TweetCheckError
 from .model import Record
 from . import urls
-
-if TYPE_CHECKING:
-    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -45,6 +43,8 @@ MAX_REDIRECTS = 5
 MAX_BODY_BYTES = 16 * 1024 * 1024
 _MAX_FIXTURE_BYTES = MAX_BODY_BYTES + 1024 * 1024 + 1  # the body's cap, room for a header, one byte over
 _BODY_CHUNK_BYTES = 64 * 1024
+#: A line break in a header value and the spaces or tabs that fold it.
+_FOLD = re.compile(r"(?:\r\n?|\n)[ \t]*")
 #: Hosts queried at the same time by :meth:`Fetcher.run_per_host`.
 MAX_HOST_WORKERS = 4
 
@@ -102,7 +102,8 @@ class FixtureStore:
     """Directory of recorded responses, one ``<digest>.fixture`` file per key.
 
     File layout: four ASCII header lines (status, final URL, content type,
-    body byte length), a blank line, then the raw body bytes.
+    body byte length), a blank line, then the raw body bytes. A final URL or
+    content type holding a line break cannot be written.
     """
 
     def __init__(self, root: str | os.PathLike):
@@ -162,6 +163,9 @@ class FixtureStore:
             f"{response.content_type}\n{len(response.body)}\n\n"
         )
         path = self.path_for(key)
+        for field in (response.final_url, response.content_type):
+            if "\r" in field or "\n" in field:
+                raise TweetCheckError(f"cannot write fixture {path}: line break in header field {field!r}")
         try:
             self.root.mkdir(parents=True, exist_ok=True)
             fd, tmp_name = tempfile.mkstemp(dir=self.root, suffix=".tmp")
@@ -194,7 +198,6 @@ def _reset_politeness_clock() -> None:
 
 
 Transport = Callable[[FetchRequest], FetchResponse]
-T = TypeVar("T")
 
 
 class Fetcher:
@@ -210,12 +213,12 @@ class Fetcher:
     def __init__(
         self,
         mode: FetchMode,
-        store: Optional[FixtureStore] = None,
+        store: FixtureStore | None = None,
         *,
         user_agent: str = DEFAULT_USER_AGENT,
         delay_ms: int = DEFAULT_DELAY_MS,
         timeout_s: float = DEFAULT_TIMEOUT_S,
-        transport: Optional[Transport] = None,
+        transport: Transport | None = None,
     ):
         if mode in (FetchMode.RECORD, FetchMode.REPLAY) and store is None:
             raise ValueError(f"{mode.value} mode requires a fixture store")
@@ -256,20 +259,19 @@ class Fetcher:
         record mode saves first, so replay fails the same way). Raises
         :class:`FixtureMiss` in replay mode for unrecorded requests.
         """
-        key = fixture_key(req)
         if self.mode is FetchMode.REPLAY:
             assert self.store is not None
-            response = self.store.load(key, req.url)
+            response = self.store.load(fixture_key(req), req.url)
         else:
             response = self._polite_request(req)
             if self.mode is FetchMode.RECORD:
                 assert self.store is not None
-                self.store.save(key, response)
+                self.store.save(fixture_key(req), response)
         if not 200 <= response.status < 300:
             raise NetworkError(f"HTTP {response.status} for {req.url}")
         return response
 
-    def run_per_host(self, jobs: Sequence[tuple[str, Callable[[], T]]]) -> list[T]:
+    def run_per_host(self, jobs: Sequence[tuple[str, Callable[[], object]]]) -> list[object]:
         """Run ``(url, job)`` pairs, each host's jobs one after another.
 
         Jobs for different hosts (by the host of their URL) run at the same
@@ -283,7 +285,7 @@ class Fetcher:
         by_host: dict[str, list[int]] = {}
         for index, (url, _) in enumerate(jobs):
             by_host.setdefault(urls.host(url), []).append(index)
-        results: list[T] = [None] * len(jobs)  # type: ignore[list-item]
+        results: list[object] = [None] * len(jobs)
 
         def run(indices: list[int]) -> None:
             for index in indices:
@@ -351,7 +353,9 @@ class Fetcher:
                 status=resp.status_code,
                 final_url=resp.url,
                 body=body,
-                content_type=resp.headers.get("Content-Type", ""),
+                # A header folded across lines keeps its line breaks;
+                # RFC 9112 section 5.2 has the recipient unfold it.
+                content_type=_FOLD.sub(" ", resp.headers.get("Content-Type", "")),
             )
         # A ValueError is an answer nothing here can read: a Location that
         # urljoin rejects or that is not UTF-8, or a status past 599.

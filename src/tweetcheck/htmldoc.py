@@ -68,14 +68,12 @@ from __future__ import annotations
 
 import html
 import re
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from functools import lru_cache
 from html.entities import html5
-from typing import Callable, Iterable, Iterator, Mapping, Optional, TypeVar
 
 from .errors import ParseError
 from .fetch import FetchResponse
-
-S = TypeVar("S")
 
 VOID_TAGS = frozenset(
     "area base br col embed hr img input link meta param source track wbr".split()
@@ -93,7 +91,7 @@ class Element:
 
     __slots__ = ("tag", "attrs", "children")
 
-    def __init__(self, tag: str, attrs: Optional[dict[str, str]] = None):
+    def __init__(self, tag: str, attrs: dict[str, str] | None = None):
         self.tag = tag
         self.attrs = attrs or {}
         self.children: list[Element | str] = []
@@ -102,7 +100,7 @@ class Element:
         ident = f"#{self.attrs['id']}" if "id" in self.attrs else ""
         return f"<Element {self.tag}{ident}>"
 
-    def get(self, name: str, default: Optional[str] = None) -> Optional[str]:
+    def get(self, name: str, default: str | None = None) -> str | None:
         return self.attrs.get(name, default)
 
     def iter(self) -> Iterator["Element"]:
@@ -144,7 +142,7 @@ class Element:
         """Elements under this one matching the selector, in document order."""
         return list(self._matching(selector))
 
-    def select_one(self, selector: str) -> Optional["Element"]:
+    def select_one(self, selector: str) -> Element | None:
         """The first element :meth:`select` would return, without finding the rest."""
         return next(self._matching(selector), None)
 
@@ -163,7 +161,7 @@ def _parse_compound(token: str) -> _Simple:
     tag = None
     id_ = None
     classes: list[str] = []
-    attrs: list[tuple[str, Optional[str]]] = []
+    attrs: list[tuple[str, str | None]] = []
     pos = 0
     for m in _PART_RE.finditer(token):
         if m.start() != pos:
@@ -199,7 +197,7 @@ def parse_selector(selector: str) -> tuple[_Simple, ...]:
     return compounds
 
 
-def matches(tag: str, attrs: Mapping[str, Optional[str]], compounds: tuple[_Simple, ...]) -> bool:
+def matches(tag: str, attrs: Mapping[str, str | None], compounds: tuple[_Simple, ...]) -> bool:
     """Whether an element with this tag and these attributes matches one of a
     compiled selector's compounds (see :func:`parse_selector`)."""
     for simple in compounds:
@@ -301,8 +299,8 @@ def _attribute_reference(m: re.Match) -> str:
     return unescape(m.group(0))
 
 
-def _attributes(text: str) -> dict[str, Optional[str]]:
-    attrs: dict[str, Optional[str]] = {}
+def _attributes(text: str) -> dict[str, str | None]:
+    attrs: dict[str, str | None] = {}
     for name, equals, single, double, bare in _TAG_ATTR_RE.findall(text):
         if equals:
             value = single or double or bare
@@ -312,8 +310,8 @@ def _attributes(text: str) -> dict[str, Optional[str]]:
     return attrs
 
 
-def tokenize(text: str, document: S, open_element: Callable[[S, str, dict], S],
-             add_text: Callable[[S, str], object]) -> None:
+def tokenize(text: str, document: object, open_element: Callable[[object, str, dict], object],
+             add_text: Callable[[object, str], object]) -> None:
     """Read ``text`` in one pass, telling the caller what it holds in document
     order. Each open element has a state: ``document`` for the document, and
     for an element the value ``open_element(parent_state, tag, attributes)``

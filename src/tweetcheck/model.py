@@ -10,13 +10,10 @@ evidence each time it is read.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Optional, TypeVar
-
-R = TypeVar("R", bound="Record")
 
 
 class Record:
-    """Base of the package's value types: immutable, compared and hashed by value.
+    """Base of the package's value types: immutable, compared by value.
 
     A subclass declares its fields, in order, as annotated class attributes,
     and a field's default as the attribute's value::
@@ -30,7 +27,10 @@ class Record:
     a :class:`TypeError`. Its fields cannot be assigned or deleted
     afterwards: :meth:`replace` builds a changed copy, checked again. Two
     records are equal when they are of one class and their fields are
-    equal, and a record hashes as the tuple of its field values. The fields
+    equal, and a record hashes as the tuple of its field values, so only a
+    record whose fields all hash can be hashed: not an engine row
+    (``adapters.EngineSettings``, whose ``selectors`` is a dict) nor a
+    ``config.AppConfig`` (whose ``engines`` is a mapping). The fields
     are read once, when the subclass is created, and no code is generated
     for them, so importing a module of records stays cheap.
     """
@@ -86,7 +86,7 @@ class Record:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
-    def replace(self: R, **changes) -> R:
+    def replace(self, **changes) -> Record:
         """A copy with ``changes`` applied to its fields, checked as a new record is."""
         return type(self)(**{**self.__dict__, **changes})
 
@@ -194,8 +194,8 @@ class EvidenceItem(Record):
     source: SourceId
     url: str
     rank: int
-    rating: Optional[TruthRating] = None
-    matched_text: Optional[str] = None
+    rating: TruthRating | None = None
+    matched_text: str | None = None
 
     def __post_init__(self):
         if self.rank < 1:

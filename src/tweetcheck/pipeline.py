@@ -14,8 +14,8 @@ others produced.
 from __future__ import annotations
 
 import logging
+from collections.abc import Sequence
 from functools import partial
-from typing import Optional, Sequence, Union
 
 from .adapters import (
     EngineSettings,
@@ -72,7 +72,7 @@ def verify_claim(
     claim: TweetClaim,
     config: AppConfig,
     fetcher: Fetcher,
-    engines: Optional[Sequence[SourceId]] = None,
+    engines: Sequence[SourceId] | None = None,
 ) -> VerifyRun:
     """Run the enabled engines over one claim and aggregate a verdict."""
     enabled = [source for source in SourceId if engines is None or source in engines]
@@ -114,7 +114,7 @@ def verify_claim(
 
 def _search(
     claim: TweetClaim, fetcher: Fetcher, settings: EngineSettings
-) -> Union[RankedResults, list[PolitwoopsHit], TweetCheckError]:
+) -> RankedResults | list[PolitwoopsHit] | TweetCheckError:
     """The engine's results, or the query failure it ended in."""
     try:
         if settings.ranking is None:
@@ -142,7 +142,7 @@ def _select_articles(
     return picks
 
 
-def _politwoops_evidence(claim: TweetClaim, hits: list[PolitwoopsHit]) -> Optional[EvidenceItem]:
+def _politwoops_evidence(claim: TweetClaim, hits: list[PolitwoopsHit]) -> EvidenceItem | None:
     hit = match_politwoops(claim, hits)
     if hit is None:
         return None

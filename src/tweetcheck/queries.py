@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from typing import Optional
 from urllib.parse import quote, quote_plus
 
 from .model import Record, TweetClaim
@@ -38,7 +37,7 @@ class QuerySpec(Record):
     max_chars: int
     encoding: Encoding
     truncation: Truncation
-    site_filter: Optional[str] = None
+    site_filter: str | None = None
 
     def __post_init__(self):
         if self.max_chars < 10:

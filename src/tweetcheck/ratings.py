@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import logging
 import re
-from typing import Optional
 
 from .errors import ParseError
 from .fetch import FetchResponse
@@ -111,7 +110,7 @@ def scrape_reuters_rating(page: FetchResponse) -> TruthRating:
     places: dict[int, tuple[Element, int]] = {}
     holders: set[int] = set()
     for el in reversed([root, *root.iter()]):  # every element after its descendants
-        parts: list[Optional[str]] = []
+        parts: list[str | None] = []
         for index, child in enumerate(el.children):
             if isinstance(child, str):
                 parts.append(child)

@@ -19,7 +19,6 @@ identity. This module imports nothing from the rest of the package.
 from __future__ import annotations
 
 import re
-from typing import Optional
 from urllib.parse import SplitResult, unquote, urljoin, urlsplit, urlunsplit
 
 SNOPES_HOST = "snopes.com"
@@ -64,12 +63,12 @@ _PLAIN_LINK = re.compile(
 )
 
 
-def _plain(url: str) -> Optional[SplitResult]:
+def _plain(url: str) -> SplitResult | None:
     m = _PLAIN_LINK.match(url)
     return m and SplitResult((m[1] or "").lower(), m[2] or "", m[3], m[4] or "", "")
 
 
-def result_link(base: str, href: str, unwrap: bool) -> Optional[tuple[str, str, str]]:
+def result_link(base: str, href: str, unwrap: bool) -> tuple[str, str, str] | None:
     """(URL, host, path) of the http(s) page the link ``href`` on the page at
     ``base`` leads to, or None. With ``unwrap``, a "/url?" redirect wrapper
     leads to its first non-blank "q", else "url". The URL, as a result is
@@ -101,7 +100,7 @@ def result_link(base: str, href: str, unwrap: bool) -> Optional[tuple[str, str, 
     return url, parts.hostname or "", parts.path
 
 
-def _publisher(name: str) -> Optional[str]:
+def _publisher(name: str) -> str | None:
     """"snopes" or "reuters" for a host on either site, else None."""
     if host_matches(name, SNOPES_HOST):
         return "snopes"
@@ -110,7 +109,7 @@ def _publisher(name: str) -> Optional[str]:
     return None
 
 
-def identify_publisher(url: str) -> Optional[str]:
+def identify_publisher(url: str) -> str | None:
     """"snopes" or "reuters" by host, else None."""
     return _publisher(host(url))
 

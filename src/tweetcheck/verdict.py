@@ -9,7 +9,7 @@ rank), and permuting the input never changes the verdict.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 from .model import SOURCE_ORDER, EvidenceItem, TweetClaim, Verdict
 

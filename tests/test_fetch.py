@@ -36,9 +36,13 @@ class TestFixtureKey:
 
 
 class TestFetchRequest:
-    def test_relative_url_rejected(self):
-        with pytest.raises(ValueError):
-            FetchRequest(url="/search/x")
+    # An empty host is refused too, so no fixture key is built from a URL
+    # like http:////x/y, which urlunsplit normalizes differently across
+    # Python versions.
+    @pytest.mark.parametrize("url", ["/search/x", "http:////x/y", "http:///x"])
+    def test_relative_url_rejected(self, url):
+        with pytest.raises(ValueError, match="url must be absolute"):
+            FetchRequest(url=url)
 
     def test_url_that_is_not_utf8_rejected(self):
         with pytest.raises(ValueError, match="url is not UTF-8 text"):
@@ -118,6 +122,14 @@ class TestRecordReplay:
         with pytest.raises(ValueError):
             Fetcher(FetchMode.RECORD)
 
+    def test_live_fetch_computes_no_fixture_key(self, monkeypatch):
+        def no_key(req):
+            raise AssertionError("a live fetch needs no fixture key")
+
+        monkeypatch.setattr("tweetcheck.fetch.fixture_key", no_key)
+        fetcher = Fetcher(FetchMode.LIVE, delay_ms=0, transport=StubTransport({self.URL: StubPage(b"page")}))
+        assert fetcher.fetch(FetchRequest(url=self.URL)).body == b"page"
+
     def test_network_error_propagates(self, tmp_path):
         fetcher = Fetcher(FetchMode.LIVE, transport=StubTransport({}))
         with pytest.raises(NetworkError):
@@ -143,6 +155,17 @@ class TestFixtureStoreFormat:
         assert str(exc.value) == f"cannot write fixture {path}: Is a directory"
         assert isinstance(exc.value.__cause__, IsADirectoryError)
         assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no temp file left behind
+
+    @pytest.mark.parametrize("field", ["final_url", "content_type"])
+    @pytest.mark.parametrize("brk", ["\r\n ", "\n", "\r"])
+    def test_line_break_in_a_header_field_is_refused(self, tmp_path, field, brk):
+        store = FixtureStore(tmp_path / "fx")
+        response = FetchResponse(status=200, final_url="https://a/", body=b"HELLO", content_type="text/html")
+        response = response.replace(**{field: getattr(response, field) + brk + "x"})
+        path = store.path_for("k" * 64)
+        with pytest.raises(TweetCheckError, match=f"^cannot write fixture {path}: line break in header field"):
+            store.save("k" * 64, response)
+        assert not store.root.exists()
 
     def test_truncated_file_reports_miss(self, tmp_path):
         store = FixtureStore(tmp_path)

@@ -86,6 +86,13 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("Content-Length", str(len(body)))
             self.end_headers()
             self.wfile.write(body)
+        elif self.path == "/folded":
+            body = b"folded"
+            self.send_response(200)
+            self.send_header("Content-Type", "text/html;\r\n charset=utf-8")  # obs-fold
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
         elif self.path == "/absolute":
             self.send_response(302)
             self.send_header("Location", f"http://127.0.0.1:{self.server.server_address[1]}/final")
@@ -188,6 +195,14 @@ class TestLiveTransport:
         replayed = Fetcher(FetchMode.REPLAY, store).fetch(FetchRequest(url=f"{server}/hop1"))
         assert replayed == recorded
         assert replayed.final_url == f"{server}/final"
+
+    def test_folded_content_type_is_recorded_unfolded_and_replays(self, server, tmp_path):
+        store = FixtureStore(tmp_path / "fx")
+        request = FetchRequest(url=f"{server}/folded")
+        with Fetcher(FetchMode.RECORD, store, delay_ms=0) as recorder:
+            recorder.fetch(request)
+        replayed = Fetcher(FetchMode.REPLAY, store).fetch(request)
+        assert (replayed.content_type, replayed.body) == ("text/html; charset=utf-8", b"folded")
 
     def test_close_empties_the_session_pool(self, server):
         with Fetcher(FetchMode.LIVE, delay_ms=0) as fetcher:

@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tweetcheck.adapters import ENGINES
+from tweetcheck.config import AppConfig
 from tweetcheck.model import (
     EvidenceItem,
     Outcome,
@@ -234,6 +236,11 @@ class TestRecord:
     def test_equal_records_hash_alike(self):
         assert hash(Hit("https://a/")) == hash(Hit(url="https://a/", rank=1)) == hash(("https://a/", 1))
         assert len({Hit("https://a/"), Hit("https://a/", 1), Hit("https://b/")}) == 2
+
+    def test_a_record_with_an_unhashable_field_does_not_hash(self):
+        for record in (ENGINES[SourceId.SNOPES_SEARCH], AppConfig()):
+            with pytest.raises(TypeError, match="unhashable type"):
+                hash(record)
 
     def test_repr_names_every_field(self):
         assert repr(Hit("https://a/")) == "Hit(url='https://a/', rank=1)"

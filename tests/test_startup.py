@@ -71,10 +71,11 @@ def test_importing_the_cli_loads_no_network_module():
     assert loaded.isdisjoint(NETWORK_ONLY), sorted(loaded.intersection(NETWORK_ONLY))
 
 
-#: Modules only the code generation of ``dataclasses`` or the scores of
-#: ``eval`` need: records are built without generated code, and
-#: :mod:`fractions` is imported where a score is computed.
-NOT_AT_START = ("dataclasses", "inspect", "fractions", "decimal")
+#: Modules only the code generation of ``dataclasses``, the scores of
+#: ``eval`` or evaluated annotations need: records are built without
+#: generated code, :mod:`fractions` is imported where a score is computed,
+#: and annotations are strings that name builtins and :mod:`collections.abc`.
+NOT_AT_START = ("dataclasses", "inspect", "fractions", "decimal", "typing")
 
 
 def test_importing_the_cli_generates_no_code_and_loads_no_fractions():

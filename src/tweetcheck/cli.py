@@ -7,10 +7,11 @@ data; diagnostics go to stderr. Exit codes are a stable contract:
 * 64 = usage error, 65 = dataset error, 66 = missing or corrupt replay fixture,
   69 = operational failure (network or non-2xx answer, bot challenge, unparseable pages)
 
-A command line argparse rejects or a :class:`ConfigError` (64), and any
-other uncaught :class:`TweetCheckError` (69, worded by
-:func:`~tweetcheck.errors.describe_failure`), is mapped to its exit code
-once, in :func:`main`.
+Each of 64, 65, 66 and 69 is declared once, as the ``exit_code`` of the
+:mod:`tweetcheck.errors` class that causes it (argparse's usage error is a
+:class:`ConfigError`'s). :func:`main` alone ends a command that raises one,
+with the line :func:`~tweetcheck.errors.describe_failure` words; a command
+that prints before it fails returns the class's code itself.
 
 ``record`` is the ``eval`` pass with a recording fetcher, and both print
 each failed query, a replay fixture miss included, as one
@@ -26,9 +27,9 @@ from functools import partial
 from pathlib import Path
 from collections.abc import Sequence
 
-from .config import MODE_ENV_VAR, AppConfig, ConfigError, build_config, source_by_name
+from .config import MODE_ENV_VAR, AppConfig, build_config, source_by_name
 from .dataset import load_dataset, shipped_dataset_path, validate_dataset
-from .errors import FixtureMiss, FormatError, TweetCheckError, ValidationError, describe_failure
+from .errors import ConfigError, DatasetError, FixtureMiss, TweetCheckError, describe_failure
 from .evaluation import EVAL_SOURCES, evaluate_engine, render_report
 from .fetch import FetchMode, FetchRequest
 from .model import Outcome, SourceId, TweetClaim
@@ -36,24 +37,7 @@ from .pipeline import evidence_lines, rating_line, verify_claim
 from .ratings import scrape_rating
 from .urls import identify_publisher
 
-EXIT_AUTHENTIC = 0
-EXIT_FABRICATED = 1
-EXIT_UNVERIFIABLE = 2
-EXIT_USAGE = 64
-EXIT_DATA = 65
-EXIT_NO_FIXTURE = 66
-EXIT_OPERATIONAL = 69
-
-_OUTCOME_EXIT = {
-    Outcome.AUTHENTIC: EXIT_AUTHENTIC,
-    Outcome.FABRICATED: EXIT_FABRICATED,
-    Outcome.UNVERIFIABLE: EXIT_UNVERIFIABLE,
-}
-
-
-def _fail(message: str, code: int) -> int:
-    print(f"tweetcheck: {message}", file=sys.stderr)
-    return code
+_OUTCOME_EXIT = {Outcome.AUTHENTIC: 0, Outcome.FABRICATED: 1, Outcome.UNVERIFIABLE: 2}
 
 
 def _common_options() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
@@ -155,7 +139,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         claim = TweetClaim(body=args.body)
     except ValueError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+        raise ConfigError(str(exc)) from None
     engines = _parse_engines(args.engine, list(SourceId))
     config = _resolve_config(args)
     with config.build_fetcher() as fetcher:
@@ -163,7 +147,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for source, message in run.engine_errors.items():
         print(f"tweetcheck: {source.value}: {message}", file=sys.stderr)
     if len(run.engine_errors) == len(engines):
-        return _fail("every engine failed; cannot verify", EXIT_OPERATIONAL)
+        raise TweetCheckError("every engine failed; cannot verify")
 
     for item in run.verdict.evidence:
         for line in evidence_lines(item):
@@ -188,14 +172,11 @@ def _engine_pass(args: argparse.Namespace) -> int:
     engines = _parse_engines(args.engine, EVAL_SOURCES)
     config = _resolve_config(args, FetchMode.RECORD if recording else None)
     with config.build_fetcher() as fetcher:
-        try:
-            records = load_dataset(args.dataset)
-        except (FormatError, ValidationError, OSError) as exc:
-            return _fail(f"dataset error: {exc}", EXIT_DATA)
+        records = load_dataset(args.dataset)
         if not records:
-            return _fail(f"dataset error: no records in {args.dataset}", EXIT_DATA)
+            raise DatasetError(f"no records in {args.dataset}")
         if recording and args.mode not in (None, FetchMode.RECORD.value):
-            return _fail(f"record cannot run with --mode {args.mode}; it always records", EXIT_USAGE)
+            raise ConfigError(f"record cannot run with --mode {args.mode}; it always records")
         jobs = []
         for source in engines:
             settings = config.engines[source]
@@ -208,25 +189,22 @@ def _engine_pass(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     if any(issubclass(outcome.failure, FixtureMiss) for outcome in failed):
-        return EXIT_NO_FIXTURE
+        return FixtureMiss.exit_code
     if recording:
         print(f"recorded {len(records)} record(s) x {len(reports)} engine(s), {len(failed)} failure(s)")
-        return 0 if not failed else EXIT_OPERATIONAL
+        return 0 if not failed else TweetCheckError.exit_code
     sys.stdout.write(render_report(reports, args.format))
     return 0
 
 
 def cmd_validate_dataset(args: argparse.Namespace) -> int:
     path = Path(args.dataset) if args.dataset else shipped_dataset_path()
-    try:
-        records = load_dataset(path, validate=False)
-    except (FormatError, OSError) as exc:
-        return _fail(f"dataset error: {exc}", EXIT_DATA)
+    records = load_dataset(path, validate=False)
     findings = validate_dataset(records)
     if findings:
         for finding in findings:
             print(f"record {finding.record_id}: {finding.message}")
-        return EXIT_DATA
+        return DatasetError.exit_code
     authentic = sum(1 for r in records if r.authentic)
     print(f"dataset OK: {len(records)} records ({authentic} authentic, {len(records) - authentic} fabricated)")
     return 0
@@ -234,17 +212,14 @@ def cmd_validate_dataset(args: argparse.Namespace) -> int:
 
 def cmd_scrape(args: argparse.Namespace) -> int:
     if identify_publisher(args.url) is None:
-        return _fail(f"unsupported publisher host: {args.url}", EXIT_USAGE)
+        raise ConfigError(f"unsupported publisher host: {args.url}")
     try:
         request = FetchRequest(url=args.url)
     except ValueError as exc:  # a host but no scheme, as in "//www.snopes.com/x"
-        return _fail(str(exc), EXIT_USAGE)
+        raise ConfigError(str(exc)) from None
     config = _resolve_config(args)
     with config.build_fetcher() as fetcher:
-        try:
-            page = fetcher.fetch(request)
-        except FixtureMiss as exc:
-            return _fail(str(exc), EXIT_NO_FIXTURE)
+        page = fetcher.fetch(request)
     rating = scrape_rating(page)
     print(rating_line(rating))
     print(f"Normalized kind: {rating.kind.value}")
@@ -257,14 +232,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         if exc.code != 2:
             raise
-        return EXIT_USAGE
+        return ConfigError.exit_code
     _configure_logging(args.verbose)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        return _fail(str(exc), EXIT_USAGE)
     except TweetCheckError as exc:
-        return _fail(describe_failure(exc), EXIT_OPERATIONAL)
+        print(f"tweetcheck: {describe_failure(exc)}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

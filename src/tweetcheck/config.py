@@ -42,24 +42,21 @@ from types import MappingProxyType
 from urllib.parse import urlsplit
 
 from .adapters import ENGINES, EngineSettings
-from .errors import TweetCheckError
+from .errors import ConfigError
 from .fetch import DEFAULT_DELAY_MS, DEFAULT_TIMEOUT_S, DEFAULT_USER_AGENT, FetchMode, Fetcher, FixtureStore
 from .model import Record, SourceId
 
 MODE_ENV_VAR = "TWEETCHECK_MODE"
 
 
-class ConfigError(TweetCheckError):
-    """A configuration file or value could not be interpreted."""
-
-
 def load_keyvalues(path: str | Path) -> dict[str, str]:
     """Parse a plain key=value file; "#" lines and blank lines are ignored.
 
-    Raises :class:`ConfigError` naming the file if it cannot be read.
+    A leading UTF-8 byte-order mark is skipped. Raises :class:`ConfigError`
+    naming the file if it cannot be read.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:  # missing, a directory, no permission
         raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:

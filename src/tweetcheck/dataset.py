@@ -11,10 +11,11 @@ the Reuters overlap evaluation; 6-field rows are accepted.
 
 from __future__ import annotations
 
+import codecs
 from pathlib import Path
 from collections.abc import Iterable, Iterator
 
-from .errors import FormatError, ValidationError
+from .errors import DatasetError, FormatError, ValidationError
 from .model import Record, TweetClaim
 from .urls import canonicalize_article_url, is_snopes_url
 
@@ -140,9 +141,13 @@ def parse_dataset(text: str, validate: bool = True) -> list[GroundTruthRecord]:
 
 
 def load_dataset(path: str | Path, validate: bool = True) -> list[GroundTruthRecord]:
-    """Load and (by default) validate a corpus file; bytes that are not
-    UTF-8 are a :class:`FormatError` naming their line."""
-    data = Path(path).read_bytes()
+    """Load and (by default) validate a corpus file, a leading UTF-8 BOM
+    skipped; an unreadable file is a :class:`DatasetError`, and bytes that
+    are not UTF-8 a :class:`FormatError` naming their line."""
+    try:
+        data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
+    except OSError as exc:  # missing, a directory, no permission
+        raise DatasetError(str(exc)) from None
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -1,5 +1,9 @@
 """Exception types shared across the package.
 
+Each class declares, as its ``exit_code``, the exit code (64, 65, 66 or 69)
+of a command it ends; this is the one place each code is written, and
+:func:`tweetcheck.cli.main` alone ends a command that raises one.
+
 An engine query that ends in one of :data:`QUERY_FAILURES` fails that engine
 only, a fixture miss included; every command words such a failure with
 :func:`describe_failure`.
@@ -9,7 +13,15 @@ from __future__ import annotations
 
 
 class TweetCheckError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; an operational failure."""
+
+    exit_code = 69
+
+
+class ConfigError(TweetCheckError):
+    """A usage error: a command line, or a configuration file or value, that cannot be used."""
+
+    exit_code = 64
 
 
 class NetworkError(TweetCheckError):
@@ -19,6 +31,8 @@ class NetworkError(TweetCheckError):
 
 class FixtureMiss(TweetCheckError):
     """Replay mode was asked for a request that was never recorded."""
+
+    exit_code = 66
 
     def __init__(self, key: str, url: str):
         self.key = key
@@ -43,7 +57,13 @@ class CaptchaDetected(TweetCheckError):
     """The search engine served a bot challenge instead of results."""
 
 
-class FormatError(TweetCheckError):
+class DatasetError(TweetCheckError):
+    """A dataset cannot be used: unreadable, malformed, breaking an invariant or empty."""
+
+    exit_code = 65
+
+
+class FormatError(DatasetError):
     """A dataset row is malformed."""
 
     def __init__(self, line_no: int, field: str, message: str):
@@ -52,7 +72,7 @@ class FormatError(TweetCheckError):
         super().__init__(f"line {line_no}, field {field}: {message}")
 
 
-class ValidationError(TweetCheckError):
+class ValidationError(DatasetError):
     """A dataset record breaks an invariant."""
 
     def __init__(self, record_id: str, message: str):
@@ -70,4 +90,6 @@ def describe_failure(exc: TweetCheckError) -> str:
         return f"bot challenge: {exc}"
     if isinstance(exc, ParseError):
         return f"unparseable page: {exc}"
+    if isinstance(exc, DatasetError):
+        return f"dataset error: {exc}"
     return str(exc)

@@ -400,7 +400,7 @@ def collapse_whitespace(text: str) -> str:
     return _WS_RUN.sub(" ", text).strip()
 
 
-_CHARSET_RE = re.compile(r"charset=([\w.-]+)", re.IGNORECASE)
+_CHARSET_RE = re.compile(r'charset="?([\w.-]+)', re.IGNORECASE)  # quoted or not (RFC 9110 §8.3.1)
 _SURROGATE = re.compile("[\ud800-\udfff]")
 _HTMLISH_CT = re.compile(r"(^text/|html|xml)", re.IGNORECASE)
 

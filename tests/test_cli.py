@@ -13,6 +13,18 @@ import tweetcheck
 from tweetcheck.cli import main
 from tweetcheck.dataset import GroundTruthRecord, serialize_dataset
 from tweetcheck.adapters import ENGINES
+from tweetcheck.errors import (
+    CaptchaDetected,
+    ConfigError,
+    CorruptFixture,
+    DatasetError,
+    FixtureMiss,
+    FormatError,
+    NetworkError,
+    ParseError,
+    TweetCheckError,
+    ValidationError,
+)
 from tweetcheck.evaluation import evaluate_engine
 from tweetcheck.fetch import MAX_BODY_BYTES, Fetcher, FetchRequest, FixtureStore, fixture_key
 
@@ -499,6 +511,40 @@ def test_non_utf8_dataset_exits_65_naming_the_line(tmp_path, capsys, monkeypatch
     assert not fixtures.exists()
 
 
+@pytest.mark.parametrize("command", ["validate-dataset", "eval", "record"])
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_dataset_path_exits_65_with_one_line(tmp_path, capsys, monkeypatch, command, kind):
+    _refuse_network(monkeypatch)
+    dataset = tmp_path / "absent.tsv" if kind == "missing" else tmp_path
+    with pytest.raises(OSError) as reason:
+        dataset.read_bytes()
+    fixtures = tmp_path / "fx"
+    argv = [command, "--dataset", str(dataset)]
+    if command != "validate-dataset":
+        argv += ["--fixtures", str(fixtures)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 65
+    assert captured.out == ""
+    assert captured.err == f"tweetcheck: dataset error: {reason.value}\n"
+    assert captured.err.startswith(f"tweetcheck: dataset error: [Errno {reason.value.errno}] ")
+    assert not fixtures.exists()
+
+
+#: Each failure class's exit code, as the README's exit-code table gives it.
+README_EXIT_CODES = {
+    ConfigError: 64,
+    DatasetError: 65, FormatError: 65, ValidationError: 65,
+    FixtureMiss: 66, CorruptFixture: 66,
+    NetworkError: 69, ParseError: 69, CaptchaDetected: 69, TweetCheckError: 69,
+}
+
+
+@pytest.mark.parametrize("error", README_EXIT_CODES, ids=lambda error: error.__name__)
+def test_each_failure_class_carries_its_readme_exit_code(error):
+    assert error.exit_code == README_EXIT_CODES[error]
+
+
 def _overlong_body_dataset(tmp_path: Path) -> Path:
     records = eval_records()
     records[1] = records[1].replace(tweet_body="x" * 4001)
@@ -835,6 +881,16 @@ class TestSurrogateFromCharset:
         code = main(["scrape", SNOPES_PANDEMIC_ARTICLE, "--mode", "replay", "--fixtures", str(store.root)])
         assert code == 0
         assert capsys.readouterr().out == "Truth rating: False\ufffd\nNormalized kind: Unknown\n"
+
+
+def test_scrape_reads_a_quoted_charset(tmp_path, capsys):
+    article = '<div class="rating_title_wrap">Légende</div>'.encode("iso-8859-1")
+    store = record_pages(tmp_path / "fx", {
+        SNOPES_PANDEMIC_ARTICLE: StubPage(article, content_type='text/html; charset="iso-8859-1"'),
+    })
+    code = main(["scrape", SNOPES_PANDEMIC_ARTICLE, "--mode", "replay", "--fixtures", str(store.root)])
+    assert code == 0
+    assert capsys.readouterr().out == "Truth rating: Légende\nNormalized kind: Unknown\n"
 
 
 class TestModeEnvVar:

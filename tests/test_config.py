@@ -41,6 +41,12 @@ class TestKeyValues:
         assert str(path) in str(info.value)
 
 
+    def test_a_leading_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "c.conf"
+        path.write_bytes(b"\xef\xbb\xbfpoliteness_delay_ms = 250\n")
+        assert build_config(path, env={}).politeness_delay_ms == 250
+
+
 class TestBuildConfig:
     def test_defaults(self):
         config = build_config(env={})

@@ -1,3 +1,5 @@
+import codecs
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -60,6 +62,20 @@ class TestParsing:
         path = tmp_path / "empty.tsv"
         path.write_text(HEADER, encoding="utf-8")
         assert load_dataset(path) == []
+
+    def test_a_leading_byte_order_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "bom.tsv"
+        path.write_bytes(codecs.BOM_UTF8 + shipped_dataset_path().read_bytes())
+        assert load_dataset(path) == load_shipped_dataset()
+
+    def test_a_bad_byte_after_a_byte_order_mark_names_its_line(self, tmp_path):
+        path = tmp_path / "bom.tsv"
+        # the bad byte opens line 2: an offset counted from after the mark would fall on line 1
+        row = b"\xe91\tfalse\tbody\thttps://www.snopes.com/fact-check/r1/\t-\t-\t-\n"
+        path.write_bytes(codecs.BOM_UTF8 + HEADER.encode() + row)
+        with pytest.raises(FormatError) as exc:
+            load_dataset(path)
+        assert exc.value.line_no == 2
 
     def test_six_field_rows_accepted(self):
         line = "x1\tfalse\tbody text\thttps://www.snopes.com/fact-check/x1/\t-\t-"

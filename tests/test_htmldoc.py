@@ -288,6 +288,12 @@ class TestParseResponse:
         )
         assert parse_response(resp).select("p")[0].text() == "café"
 
+    @pytest.mark.parametrize("content_type", ['text/html; charset="iso-8859-1"', "text/html; charset=iso-8859-1"])
+    def test_quoted_charset_reads_as_unquoted(self, content_type):
+        # RFC 9110 §8.3.1: a quoted parameter value is the same value unquoted
+        resp = FetchResponse(status=200, final_url="https://x/", body=b"caf\xe9", content_type=content_type)
+        assert htmldoc.decode_body(resp) == "café"
+
     def test_missing_content_type_assumed_html(self):
         resp = FetchResponse(status=200, final_url="https://x/", body=b"<p>ok</p>")
         assert parse_response(resp).select("p")[0].text() == "ok"

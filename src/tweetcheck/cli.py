@@ -123,16 +123,13 @@ def _resolve_config(args: argparse.Namespace, mode: FetchMode | None = None) -> 
 def _parse_engines(
     names: Sequence[str] | None, allowed: Sequence[SourceId]
 ) -> list[SourceId]:
+    """The engines ``names`` gives, each once, in the order of ``allowed``; all of ``allowed`` if none."""
     if not names:
         return list(allowed)
-    engines = []
     for name in names:
-        source = source_by_name(name)  # raises ConfigError on unknown names
-        if source not in allowed:
+        if source_by_name(name) not in allowed:  # raises ConfigError on unknown names
             raise ConfigError(f"engine {name!r} is not usable for this command")
-        if source not in engines:
-            engines.append(source)
-    return sorted(engines, key=list(SourceId).index)
+    return [source for source in allowed if source.value in names]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -215,7 +212,7 @@ def cmd_scrape(args: argparse.Namespace) -> int:
         raise ConfigError(f"unsupported publisher host: {args.url}")
     try:
         request = FetchRequest(url=args.url)
-    except ValueError as exc:  # a host but no scheme, as in "//www.snopes.com/x"
+    except ValueError as exc:  # no scheme, as in "//www.snopes.com/x", or not http(s)
         raise ConfigError(str(exc)) from None
     config = _resolve_config(args)
     with config.build_fetcher() as fetcher:

@@ -82,10 +82,10 @@ def _parse_mode(value: str) -> FetchMode:
 
 
 def source_by_name(name: str) -> SourceId:
-    for source in SourceId:
-        if source.value == name:
-            return source
-    raise ConfigError(f"unknown engine name {name!r}")
+    try:
+        return SourceId(name)
+    except ValueError:
+        raise ConfigError(f"unknown engine name {name!r}") from None
 
 
 class AppConfig(Record):

@@ -1,25 +1,24 @@
 """Ground-truth corpus of tweets with known fact-check coverage.
 
-File format: UTF-8 text, one record per line, tab-separated fields in the
-order (id, authentic, tweet_body, snopes_url, live_url, archived_url,
-reuters_url), with a literal "-" for absent optionals. The tweet body has
-backslash, tab, and newline characters escaped (\\\\, \\t, \\n, \\r) so a
-record always stays on one line. Lines starting with "#" and blank lines
-are ignored. The trailing reuters_url column is optional on read and backs
-the Reuters overlap evaluation; 6-field rows are accepted.
+File format, declared once in ``_COLUMNS``: UTF-8 text, one record per line,
+tab-separated fields in the order (id, authentic, tweet_body, snopes_url,
+live_url, archived_url, reuters_url), "-" for an absent optional. The tweet
+body escapes backslash, tab, LF and CR (\\\\, \\t, \\n, \\r; ``_ESCAPES``), so a
+record stays on one line. Lines starting with "#" and blank lines are
+ignored. The trailing reuters_url column is optional on read and backs the
+Reuters overlap evaluation; 6-field rows are accepted.
 """
 
 from __future__ import annotations
 
 import codecs
+import re
 from pathlib import Path
 from collections.abc import Iterable, Iterator
 
 from .errors import DatasetError, FormatError, ValidationError
 from .model import Record, TweetClaim
 from .urls import canonicalize_article_url, is_snopes_url
-
-_FIELD_NAMES = ("id", "authentic", "tweet_body", "snopes_url", "live_url", "archived_url", "reuters_url")
 
 
 class GroundTruthRecord(Record):
@@ -39,32 +38,53 @@ class ValidationFinding(Record):
     message: str
 
 
-def _escape_body(text: str) -> str:
-    return (
-        text.replace("\\", "\\\\")
-        .replace("\t", "\\t")
-        .replace("\n", "\\n")
-        .replace("\r", "\\r")
-    )
+#: The characters a tweet body escapes, each by the letter after its backslash.
+_ESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
+_ESCAPE_TABLE = str.maketrans({char: "\\" + letter for letter, char in _ESCAPES.items()})
+_ESCAPE_SEQUENCE = re.compile(r"\\(.?)", re.DOTALL)
 
 
-_UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
+def _unescape(match: re.Match) -> str:
+    if match[1] not in _ESCAPES:
+        raise ValueError(f"invalid escape at offset {match.start()}")
+    return _ESCAPES[match[1]]
 
 
-def _unescape_body(text: str) -> str:
-    out: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\":
-            if i + 1 >= len(text) or text[i + 1] not in _UNESCAPES:
-                raise ValueError(f"invalid escape at offset {i}")
-            out.append(_UNESCAPES[text[i + 1]])
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+_FLAGS = ("false", "true")  # indexed by the flag
+_ABSENT = "-"
+
+
+def _text(text: str) -> str:
+    """A field's text, read or written: refused where it would break its row."""
+    if "\t" in text or "\n" in text:
+        raise ValueError(f"a tab or line feed would break its row: {text!r}")
+    return text
+
+
+def _id(text: str) -> str:
+    if not text:
+        raise ValueError("must be non-empty")
+    if text.startswith("#"):
+        raise ValueError(f"a leading '#' would make its row a comment: {text!r}")
+    return _text(text)
+
+
+def _read_flag(text: str) -> bool:
+    if text not in _FLAGS:
+        raise ValueError(f"expected true/false, got {text!r}")
+    return text == _FLAGS[True]
+
+
+#: The corpus columns in file order: each field's name, how it is read from
+#: its text and how it is written back (either may raise a ValueError).
+_COLUMNS = (
+    ("id", _id, _id),
+    ("authentic", _read_flag, _FLAGS.__getitem__),
+    ("tweet_body", lambda text: _ESCAPE_SEQUENCE.sub(_unescape, text), lambda body: body.translate(_ESCAPE_TABLE)),
+    ("snopes_url", _text, _text),
+    *((name, lambda text: None if text == _ABSENT else text, lambda url: _text(url or _ABSENT))
+      for name in ("live_url", "archived_url", "reuters_url")),
+)
 
 
 def record_problems(record: GroundTruthRecord) -> list[str]:
@@ -91,30 +111,13 @@ def _parse_line(line: str, line_no: int) -> GroundTruthRecord:
     fields = line.split("\t")
     if len(fields) not in (6, 7):
         raise FormatError(line_no, "row", f"expected 6 or 7 tab-separated fields, got {len(fields)}")
-    if len(fields) == 6:
-        fields = fields + ["-"]
-    record_id, authentic_text, body_raw, snopes_url, live_url, archived_url, reuters_url = fields
-    if not record_id:
-        raise FormatError(line_no, "id", "must be non-empty")
-    if authentic_text not in ("true", "false"):
-        raise FormatError(line_no, "authentic", f"expected true/false, got {authentic_text!r}")
-    try:
-        body = _unescape_body(body_raw)
-    except ValueError as exc:
-        raise FormatError(line_no, "tweet_body", str(exc)) from None
-
-    def optional(value: str) -> str | None:
-        return None if value == "-" else value
-
-    return GroundTruthRecord(
-        id=record_id,
-        tweet_body=body,
-        snopes_url=snopes_url,
-        authentic=authentic_text == "true",
-        live_url=optional(live_url),
-        archived_url=optional(archived_url),
-        reuters_url=optional(reuters_url),
-    )
+    values = {}  # a 6-field row's reuters_url reads the padding, absent
+    for (name, read, _), text in zip(_COLUMNS, fields + [_ABSENT]):
+        try:
+            values[name] = read(text)
+        except ValueError as exc:
+            raise FormatError(line_no, name, str(exc)) from None
+    return GroundTruthRecord(**values)
 
 
 def parse_dataset(text: str, validate: bool = True) -> list[GroundTruthRecord]:
@@ -157,22 +160,18 @@ def load_dataset(path: str | Path, validate: bool = True) -> list[GroundTruthRec
 
 
 def serialize_dataset(records: list[GroundTruthRecord]) -> str:
-    """Render records back to the file format (always 7 columns)."""
-    lines = ["# " + "\t".join(_FIELD_NAMES)]
+    """Render records back to the file format (always 7 columns). A field
+    that would hide or break its row (an id starting with "#", a tab or line
+    feed) is a ValueError naming the record and the field."""
+    lines = ["# " + "\t".join(name for name, _, _ in _COLUMNS)]
     for record in records:
-        lines.append(
-            "\t".join(
-                (
-                    record.id,
-                    "true" if record.authentic else "false",
-                    _escape_body(record.tweet_body),
-                    record.snopes_url,
-                    record.live_url or "-",
-                    record.archived_url or "-",
-                    record.reuters_url or "-",
-                )
-            )
-        )
+        cells = []
+        for name, _, write in _COLUMNS:
+            try:
+                cells.append(write(getattr(record, name)))
+            except ValueError as exc:
+                raise ValueError(f"record {record.id!r}, field {name}: {exc}") from None
+        lines.append("\t".join(cells))
     return "\n".join(lines) + "\n"
 
 

@@ -64,8 +64,8 @@ class FetchMode(Enum):
 
 
 class FetchRequest(Record):
-    """A GET request to an absolute URL that can be encoded as UTF-8 (a
-    command-line argument holding bytes that are not UTF-8 cannot)."""
+    """A GET request to an absolute http or https URL that can be encoded as
+    UTF-8, checked here alone (a command-line argument that is not UTF-8 cannot)."""
 
     url: str
 
@@ -73,6 +73,8 @@ class FetchRequest(Record):
         parts = urlsplit(self.url)
         if not parts.scheme or not parts.netloc:
             raise ValueError(f"url must be absolute: {self.url!r}")
+        if parts.scheme not in ("http", "https"):
+            raise ValueError(f"url must be http or https: {self.url!r}")
         try:
             self.url.encode("utf-8")
         except UnicodeEncodeError:  # a lone surrogate

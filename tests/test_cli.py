@@ -194,6 +194,19 @@ class TestVerify:
         ])
         assert code == 69
 
+    def test_engines_run_once_each_in_engine_order(self, tmp_path, capsys):
+        empty_store = record_pages(tmp_path / "fx", {})
+        code = main([
+            "verify", PANDEMIC_BODY, "--engine", "web", "--engine", "snopes", "--engine", "web",
+            "--mode", "replay", "--fixtures", str(empty_store.root),
+        ])
+        assert code == 69
+        lines = _tweetcheck_lines(capsys.readouterr().err)
+        assert len(lines) == 3
+        assert lines[0].startswith("tweetcheck: snopes: no fixture ")
+        assert lines[1].startswith("tweetcheck: web: no fixture ")
+        assert lines[2] == "tweetcheck: every engine failed; cannot verify"
+
     def test_replay_without_fixtures_dir_is_usage_error(self, capsys):
         assert main(["verify", "body", "--mode", "replay"]) == 64
 
@@ -1254,6 +1267,7 @@ class TestAnyUrl:
         [
             ("http://[::1/x", "unsupported publisher host: http://[::1/x"),
             ("//www.snopes.com/x", "url must be absolute: '//www.snopes.com/x'"),
+            ("ftp://www.snopes.com/fact-check/x", "url must be http or https: 'ftp://www.snopes.com/fact-check/x'"),
             ("https://www.snopes.com/\udcff", "url is not UTF-8 text: 'https://www.snopes.com/\\udcff'"),
         ],
     )

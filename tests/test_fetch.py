@@ -44,6 +44,14 @@ class TestFetchRequest:
         with pytest.raises(ValueError, match="url must be absolute"):
             FetchRequest(url=url)
 
+    @pytest.mark.parametrize("url", ["ftp://www.snopes.com/x", "ws://host.example/x", "git+https://host.example/x"])
+    def test_url_that_is_not_http_rejected(self, url):
+        with pytest.raises(ValueError, match="url must be http or https"):
+            FetchRequest(url=url)
+
+    def test_scheme_is_case_insensitive(self):
+        assert FetchRequest(url="HTTPS://host.example/x").url == "HTTPS://host.example/x"
+
     def test_url_that_is_not_utf8_rejected(self):
         with pytest.raises(ValueError, match="url is not UTF-8 text"):
             FetchRequest(url="https://www.snopes.com/\udcff")

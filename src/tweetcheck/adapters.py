@@ -2,8 +2,8 @@
 
 :data:`ENGINES` holds every engine's defaults, one :class:`EngineSettings`
 row per source: endpoint, query spec, selectors and, for the four ranked
-engines, a :class:`Ranking` (which links are results, the eval report
-label, the corpus column of the relevant article). The table is
+engines, a :class:`Ranking` (the eval report label, the publisher whose
+article is relevant, and whether it is a web search). The table is
 read-only: a configuration shares it, or holds a copy if an endpoint
 override replaces a row (:attr:`tweetcheck.config.AppConfig.engines`), so
 an adapter is handed a finished row as its first argument and merges
@@ -42,7 +42,7 @@ from .fetch import Fetcher, FetchRequest, FetchResponse
 from .htmldoc import collapse_whitespace, matches, outermost, page_text, parse_response, parse_selector, tokenize, unescape
 from .model import RankedResults, Record, SourceId, TweetClaim
 from .queries import Encoding, QuerySpec, Truncation, build_query, encode_query
-from .urls import host, host_matches, result_link
+from .urls import PUBLISHERS, host, host_matches, result_link
 
 logger = logging.getLogger(__name__)
 
@@ -51,11 +51,8 @@ class Ranking(Record):
     """How a ranked engine's results page is read, and how eval scores it."""
 
     label: str  # the engine's name in the eval report
-    relevant: str  # the corpus column holding the engine's relevant article
-    domain: str = ""  # if set, only links on this domain or a subdomain...
-    path_prefix: str = ""  # ...whose path starts with this count as results
-    excluded_domain: str = ""  # if set, links on this domain are the engine's own pages
-    unwrap: bool = False  # targets hide in "/url?q=<target>" redirect wrappers
+    publisher: str  # the urls.PUBLISHERS key whose article, corpus column "<publisher>_url", is relevant
+    web: bool = False  # results are links off _GOOGLE_SITE, "/url?q=" wrappers unwrapped; else the publisher's articles
 
 
 class EngineSettings(Record):
@@ -72,6 +69,7 @@ class EngineSettings(Record):
 
 
 _GOOGLE = "https://www.google.com/search?q={query}"
+_GOOGLE_SITE = "google.com"  # a web search's own pages are on this site
 _WORDS = Truncation.WORD_BOUNDARY_PREFIX
 _SITE_SELECTORS = {"results": "a[href]"}
 _WEB_SELECTORS = {
@@ -94,15 +92,15 @@ ENGINES = MappingProxyType({
     for row in (
         EngineSettings(SourceId.SNOPES_SEARCH, "https://www.snopes.com/search/{query}/",
                        QuerySpec(100, Encoding.PERCENT, _WORDS), _SITE_SELECTORS,
-                       Ranking("Snopes built-in search", "snopes_url", domain="snopes.com", path_prefix="/fact-check/")),
+                       Ranking("Snopes built-in search", "snopes")),
         EngineSettings(SourceId.REUTERS_SEARCH, "https://www.reuters.com/search/news?sortBy=&dateRange=&blob={query}",
                        QuerySpec(130, Encoding.PLUS, _WORDS), _SITE_SELECTORS,
-                       Ranking("Reuters built-in search", "reuters_url", domain="reuters.com", path_prefix="/article/")),
+                       Ranking("Reuters built-in search", "reuters")),
         EngineSettings(SourceId.WEB_SEARCH, _GOOGLE, QuerySpec(200, Encoding.PLUS, _WORDS), _WEB_SELECTORS,
-                       Ranking("Web search", "snopes_url", excluded_domain="google.com", unwrap=True)),
+                       Ranking("Web search", "snopes", web=True)),
         EngineSettings(SourceId.WEB_SEARCH_SITE_SNOPES, _GOOGLE,
-                       QuerySpec(200, Encoding.PLUS, _WORDS, site_filter="snopes.com"), _WEB_SELECTORS,
-                       Ranking("Web search (site:snopes.com)", "snopes_url", excluded_domain="google.com", unwrap=True)),
+                       QuerySpec(200, Encoding.PLUS, _WORDS, site_filter=PUBLISHERS["snopes"][0]), _WEB_SELECTORS,
+                       Ranking("Web search (site:snopes.com)", "snopes", web=True)),
         # 50-character prefixes are known to work well against the deleted-tweet tracker's search.
         EngineSettings(SourceId.POLITWOOPS, "https://projects.propublica.org/politwoops/index?utf8=%E2%9C%93&q={query}",
                        QuerySpec(50, Encoding.PLUS, Truncation.CHAR_PREFIX), _POLITWOOPS_SELECTORS),
@@ -200,17 +198,18 @@ def ranked_search(settings: EngineSettings, claim: TweetClaim, fetcher: Fetcher)
     if marked:
         raise CaptchaDetected(f"{response.final_url}: bot challenge marker found")
 
+    site, articles = PUBLISHERS[engine.publisher]
     urls: dict[str, None] = {}  # first occurrence wins, in rank order
     for href in hrefs:
-        link = result_link(response.final_url, href, engine.unwrap) if href else None
+        link = result_link(response.final_url, href, engine.web) if href else None
         if link is None:
             continue
         url, link_host, path = link
-        if not (
-            (engine.domain and not host_matches(link_host, engine.domain))
-            or not path.startswith(engine.path_prefix)
-            or (engine.excluded_domain and host_matches(link_host, engine.excluded_domain))
-        ):
+        if engine.web:
+            is_result = not host_matches(link_host, _GOOGLE_SITE)
+        else:
+            is_result = host_matches(link_host, site) and path.startswith(articles)
+        if is_result:
             urls[url] = None
     return RankedResults(settings.source, query, tuple(urls))
 

@@ -16,6 +16,9 @@ that prints before it fails returns the class's code itself.
 ``record`` is the ``eval`` pass with a recording fetcher, and both print
 each failed query, a replay fixture miss included, as one
 ``tweetcheck: record ID via ENGINE failed: WHY`` line.
+
+A printed line that holds page or network text (a rating label, an article
+URL, a failure's words, a log line) goes through :func:`printable` first.
 """
 
 from __future__ import annotations
@@ -38,6 +41,24 @@ from .ratings import scrape_rating
 from .urls import identify_publisher
 
 _OUTCOME_EXIT = {Outcome.AUTHENTIC: 0, Outcome.FABRICATED: 1, Outcome.UNVERIFIABLE: 2}
+
+#: What a page may not print raw: every C0 control but tab, DEL and every C1
+#: control, and the bidi controls; each maps to its escape, such as "\x1b" or "\u202e".
+_PRINT_ESCAPES = {
+    code: f"\\x{code:02x}" if code < 0x100 else f"\\u{code:04x}"
+    for code in (*range(0x20), *range(0x7F, 0xA0), *range(0x202A, 0x202F), *range(0x2066, 0x206A))
+    if code != 0x09
+}
+
+
+def printable(text: str) -> str:
+    """``text`` with each character of :data:`_PRINT_ESCAPES` written as its escape."""
+    return text.translate(_PRINT_ESCAPES)
+
+
+class _PrintableFormatter(logging.Formatter):
+    def format(self, record: logging.LogRecord) -> str:
+        return printable(super().format(record))
 
 
 def _common_options() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
@@ -105,9 +126,9 @@ def _configure_logging(verbosity: int) -> None:
         level = logging.INFO
     elif verbosity >= 2:
         level = logging.DEBUG
-    logging.basicConfig(
-        stream=sys.stderr, level=level, format="%(levelname)s %(name)s: %(message)s"
-    )
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(_PrintableFormatter("%(levelname)s %(name)s: %(message)s"))
+    logging.basicConfig(level=level, handlers=[handler])
 
 
 def _resolve_config(args: argparse.Namespace, mode: FetchMode | None = None) -> AppConfig:
@@ -142,13 +163,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     with config.build_fetcher() as fetcher:
         run = verify_claim(claim, config, fetcher, engines)
     for source, message in run.engine_errors.items():
-        print(f"tweetcheck: {source.value}: {message}", file=sys.stderr)
+        print(printable(f"tweetcheck: {source.value}: {message}"), file=sys.stderr)
     if len(run.engine_errors) == len(engines):
         raise TweetCheckError("every engine failed; cannot verify")
 
     for item in run.verdict.evidence:
         for line in evidence_lines(item):
-            print(line)
+            print(printable(line))
     print(f"Verdict: {run.verdict.outcome.value}")
     if run.verdict.conflict:
         print("Conflicting evidence detected.")
@@ -182,7 +203,7 @@ def _engine_pass(args: argparse.Namespace) -> int:
     failed = [outcome for report in reports for outcome in report.outcomes if outcome.failed]
     for outcome in failed:  # in engine then record order
         print(
-            f"tweetcheck: record {outcome.record_id} via {outcome.source.value} failed: {outcome.error}",
+            printable(f"tweetcheck: record {outcome.record_id} via {outcome.source.value} failed: {outcome.error}"),
             file=sys.stderr,
         )
     if any(issubclass(outcome.failure, FixtureMiss) for outcome in failed):
@@ -218,7 +239,7 @@ def cmd_scrape(args: argparse.Namespace) -> int:
     with config.build_fetcher() as fetcher:
         page = fetcher.fetch(request)
     rating = scrape_rating(page)
-    print(rating_line(rating))
+    print(printable(rating_line(rating)))
     print(f"Normalized kind: {rating.kind.value}")
     return 0
 
@@ -234,7 +255,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except TweetCheckError as exc:
-        print(f"tweetcheck: {describe_failure(exc)}", file=sys.stderr)
+        print(printable(f"tweetcheck: {describe_failure(exc)}"), file=sys.stderr)
         return exc.exit_code
 
 

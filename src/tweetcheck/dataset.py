@@ -69,6 +69,13 @@ def _id(text: str) -> str:
     return _text(text)
 
 
+def _write_url(url: str | None) -> str:
+    """An optional URL's text, "-" when it is absent; "" and "-" would read back absent."""
+    if url in ("", _ABSENT):
+        raise ValueError(f"{url!r} would read back as no URL")
+    return _text(url or _ABSENT)
+
+
 def _read_flag(text: str) -> bool:
     if text not in _FLAGS:
         raise ValueError(f"expected true/false, got {text!r}")
@@ -82,7 +89,7 @@ _COLUMNS = (
     ("authentic", _read_flag, _FLAGS.__getitem__),
     ("tweet_body", lambda text: _ESCAPE_SEQUENCE.sub(_unescape, text), lambda body: body.translate(_ESCAPE_TABLE)),
     ("snopes_url", _text, _text),
-    *((name, lambda text: None if text == _ABSENT else text, lambda url: _text(url or _ABSENT))
+    *((name, lambda text: None if text == _ABSENT else text, _write_url)
       for name in ("live_url", "archived_url", "reuters_url")),
 )
 
@@ -162,13 +169,16 @@ def load_dataset(path: str | Path, validate: bool = True) -> list[GroundTruthRec
 def serialize_dataset(records: list[GroundTruthRecord]) -> str:
     """Render records back to the file format (always 7 columns). A field
     that would hide or break its row (an id starting with "#", a tab or line
-    feed) is a ValueError naming the record and the field."""
+    feed) or read back as another value (an optional URL of "" or "-", a
+    last-column URL ending in CR) is a ValueError naming the record and the field."""
     lines = ["# " + "\t".join(name for name, _, _ in _COLUMNS)]
     for record in records:
         cells = []
         for name, _, write in _COLUMNS:
             try:
                 cells.append(write(getattr(record, name)))
+                if len(cells) == len(_COLUMNS) and cells[-1].endswith("\r"):  # the reader strips a line's CRs
+                    raise ValueError(f"a trailing CR would read back as the line's end: {cells[-1]!r}")
             except ValueError as exc:
                 raise ValueError(f"record {record.id!r}, field {name}: {exc}") from None
         lines.append("\t".join(cells))

@@ -118,7 +118,7 @@ def evaluate_engine(settings: EngineSettings, records: Sequence[GroundTruthRecor
     if settings.ranking is None:
         raise ValueError(f"{source.value} cannot be evaluated against ranked results")
 
-    column = settings.ranking.relevant
+    column = f"{settings.ranking.publisher}_url"
     outcomes: list[QueryOutcome] = []
     challenged = False
     for record in records:

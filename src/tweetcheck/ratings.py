@@ -147,16 +147,18 @@ def scrape_reuters_rating(page: FetchResponse) -> TruthRating:
     return _fallback_scan(root, page.final_url, "verdict section")
 
 
+#: Each publisher's scraper, by its key in :data:`~tweetcheck.urls.PUBLISHERS`.
+_SCRAPERS = {"snopes": scrape_snopes_rating, "reuters": scrape_reuters_rating}
+
+
 def scrape_rating(page: FetchResponse) -> TruthRating:
     """Route a fetched article to the right publisher scraper by final URL host.
 
     A page whose final URL is on neither publisher (say, a consent page it
     was redirected to) is a :class:`~tweetcheck.errors.ParseError`.
     """
-    publisher = identify_publisher(page.final_url)
-    if publisher == "snopes":
-        return scrape_snopes_rating(page)
-    if publisher == "reuters":
-        return scrape_reuters_rating(page)
-    raise ParseError(f"{page.final_url}: not a Snopes or Reuters page")
+    scraper = _SCRAPERS.get(identify_publisher(page.final_url))
+    if scraper is None:
+        raise ParseError(f"{page.final_url}: not a Snopes or Reuters page")
+    return scraper(page)
 

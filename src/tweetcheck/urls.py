@@ -8,7 +8,7 @@ Each rule lives here once:
 * :func:`canonicalize_article_url`: the identity under which an article is
   read once per verification and matched against the corpus;
 * :func:`identify_publisher` and :func:`is_snopes_url`: which site a URL
-  belongs to, judged by its host.
+  belongs to, judged by its host against :data:`PUBLISHERS`.
 
 Every function is pure and total over any string: one that
 :func:`urllib.parse.urlsplit` rejects (say ``http://[::1``) is taken as a
@@ -21,8 +21,8 @@ from __future__ import annotations
 import re
 from urllib.parse import SplitResult, unquote, urljoin, urlsplit, urlunsplit
 
-SNOPES_HOST = "snopes.com"
-REUTERS_HOST = "reuters.com"
+#: Each publisher the program reads: the site its hosts are on, and the path its articles live under.
+PUBLISHERS = {"snopes": ("snopes.com", "/fact-check/"), "reuters": ("reuters.com", "/article/")}
 
 _REUTERS_ID = re.compile(r"idUS[A-Z0-9]+$")
 _LEADING_WWW = re.compile(r"\A(?:www\.)+")
@@ -101,22 +101,18 @@ def result_link(base: str, href: str, unwrap: bool) -> tuple[str, str, str] | No
 
 
 def _publisher(name: str) -> str | None:
-    """"snopes" or "reuters" for a host on either site, else None."""
-    if host_matches(name, SNOPES_HOST):
-        return "snopes"
-    if host_matches(name, REUTERS_HOST):
-        return "reuters"
-    return None
+    """The :data:`PUBLISHERS` key whose site the host ``name`` is on, else None."""
+    return next((publisher for publisher, (site, _) in PUBLISHERS.items() if host_matches(name, site)), None)
 
 
 def identify_publisher(url: str) -> str | None:
-    """"snopes" or "reuters" by host, else None."""
+    """The :data:`PUBLISHERS` key the URL's host is on, else None."""
     return _publisher(host(url))
 
 
 def is_snopes_url(url: str) -> bool:
     """Whether the URL's host is snopes.com itself, with or without "www."."""
-    return host(url).removeprefix("www.") == SNOPES_HOST
+    return host(url).removeprefix("www.") == PUBLISHERS["snopes"][0]
 
 
 def canonicalize_article_url(url: str) -> str:
@@ -137,7 +133,7 @@ def canonicalize_article_url(url: str) -> str:
     publisher = _publisher((parts.hostname or "").lower())
     if publisher == "reuters" and (m := _REUTERS_ID.search(path)):
         return m.group(0)
-    if publisher == "snopes" and path.startswith("/fact-check/"):
+    if publisher == "snopes" and path.startswith(PUBLISHERS["snopes"][1]):
         return path
     netloc = _LEADING_WWW.sub("", parts.netloc.lower())
     if not netloc and path.startswith("//"):

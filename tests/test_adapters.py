@@ -13,10 +13,12 @@ from tweetcheck.adapters import (
     ranked_search,
     search_politwoops,
 )
+from tweetcheck.dataset import GroundTruthRecord
 from tweetcheck.errors import CaptchaDetected, NetworkError, ParseError
-from tweetcheck.fetch import Fetcher, FetchMode
+from tweetcheck.fetch import Fetcher, FetchMode, FetchResponse
 from tweetcheck.model import SourceId, TweetClaim
 from tweetcheck import urls
+from tweetcheck.ratings import DEFAULT_RATING_SELECTORS, scrape_rating
 from tweetcheck.urls import result_link
 
 from conftest import (
@@ -322,6 +324,22 @@ class TestRankedSearchDispatch:
         for source, settings in ENGINES.items():
             assert settings.source is source
             assert "{query}" in settings.endpoint
+
+
+class TestPublisherTable:
+    """Every publisher urls.PUBLISHERS declares has what its readers look up."""
+
+    @pytest.mark.parametrize("publisher", sorted(urls.PUBLISHERS))
+    def test_a_publisher_has_a_scraper_selectors_and_a_corpus_column(self, publisher):
+        site, articles = urls.PUBLISHERS[publisher]
+        article = FetchResponse(200, f"https://www.{site}{articles}x", b"<p>no rating</p>", "text/html")
+        assert scrape_rating(article).missing  # scraped, not refused as off every publisher
+        assert publisher in DEFAULT_RATING_SELECTORS
+        assert f"{publisher}_url" in GroundTruthRecord._fields
+
+    def test_each_ranked_engine_names_a_publisher(self):
+        named = [row.ranking.publisher for row in ENGINES.values() if row.ranking is not None]
+        assert len(named) == 4 and set(named) <= set(urls.PUBLISHERS)
 
 
 def _unwrap_redirect(url: str) -> str:

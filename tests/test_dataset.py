@@ -203,6 +203,11 @@ _body = st.text("a Z0\\ntr\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029é中\U0001f
 )
 
 
+# Any field's text, built of what the file marks absent, comments out, escapes
+# or splits on, the line breaks it does not split on, and text.
+_field = st.text("-#\\\t\n\r x\x0b\x1c\x85\u2028é", max_size=6)
+
+
 @st.composite
 def _records(draw):
     authentic = draw(st.booleans())
@@ -243,6 +248,9 @@ class TestRoundTrip:
             ("id", "r\t1", "a tab or line feed would break its row: 'r\\t1'"),
             ("snopes_url", "https://www.snopes.com/\n", "a tab or line feed would break its row: 'https://www.snopes.com/\\n'"),
             ("live_url", "a\tb", "a tab or line feed would break its row: 'a\\tb'"),
+            ("live_url", "", "'' would read back as no URL"),
+            ("archived_url", "-", "'-' would read back as no URL"),
+            ("reuters_url", "x\r", "a trailing CR would read back as the line's end: 'x\\r'"),
         ],
     )
     def test_a_record_the_reader_would_lose_is_refused(self, field, value, message):
@@ -250,6 +258,17 @@ class TestRoundTrip:
         with pytest.raises(ValueError) as exc:
             serialize_dataset([make_record("r0"), record])
         assert str(exc.value) == f"record {record.id!r}, field {field}: {message}"
+
+    @given(st.builds(
+        GroundTruthRecord, id=_field, tweet_body=_field, snopes_url=_field, authentic=st.booleans(),
+        live_url=st.none() | _field, archived_url=st.none() | _field, reuters_url=st.none() | _field,
+    ))
+    def test_a_record_is_refused_or_reads_back_equal(self, record):
+        try:
+            text = serialize_dataset([record])
+        except ValueError:
+            return
+        assert parse_dataset(text, validate=False) == [record]
 
     def test_a_carriage_return_inside_a_row_round_trips(self):
         record = make_record("r\r1", snopes_url="https://www.snopes.com/fact-check/r1/\r", archived_url="x\r")

@@ -179,7 +179,7 @@ _MARKUP = (
     '<form id="captcha-form">', "detected unusual traffic", '<div class="tweet">',
     '<p class="tweet-content">', '<span class="screen-name">', '<div class="rating_title_wrap">',
     "False", "Rating: ", "VERDICT", "<h2>", "</h2>", "<strong>", "<![foo[", "<!--", "&#x110000;",
-    "<", ">", "\x00", "\ufffd",
+    "<", ">", "\x00", "\ufffd", "\x1b[2J", "\u202e",
 )
 
 
@@ -219,18 +219,23 @@ _ALL_FIXTURES = st.tuples(
 )
 
 
+def put_fixture(store: FixtureStore, url: str, fixture) -> None:
+    """Put one URL's fixture, as a :func:`_fixtures` strategy drew it, in ``store``."""
+    key = fixture_key(FetchRequest(url=url))
+    if isinstance(fixture, bytes):
+        store.path_for(key).write_bytes(fixture)
+    elif fixture is not None:
+        status, content_type, final_url, body = fixture
+        store.save(key, FetchResponse(status, final_url or url, body, content_type))
+
+
 @settings(max_examples=100, deadline=None)
 @given(_ALL_FIXTURES)
 def test_verify_claim_never_raises_on_arbitrary_fixtures(fixtures):
     with tempfile.TemporaryDirectory() as root:
         store = FixtureStore(root)
         for url, fixture in zip(_URLS, fixtures):
-            key = fixture_key(FetchRequest(url=url))
-            if isinstance(fixture, bytes):
-                store.path_for(key).write_bytes(fixture)
-            elif fixture is not None:
-                status, content_type, final_url, body = fixture
-                store.save(key, FetchResponse(status, final_url or url, body, content_type))
+            put_fixture(store, url, fixture)
         first = run(PANDEMIC_BODY, store)
         again = run(PANDEMIC_BODY, store)
     assert first == again

@@ -50,8 +50,9 @@ MAX_HOST_WORKERS = 4
 
 # Politeness bookkeeping is deliberately module-global: concurrent fetchers
 # must share one per-host clock. Each host gets its own lock, held across
-# the request itself, so same-host request starts are provably separated by
-# the delay while other hosts proceed in parallel.
+# the request itself at every delay, 0 included, so a process has at most
+# one request per host in flight and same-host request starts are separated
+# by the delay, while other hosts proceed in parallel.
 _POLITENESS_LOCK = threading.Lock()
 _HOST_LOCKS: dict[str, threading.Lock] = {}
 _HOST_NEXT_SLOT: dict[str, float] = {}
@@ -209,7 +210,7 @@ class Fetcher:
     the same and persists the response under its fixture key; replay serves
     recorded responses only and never touches the network. One fetcher may
     be used from several threads at once. :meth:`close` (or leaving a
-    ``with`` block) closes its pooled HTTP sessions once requests are done.
+    ``with`` block) closes its per-host HTTP sessions once requests are done.
     """
 
     def __init__(
@@ -235,9 +236,8 @@ class Fetcher:
         self.delay_ms = delay_ms
         self.timeout_s = timeout_s
         # A requests.Session is not safe to share between threads, so each
-        # request takes an idle one (or a new one) and puts it back after.
-        self._idle_sessions: list[requests.Session] = []
-        self._sessions_lock = threading.Lock()
+        # host has its own, used only under that host's politeness lock.
+        self._sessions: dict[str, requests.Session] = {}
         self._transport = transport if transport is not None else self._requests_transport
 
     def __enter__(self) -> "Fetcher":
@@ -247,10 +247,10 @@ class Fetcher:
         self.close()
 
     def close(self) -> None:
-        """Close the idle pooled sessions and their keep-alive connections."""
-        with self._sessions_lock:
-            sessions, self._idle_sessions = self._idle_sessions, []
-        for session in sessions:
+        """Close every host's session and its keep-alive connections; call it
+        once the last request has returned."""
+        sessions, self._sessions = self._sessions, {}
+        for session in sessions.values():
             session.close()
 
     def fetch(self, req: FetchRequest) -> FetchResponse:
@@ -306,9 +306,6 @@ class Fetcher:
         return results
 
     def _polite_request(self, req: FetchRequest) -> FetchResponse:
-        delay_s = self.delay_ms / 1000.0
-        if delay_s <= 0:
-            return self._transport(req)
         host = urls.host(req.url)
         with _host_lock(host):
             now = time.monotonic()
@@ -320,16 +317,16 @@ class Fetcher:
                 return self._transport(req)
             finally:
                 # failed requests still contacted the host; keep the spacing
-                _HOST_NEXT_SLOT[host] = started + delay_s
+                _HOST_NEXT_SLOT[host] = started + self.delay_ms / 1000.0
 
     def _requests_transport(self, req: FetchRequest) -> FetchResponse:
         import requests  # already loaded by __init__
 
         headers = {"User-Agent": self.user_agent}
-        with self._sessions_lock:
-            session = self._idle_sessions.pop() if self._idle_sessions else None
+        host = urls.host(req.url)  # the caller holds this host's lock
+        session = self._sessions.get(host)
         if session is None:
-            session = requests.Session()  # opens no connection until used
+            session = self._sessions[host] = requests.Session()  # opens no connection until used
             # Even with allow_redirects=False, requests runs its redirect
             # resolver once to prepare Response.next, and that reads the 3xx
             # body whole. Nothing here uses Response.next.
@@ -338,7 +335,8 @@ class Fetcher:
         try:
             # Redirects are followed here rather than by requests, which
             # reads each 3xx body whole, past the body cap; here each 3xx
-            # response is closed unread.
+            # response is closed unread. A hop goes out on this request's
+            # session, under its host's lock, and waits for no slot of its own.
             for _ in range(MAX_REDIRECTS + 1):
                 resp = session.get(
                     url, headers=headers, timeout=self.timeout_s, allow_redirects=False, stream=True
@@ -363,9 +361,6 @@ class Fetcher:
         # urljoin rejects or that is not UTF-8, or a status past 599.
         except (requests.RequestException, ValueError) as exc:
             raise NetworkError(f"GET {req.url} failed: {exc}") from exc
-        finally:
-            with self._sessions_lock:
-                self._idle_sessions.append(session)
 
 
 def _read_capped_body(url: str, resp: "requests.Response") -> bytes:

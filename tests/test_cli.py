@@ -6,6 +6,7 @@ import sys
 import tempfile
 import unicodedata
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -27,7 +28,7 @@ from tweetcheck.errors import (
     TweetCheckError,
     ValidationError,
 )
-from tweetcheck.evaluation import evaluate_engine
+from tweetcheck.evaluation import EVAL_SOURCES, evaluate_engine
 from tweetcheck.fetch import MAX_BODY_BYTES, Fetcher, FetchRequest, FixtureStore, fixture_key
 
 from conftest import (
@@ -47,7 +48,7 @@ from conftest import (
     replay_fetcher,
 )
 from tweetcheck.model import SourceId
-from test_pipeline import _ARTICLES, _RATINGS, _fixtures, put_fixture
+from test_pipeline import _ARTICLES, _RATINGS, _RESULTS, _fixtures, put_fixture
 
 
 def write_dataset(tmp_path: Path) -> Path:
@@ -987,10 +988,81 @@ def test_scrape_replay_of_any_article_fixture(url, fixture):
         put_fixture(FixtureStore(root), url, fixture)
         argv = ["scrape", url, "--mode", "replay", "--fixtures", root]
         first, again = _printed(argv), _printed(argv)
+    _assert_printed_safely(first, again, (0, 64, 66, 69))
+
+
+def _assert_printed_safely(first: tuple[int, str], again: tuple[int, str], codes: tuple[int, ...]) -> None:
+    """One command run twice exited with one of ``codes``, printed the same
+    both times, and printed nothing the escape rule escapes."""
     code, text = first
-    assert code in (0, 64, 66, 69)
+    assert code in codes
     assert first == again
     assert not RULE_ESCAPES & set(text.replace("\n", ""))
+
+
+#: A corpus whose relevant articles are the ones the drawn results pages link to.
+_PROPERTY_RECORDS = [
+    GroundTruthRecord(id="p1", tweet_body=PANDEMIC_BODY, snopes_url=_ARTICLES[0], reuters_url=_ARTICLES[2],
+                      authentic=False),
+    GroundTruthRecord(id="p2", tweet_body="another claim body", snopes_url=_ARTICLES[1], reuters_url=_ARTICLES[3],
+                      authentic=False),
+    GroundTruthRecord(id="p3", tweet_body="a claim no page answers",
+                      snopes_url="https://www.snopes.com/fact-check/unanswered/", authentic=False),
+]
+#: Every query of an eval or record pass over that corpus, engine by engine.
+_PROPERTY_QUERIES = tuple(
+    engine_query_url(source, record.tweet_body) for source in EVAL_SOURCES for record in _PROPERTY_RECORDS
+)
+_ANY_RESULTS_PAGES = st.tuples(*(_fixtures(_RESULTS) for _ in _PROPERTY_QUERIES))
+
+
+def _engine_pass_printed(command: str, root: str, *flags: str) -> tuple[tuple[int, str], tuple[int, str]]:
+    """Two runs of ``eval`` or ``record`` over the property corpus, each as :func:`_printed` gives it."""
+    dataset = Path(root, "corpus.tsv")
+    dataset.write_text(serialize_dataset(_PROPERTY_RECORDS), encoding="utf-8")
+    config = _quiet_config(Path(root))
+    argv = [command, "--dataset", str(dataset), "--config", str(config), "--fixtures", str(Path(root, "fx")), *flags]
+    first, again = _printed(argv), _printed(argv)
+    # at most one line per failed query, naming it, or one line for a failed command
+    queries = [line.partition(" failed: ")[0] for line in _tweetcheck_lines(first[1])]
+    assert len(set(queries)) == len(queries) <= len(_PROPERTY_QUERIES)
+    return first, again
+
+
+@settings(max_examples=100, deadline=None)
+@given(pages=_ANY_RESULTS_PAGES, fmt=st.sampled_from(["table", "machine"]))
+def test_eval_replay_of_any_results_fixtures(pages, fmt):
+    """Whatever results pages were recorded, ``eval`` exits with a code the README
+    lists, names each failed query once, prints the same twice, and prints nothing
+    the escape rule escapes."""
+    with tempfile.TemporaryDirectory() as root:
+        Path(root, "fx").mkdir()
+        store = FixtureStore(Path(root, "fx"))
+        for url, fixture in zip(_PROPERTY_QUERIES, pages):
+            put_fixture(store, url, fixture)
+        first, again = _engine_pass_printed("eval", root, "--mode", "replay", "--format", fmt)
+    _assert_printed_safely(first, again, (0, *README_EXIT_CODES.values()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(pages=_ANY_RESULTS_PAGES)
+def test_record_of_any_results_pages(pages):
+    """Whatever the engines answer, ``record`` exits with a code the README lists,
+    names each failed query once, prints the same twice, and prints nothing the
+    escape rule escapes. A drawn fixture file's bytes are served as a page; no
+    fixture means the request fails."""
+    served = {}
+    for url, page in zip(_PROPERTY_QUERIES, pages):
+        if isinstance(page, bytes):
+            served[url] = StubPage(page)
+        elif page is not None:
+            status, content_type, final_url, body = page
+            served[url] = StubPage(body, status, content_type, final_url)
+    transport = StubTransport(served)
+    with tempfile.TemporaryDirectory() as root, \
+            mock.patch.object(Fetcher, "_requests_transport", lambda self, req: transport(req)):
+        first, again = _engine_pass_printed("record", root)
+    _assert_printed_safely(first, again, (0, *README_EXIT_CODES.values()))
 
 
 class TestModeEnvVar:

@@ -4,7 +4,7 @@ import random
 import sys
 import threading
 import time
-from collections import defaultdict
+from collections import Counter, defaultdict
 from urllib.parse import urlsplit
 
 import pytest
@@ -147,6 +147,41 @@ class TestRunPerHost:
         caller = threading.get_ident()
         jobs = [(f"https://h{n}.example/", threading.get_ident) for n in range(3)]
         assert self._fetcher(FetchMode.REPLAY).run_per_host(jobs) == [caller] * 3
+
+
+class TestOneRequestPerHost:
+    def test_same_host_requests_never_overlap_at_delay_0(self):
+        lock = threading.Lock()
+        in_flight = {"now": 0, "peak": 0}
+
+        def transport(req: FetchRequest) -> FetchResponse:
+            with lock:
+                in_flight["now"] += 1
+                in_flight["peak"] = max(in_flight["peak"], in_flight["now"])
+            time.sleep(0.05)
+            with lock:
+                in_flight["now"] -= 1
+            return FetchResponse(200, req.url, b"ok")
+
+        fetcher = Fetcher(FetchMode.LIVE, delay_ms=0, transport=transport)
+        threads = [
+            threading.Thread(target=fetcher.fetch, args=(FetchRequest(url=f"https://a.example/{n}"),))
+            for n in range(3)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=5)
+        assert not any(thread.is_alive() for thread in threads)
+        assert in_flight == {"now": 0, "peak": 1}
+
+    def test_verify_traffic_per_host(self):
+        # the busiest host's count sets a live verify's floor: (count - 1) x delay
+        stub = StubTransport(pandemic_pages())
+        verify_claim(TweetClaim(body=PANDEMIC_BODY), AppConfig(), Fetcher(FetchMode.LIVE, delay_ms=0, transport=stub))
+        assert Counter(map(_host, stub.requested)) == {
+            "www.snopes.com": 3, "www.reuters.com": 3, "www.google.com": 2, "projects.propublica.org": 1,
+        }
 
 
 class TestVerifyConcurrency:

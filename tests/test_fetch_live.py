@@ -1,9 +1,11 @@
 """Live-transport tests against a local HTTP server (no external network)."""
 
+import gc
 import gzip
 import importlib
 import threading
 import time
+import warnings
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -204,18 +206,29 @@ class TestLiveTransport:
         replayed = Fetcher(FetchMode.REPLAY, store).fetch(request)
         assert (replayed.content_type, replayed.body) == ("text/html; charset=utf-8", b"folded")
 
-    def test_close_empties_the_session_pool(self, server):
-        with Fetcher(FetchMode.LIVE, delay_ms=0) as fetcher:
-            fetcher.fetch(FetchRequest(url=f"{server}/final"))
-            assert len(fetcher._idle_sessions) == 1
-        assert fetcher._idle_sessions == []
+    def test_one_session_per_host_and_close_closes_them_all(self, server):
+        by_name = server.replace("127.0.0.1", "localhost")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            with Fetcher(FetchMode.LIVE, delay_ms=0) as fetcher:
+                fetcher.fetch(FetchRequest(url=f"{server}/final"))
+                fetcher.fetch(FetchRequest(url=f"{by_name}/final"))
+                sessions = dict(fetcher._sessions)
+                assert sorted(sessions) == ["127.0.0.1", "localhost"]
+                fetcher.fetch(FetchRequest(url=f"{server}/hop1"))
+                assert fetcher._sessions == sessions  # the same host's session again
+            assert fetcher._sessions == {}
+            assert all(not session.adapters["http://"].poolmanager.pools for session in sessions.values())
+            del sessions
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
     @pytest.mark.parametrize("path", list(HOSTILE_ROUTES))
     def test_hostile_answer_is_a_network_error_naming_the_request(self, server, path):
         with Fetcher(FetchMode.LIVE, delay_ms=0) as fetcher:
             with pytest.raises(NetworkError) as exc:
                 fetcher.fetch(FetchRequest(url=f"{server}{path}"))
-            # the session went back to the pool and still works
+            # the host's session still works
             assert fetcher.fetch(FetchRequest(url=f"{server}/final")).body == b"arrived"
         assert str(exc.value) == f"GET {server}{path} failed: {HOSTILE_ROUTES[path][2]}"
 
@@ -261,7 +274,7 @@ class TestBodyCap:
         with Fetcher(FetchMode.LIVE, delay_ms=0) as fetcher:
             with pytest.raises(NetworkError, match="exceeds the 64-byte cap"):
                 fetcher.fetch(FetchRequest(url=f"{server}{path}"))
-            # the session went back to the pool and still works
+            # the host's session still works
             assert fetcher.fetch(FetchRequest(url=f"{server}/final")).body == b"arrived"
 
     def test_declared_length_over_the_cap_is_refused_before_reading(self, server):

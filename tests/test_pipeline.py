@@ -173,6 +173,8 @@ _RATINGS = (
     '<div class="rating_title_wrap">False</div>',
     "<div><h2>VERDICT</h2><p>Misattributed. Not a tweet.</p></div>",
     "Rating: True",
+    # rating blocks left open, so that the pieces after them make the label
+    '<div class="rating_title_wrap">', "<h2>VERDICT</h2><p>", "<p>Rating: ",
 )
 _MARKUP = (
     '<a href="http://[::1">', '<a href="">', '<div id="search">', '<div id="tads">', "</div>",
@@ -187,10 +189,15 @@ def _fixtures(pieces: tuple[str, ...]):
     """Strategy for one URL's fixture: a response to record, None for no
     fixture, or bytes to write as the fixture file itself.
 
-    Weighted towards pages a site could have served, so that articles get scraped.
+    Weighted towards pages a site could have served, so that results get
+    ranked and articles scraped: a piece of ``pieces`` is drawn more often
+    than one of the hostile markup. One final URL carries characters the
+    CLI's escape rule escapes, which reach a bot-challenge failure's words
+    and the result links resolved against it.
     """
     body = st.lists(
         st.one_of(
+            st.sampled_from(pieces).map(str.encode),
             st.sampled_from(pieces + _MARKUP).map(str.encode),
             st.binary(max_size=8),
             st.text(max_size=8).map(lambda text: text.encode("utf-8", "surrogatepass")),
@@ -205,7 +212,10 @@ def _fixtures(pieces: tuple[str, ...]):
             "text/html; charset=punycode",
         ]),
         st.sampled_from(
-            [None] * 4 + ["https://consent.example.com/", REUTERS_PANDEMIC_ARTICLE, "http://[::1"]
+            [None] * 4 + [
+                "https://consent.example.com/", REUTERS_PANDEMIC_ARTICLE, "http://[::1",
+                "https://www.snopes.com/fact-check/a\x1b[2J\u202e/",
+            ]
         ),
         body,
     )

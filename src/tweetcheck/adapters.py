@@ -24,7 +24,7 @@ under an element matching it count. A bot-challenge check and an ad filter
 run wherever an engine's selectors name them, as the web search rows do, in
 the same pass (:func:`read_results_page`): one pass of the tokenizer over the
 page's text that builds no tree and keeps only the links. The tracker's page
-is parsed into a tree, since its cards are read from the card down. A
+is read the same way, keeping only each card's text and link. A
 results page that is not a 2xx answer is a
 :class:`~tweetcheck.errors.NetworkError` from the fetch gateway, and
 propagates like any other query failure. Adapters are stateless;
@@ -39,7 +39,7 @@ from types import MappingProxyType
 
 from .errors import CaptchaDetected
 from .fetch import Fetcher, FetchRequest, FetchResponse
-from .htmldoc import collapse_whitespace, matches, outermost, page_text, parse_response, parse_selector, tokenize, unescape
+from .htmldoc import collapse_whitespace, matches, page_text, parse_selector, tokenize, unescape
 from .model import RankedResults, Record, SourceId, TweetClaim
 from .queries import Encoding, QuerySpec, Truncation, build_query, encode_query
 from .urls import PUBLISHERS, host, host_matches, result_link
@@ -218,27 +218,42 @@ def search_politwoops(settings: EngineSettings, claim: TweetClaim, fetcher: Fetc
     """Query the deleted-tweet tracker with the claim's leading characters.
 
     Only the outermost cards are read: a card nested inside another card
-    (as unclosed markup nests them) is part of the outer one, whose text
-    and link are the first of each found anywhere inside it. The link is
-    resolved as a result link is, and must lead to the tracker's host. Each
-    card is read from the card down, and the outermost cards' subtrees are
-    disjoint, so reading takes time linear in the page however deeply it
-    nests.
+    (as unclosed markup nests them) is part of the outer one, whose text and
+    link are the first of each found inside it. The link is resolved as a
+    result link is, and must lead to the tracker's host. The page is read in
+    one tokenizer pass that builds no tree, linear in the page however cards nest.
     """
     query = build_query(claim, settings.spec)
     response = _request_page(fetcher, settings, query)
-    root = parse_response(response)
-    selectors = settings.selectors
+    cards_, text_, link_ = (parse_selector(settings.selectors[key]) for key in ("cards", "text", "link"))
+    cards: list[list] = []  # per outermost card: its text element's pieces, its link's href ("" if none)
+
+    def open_element(state: tuple, tag: str, attrs: dict) -> tuple:
+        card, pieces = state
+        if card is None:
+            if matches(tag, attrs, cards_):
+                cards.append(card := [None, None])
+            return card, None
+        if card[0] is None and matches(tag, attrs, text_):
+            pieces = card[0] = []
+        if card[1] is None and matches(tag, attrs, link_):
+            card[1] = attrs.get("href") or ""
+        return card, pieces
+
+    def add_text(state: tuple, piece: str) -> None:
+        if state[1] is not None:
+            state[1].append(piece)
+
+    # an element's state: the outermost card it lies in, and the card's text pieces if in its text element
+    tokenize(page_text(response), (None, None), open_element, add_text)
     project_host = host(settings.endpoint)
     hits: list[PolitwoopsHit] = []
-    for card in outermost(root.select(selectors["cards"])):
-        text_el, link_el = card.select_one(selectors["text"]), card.select_one(selectors["link"])
-        href = link_el and link_el.get("href")
+    for pieces, href in cards:
         link = result_link(response.final_url, href, False) if href else None
-        if text_el is None or link is None or link[1] != project_host:
+        if pieces is None or link is None or link[1] != project_host:
             logger.debug("politwoops: skipping a card without text or a link to the tracker: %r", href)
             continue
-        hits.append(PolitwoopsHit(tweet_text=text_el.text().strip(), detail_url=link[0]))
+        hits.append(PolitwoopsHit(tweet_text="".join(pieces).strip(), detail_url=link[0]))
     return hits
 
 

@@ -39,11 +39,10 @@ elements (``<br>``, ``<img>``) and self-closing tags (``<div/>``) take no
 children. An end tag closes the nearest open element of its name and every
 element opened inside it; an end tag with no open element of its name is
 ignored. The tokenizer applies these rules itself, and :func:`parse_html`
-builds a tree from what it reports. A results page is read in the same one
-pass with no tree (:func:`tweetcheck.adapters.read_results_page`): whether an
-element matches a compound is known at its start tag. Politwoops pages and
-articles are parsed into a tree, since their readers look inside the
-elements they find.
+builds a tree from what it reports. Search results and tracker pages are read
+in the same one pass with no tree (:mod:`tweetcheck.adapters`): whether an
+element matches a compound is known at its start tag. Articles are parsed
+into a tree, since their scrapers look inside the elements they find.
 
 Supported selector syntax, which is what the per-engine and per-publisher
 selector constants use:
@@ -55,8 +54,6 @@ selector constants use:
 
 A selector is matched in one walk down the subtree it is called on, so
 matching takes time linear in the page however deeply it nests.
-:func:`outermost` keeps those of a list of matches that no other one
-contains, walking each kept subtree once.
 
 A tree points only down: an element holds its children and no link back
 up. So a tree holds no reference cycle and is freed the moment its root is
@@ -68,7 +65,7 @@ from __future__ import annotations
 
 import html
 import re
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterator, Mapping
 from functools import lru_cache
 from html.entities import html5
 
@@ -214,19 +211,6 @@ def matches(tag: str, attrs: Mapping[str, str | None], compounds: tuple[_Simple,
         else:
             return True
     return False
-
-
-def outermost(elements: Iterable[Element]) -> list[Element]:
-    """Those of ``elements``, given in document order, that no other one of them
-    contains. The kept elements' subtrees are disjoint and each is walked once,
-    so this takes time linear in the page however deeply the elements nest."""
-    covered: set[int] = set()  # ids stay unique while the root keeps the tree alive
-    kept = []
-    for el in elements:
-        if id(el) not in covered:
-            kept.append(el)
-            covered.update(map(id, el.iter()))
-    return kept
 
 
 # One pattern per construct, tried at each "<" (a "<" that starts none is

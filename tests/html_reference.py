@@ -9,12 +9,16 @@ the tests can compare the two trees node for node.
 tree, which :func:`tweetcheck.adapters.read_results_page` was before it read
 the page in one tokenizer pass with no tree.
 
+:func:`outermost` keeps those of a list of matched elements that no other one
+contains, as the tracker's card reader reads cards; it is the reference the
+card reader is checked against.
+
 :func:`reference_matches` is the supported selector subset as the Selectors
 spec and the DOM define it, on compounds given as data rather than text.
 """
 
 from html.parser import HTMLParser
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from tweetcheck.htmldoc import VOID_TAGS, Element, matches, parse_selector
 
@@ -106,6 +110,19 @@ def read_results_tree(root: Element, selectors: Mapping[str, str]) -> tuple[list
         scoped = scoped or matches(el.tag, el.attrs, scope)
         stack.extend([(child, scoped, in_ad) for child in reversed(el.children) if isinstance(child, Element)])
     return anchors, challenge
+
+
+def outermost(elements: Iterable[Element]) -> list[Element]:
+    """Those of ``elements``, given in document order, that no other one of them
+    contains. The kept elements' subtrees are disjoint and each is walked once,
+    so this takes time linear in the page however deeply the elements nest."""
+    covered: set[int] = set()  # ids stay unique while the root keeps the tree alive
+    kept = []
+    for el in elements:
+        if id(el) not in covered:
+            kept.append(el)
+            covered.update(map(id, el.iter()))
+    return kept
 
 
 #: HTML's ASCII whitespace, on which the DOM splits a class list.

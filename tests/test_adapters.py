@@ -44,6 +44,22 @@ def store_for(tmp_path, source, body, page_bytes, status=200, content_type="text
     return record_pages(tmp_path / "fx", {url: StubPage(page_bytes, status=status, content_type=content_type)})
 
 
+def _traced_search(search, source, body):
+    """What ``search`` reads from ``body`` as ``source``'s results page, and the
+    peak memory tracemalloc sees while it reads, after a first read has filled
+    the module-level caches."""
+    claim = TweetClaim(body="memory bound")
+    transport = StubTransport({engine_query_url(source, claim.body): StubPage(body)})
+    with Fetcher(FetchMode.LIVE, delay_ms=0, transport=transport) as fetcher:
+        search(ENGINES[source], claim, fetcher)
+        tracemalloc.start()
+        try:
+            found = search(ENGINES[source], claim, fetcher)
+            return found, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
 class TestSearchSnopes:
     def test_pandemic_query_finds_the_fact_check_first(self, pandemic_store):
         results = ranked_search(ENGINES[SourceId.SNOPES_SEARCH], CLAIM_PANDEMIC, replay_fetcher(pandemic_store))
@@ -195,16 +211,7 @@ class TestSearchWeb:
             f'<div id="search"><div id="rso">\n{results}</div></div></body></html>\n'
         ).encode()
         assert 160_000 < len(body) < 180_000
-        claim = TweetClaim(body="memory bound")
-        transport = StubTransport({engine_query_url(SourceId.WEB_SEARCH, claim.body): StubPage(body)})
-        with Fetcher(FetchMode.LIVE, delay_ms=0, transport=transport) as fetcher:
-            ranked_search(ENGINES[SourceId.WEB_SEARCH], claim, fetcher)  # fills module-level caches
-            tracemalloc.start()
-            try:
-                found = ranked_search(ENGINES[SourceId.WEB_SEARCH], claim, fetcher)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        found, peak = _traced_search(ranked_search, SourceId.WEB_SEARCH, body)
         assert len(found.urls) == 300
         assert peak < 4 * len(body), f"peak {peak / len(body):.2f} times the body's bytes"
 
@@ -250,6 +257,21 @@ class TestSearchPolitwoops:
         assert hit.detail_url == POLITWOOPS_JOBS_DETAIL
         # both sides normalize to the same string (independently checkable)
         assert normalize_text(hit.tweet_text) == normalize_text(CLAIM_JOBS.body)
+
+    def test_reading_a_tracker_page_holds_less_than_four_times_its_bytes(self):
+        # a tree of the page took about 15 times its bytes; the one-pass reader
+        # holds the decoded text, one tag's attributes and each card's text and link
+        cards = "".join(
+            f'<div class="tweet"><div class="tweet-info"><span class="display-name">Member {i}</span>'
+            f'<span class="screen-name">@member{i}</span></div><div class="tweet-content"><p>tweet {i}</p>'
+            f'</div><a class="tweet-permalink" href="/politwoops/tweet/{i}">Deleted after 2 hours</a></div>\n'
+            for i in range(1_300)
+        )
+        body = f'<html><body><div class="results">\n{cards}</div></body></html>\n'.encode()
+        assert 340_000 < len(body) < 380_000
+        hits, peak = _traced_search(search_politwoops, SourceId.POLITWOOPS, body)
+        assert [hit.tweet_text for hit in hits] == [f"tweet {i}" for i in range(1_300)]
+        assert peak < 4 * len(body), f"peak {peak / len(body):.2f} times the body's bytes"
 
 
 class TestMatchPolitwoops:

@@ -13,7 +13,7 @@ from tweetcheck import htmldoc
 from tweetcheck.adapters import ENGINES, ranked_search, read_results_page, search_politwoops
 from tweetcheck.errors import ParseError
 from tweetcheck.fetch import Fetcher, FetchMode, FetchResponse
-from tweetcheck.htmldoc import Element, outermost, parse_selector, parse_html, parse_response
+from tweetcheck.htmldoc import Element, parse_selector, parse_html, parse_response
 from tweetcheck.model import RatingKind, SourceId, TweetClaim
 from tweetcheck.ratings import scrape_rating
 
@@ -26,7 +26,7 @@ from conftest import (
     record_pages,
     replay_fetcher,
 )
-from html_reference import read_results_tree, reference_matches, reference_parse, shape
+from html_reference import outermost, read_results_tree, reference_matches, reference_parse, shape
 
 try:
     from re import _parser as sre_parse  # Python 3.11+
@@ -351,10 +351,15 @@ _LISTED_CARD_SELECTORS = {
     "text": "p.tweet-content, div.tweet-content",
     "link": "link[href*=/politwoops/tweet/], a[href*=/politwoops/tweet/]",
 }
-# Pieces of a generated tracker page; left unclosed, they nest.
+# Pieces of a generated tracker page; left unclosed, they nest. Among them: a
+# card that matches "text" itself, a self-closing card, raw text and a character
+# reference that may fall in a text element, and an element matching both
+# "text" and "link" (under the row's own selectors).
 _CARD_PAGE_STEPS = (
     '<div class="tweet">', '<p class="tweet-content">text {i}', '<a href="/politwoops/tweet/{i}">',
     '<span class="screen-name">@h{i}', "<span>", "</div>", "</p>", "</a>", "</span>",
+    '<div class="tweet tweet-content">', '<div class="tweet"/>', "<script>s{i} &amp; <p>x</script>",
+    "a &amp; b{i}", '<a class="tweet-content" href="/politwoops/tweet/{i}">t{i}',
 )
 
 

@@ -42,7 +42,7 @@ from .fetch import Fetcher, FetchRequest, FetchResponse
 from .htmldoc import collapse_whitespace, matches, page_text, parse_selector, tokenize, unescape
 from .model import RankedResults, Record, SourceId, TweetClaim
 from .queries import Encoding, QuerySpec, Truncation, build_query, encode_query
-from .urls import PUBLISHERS, host, host_matches, result_link
+from .urls import PUBLISHERS, article_publisher, host, host_matches, result_link
 
 logger = logging.getLogger(__name__)
 
@@ -198,18 +198,13 @@ def ranked_search(settings: EngineSettings, claim: TweetClaim, fetcher: Fetcher)
     if marked:
         raise CaptchaDetected(f"{response.final_url}: bot challenge marker found")
 
-    site, articles = PUBLISHERS[engine.publisher]
     urls: dict[str, None] = {}  # first occurrence wins, in rank order
     for href in hrefs:
         link = result_link(response.final_url, href, engine.web) if href else None
         if link is None:
             continue
-        url, link_host, path = link
-        if engine.web:
-            is_result = not host_matches(link_host, _GOOGLE_SITE)
-        else:
-            is_result = host_matches(link_host, site) and path.startswith(articles)
-        if is_result:
+        url, name, path = link
+        if (not host_matches(name, _GOOGLE_SITE)) if engine.web else article_publisher(name, path) == engine.publisher:
             urls[url] = None
     return RankedResults(settings.source, query, tuple(urls))
 

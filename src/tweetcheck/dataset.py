@@ -18,7 +18,7 @@ from collections.abc import Iterable, Iterator
 
 from .errors import DatasetError, FormatError, ValidationError
 from .model import Record, TweetClaim
-from .urls import canonicalize_article_url, is_snopes_url
+from .urls import PUBLISHERS, article_publisher, canonicalize_article_url, host_and_path
 
 
 class GroundTruthRecord(Record):
@@ -101,8 +101,10 @@ def record_problems(record: GroundTruthRecord) -> list[str]:
         TweetClaim(body=record.tweet_body)  # the body rule eval and record apply
     except ValueError as exc:  # an empty body keeps its own short wording
         problems.append("tweet_body is empty" if not record.tweet_body.strip() else f"tweet_body: {exc}")
-    if not is_snopes_url(record.snopes_url):
-        problems.append(f"snopes_url host is not snopes.com: {record.snopes_url!r}")
+    for publisher, (site, articles) in PUBLISHERS.items():  # the snopes_url, and a reuters_url if present
+        url = getattr(record, f"{publisher}_url")
+        if url is not None and article_publisher(*host_and_path(url)) != publisher:
+            problems.append(f"{publisher}_url is not a {site} article under {articles}: {url!r}")
     if record.authentic:
         if not record.live_url:
             problems.append("authentic record is missing live_url")

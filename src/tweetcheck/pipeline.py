@@ -1,14 +1,14 @@
 """End-to-end verification of one claim: query engines, scrape, aggregate.
 
-Verification runs in four stages: search every enabled engine, select the
-articles to read, scrape them, and aggregate. The fetch gateway runs the
-two network stages concurrently across hosts, one request per host at a
-time. Selection walks the engines in source declaration order and the
-verdict sorts its evidence by source and rank, so output is deterministic
-regardless of which request finished first. An engine whose query ends in
-one of :data:`~tweetcheck.errors.QUERY_FAILURES` is skipped with its
-failure recorded, and the verdict is computed from whatever evidence the
-others produced.
+Verification runs in four stages: search every enabled engine, select the articles to
+read, scrape them, and aggregate. The fetch gateway runs the two network stages
+concurrently across hosts, one request per host at a time. Selection reads a link only
+if it is a publisher's fact-check article by :func:`~tweetcheck.urls.article_publisher`,
+the rule a site engine keeps its results by, and walks the engines in source order; the
+verdict sorts its evidence by source and rank, so output is deterministic regardless of
+which request finished first. An engine whose query ends in one of
+:data:`~tweetcheck.errors.QUERY_FAILURES` is skipped with its failure recorded, and the
+verdict is computed from whatever evidence the others produced.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .model import (
     classify_rating,
 )
 from .ratings import scrape_rating
-from .urls import canonicalize_article_url, identify_publisher
+from .urls import article_publisher, canonicalize_article_url, host_and_path
 from .verdict import aggregate
 
 logger = logging.getLogger(__name__)
@@ -132,10 +132,8 @@ def _select_articles(
     for rank, url in enumerate(results.urls, start=1):
         if len(picks) >= max_articles:
             break
-        if identify_publisher(url) is None:
-            continue
         canonical = canonicalize_article_url(url)
-        if canonical in seen_articles:
+        if article_publisher(*host_and_path(url)) is None or canonical in seen_articles:
             continue
         seen_articles.add(canonical)
         picks.append((rank, url))

@@ -7,8 +7,9 @@ Each rule lives here once:
   search result is reported and deduplicated in;
 * :func:`canonicalize_article_url`: the identity under which an article is
   read once per verification and matched against the corpus;
-* :func:`identify_publisher` and :func:`is_snopes_url`: which site a URL
-  belongs to, judged by its host against :data:`PUBLISHERS`.
+* :func:`article_publisher`: whose fact-check article a link is, by its host and path
+  (what a site engine keeps, verify reads and the corpus names), and
+  :func:`identify_publisher`: whose site a URL is on, by its host alone (whose markup a page is).
 
 Every function is pure and total over any string: one that
 :func:`urllib.parse.urlsplit` rejects (say ``http://[::1``) is taken as a
@@ -38,7 +39,13 @@ def _split(url: str) -> SplitResult:
 
 def host(url: str) -> str:
     """The URL's host name, lowercased; "" when it has none."""
-    return (_split(url).hostname or "").lower()
+    return host_and_path(url)[0]
+
+
+def host_and_path(url: str) -> tuple[str, str]:
+    """The URL's host name, lowercased ("" when it has none), and its path."""
+    parts = _split(url)
+    return (parts.hostname or "").lower(), parts.path
 
 
 def host_matches(name: str, domain: str) -> bool:
@@ -100,19 +107,17 @@ def result_link(base: str, href: str, unwrap: bool) -> tuple[str, str, str] | No
     return url, parts.hostname or "", parts.path
 
 
-def _publisher(name: str) -> str | None:
-    """The :data:`PUBLISHERS` key whose site the host ``name`` is on, else None."""
+def identify_publisher(url: str) -> str | None:
+    """The :data:`PUBLISHERS` key whose site the URL's host is on, else None."""
+    name = host(url)
     return next((publisher for publisher, (site, _) in PUBLISHERS.items() if host_matches(name, site)), None)
 
 
-def identify_publisher(url: str) -> str | None:
-    """The :data:`PUBLISHERS` key the URL's host is on, else None."""
-    return _publisher(host(url))
-
-
-def is_snopes_url(url: str) -> bool:
-    """Whether the URL's host is snopes.com itself, with or without "www."."""
-    return host(url).removeprefix("www.") == PUBLISHERS["snopes"][0]
+def article_publisher(name: str, path: str) -> str | None:
+    """The :data:`PUBLISHERS` key whose article a link to the host ``name`` (lowercased) and
+    the path ``path`` is, else None: the host is on its site and the path under its article path."""
+    return next((key for key, (site, articles) in PUBLISHERS.items()
+                 if host_matches(name, site) and path.startswith(articles)), None)
 
 
 def canonicalize_article_url(url: str) -> str:
@@ -121,8 +126,8 @@ def canonicalize_article_url(url: str) -> str:
     Lowercases scheme and host, strips every leading "www.", trailing slashes, query and
     fragment. Two special shapes get shorter identities: Reuters article
     URLs collapse to their trailing "idUS…" token, and Snopes fact-check
-    URLs collapse to their "/fact-check/<slug>" path, the site judged by host as
-    :func:`identify_publisher` judges it. Anything else keeps its full normalized URL. Idempotent: with
+    URLs collapse to their "/fact-check/<slug>" path, the article judged by
+    :func:`article_publisher`. Anything else keeps its full normalized URL. Idempotent: with
     no host, a path's leading slashes become one, or urlunsplit would write "//x" to be read as a host.
     """
     try:
@@ -130,10 +135,10 @@ def canonicalize_article_url(url: str) -> str:
     except ValueError:  # a bare path, kept whole: urlunsplit may read a leading "//" as a host
         return url.rstrip("/")
     path = parts.path.rstrip("/")
-    publisher = _publisher((parts.hostname or "").lower())
-    if publisher == "reuters" and (m := _REUTERS_ID.search(path)):
+    name = (parts.hostname or "").lower()
+    if host_matches(name, PUBLISHERS["reuters"][0]) and (m := _REUTERS_ID.search(path)):
         return m.group(0)
-    if publisher == "snopes" and path.startswith(PUBLISHERS["snopes"][1]):
+    if article_publisher(name, path) == "snopes":
         return path
     netloc = _LEADING_WWW.sub("", parts.netloc.lower())
     if not netloc and path.startswith("//"):

@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 from urllib.parse import parse_qs, urljoin, urlsplit, urlunsplit
 
 import pytest
@@ -13,11 +14,13 @@ from tweetcheck.adapters import (
     ranked_search,
     search_politwoops,
 )
+from tweetcheck.config import AppConfig
 from tweetcheck.dataset import GroundTruthRecord
 from tweetcheck.errors import CaptchaDetected, NetworkError, ParseError
 from tweetcheck.fetch import Fetcher, FetchMode, FetchResponse
 from tweetcheck.model import SourceId, TweetClaim
 from tweetcheck import urls
+from tweetcheck.pipeline import verify_claim
 from tweetcheck.ratings import DEFAULT_RATING_SELECTORS, scrape_rating
 from tweetcheck.urls import result_link
 
@@ -458,3 +461,61 @@ class TestResultLink:
         link = result_link("https://www.google.com/search?q=claim", href, unwrap)
         assert link == _reference_link("https://www.google.com/search?q=claim", href, unwrap)
         assert link[0] == expected
+
+
+def _reference_article(name: str, path: str) -> str | None:
+    """The publisher whose article a link to the host ``name`` and the path
+    ``path`` is, read from the declaration: its site and its article path."""
+    for publisher, (site, articles) in urls.PUBLISHERS.items():
+        if urls.host_matches(name, site) and path.startswith(articles):
+            return publisher
+    return None
+
+
+def _one_link_search(source: SourceId, base: str, href: str, picks: bool = False):
+    """What ``source``'s row keeps of a results page at ``base`` (the request
+    URL if empty) whose one link is ``href``; with ``picks``, the articles a
+    verify over that one row reads instead."""
+    search = engine_query_url(source, CLAIM_PANDEMIC.body)
+    fetcher = Fetcher(FetchMode.LIVE, delay_ms=0, transport=StubTransport({search: StubPage(b"", final_url=base)}))
+    with fetcher, mock.patch("tweetcheck.adapters.read_results_page", return_value=([href], False, False)):
+        if picks:
+            return tuple(item.url for item in verify_claim(CLAIM_PANDEMIC, AppConfig(), fetcher, [source]).verdict.evidence)
+        return ranked_search(ENGINES[source], CLAIM_PANDEMIC, fetcher).urls
+
+
+# Links to publisher hosts, look-alikes and their pages, articles or not, some
+# wrapped in a web search's redirect, so both answers of the rule are drawn often.
+_PUBLISHER_LINKS = st.tuples(
+    st.sampled_from(["", "/url?q="]),
+    st.sampled_from([
+        "https://www.snopes.com", "HTTPS://M.Snopes.COM", "http://snopes.com", "https://www.reuters.com",
+        "http://reuters.com", "HTTPS://Www.Reuters.COM", "https://notsnopes.com", "https://www.reuters.com.example",
+    ]),
+    st.sampled_from([
+        "/fact-check/x/", "/fact-check/", "/fact-check/x/?a=1#b", "/article/idUSX", "/article/",
+        "/article/uk-x-idUSKCN2242AK#f", "/fact-check", "/Fact-Check/x/", "/fact-check%2Fx", "/article",
+        "/world/x-idUSX", "/collections/viral-tweets/", "/news/x/", "",
+    ]),
+).map("".join)
+
+
+class TestArticleRule:
+    """Verify reads a web result only where a site row of its publisher would
+    keep the link, and both agree with the declaration in urls.PUBLISHERS."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(base=_BASES, href=st.booleans().flatmap(lambda publisher: _PUBLISHER_LINKS if publisher else _LINKS))
+    def test_verify_picks_from_a_web_row_what_a_site_row_keeps(self, base, href):
+        # An empty href names the results page itself, which no row keeps.
+        link = result_link(base or engine_query_url(SourceId.WEB_SEARCH, CLAIM_PANDEMIC.body), href, True) if href else None
+        publisher = link and _reference_article(link[1], link[2])
+        picked = _one_link_search(SourceId.WEB_SEARCH, base, href, picks=True)
+        assert picked == ((link[0],) if publisher else ())
+        for source in (SourceId.SNOPES_SEARCH, SourceId.REUTERS_SEARCH):
+            # The site row joins the link to its own page: one without a host
+            # (say "https:///fact-check/x/") lands on that page's host.
+            row_link = link and result_link(engine_query_url(source, CLAIM_PANDEMIC.body), link[0], False)
+            row_publisher = row_link and _reference_article(row_link[1], row_link[2])
+            kept = _one_link_search(source, "", link[0]) if link else ()
+            assert kept == ((row_link[0],) if row_publisher == ENGINES[source].ranking.publisher else ())

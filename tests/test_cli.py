@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import tweetcheck
 from tweetcheck.cli import main, printable
 from tweetcheck.dataset import GroundTruthRecord, serialize_dataset
-from tweetcheck.adapters import ENGINES
+from tweetcheck.adapters import ENGINES, ranked_search
 from tweetcheck.errors import (
     CaptchaDetected,
     ConfigError,
@@ -46,8 +46,9 @@ from conftest import (
     pandemic_pages,
     record_pages,
     replay_fetcher,
+    snopes_serp_page,
 )
-from tweetcheck.model import SourceId
+from tweetcheck.model import SourceId, TweetClaim
 from test_pipeline import _ARTICLES, _RATINGS, _RESULTS, _fixtures, put_fixture
 
 
@@ -721,6 +722,73 @@ class TestRecord:
         assert captured.out == "recorded 3 record(s) x 1 engine(s), 0 failure(s)\n"
         assert captured.err == ""
         assert len(list(fixtures.iterdir())) == 3
+
+
+def _web_serp(href: str) -> bytes:
+    """A web search results page whose one result links to ``href``."""
+    return f'<html><body><div id="search"><a href="{href}">result</a></div></body></html>'.encode("utf-8")
+
+
+class TestFactCheckArticles:
+    """A link is a publisher's fact-check article by one rule: its host is on the
+    publisher's site and its path under the publisher's article path. The site
+    engines keep those links, verify reads them and the corpus names them."""
+
+    def test_verify_neither_reads_nor_lists_a_publisher_page_that_is_no_article(self, tmp_path, capsys, monkeypatch):
+        collections = "https://www.snopes.com/collections/viral-tweets/"
+        results = engine_query_url(SourceId.WEB_SEARCH_SITE_SNOPES, GIBBERISH_BODY)
+        store = record_pages(tmp_path / "fx", {
+            results: StubPage(_web_serp(collections)),
+            collections: StubPage(b"<html><body><p>Another claim entirely. Rating: False</p></body></html>"),
+        })
+        loaded = []
+        load = FixtureStore.load
+        monkeypatch.setattr(FixtureStore, "load", lambda self, key, url="": loaded.append(url) or load(self, key, url))
+        code = main([
+            "verify", GIBBERISH_BODY, "--engine", "web-snopes", "--mode", "replay", "--fixtures", str(store.root),
+        ])
+        assert capsys.readouterr().out == "Verdict: Unverifiable\n"
+        assert code == 2
+        assert loaded == [results]
+
+    @pytest.mark.parametrize("url, article", [
+        ("https://m.snopes.com/fact-check/x/", True),
+        ("https://www.snopes.com/news/x/", False),
+    ])
+    def test_the_snopes_row_verify_and_the_corpus_check_agree(self, tmp_path, capsys, url, article):
+        store = record_pages(tmp_path / "fx", {
+            engine_query_url(SourceId.SNOPES_SEARCH, GIBBERISH_BODY): StubPage(snopes_serp_page([url])),
+            engine_query_url(SourceId.WEB_SEARCH, GIBBERISH_BODY): StubPage(_web_serp(url)),
+            url: StubPage(page("snopes_article_pandemic.html")),
+        })
+        with replay_fetcher(store) as fetcher:
+            kept = ranked_search(ENGINES[SourceId.SNOPES_SEARCH], TweetClaim(body=GIBBERISH_BODY), fetcher).urls
+        assert kept == ((url,) if article else ())
+
+        main(["verify", GIBBERISH_BODY, "--engine", "web", "--mode", "replay", "--fixtures", str(store.root)])
+        assert (f"Article found at URL: {url}\n" in capsys.readouterr().out) == article
+
+        dataset = tmp_path / "corpus.tsv"
+        dataset.write_text(serialize_dataset([eval_records()[0].replace(snopes_url=url)]), encoding="utf-8")
+        assert main(["validate-dataset", "--dataset", str(dataset)]) == (0 if article else 65)
+        finding = f"record e1: snopes_url is not a snopes.com article under /fact-check/: {url!r}\n"
+        assert capsys.readouterr().out == ("dataset OK: 1 records (0 authentic, 1 fabricated)\n" if article else finding)
+
+    @pytest.mark.parametrize("command", ["validate-dataset", "eval", "record"])
+    def test_a_reuters_url_that_is_no_reuters_article_is_a_finding(self, tmp_path, capsys, monkeypatch, command):
+        _refuse_network(monkeypatch)
+        url = "https://www.reuters.com/fact-check/claim-idUSL1N2Y0000"
+        dataset = tmp_path / "corpus.tsv"
+        dataset.write_text(serialize_dataset([eval_records()[0].replace(reuters_url=url)]), encoding="utf-8")
+        fixtures = tmp_path / "fx"
+        argv = [command, "--dataset", str(dataset)]
+        if command != "validate-dataset":
+            argv += ["--engine", "reuters", "--fixtures", str(fixtures)]
+        assert main(argv) == 65
+        finding = f"reuters_url is not a reuters.com article under /article/: {url!r}"
+        captured = capsys.readouterr()
+        assert finding in (captured.out if command == "validate-dataset" else captured.err)
+        assert not fixtures.exists()
 
 
 class TestValidateDataset:
@@ -1424,7 +1492,7 @@ class TestAnyUrl:
         dataset = tmp_path / "corpus.tsv"
         dataset.write_text(serialize_dataset([eval_records()[0].replace(snopes_url="http://[::1")]), encoding="utf-8")
         assert main(["validate-dataset", "--dataset", str(dataset)]) == 65
-        assert capsys.readouterr().out == "record e1: snopes_url host is not snopes.com: 'http://[::1'\n"
+        assert capsys.readouterr().out == "record e1: snopes_url is not a snopes.com article under /fact-check/: 'http://[::1'\n"
 
     @pytest.mark.parametrize(
         "url, message",

@@ -10,9 +10,9 @@ with a diff-able ASCII header followed by the raw body bytes.
 
 The network stack (``requests`` and what it pulls in) is imported only when
 a live or record fetcher is built without an injected transport, so replay
-and the offline commands never load it. Live bodies are streamed and cut
-off past :data:`MAX_BODY_BYTES`; redirects are followed one hop at a time,
-at most :data:`MAX_REDIRECTS` of them, and each 3xx body is left unread.
+and the offline commands never load it. A transport makes one request: a
+live body is cut off past :data:`MAX_BODY_BYTES`, a 3xx body left unread.
+The fetcher follows at most :data:`MAX_REDIRECTS` redirects, each a request.
 """
 
 from __future__ import annotations
@@ -89,6 +89,7 @@ class FetchResponse(Record):
     final_url: str
     body: bytes
     content_type: str = ""
+    location: str = ""  # a redirect's Location, read as Latin-1 like any header; followed, never stored
 
     def __post_init__(self):
         if not 100 <= self.status <= 599:
@@ -200,6 +201,7 @@ def _reset_politeness_clock() -> None:
         _HOST_NEXT_SLOT.clear()
 
 
+#: Makes one request; a redirect comes back with its ``location``, unfollowed.
 Transport = Callable[[FetchRequest], FetchResponse]
 
 
@@ -256,7 +258,9 @@ class Fetcher:
     def fetch(self, req: FetchRequest) -> FetchResponse:
         """Resolve one request according to the mode; only a 2xx response is returned.
 
-        Raises :class:`NetworkError` on live transport failure and, in every
+        Live and record follow each redirect as one more request, which waits
+        for its own host's turn. Raises :class:`NetworkError` on live transport
+        failure or a redirect that cannot be followed and, in every
         mode, ``HTTP {status} for {url}`` for a non-2xx response (which
         record mode saves first, so replay fails the same way). Raises
         :class:`FixtureMiss` in replay mode for unrecorded requests.
@@ -265,7 +269,17 @@ class Fetcher:
             assert self.store is not None
             response = self.store.load(fixture_key(req), req.url)
         else:
-            response = self._polite_request(req)
+            hop = req
+            for _ in range(MAX_REDIRECTS + 1):
+                response = self._polite_request(hop)
+                if not response.location:
+                    break
+                try:  # a Location must be UTF-8, one urljoin takes, and lead to an http(s) URL
+                    hop = FetchRequest(urljoin(response.final_url, response.location.encode("latin-1").decode("utf-8")))
+                except ValueError as exc:
+                    raise NetworkError(f"GET {req.url} failed: {exc}") from exc
+            else:
+                raise NetworkError(f"GET {req.url} failed: Exceeded {MAX_REDIRECTS} redirects.")
             if self.mode is FetchMode.RECORD:
                 assert self.store is not None
                 self.store.save(fixture_key(req), response)
@@ -331,24 +345,12 @@ class Fetcher:
             # resolver once to prepare Response.next, and that reads the 3xx
             # body whole. Nothing here uses Response.next.
             session.resolve_redirects = lambda *args, **kwargs: iter(())
-        url = req.url
         try:
-            # Redirects are followed here rather than by requests, which
-            # reads each 3xx body whole, past the body cap; here each 3xx
-            # response is closed unread. A hop goes out on this request's
-            # session, under its host's lock, and waits for no slot of its own.
-            for _ in range(MAX_REDIRECTS + 1):
-                resp = session.get(
-                    url, headers=headers, timeout=self.timeout_s, allow_redirects=False, stream=True
-                )
-                with resp:  # a body left unread closes its connection
-                    location = session.get_redirect_target(resp)
-                    if location is None:
-                        body = _read_capped_body(req.url, resp)
-                        break
-                url = urljoin(resp.url, location)
-            else:
-                raise NetworkError(f"GET {req.url} failed: Exceeded {MAX_REDIRECTS} redirects.")
+            resp = session.get(req.url, headers=headers, timeout=self.timeout_s, allow_redirects=False, stream=True)
+            with resp:  # a body left unread closes its connection
+                if resp.is_redirect:  # a 3xx with a Location, whose body may never end
+                    return FetchResponse(resp.status_code, resp.url, b"", location=resp.headers["Location"])
+                body = _read_capped_body(req.url, resp)
             return FetchResponse(
                 status=resp.status_code,
                 final_url=resp.url,
@@ -357,9 +359,7 @@ class Fetcher:
                 # RFC 9112 section 5.2 has the recipient unfold it.
                 content_type=_FOLD.sub(" ", resp.headers.get("Content-Type", "")),
             )
-        # A ValueError is an answer nothing here can read: a Location that
-        # urljoin rejects or that is not UTF-8, or a status past 599.
-        except (requests.RequestException, ValueError) as exc:
+        except (requests.RequestException, ValueError) as exc:  # ValueError: say a status past 599
             raise NetworkError(f"GET {req.url} failed: {exc}") from exc
 
 

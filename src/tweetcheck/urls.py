@@ -115,9 +115,9 @@ def identify_publisher(url: str) -> str | None:
 
 def article_publisher(name: str, path: str) -> str | None:
     """The :data:`PUBLISHERS` key whose article a link to the host ``name`` (lowercased) and
-    the path ``path`` is, else None: the host is on its site and the path under its article path."""
-    return next((key for key, (site, articles) in PUBLISHERS.items()
-                 if host_matches(name, site) and path.startswith(articles)), None)
+    the path ``path`` is, else None: the host is on its site and more than slashes follow its article path."""
+    return next((key for key, (site, articles) in PUBLISHERS.items() if host_matches(name, site)
+                 and path.startswith(articles) and path[len(articles):].strip("/")), None)
 
 
 def canonicalize_article_url(url: str) -> str:

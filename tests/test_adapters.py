@@ -465,9 +465,10 @@ class TestResultLink:
 
 def _reference_article(name: str, path: str) -> str | None:
     """The publisher whose article a link to the host ``name`` and the path
-    ``path`` is, read from the declaration: its site and its article path."""
+    ``path`` is, read from the declaration: its site, and a path under its
+    article path that is not that path alone (the publisher's index page)."""
     for publisher, (site, articles) in urls.PUBLISHERS.items():
-        if urls.host_matches(name, site) and path.startswith(articles):
+        if urls.host_matches(name, site) and path.startswith(articles) and path.strip("/") != articles.strip("/"):
             return publisher
     return None
 
@@ -519,3 +520,13 @@ class TestArticleRule:
             row_publisher = row_link and _reference_article(row_link[1], row_link[2])
             kept = _one_link_search(source, "", link[0]) if link else ()
             assert kept == ((row_link[0],) if row_publisher == ENGINES[source].ranking.publisher else ())
+
+    @pytest.mark.parametrize("source, index", [
+        (SourceId.SNOPES_SEARCH, "https://www.snopes.com/fact-check/"),
+        (SourceId.SNOPES_SEARCH, "https://m.snopes.com/fact-check//"),
+        (SourceId.REUTERS_SEARCH, "https://www.reuters.com/article/"),
+        (SourceId.REUTERS_SEARCH, "http://reuters.com/article///"),
+    ])
+    def test_a_site_row_drops_its_publishers_index_page(self, source, index):
+        assert _one_link_search(source, "", index) == ()
+        assert _one_link_search(source, "", index + "x") != ()

@@ -790,6 +790,34 @@ class TestFactCheckArticles:
         assert finding in (captured.out if command == "validate-dataset" else captured.err)
         assert not fixtures.exists()
 
+    @pytest.mark.parametrize("index", ["https://www.snopes.com/fact-check/", "https://www.reuters.com/article/"])
+    def test_verify_neither_reads_nor_lists_a_publishers_index_page(self, tmp_path, capsys, monkeypatch, index):
+        # An index lists many claims and their ratings; a text scan would lend this claim one of them.
+        results = engine_query_url(SourceId.WEB_SEARCH_SITE_SNOPES, GIBBERISH_BODY)
+        store = record_pages(tmp_path / "fx", {
+            results: StubPage(_web_serp(index)),
+            index: StubPage(b"<html><body><p>Some other claim. Rating: False</p></body></html>"),
+        })
+        loaded = []
+        load = FixtureStore.load
+        monkeypatch.setattr(FixtureStore, "load", lambda self, key, url="": loaded.append(url) or load(self, key, url))
+        code = main([
+            "verify", GIBBERISH_BODY, "--engine", "web-snopes", "--mode", "replay", "--fixtures", str(store.root),
+        ])
+        assert capsys.readouterr().out == "Verdict: Unverifiable\n"
+        assert code == 2
+        assert loaded == [results]
+
+    @pytest.mark.parametrize("field, url, finding", [
+        ("snopes_url", "https://www.snopes.com/fact-check/", "snopes_url is not a snopes.com article under /fact-check/"),
+        ("reuters_url", "https://www.reuters.com/article/", "reuters_url is not a reuters.com article under /article/"),
+    ])
+    def test_a_publishers_index_page_is_a_corpus_finding(self, tmp_path, capsys, field, url, finding):
+        dataset = tmp_path / "corpus.tsv"
+        dataset.write_text(serialize_dataset([eval_records()[0].replace(**{field: url})]), encoding="utf-8")
+        assert main(["validate-dataset", "--dataset", str(dataset)]) == 65
+        assert capsys.readouterr().out == f"record e1: {finding}: {url!r}\n"
+
 
 class TestValidateDataset:
     def test_shipped_corpus_is_default_and_clean(self, capsys):

@@ -43,19 +43,31 @@ HOSTILE_ROUTES = {
     # the Location is written as the bytes ff fe
     "/redirect-not-utf8": (302, "\xff\xfe", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
     "/status-700": (700, None, "status out of range: 700"),
+    # a hop the fetcher must refuse to make, not hand to the HTTP stack
+    "/redirect-to-ftp": (302, "ftp://127.0.0.1/x", "url must be http or https: 'ftp://127.0.0.1/x'"),
 }
 
 #: How long the endless redirect body is written if the client keeps reading.
 ENDLESS_BODY_S = 5.0
 
+#: Politeness delay of the tests that time when each redirect hop arrives.
+HOP_DELAY_MS = 250
+#: Slack for the arrival times. A slot is stamped before the request is sent,
+#: and this process's server thread stamps arrivals late when the machine is
+#: busy: gaps came out up to 8 ms short under load. A hop that waits for no
+#: slot arrives a few ms after the request before it.
+ARRIVAL_SLACK_S = 0.05
+
 
 class _Handler(BaseHTTPRequestHandler):
     seen_headers: list[dict] = []
     seen_paths: list[str] = []
+    arrivals: list[tuple[str, str, float]] = []  # (Host header, path, monotonic time)
 
     def do_GET(self):
         type(self).seen_headers.append(dict(self.headers))
         type(self).seen_paths.append(self.path)
+        type(self).arrivals.append((self.headers["Host"].split(":")[0], self.path, time.monotonic()))
         hostile = HOSTILE_ROUTES.get(self.path.split("?", 1)[0])
         if hostile is not None:
             status, location, _ = hostile
@@ -98,6 +110,10 @@ class _Handler(BaseHTTPRequestHandler):
         elif self.path == "/absolute":
             self.send_response(302)
             self.send_header("Location", f"http://127.0.0.1:{self.server.server_address[1]}/final")
+            self.end_headers()
+        elif self.path == "/to-localhost":
+            self.send_response(302)
+            self.send_header("Location", f"http://localhost:{self.server.server_address[1]}/final")
             self.end_headers()
         elif self.path == "/dir/relative":
             self.send_response(301)
@@ -177,6 +193,24 @@ class TestLiveTransport:
             response = fetcher.fetch(FetchRequest(url=f"{server}/endless-302"))
         assert time.monotonic() - started < ENDLESS_BODY_S / 2
         assert (response.body, response.final_url) == (b"arrived", f"{server}/final")
+
+    def test_each_redirect_hop_waits_for_its_hosts_slot(self, server):
+        _Handler.arrivals.clear()
+        with Fetcher(FetchMode.LIVE, delay_ms=HOP_DELAY_MS) as fetcher:
+            assert fetcher.fetch(FetchRequest(url=f"{server}/hop1")).body == b"arrived"
+        assert [path for _, path, _ in _Handler.arrivals] == ["/hop1", "/hop2", "/final"]
+        times = [at for _, _, at in _Handler.arrivals]
+        assert all(later - earlier >= HOP_DELAY_MS / 1000 - ARRIVAL_SLACK_S for earlier, later in zip(times, times[1:]))
+
+    def test_a_hop_to_another_host_waits_for_that_hosts_slot(self, server):
+        by_name = server.replace("127.0.0.1", "localhost")
+        _Handler.arrivals.clear()
+        with Fetcher(FetchMode.LIVE, delay_ms=HOP_DELAY_MS) as fetcher:
+            fetcher.fetch(FetchRequest(url=f"{by_name}/final"))  # takes localhost's slot
+            assert fetcher.fetch(FetchRequest(url=f"{server}/to-localhost")).final_url == f"{by_name}/final"
+        (first, _, taken), _, (hop, _, hopped) = _Handler.arrivals
+        assert (first, hop) == ("localhost", "localhost")
+        assert hopped - taken >= HOP_DELAY_MS / 1000 - ARRIVAL_SLACK_S
 
     def test_user_agent_header_sent(self, server):
         _Handler.seen_headers.clear()

@@ -48,14 +48,12 @@ _FOLD = re.compile(r"(?:\r\n?|\n)[ \t]*")
 #: Hosts queried at the same time by :meth:`Fetcher.run_per_host`.
 MAX_HOST_WORKERS = 4
 
-# Politeness bookkeeping is deliberately module-global: concurrent fetchers
-# must share one per-host clock. Each host gets its own lock, held across
-# the request itself at every delay, 0 included, so a process has at most
-# one request per host in flight and same-host request starts are separated
-# by the delay, while other hosts proceed in parallel.
-_POLITENESS_LOCK = threading.Lock()
-_HOST_LOCKS: dict[str, threading.Lock] = {}
-_HOST_NEXT_SLOT: dict[str, float] = {}
+# Politeness bookkeeping is deliberately module-global, so concurrent fetchers
+# share it: one table holds each host's entry, a lock and the monotonic time its
+# next request may start, read and written only under that lock. The lock is held
+# across the request at every delay, 0 included: at most one request per host is in
+# flight and same-host starts are the delay apart, while other hosts run in parallel.
+_HOSTS: dict[str, list] = {}
 
 
 class FetchMode(Enum):
@@ -65,14 +63,14 @@ class FetchMode(Enum):
 
 
 class FetchRequest(Record):
-    """A GET request to an absolute http or https URL that can be encoded as
-    UTF-8, checked here alone (a command-line argument that is not UTF-8 cannot)."""
+    """A GET request to an absolute http or https URL, with a host, that can be encoded
+    as UTF-8, checked here alone (a command-line argument that is not UTF-8 cannot)."""
 
     url: str
 
     def __post_init__(self):
         parts = urlsplit(self.url)
-        if not parts.scheme or not parts.netloc:
+        if not parts.scheme or not parts.hostname:
             raise ValueError(f"url must be absolute: {self.url!r}")
         if parts.scheme not in ("http", "https"):
             raise ValueError(f"url must be http or https: {self.url!r}")
@@ -187,18 +185,8 @@ class FixtureStore:
         return path
 
 
-def _host_lock(host: str) -> threading.Lock:
-    with _POLITENESS_LOCK:
-        lock = _HOST_LOCKS.get(host)
-        if lock is None:
-            lock = _HOST_LOCKS[host] = threading.Lock()
-        return lock
-
-
 def _reset_politeness_clock() -> None:
-    with _POLITENESS_LOCK:
-        _HOST_LOCKS.clear()
-        _HOST_NEXT_SLOT.clear()
+    _HOSTS.clear()
 
 
 #: Makes one request; a redirect comes back with its ``location``, unfollowed.
@@ -320,18 +308,18 @@ class Fetcher:
         return results
 
     def _polite_request(self, req: FetchRequest) -> FetchResponse:
-        host = urls.host(req.url)
-        with _host_lock(host):
-            now = time.monotonic()
-            slot = _HOST_NEXT_SLOT.get(host, now)
-            if slot > now:
-                time.sleep(slot - now)
+        # setdefault adds a new host's entry atomically, so every caller gets the same one
+        entry = _HOSTS.setdefault(urls.host(req.url), [threading.Lock(), 0.0])
+        with entry[0]:
+            wait = entry[1] - time.monotonic()
+            if wait > 0:
+                time.sleep(wait)
             started = time.monotonic()
             try:
                 return self._transport(req)
             finally:
                 # failed requests still contacted the host; keep the spacing
-                _HOST_NEXT_SLOT[host] = started + self.delay_ms / 1000.0
+                entry[1] = started + self.delay_ms / 1000.0
 
     def _requests_transport(self, req: FetchRequest) -> FetchResponse:
         import requests  # already loaded by __init__

@@ -76,11 +76,11 @@ def _plain(url: str) -> SplitResult | None:
 
 
 def result_link(base: str, href: str, unwrap: bool) -> tuple[str, str, str] | None:
-    """(URL, host, path) of the http(s) page the link ``href`` on the page at
-    ``base`` leads to, or None. With ``unwrap``, a "/url?" redirect wrapper
-    leads to its first non-blank "q", else "url". The URL, as a result is
-    reported, has its scheme and host lowercased and no fragment. The answer is
-    that of urljoin, parse_qs and urlsplit in turn; a plain link is not joined."""
+    """(URL, host, path) of the http(s) page with a host that the link ``href`` on the page
+    at ``base`` leads to, or None. With ``unwrap``, a "/url?" redirect wrapper leads to its
+    first non-blank "q", else "url". The URL, as a result is reported, has its scheme and host
+    lowercased and no fragment; host and path are :func:`host_and_path` of it. The answer
+    is that of urljoin, parse_qs and urlsplit in turn; a plain link is not joined."""
     try:
         page = urlsplit(base)  # urljoin reads the base first, and may reject it
         parts = _plain(href)
@@ -101,10 +101,10 @@ def result_link(base: str, href: str, unwrap: bool) -> tuple[str, str, str] | No
                 parts = urlsplit(target)
     except ValueError:  # e.g. an unbalanced "[" in the host
         return None
-    if parts.scheme not in ("http", "https"):
+    if parts.scheme not in ("http", "https") or not parts.hostname:
         return None
     url = urlunsplit((parts.scheme, parts.netloc.lower(), parts.path, parts.query, ""))
-    return url, parts.hostname or "", parts.path
+    return url, parts.hostname.lower(), parts.path
 
 
 def identify_publisher(url: str) -> str | None:

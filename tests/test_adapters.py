@@ -3,7 +3,7 @@ from unittest import mock
 from urllib.parse import parse_qs, urljoin, urlsplit, urlunsplit
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tweetcheck.adapters import (
@@ -387,10 +387,10 @@ def _reference_link(base: str, href: str, unwrap: bool):
         parts = urlsplit(absolute)
     except ValueError:
         return None
-    if parts.scheme not in ("http", "https"):
+    if parts.scheme not in ("http", "https") or not parts.hostname:
         return None
     normalized = urlunsplit((parts.scheme.lower(), parts.netloc.lower(), parts.path, parts.query, ""))
-    return normalized, parts.hostname or "", parts.path
+    return normalized, parts.hostname.lower(), parts.path
 
 
 # Links built from the parts a results page's links have, with what urljoin,
@@ -446,6 +446,14 @@ class TestResultLink:
     @given(base=_BASES, href=_LINKS, unwrap=st.booleans())
     def test_equals_the_join_unwrap_split_chain(self, base, href, unwrap):
         assert result_link(base, href, unwrap) == _reference_link(base, href, unwrap)
+
+    @settings(max_examples=1_000, deadline=None)
+    @given(base=_BASES, href=_LINKS, unwrap=st.booleans())
+    @example(base="https://www.google.com/search?q=x", href="https://x%41.Snopes.com/fact-check/x/", unwrap=False)
+    @example(base="https://www.google.com/search?q=x", href="/url?q=https:////www.google.com/x", unwrap=True)
+    def test_host_and_path_are_those_of_the_reported_url(self, base, href, unwrap):
+        link = result_link(base, href, unwrap)
+        assert link is None or (link[1] and link[1:] == urls.host_and_path(link[0]))
 
     @pytest.mark.parametrize("href, unwrap, expected", [
         ("/url?q=https://www.snopes.com/fact-check/x/&sa=U", True, "https://www.snopes.com/fact-check/x/"),
@@ -507,6 +515,8 @@ class TestArticleRule:
 
     @settings(max_examples=300, deadline=None)
     @given(base=_BASES, href=st.booleans().flatmap(lambda publisher: _PUBLISHER_LINKS if publisher else _LINKS))
+    @example(base="", href="https://x%41.Snopes.com/fact-check/x/")
+    @example(base="", href="/url?q=https:////www.snopes.com/fact-check/x/")
     def test_verify_picks_from_a_web_row_what_a_site_row_keeps(self, base, href):
         # An empty href names the results page itself, which no row keeps.
         link = result_link(base or engine_query_url(SourceId.WEB_SEARCH, CLAIM_PANDEMIC.body), href, True) if href else None
@@ -530,3 +540,14 @@ class TestArticleRule:
     def test_a_site_row_drops_its_publishers_index_page(self, source, index):
         assert _one_link_search(source, "", index) == ()
         assert _one_link_search(source, "", index + "x") != ()
+
+    def test_the_snopes_row_and_verify_agree_on_a_host_with_a_percent(self):
+        # urlsplit keeps the case of a host after its "%" (an IPv6 zone's rule)
+        href = "https://x%41.Snopes.com/fact-check/x/"
+        kept = _one_link_search(SourceId.SNOPES_SEARCH, "", href)
+        assert kept == ("https://x%41.snopes.com/fact-check/x/",)
+        assert _one_link_search(SourceId.WEB_SEARCH, "", href, picks=True) == kept
+
+    def test_a_wrapped_link_without_a_host_is_no_web_result(self):
+        # Python before 3.13 writes "https:////www.google.com/x" back as a link to Google
+        assert _one_link_search(SourceId.WEB_SEARCH, "", "/url?q=https:////www.google.com/preferences") == ()

@@ -44,6 +44,12 @@ class TestFetchRequest:
         with pytest.raises(ValueError, match="url must be absolute"):
             FetchRequest(url=url)
 
+    # A netloc with no host in it names no one to ask either.
+    @pytest.mark.parametrize("url", ["http://@/x", "http://:80/x"])
+    def test_url_without_a_host_rejected(self, url):
+        with pytest.raises(ValueError, match="url must be absolute"):
+            FetchRequest(url=url)
+
     @pytest.mark.parametrize("url", ["ftp://www.snopes.com/x", "ws://host.example/x", "git+https://host.example/x"])
     def test_url_that_is_not_http_rejected(self, url):
         with pytest.raises(ValueError, match="url must be http or https"):
@@ -273,3 +279,24 @@ class TestPoliteness:
         times = sorted(transport.times)
         assert times[1] - times[0] >= 0.055
         assert times[2] - times[1] >= 0.055
+
+    def test_callers_of_two_fetchers_racing_onto_a_new_host_are_spaced(self):
+        # All four reach the host at once, before it has an entry, so the
+        # entry each one waits on must be the same.
+        transport = _TimedTransport()
+        fetchers = [Fetcher(FetchMode.LIVE, delay_ms=60, transport=transport) for _ in range(2)]
+        barrier = threading.Barrier(4)
+
+        def fire(fetcher):
+            barrier.wait()
+            fetcher.fetch(FetchRequest(url="https://fresh.example/"))
+
+        threads = [threading.Thread(target=fire, args=(fetchers[i % 2],)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        times = sorted(transport.times)
+        assert len(times) == 4
+        for earlier, later in zip(times, times[1:]):
+            assert later - earlier >= 0.055

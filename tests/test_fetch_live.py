@@ -45,6 +45,8 @@ HOSTILE_ROUTES = {
     "/status-700": (700, None, "status out of range: 700"),
     # a hop the fetcher must refuse to make, not hand to the HTTP stack
     "/redirect-to-ftp": (302, "ftp://127.0.0.1/x", "url must be http or https: 'ftp://127.0.0.1/x'"),
+    # a hop to a URL with no host, which names no one to ask
+    "/redirect-to-no-host": (302, "http://@/", "url must be absolute: 'http://@/'"),
 }
 
 #: How long the endless redirect body is written if the client keeps reading.

@@ -52,8 +52,9 @@ selector constants use:
   (repeatable; a class list splits on ASCII whitespace only), ``[attr]``
   (present, with a value or none), ``[attr*=v]`` (``v`` not empty)
 
-A selector is matched in one walk down the subtree it is called on, so
-matching takes time linear in the page however deeply it nests.
+A selector compiles to plain data, a ``(tag, id, classes, attributes)`` tuple
+per alternative, and is matched in one walk down the subtree it is called on,
+so matching takes time linear in the page however deeply it nests.
 
 A tree points only down: an element holds its children and no link back
 up. So a tree holds no reference cycle and is freed the moment its root is
@@ -92,13 +93,6 @@ class Element:
         self.tag = tag
         self.attrs = attrs or {}
         self.children: list[Element | str] = []
-
-    def __repr__(self):
-        ident = f"#{self.attrs['id']}" if "id" in self.attrs else ""
-        return f"<Element {self.tag}{ident}>"
-
-    def get(self, name: str, default: str | None = None) -> str | None:
-        return self.attrs.get(name, default)
 
     def iter(self) -> Iterator["Element"]:
         """All descendant elements in document order, self excluded.
@@ -144,17 +138,7 @@ class Element:
         return next(self._matching(selector), None)
 
 
-class _Simple:
-    __slots__ = ("tag", "id", "classes", "attrs")
-
-    def __init__(self, tag, id_, classes, attrs):
-        self.tag = tag
-        self.id = id_
-        self.classes = classes
-        self.attrs = attrs
-
-
-def _parse_compound(token: str) -> _Simple:
+def _parse_compound(token: str) -> tuple:
     tag = None
     id_ = None
     classes: list[str] = []
@@ -178,15 +162,15 @@ def _parse_compound(token: str) -> _Simple:
             attrs.append((m.group(4).lower(), m.group(5)))
     if pos != len(token):
         raise ValueError(f"unsupported selector syntax: {token!r}")
-    return _Simple(tag, id_, frozenset(classes), tuple(attrs))
+    return tag, id_, frozenset(classes), tuple(attrs)
 
 
 @lru_cache(maxsize=256)
-def parse_selector(selector: str) -> tuple[_Simple, ...]:
-    """Compiled selector, one compound per alternative; cached, so never mutate it.
-
-    A descendant chain (compounds separated by whitespace) is unsupported
-    syntax."""
+def parse_selector(selector: str) -> tuple[tuple, ...]:
+    """Compiled selector: a ``(tag, id, classes, attributes)`` tuple per alternative, the
+    tag lowercased or None, the id or None, the classes a frozenset, the attributes
+    ``(name, substring)`` pairs, the substring None for ``[name]``. A descendant chain
+    (compounds separated by whitespace) is unsupported syntax."""
     alternatives = [alternative.strip() for alternative in selector.split(",")]
     compounds = tuple(_parse_compound(alternative) for alternative in alternatives if alternative)
     if not compounds:
@@ -194,17 +178,17 @@ def parse_selector(selector: str) -> tuple[_Simple, ...]:
     return compounds
 
 
-def matches(tag: str, attrs: Mapping[str, str | None], compounds: tuple[_Simple, ...]) -> bool:
+def matches(tag: str, attrs: Mapping[str, str | None], compounds: tuple[tuple, ...]) -> bool:
     """Whether an element with this tag and these attributes matches one of a
     compiled selector's compounds (see :func:`parse_selector`)."""
-    for simple in compounds:
-        if simple.tag is not None and tag != simple.tag:
+    for c_tag, c_id, c_classes, c_attrs in compounds:
+        if c_tag is not None and tag != c_tag:
             continue
-        if simple.id is not None and attrs.get("id") != simple.id:
+        if c_id is not None and attrs.get("id") != c_id:
             continue
-        if simple.classes and not simple.classes.issubset(_CLASS_SEP.split(attrs.get("class") or "")):
+        if c_classes and not c_classes.issubset(_CLASS_SEP.split(attrs.get("class") or "")):
             continue
-        for name, contained in simple.attrs:
+        for name, contained in c_attrs:
             # presence alone for [attr]; contained is never "", so no valueless attribute holds it
             if name not in attrs or (contained is not None and contained not in (attrs[name] or "")):
                 break
@@ -411,8 +395,3 @@ def page_text(response: FetchResponse) -> str:
     if ct and not _HTMLISH_CT.search(ct):
         raise ParseError(f"{response.final_url}: not an HTML page ({ct})")
     return decode_body(response)
-
-
-def parse_response(response: FetchResponse) -> Element:
-    """Parse a fetched page, or raise :class:`ParseError` if it is not HTML."""
-    return parse_html(page_text(response))

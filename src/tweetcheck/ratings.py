@@ -22,7 +22,7 @@ import re
 
 from .errors import ParseError
 from .fetch import FetchResponse
-from .htmldoc import Element, collapse_whitespace, parse_response
+from .htmldoc import Element, collapse_whitespace, page_text, parse_html
 from .model import TruthRating, classify_rating
 from .urls import identify_publisher
 
@@ -72,7 +72,7 @@ def _fallback_scan(root: Element, url: str, block: str) -> TruthRating:
 
 def scrape_snopes_rating(page: FetchResponse) -> TruthRating:
     """Extract the rating label from a Snopes fact-check article."""
-    root = parse_response(page)
+    root = parse_html(page_text(page))
     element = root.select_one(DEFAULT_RATING_SELECTORS["snopes"]["rating"])
     if element is not None:
         return classify_rating(_label_head(element.text()))
@@ -97,7 +97,7 @@ def scrape_reuters_rating(page: FetchResponse) -> TruthRating:
     walked once, and the scraper takes time linear in the page however
     deeply it nests.
     """
-    root = parse_response(page)
+    root = parse_html(page_text(page))
     selectors = DEFAULT_RATING_SELECTORS["reuters"]
     wanted = selectors["verdict_heading_text"].strip().lower()
     limit = len(wanted)  # lowercasing never shortens a string

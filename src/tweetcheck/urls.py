@@ -79,7 +79,7 @@ def result_link(base: str, href: str, unwrap: bool) -> tuple[str, str, str] | No
     """(URL, host, path) of the http(s) page with a host that the link ``href`` on the page
     at ``base`` leads to, or None. With ``unwrap``, a "/url?" redirect wrapper leads to its
     first non-blank "q", else "url". The URL, as a result is reported, has its scheme and host
-    lowercased and no fragment; host and path are :func:`host_and_path` of it. The answer
+    lowercased and no userinfo or fragment; host and path are :func:`host_and_path` of it. The answer
     is that of urljoin, parse_qs and urlsplit in turn; a plain link is not joined."""
     try:
         page = urlsplit(base)  # urljoin reads the base first, and may reject it
@@ -103,7 +103,7 @@ def result_link(base: str, href: str, unwrap: bool) -> tuple[str, str, str] | No
         return None
     if parts.scheme not in ("http", "https") or not parts.hostname:
         return None
-    url = urlunsplit((parts.scheme, parts.netloc.lower(), parts.path, parts.query, ""))
+    url = urlunsplit((parts.scheme, parts.netloc.rpartition("@")[2].lower(), parts.path, parts.query, ""))
     return url, parts.hostname.lower(), parts.path
 
 
@@ -123,7 +123,7 @@ def article_publisher(name: str, path: str) -> str | None:
 def canonicalize_article_url(url: str) -> str:
     """Collapse an article URL to a canonical identity for comparison.
 
-    Lowercases scheme and host, strips every leading "www.", trailing slashes, query and
+    Lowercases scheme and host, strips userinfo, every leading "www.", trailing slashes, query and
     fragment. Two special shapes get shorter identities: Reuters article
     URLs collapse to their trailing "idUS…" token, and Snopes fact-check
     URLs collapse to their "/fact-check/<slug>" path, the article judged by
@@ -140,7 +140,7 @@ def canonicalize_article_url(url: str) -> str:
         return m.group(0)
     if article_publisher(name, path) == "snopes":
         return path
-    netloc = _LEADING_WWW.sub("", parts.netloc.lower())
+    netloc = _LEADING_WWW.sub("", parts.netloc.rpartition("@")[2].lower())
     if not netloc and path.startswith("//"):
         path = "/" + path.lstrip("/")
     return urlunsplit((parts.scheme.lower(), netloc, path, "", ""))

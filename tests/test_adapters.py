@@ -379,7 +379,8 @@ def _unwrap_redirect(url: str) -> str:
 
 def _reference_link(base: str, href: str, unwrap: bool):
     """What ``ranked_search`` made of a link before each was split once: urljoin,
-    parse_qs on a redirect wrapper, urlsplit, and the result URL's normal form."""
+    parse_qs on a redirect wrapper, urlsplit, and the result URL's normal form,
+    which has no userinfo."""
     try:
         absolute = urljoin(base, href)
         if unwrap:
@@ -389,7 +390,8 @@ def _reference_link(base: str, href: str, unwrap: bool):
         return None
     if parts.scheme not in ("http", "https") or not parts.hostname:
         return None
-    normalized = urlunsplit((parts.scheme.lower(), parts.netloc.lower(), parts.path, parts.query, ""))
+    authority = parts.netloc.rpartition("@")[2].lower()
+    normalized = urlunsplit((parts.scheme.lower(), authority, parts.path, parts.query, ""))
     return normalized, parts.hostname.lower(), parts.path
 
 
@@ -460,6 +462,9 @@ class TestResultLink:
         ("/url?url=https://Www.Reuters.com/article/idUSX#top", True, "https://www.reuters.com/article/idUSX"),
         ("/search?q=next&start=10", False, "https://www.google.com/search?q=next&start=10"),
         ("HTTP://A.example/p?x=1#f", False, "http://a.example/p?x=1"),
+        # userinfo is not reported: a live fetch would send it as an Authorization header
+        ("https://evil:pw@WWW.Snopes.com/fact-check/x/", True, "https://www.snopes.com/fact-check/x/"),
+        ("/url?q=https://evil:pw@WWW.Snopes.com/fact-check/x/&sa=U", True, "https://www.snopes.com/fact-check/x/"),
     ])
     def test_plain_shapes_are_not_joined(self, monkeypatch, href, unwrap, expected):
         def refuse(*args):

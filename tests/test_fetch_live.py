@@ -16,6 +16,7 @@ from tweetcheck.errors import NetworkError
 from tweetcheck.fetch import MAX_REDIRECTS, Fetcher, FetchMode, FetchRequest, FixtureStore
 from tweetcheck.model import SourceId, TweetClaim
 from tweetcheck.queries import build_query, encode_query
+from tweetcheck.urls import result_link
 
 #: Body cap the size tests run under, so that no test moves megabytes.
 SMALL_CAP = 64
@@ -219,6 +220,14 @@ class TestLiveTransport:
         fetcher = Fetcher(FetchMode.LIVE, delay_ms=0, user_agent="probe-agent/9")
         fetcher.fetch(FetchRequest(url=f"{server}/final"))
         assert _Handler.seen_headers[-1].get("User-Agent") == "probe-agent/9"
+
+    def test_a_result_links_userinfo_is_not_sent(self, server):
+        link = server.replace("://", "://u:pw@", 1) + "/final"
+        url, _, _ = result_link(f"{server}/search?q=x", link, True)
+        _Handler.seen_headers.clear()
+        with Fetcher(FetchMode.LIVE, delay_ms=0) as fetcher:
+            fetcher.fetch(FetchRequest(url=url))
+        assert "Authorization" not in _Handler.seen_headers[-1]
 
     def test_non_2xx_is_a_network_error(self, server):
         with Fetcher(FetchMode.LIVE, delay_ms=0) as fetcher:

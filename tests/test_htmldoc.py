@@ -13,7 +13,7 @@ from tweetcheck import htmldoc
 from tweetcheck.adapters import ENGINES, ranked_search, read_results_page, search_politwoops
 from tweetcheck.errors import ParseError
 from tweetcheck.fetch import Fetcher, FetchMode, FetchResponse
-from tweetcheck.htmldoc import Element, parse_selector, parse_html, parse_response
+from tweetcheck.htmldoc import Element, parse_selector, parse_html, page_text
 from tweetcheck.model import RatingKind, SourceId, TweetClaim
 from tweetcheck.ratings import scrape_rating
 
@@ -52,7 +52,7 @@ class TestSelectors:
 
     def test_tag_and_attr(self):
         anchors = self.root.select("a[href]")
-        assert [a.get("href") for a in anchors] == [
+        assert [a.attrs.get("href") for a in anchors] == [
             "https://a.example/", "https://b.example/", "https://ad.example/",
         ]
 
@@ -122,7 +122,7 @@ class TestSelectors:
         assert [el.tag for el in root.select("div.tweet, p.tweet, b.tweet, .x")] == ["p"]
 
     def test_select_one_is_first_match_or_none(self):
-        assert self.root.select_one("a[href]").get("href") == "https://a.example/"
+        assert self.root.select_one("a[href]").attrs.get("href") == "https://a.example/"
         assert self.root.select_one("div#other, p").tag == "div"
         assert self.root.select_one("table") is None
 
@@ -147,7 +147,7 @@ class TestParentLinks:
         ads = root.select(ENGINES[SourceId.WEB_SEARCH].selectors["ads"])
         in_ads = {id(el) for ad in ads for el in [ad, *_descendants(ad)]}
         anchors = root.select_one("div#search").select("a[href]")
-        kept = [anchor.get("href") for anchor in anchors if id(anchor) not in in_ads]
+        kept = [anchor.attrs.get("href") for anchor in anchors if id(anchor) not in in_ads]
         url = engine_query_url(SourceId.WEB_SEARCH, "sample page")
         store = record_pages(tmp_path / "fx", {url: StubPage(SAMPLE.encode())})
         results = ranked_search(ENGINES[SourceId.WEB_SEARCH], TweetClaim(body="sample page"), replay_fetcher(store))
@@ -270,7 +270,7 @@ class TestParseResponse:
             status=200, final_url="https://x/", body=b"<p>hi</p>",
             content_type="text/html; charset=utf-8",
         )
-        assert parse_response(resp).select("p")[0].text() == "hi"
+        assert parse_html(page_text(resp)).select("p")[0].text() == "hi"
 
     def test_non_html_content_type_rejected(self):
         resp = FetchResponse(
@@ -278,7 +278,7 @@ class TestParseResponse:
             content_type="image/png",
         )
         with pytest.raises(ParseError):
-            parse_response(resp)
+            parse_html(page_text(resp))
 
     def test_charset_honoured(self):
         body = "<p>café</p>".encode("latin-1")
@@ -286,7 +286,7 @@ class TestParseResponse:
             status=200, final_url="https://x/", body=body,
             content_type="text/html; charset=latin-1",
         )
-        assert parse_response(resp).select("p")[0].text() == "café"
+        assert parse_html(page_text(resp)).select("p")[0].text() == "café"
 
     @pytest.mark.parametrize("content_type", ['text/html; charset="iso-8859-1"', "text/html; charset=iso-8859-1"])
     def test_quoted_charset_reads_as_unquoted(self, content_type):
@@ -296,7 +296,7 @@ class TestParseResponse:
 
     def test_missing_content_type_assumed_html(self):
         resp = FetchResponse(status=200, final_url="https://x/", body=b"<p>ok</p>")
-        assert parse_response(resp).select("p")[0].text() == "ok"
+        assert parse_html(page_text(resp)).select("p")[0].text() == "ok"
 
     @pytest.mark.parametrize("charset, body, decoded", [
         # each surrogate code point is replaced, a pair's halves too
@@ -376,8 +376,8 @@ def _per_card_reading(root: Element, selectors) -> list[tuple[str, str]]:
     read = []
     for card in outermost(root.select(selectors["cards"])):
         text_el, link_el = (card.select_one(selectors[key]) for key in ("text", "link"))
-        if text_el is not None and link_el is not None and link_el.get("href"):
-            read.append((text_el.text().strip(), link_el.get("href")))
+        if text_el is not None and link_el is not None and link_el.attrs.get("href"):
+            read.append((text_el.text().strip(), link_el.attrs.get("href")))
     return read
 
 
@@ -628,6 +628,18 @@ def test_matches_equals_the_selectors_spec(tag, attrs, alternatives):
     assert htmldoc.matches(tag, attrs, compounds) == reference_matches(tag, attrs, alternatives)
 
 
+@settings(max_examples=200, deadline=None)
+@given(alternatives=st.lists(_SPEC_COMPOUND, min_size=1, max_size=2), upper=st.booleans())
+def test_parse_selector_compiles_to_the_references_tuples(alternatives, upper):
+    """Each compound compiles to the ``(tag, id, classes, attributes)`` tuple
+    that reference_matches reads, the tag lowercased and the classes a frozenset."""
+    written = [((tag.upper() if tag and upper else tag), *rest) for tag, *rest in alternatives]
+    compounds = parse_selector(", ".join(map(_spec_selector, written)))
+    expected = tuple((tag, ident, frozenset(classes), tuple(attrs)) for tag, ident, classes, attrs in alternatives)
+    assert compounds == expected
+    assert all(type(classes) is frozenset for _, _, classes, _ in compounds)
+
+
 @settings(max_examples=150, deadline=None)
 @given(steps=_STEPS)
 def test_scoped_web_read_equals_the_descendant_chain(steps):
@@ -640,7 +652,7 @@ def test_scoped_web_read_equals_the_descendant_chain(steps):
     while stack:
         el, under_search = stack.pop()
         if under_search and _compound_matches(el, ("a", None, None, True)):
-            expected.append(el.get("href"))
+            expected.append(el.attrs.get("href"))
         below = under_search or _compound_matches(el, ("div", None, "search", False))
         stack.extend((child, below) for child in reversed(el.children))
     assert read_results_page(_markup(steps), ENGINES[SourceId.WEB_SEARCH].selectors) == (expected, False, False)
@@ -664,7 +676,7 @@ def test_one_walk_read_equals_select_outermost_and_descendant_sets(steps, result
     candidates = [anchor for container in containers for anchor in container.select(selectors["results"])]
     ads = outermost(root.select(selectors["ads"])) if "ads" in selectors else []
     in_ads = {id(el) for ad in ads for el in (ad, *_descendants(ad))}
-    expected = [anchor.get("href") for anchor in candidates if id(anchor) not in in_ads]
+    expected = [anchor.attrs.get("href") for anchor in candidates if id(anchor) not in in_ads]
     challenge = "captcha" in selectors and bool(root.select(selectors["captcha"]))
     assert read_results_page(_markup(steps), selectors) == (expected, challenge, False)
 
@@ -697,7 +709,7 @@ def test_tree_free_read_equals_the_tree_walk(steps, results, optional):
     root = parse_html(markup)
     anchors, challenge = read_results_tree(root, selectors)
     assert read_results_page(markup, selectors) == (
-        [anchor.get("href") for anchor in anchors], challenge, _MARKER in root.text().lower()
+        [anchor.attrs.get("href") for anchor in anchors], challenge, _MARKER in root.text().lower()
     )
 
 
@@ -796,7 +808,7 @@ class TestAttributeReferences:
 
     def test_query_parameters_named_like_entities_stay_literal(self):
         root = parse_html('<a href="/url?q=x&notify=1&region=2&copy=3">x</a>')
-        assert root.select_one("a").get("href") == "/url?q=x&notify=1&region=2&copy=3"
+        assert root.select_one("a").attrs.get("href") == "/url?q=x&notify=1&region=2&copy=3"
 
     @pytest.mark.parametrize("value,decoded", [
         ("&copy=3", "&copy=3"),
@@ -815,14 +827,14 @@ class TestAttributeReferences:
     ])
     def test_attribute_values(self, value, decoded):
         for attribute in (f'"{value}"', f"'{value}'", value):
-            assert parse_html(f"<a title={attribute}>x</a>").select_one("a").get("title") == decoded
+            assert parse_html(f"<a title={attribute}>x</a>").select_one("a").attrs.get("title") == decoded
 
     def test_text_keeps_the_legacy_decoding(self):
         assert parse_html("<p>&copy=3 &notify=1 &copyx</p>").text() == "©=3 ¬ify=1 ©x"
 
     def test_the_reference_builder_decodes_them(self):
         root = reference_parse('<a href="?a=1&copy=3">x</a>')
-        assert root.select_one("a").get("href") == "?a=1©=3"
+        assert root.select_one("a").attrs.get("href") == "?a=1©=3"
 
 
 #: Decimal references too long for int(), which refuses over 4,300 digits, and
@@ -846,7 +858,7 @@ class TestLongDecimalReferences:
     @pytest.mark.parametrize("reference, decoded", LONG_DECIMAL_REFERENCES)
     def test_in_an_attribute_value(self, reference, decoded):
         root = parse_html(f'<a href="/x{reference} y">x</a>')
-        assert root.select_one("a").get("href") == f"/x{decoded} y"
+        assert root.select_one("a").attrs.get("href") == f"/x{decoded} y"
 
     @example(zeros=5000, digits="65", end=";")
     @given(zeros=st.integers(0, 5000), digits=st.text("0123456789", min_size=1, max_size=12), end=st.sampled_from(";x "))

@@ -63,11 +63,12 @@ SHAPES = {
 
 def _element(compound) -> tuple[str, str]:
     """The start and end tag of an element matching ``compound``."""
-    tag = compound.tag or "span"
-    attrs = [f'id="{compound.id}"'] if compound.id else []
-    if compound.classes:
-        attrs.append(f'class="{" ".join(sorted(compound.classes))}"')
-    attrs += [f'{name}="{contained or "x"}"' for name, contained in compound.attrs]
+    tag, ident, classes, tests = compound
+    tag = tag or "span"
+    attrs = [f'id="{ident}"'] if ident else []
+    if classes:
+        attrs.append(f'class="{" ".join(sorted(classes))}"')
+    attrs += [f'{name}="{contained or "x"}"' for name, contained in tests]
     return f"<{' '.join([tag, *attrs])}>", f"</{tag}>"
 
 
@@ -159,7 +160,7 @@ def test_link_split_time_is_linear(source):
         start, end = _element(parse_selector(selectors["text"])[0])
         context += f"{start}linearity sweep{end}"
     key = "link" if "link" in selectors else "results"
-    _, contained = parse_selector(selectors[key])[0].attrs[0]
+    _, contained = parse_selector(selectors[key])[0][3][0]
     small, large = (
         f'{context}<a href="http://{"a" * count}{contained or ""}[">x</a>' for count in (LINK_SIZE, 8 * LINK_SIZE)
     )

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from tweetcheck.errors import ParseError
 from tweetcheck.fetch import FetchResponse
-from tweetcheck.htmldoc import Element, parse_response
+from tweetcheck.htmldoc import Element, page_text, parse_html
 from tweetcheck.model import RatingKind, TruthRating, classify_rating
 from tweetcheck.ratings import (
     DEFAULT_RATING_SELECTORS,
@@ -149,7 +149,7 @@ def reference_reuters_rating(page: FetchResponse) -> TruthRating:
     """The Reuters scraper's rule read from whole texts: each heading's whole
     ``text()``, a parent map built by a walk, and the elements holding a
     verdict heading found through ``iter()``."""
-    root = parse_response(page)
+    root = parse_html(page_text(page))
     selectors = DEFAULT_RATING_SELECTORS["reuters"]
     wanted = selectors["verdict_heading_text"].strip().lower()
     headings = [h for h in root.select(selectors["verdict_heading"]) if h.text().strip().lower() == wanted]
@@ -239,6 +239,7 @@ CANONICAL_TABLE = [
     ("https://www.reuters.com/news/archive", "https://reuters.com/news/archive"),
     ("https://www.snopes.com:443/fact-check/x/", "/fact-check/x"),
     ("https://www.reuters.com:443/article/idUSKBN1", "idUSKBN1"),
+    ("https://u:p@www.reuters.com/article/x-story", "https://reuters.com/article/x-story"),
 ]
 
 

@@ -27,7 +27,7 @@ afterwards. :attr:`AppConfig.engines` is the read-only engine table itself,
 copied only when an ``endpoint.*`` key replaces a row. Every value a live
 run could not use is reported as it is read, as a :class:`ConfigError`
 naming its key or flag: a number out of its range, an endpoint that does
-not make an absolute http or https URL, or a user agent that cannot be
+not make a URL a request may go to, or a user agent that cannot be
 sent in a header.
 """
 
@@ -39,11 +39,10 @@ from pathlib import Path
 from string import Formatter
 from collections.abc import Mapping
 from types import MappingProxyType
-from urllib.parse import urlsplit
 
 from .adapters import ENGINES, EngineSettings
 from .errors import ConfigError
-from .fetch import DEFAULT_DELAY_MS, DEFAULT_TIMEOUT_S, DEFAULT_USER_AGENT, FetchMode, Fetcher, FixtureStore
+from .fetch import DEFAULT_DELAY_MS, DEFAULT_TIMEOUT_S, DEFAULT_USER_AGENT, FetchMode, Fetcher, FetchRequest, FixtureStore
 from .model import Record, SourceId
 
 MODE_ENV_VAR = "TWEETCHECK_MODE"
@@ -108,9 +107,7 @@ class AppConfig(Record):
         request if record or replay mode has no fixtures directory, or record
         mode one it could not write to."""
         store = FixtureStore(self.fixtures_dir) if self.fixtures_dir else None
-        if self.mode in (FetchMode.RECORD, FetchMode.REPLAY) and store is None:
-            raise ConfigError(f"{self.mode.value} mode needs a fixtures directory")
-        if self.mode is FetchMode.RECORD:
+        if self.mode is FetchMode.RECORD and store is not None:  # without one, Fetcher refuses the mode
             # Recording makes the directory when it saves the first fixture.
             existing = next(path for path in (store.root, *store.root.parents) if path.exists())
             if not existing.is_dir():
@@ -145,16 +142,14 @@ def in_range(key: str, value: int | float, low: int | float, high: float = math.
 
 def _endpoint(key: str, template: str) -> str:
     """``template`` if its one replacement field is ``{query}`` (no conversion,
-    no format spec) and it makes an absolute http or https URL, else a
-    :class:`ConfigError` naming ``key``."""
+    no format spec) and it makes a URL a :class:`~tweetcheck.fetch.FetchRequest`
+    may go to, else a :class:`ConfigError` naming ``key``."""
     try:
         fields = {field[1:] for field in Formatter().parse(template) if field[1] is not None}
         if fields == {("query", "", None)}:
-            parts = urlsplit(template.format(query="q"))
-            parts.port  # raises ValueError for a malformed port
-            if parts.scheme in ("http", "https") and parts.hostname:
-                return template
-    except ValueError:  # unbalanced braces, or an unparseable host or port
+            FetchRequest(template.format(query="q"))
+            return template
+    except ValueError:  # unbalanced braces, or a URL no request may go to
         pass
     raise ConfigError(f"{key} must be an http or https URL whose only field is {{query}}, got {template!r}")
 

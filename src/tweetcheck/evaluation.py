@@ -110,15 +110,11 @@ def evaluate_engine(settings: EngineSettings, records: Sequence[GroundTruthRecor
     a bot challenge the engine is not queried again: the records left score
     zero with the error :data:`SKIPPED`. A record is queried even when the
     corpus names no article for this engine (so ``record`` captures its
-    page); its outcome then carries :data:`NO_RELEVANT_URL`. A failed
-    query never raises: a replay fixture miss is one more failed outcome,
-    and the run goes on, so one pass reports every failure.
+    page); its outcome then carries :data:`NO_RELEVANT_URL`. A failed query never raises: a
+    replay fixture miss is one more failed outcome, and the run goes on, so one pass reports every
+    failure. An engine with no ranked results raises :func:`ranked_search`'s :class:`ValueError`.
     """
     source = settings.source
-    if settings.ranking is None:
-        raise ValueError(f"{source.value} cannot be evaluated against ranked results")
-
-    column = f"{settings.ranking.publisher}_url"
     outcomes: list[QueryOutcome] = []
     challenged = False
     for record in records:
@@ -131,7 +127,7 @@ def evaluate_engine(settings: EngineSettings, records: Sequence[GroundTruthRecor
             challenged = isinstance(exc, CaptchaDetected)
             outcomes.append(QueryOutcome(record.id, source, None, describe_failure(exc), type(exc)))
             continue
-        relevant = getattr(record, column)
+        relevant = getattr(record, f"{settings.ranking.publisher}_url")
         if relevant is None:
             outcomes.append(QueryOutcome(record.id, source, None, NO_RELEVANT_URL))
         else:

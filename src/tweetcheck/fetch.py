@@ -28,7 +28,7 @@ from enum import Enum
 from pathlib import Path
 from urllib.parse import urljoin, urlsplit
 
-from .errors import CorruptFixture, FixtureMiss, NetworkError, TweetCheckError
+from .errors import ConfigError, CorruptFixture, FixtureMiss, NetworkError, TweetCheckError
 from .model import Record
 from . import urls
 
@@ -63,8 +63,8 @@ class FetchMode(Enum):
 
 
 class FetchRequest(Record):
-    """A GET request to an absolute http or https URL, with a host, that can be encoded
-    as UTF-8, checked here alone (a command-line argument that is not UTF-8 cannot)."""
+    """A GET request to an absolute http or https URL with a host, no userinfo, no malformed port
+    and UTF-8 text: every URL a request goes to, a redirect's hop too, is checked here alone."""
 
     url: str
 
@@ -74,6 +74,9 @@ class FetchRequest(Record):
             raise ValueError(f"url must be absolute: {self.url!r}")
         if parts.scheme not in ("http", "https"):
             raise ValueError(f"url must be http or https: {self.url!r}")
+        if "@" in parts.netloc:  # RFC 3986 section 3.2.1; requests would send it as Authorization
+            raise ValueError(f"url must not carry userinfo: {self.url!r}")
+        parts.port  # raises ValueError for a malformed port
         try:
             self.url.encode("utf-8")
         except UnicodeEncodeError:  # a lone surrogate
@@ -214,7 +217,7 @@ class Fetcher:
         transport: Transport | None = None,
     ):
         if mode in (FetchMode.RECORD, FetchMode.REPLAY) and store is None:
-            raise ValueError(f"{mode.value} mode requires a fixture store")
+            raise ConfigError(f"{mode.value} mode needs a fixtures directory")
         if transport is None and mode is not FetchMode.REPLAY:
             # Load the network stack now, on the constructing thread and
             # before any pool starts, so offline runs never import it and
@@ -246,15 +249,14 @@ class Fetcher:
     def fetch(self, req: FetchRequest) -> FetchResponse:
         """Resolve one request according to the mode; only a 2xx response is returned.
 
-        Live and record follow each redirect as one more request, which waits
-        for its own host's turn. Raises :class:`NetworkError` on live transport
-        failure or a redirect that cannot be followed and, in every
-        mode, ``HTTP {status} for {url}`` for a non-2xx response (which
-        record mode saves first, so replay fails the same way). Raises
+        Live and record follow each redirect as one more request, which waits for its own
+        host's turn. Raises :class:`NetworkError` on live transport failure or a redirect that
+        cannot be followed (a hop to a URL :class:`FetchRequest` refuses, say one with userinfo,
+        is never sent) and, in every mode, ``HTTP {status} for {url}`` for a non-2xx response
+        (which record mode saves first, so replay fails the same way). Raises
         :class:`FixtureMiss` in replay mode for unrecorded requests.
         """
         if self.mode is FetchMode.REPLAY:
-            assert self.store is not None
             response = self.store.load(fixture_key(req), req.url)
         else:
             hop = req
@@ -269,7 +271,6 @@ class Fetcher:
             else:
                 raise NetworkError(f"GET {req.url} failed: Exceeded {MAX_REDIRECTS} redirects.")
             if self.mode is FetchMode.RECORD:
-                assert self.store is not None
                 self.store.save(fixture_key(req), response)
         if not 200 <= response.status < 300:
             raise NetworkError(f"HTTP {response.status} for {req.url}")

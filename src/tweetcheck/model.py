@@ -212,7 +212,6 @@ class EvidenceItem(Record):
         a rating what :func:`implied_attribution` says."""
         if self.matched_text is not None:
             return Outcome.AUTHENTIC
-        assert self.rating is not None
         return implied_attribution(self.rating)
 
 

@@ -25,7 +25,7 @@ from .adapters import (
     search_politwoops,
 )
 from .config import AppConfig
-from .errors import QUERY_FAILURES, TweetCheckError, describe_failure
+from .errors import QUERY_FAILURES, ParseError, TweetCheckError, describe_failure
 from .fetch import Fetcher, FetchRequest
 from .model import (
     EvidenceItem,
@@ -153,10 +153,13 @@ def _politwoops_evidence(claim: TweetClaim, hits: list[PolitwoopsHit]) -> Eviden
 
 
 def _scrape_article(url: str, fetcher: Fetcher) -> TruthRating:
-    """The article's rating; a missing one when its query fails, as for a
-    non-2xx page or one redirected off the publisher (e.g. a consent page)."""
+    """The article's rating; a missing one when its query fails, as for a non-2xx page or one whose final URL
+    is no fact-check article by :func:`article_publisher` (e.g. a consent page, or an index of other claims)."""
     try:
-        return scrape_rating(fetcher.fetch(FetchRequest(url=url)))
+        page = fetcher.fetch(FetchRequest(url=url))
+        if article_publisher(*host_and_path(page.final_url)) is None:
+            raise ParseError(f"{page.final_url}: not a fact-check article")
+        return scrape_rating(page)
     except QUERY_FAILURES as exc:
         logger.warning("could not scrape %s: %s", url, exc)
         return classify_rating("")

@@ -49,12 +49,9 @@ def truncate_body(body: str, spec: QuerySpec) -> str:
 
     CHAR_PREFIX takes exactly the first ``max_chars`` unicode characters.
     WORD_BOUNDARY_PREFIX takes the longest whitespace-delimited prefix that
-    fits; if even the first word exceeds the limit it falls back to the
-    character prefix so the result is never empty. The result is always a
-    prefix of ``body``.
+    fits; if even the first word exceeds the limit it falls back to the character prefix, so
+    the result is never empty for a non-empty body. The result is always a prefix of ``body``.
     """
-    if not body:
-        raise ValueError("body must be non-empty")
     if spec.truncation is Truncation.CHAR_PREFIX:
         return body[: spec.max_chars]
     word_ends = [m.end() for m in _WORD.finditer(body) if m.end() <= spec.max_chars]

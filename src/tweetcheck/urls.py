@@ -76,11 +76,11 @@ def _plain(url: str) -> SplitResult | None:
 
 
 def result_link(base: str, href: str, unwrap: bool) -> tuple[str, str, str] | None:
-    """(URL, host, path) of the http(s) page with a host that the link ``href`` on the page
-    at ``base`` leads to, or None. With ``unwrap``, a "/url?" redirect wrapper leads to its
-    first non-blank "q", else "url". The URL, as a result is reported, has its scheme and host
-    lowercased and no userinfo or fragment; host and path are :func:`host_and_path` of it. The answer
-    is that of urljoin, parse_qs and urlsplit in turn; a plain link is not joined."""
+    """(URL, host, path) of the http(s) page with a host, and no malformed port, that the link
+    ``href`` on the page at ``base`` leads to, or None. With ``unwrap``, a "/url?" redirect wrapper
+    leads to its first non-blank "q", else "url". The URL, as a result is reported, has its scheme
+    and host lowercased and no userinfo or fragment; host and path are :func:`host_and_path` of it.
+    The answer is that of urljoin, parse_qs and urlsplit in turn; a plain link is not joined."""
     try:
         page = urlsplit(base)  # urljoin reads the base first, and may reject it
         parts = _plain(href)
@@ -99,7 +99,8 @@ def result_link(base: str, href: str, unwrap: bool) -> tuple[str, str, str] | No
             if target:
                 target = unquote(target.replace("+", " "))
                 parts = urlsplit(target)
-    except ValueError:  # e.g. an unbalanced "[" in the host
+        parts.port  # raises for a port no request may go to, say "80x"
+    except ValueError:  # e.g. an unbalanced "[" in the host, or that port
         return None
     if parts.scheme not in ("http", "https") or not parts.hostname:
         return None

@@ -380,12 +380,13 @@ def _unwrap_redirect(url: str) -> str:
 def _reference_link(base: str, href: str, unwrap: bool):
     """What ``ranked_search`` made of a link before each was split once: urljoin,
     parse_qs on a redirect wrapper, urlsplit, and the result URL's normal form,
-    which has no userinfo."""
+    which has no userinfo; a link whose port urlsplit cannot read is none."""
     try:
         absolute = urljoin(base, href)
         if unwrap:
             absolute = _unwrap_redirect(absolute)
         parts = urlsplit(absolute)
+        parts.port
     except ValueError:
         return None
     if parts.scheme not in ("http", "https") or not parts.hostname:
@@ -474,6 +475,15 @@ class TestResultLink:
         link = result_link("https://www.google.com/search?q=claim", href, unwrap)
         assert link == _reference_link("https://www.google.com/search?q=claim", href, unwrap)
         assert link[0] == expected
+
+    @pytest.mark.parametrize("href, unwrap", [
+        ("https://www.snopes.com:80x/fact-check/x/", False),
+        ("https://u@www.snopes.com:80x/fact-check/x/", False),
+        ("/url?q=https://www.snopes.com:99999/fact-check/x/", True),
+    ])
+    def test_a_link_with_a_malformed_port_is_no_result(self, href, unwrap):
+        # a request to it could not be made, so verify could not read it
+        assert result_link("https://www.google.com/search?q=claim", href, unwrap) is None
 
 
 def _reference_article(name: str, path: str) -> str | None:

@@ -238,6 +238,9 @@ class TestVerify:
              "endpoint.snopes must be an http or https URL whose only field is {query}, got 'https://x.example/{q}'"),
             ("endpoint.snopes = https://x.example/{query", [],
              "endpoint.snopes must be an http or https URL whose only field is {query}, got 'https://x.example/{query'"),
+            ("endpoint.snopes = https://u:p@mirror.example/search/{query}/", [],
+             "endpoint.snopes must be an http or https URL whose only field is {query}, "
+             "got 'https://u:p@mirror.example/search/{query}/'"),
             ("user_agent = tc \u2713", [], "user_agent must be printable ASCII, got 'tc \u2713'"),
             # Query shapes are per-engine constants: a former query setting is an
             # unknown key, even with the value its engine uses.
@@ -249,7 +252,8 @@ class TestVerify:
         ids=[
             "flag", "file", "timeout", "timeout-not-a-number", "timeout-inf", "timeout-huge", "delay-huge",
             "delay-negative",
-            "endpoint-not-a-url", "endpoint-no-field", "endpoint-other-field", "endpoint-unbalanced", "user-agent-not-ascii",
+            "endpoint-not-a-url", "endpoint-no-field", "endpoint-other-field", "endpoint-unbalanced", "endpoint-userinfo",
+            "user-agent-not-ascii",
             *[key for key, _ in FORMER_QUERY_KEYS],
         ],
     )
@@ -807,6 +811,27 @@ class TestFactCheckArticles:
         assert capsys.readouterr().out == "Verdict: Unverifiable\n"
         assert code == 2
         assert loaded == [results]
+
+    @pytest.mark.parametrize("url, index, article", [
+        ("https://www.snopes.com/fact-check/moon-tweet/", "https://www.snopes.com/fact-check/", "snopes_article_pandemic.html"),
+        ("https://www.reuters.com/article/moon-tweet-idUSL1N2Y0000", "https://www.reuters.com/article/",
+         "reuters_article_pandemic.html"),
+    ])
+    def test_verify_reads_no_rating_from_an_article_that_lands_on_an_index(
+        self, tmp_path, capsys, caplog, url, index, article
+    ):
+        # The index's first rating is another claim's; scraping it would lend this claim that rating.
+        results = engine_query_url(SourceId.WEB_SEARCH, GIBBERISH_BODY)
+        store = record_pages(tmp_path / "fx", {
+            results: StubPage(_web_serp(url)),
+            url: StubPage(page(article), final_url=index),
+        })
+        code = main(["verify", GIBBERISH_BODY, "--engine", "web", "--mode", "replay", "--fixtures", str(store.root)])
+        assert capsys.readouterr().out == (
+            f"Article found at URL: {url}\nTruth rating: UNKNOWN (missing)\nVerdict: Unverifiable\n"
+        )
+        assert f"could not scrape {url}: {index}: not a fact-check article" in caplog.text
+        assert code == 2
 
     @pytest.mark.parametrize("field, url, finding", [
         ("snopes_url", "https://www.snopes.com/fact-check/", "snopes_url is not a snopes.com article under /fact-check/"),
@@ -1529,8 +1554,11 @@ class TestAnyUrl:
             ("//www.snopes.com/x", "url must be absolute: '//www.snopes.com/x'"),
             ("ftp://www.snopes.com/fact-check/x", "url must be http or https: 'ftp://www.snopes.com/fact-check/x'"),
             ("https://www.snopes.com/\udcff", "url is not UTF-8 text: 'https://www.snopes.com/\\udcff'"),
+            ("https://u:p@www.snopes.com/fact-check/x/", "url must not carry userinfo: 'https://u:p@www.snopes.com/fact-check/x/'"),
+            ("https://www.snopes.com:80x/fact-check/x/", "Port could not be cast to integer value as '80x'"),
         ],
     )
-    def test_scrape_of_a_url_it_cannot_fetch_is_a_usage_error(self, capsys, url, message):
+    def test_scrape_of_a_url_it_cannot_fetch_is_a_usage_error(self, capsys, monkeypatch, url, message):
+        _refuse_network(monkeypatch)  # a URL let through must fail here, not be fetched
         assert main(["scrape", url]) == 64
         assert capsys.readouterr().err == f"tweetcheck: {message}\n"

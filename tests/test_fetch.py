@@ -1,10 +1,12 @@
 import hashlib
+import os
 import threading
 import time
 
 import pytest
 
-from tweetcheck.errors import CorruptFixture, FixtureMiss, NetworkError, TweetCheckError
+from tweetcheck import fetch
+from tweetcheck.errors import ConfigError, CorruptFixture, FixtureMiss, NetworkError, TweetCheckError
 from tweetcheck.fetch import (
     Fetcher,
     FetchMode,
@@ -61,6 +63,18 @@ class TestFetchRequest:
     def test_url_that_is_not_utf8_rejected(self):
         with pytest.raises(ValueError, match="url is not UTF-8 text"):
             FetchRequest(url="https://www.snopes.com/\udcff")
+
+    # Userinfo would be sent as an Authorization header, to whatever host a page names.
+    @pytest.mark.parametrize("url", ["https://u:p@www.snopes.com/x", "http://evil@host.example/", "http://@host.example/"])
+    def test_url_with_userinfo_rejected(self, url):
+        with pytest.raises(ValueError) as caught:
+            FetchRequest(url=url)
+        assert str(caught.value) == f"url must not carry userinfo: {url!r}"
+
+    @pytest.mark.parametrize("url", ["https://www.snopes.com:80x/x", "http://host.example:99999/", "http://host.example:-1/"])
+    def test_url_with_a_malformed_port_rejected(self, url):
+        with pytest.raises(ValueError, match="Port"):
+            FetchRequest(url=url)
 
 
 class TestFetchResponse:
@@ -133,7 +147,7 @@ class TestRecordReplay:
         assert store.path_for(key).read_bytes() == first
 
     def test_record_mode_requires_store(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             Fetcher(FetchMode.RECORD)
 
     def test_live_fetch_computes_no_fixture_key(self, monkeypatch):
@@ -227,6 +241,35 @@ class TestFixtureStoreFormat:
         assert (caught.value.key, caught.value.url) == (key, "https://a/")
         assert caught.value.reason.startswith(reason)
         assert str(caught.value) == f"corrupt fixture {key} for https://a/: {caught.value.reason}"
+
+    def test_a_fifo_in_a_fixtures_place_is_corrupt_and_does_not_block(self, tmp_path):
+        store = FixtureStore(tmp_path)
+        key = "k" * 64
+        os.mkfifo(store.path_for(key))
+        caught = []
+
+        def load():
+            try:
+                store.load(key, "https://a/")
+            except CorruptFixture as exc:
+                caught.append(exc)
+
+        loader = threading.Thread(target=load, daemon=True)  # a blocking open would never return
+        loader.start()
+        loader.join(timeout=10)
+        assert not loader.is_alive()
+        assert [exc.reason for exc in caught] == ["not a regular file"]
+
+    def test_a_body_over_the_cap_is_corrupt(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fetch, "MAX_BODY_BYTES", 4)
+        store = FixtureStore(tmp_path)
+        key = "k" * 64
+        store.path_for(key).write_bytes(b"200\nhttps://a/\ntext/html\n5\n\nHELLO")
+        with pytest.raises(CorruptFixture) as caught:
+            store.load(key, "https://a/")
+        assert caught.value.reason == "body exceeds the 4-byte cap"
+        store.path_for(key).write_bytes(b"200\nhttps://a/\ntext/html\n4\n\nHELL")
+        assert store.load(key, "https://a/").body == b"HELL"  # at the cap
 
 
 class _TimedTransport:

@@ -114,6 +114,10 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_response(302)
             self.send_header("Location", f"http://127.0.0.1:{self.server.server_address[1]}/final")
             self.end_headers()
+        elif self.path == "/to-userinfo":
+            self.send_response(302)
+            self.send_header("Location", f"http://evil:pw@127.0.0.1:{self.server.server_address[1]}/final")
+            self.end_headers()
         elif self.path == "/to-localhost":
             self.send_response(302)
             self.send_header("Location", f"http://localhost:{self.server.server_address[1]}/final")
@@ -228,6 +232,16 @@ class TestLiveTransport:
         with Fetcher(FetchMode.LIVE, delay_ms=0) as fetcher:
             fetcher.fetch(FetchRequest(url=url))
         assert "Authorization" not in _Handler.seen_headers[-1]
+
+    def test_a_redirect_to_a_url_with_userinfo_is_never_made(self, server):
+        _Handler.seen_headers.clear()
+        with Fetcher(FetchMode.LIVE, delay_ms=0) as fetcher:
+            with pytest.raises(NetworkError) as exc:
+                fetcher.fetch(FetchRequest(url=f"{server}/to-userinfo"))
+        hop = server.replace("://", "://evil:pw@", 1) + "/final"
+        assert str(exc.value) == f"GET {server}/to-userinfo failed: url must not carry userinfo: {hop!r}"
+        assert len(_Handler.seen_headers) == 1  # the redirect alone
+        assert not any("Authorization" in headers for headers in _Handler.seen_headers)
 
     def test_non_2xx_is_a_network_error(self, server):
         with Fetcher(FetchMode.LIVE, delay_ms=0) as fetcher:

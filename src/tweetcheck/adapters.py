@@ -18,14 +18,14 @@ reads the result links in rank order. The deleted-tweet tracker returns
 tweet records rather than links and has its own adapter,
 :func:`search_politwoops`.
 
-Result links are the elements matching an engine's "results" selector;
-where its row has a "scope" selector, as the web search rows do, only those
-under an element matching it count. A bot-challenge check and an ad filter
-run wherever an engine's selectors name them, as the web search rows do, in
-the same pass (:func:`read_results_page`): one pass of the tokenizer over the
-page's text that builds no tree and keeps only the links. The tracker's page
-is read the same way, keeping only each card's text and link. A
-results page that is not a 2xx answer is a
+Every results page is read by :func:`read_results_page`: one pass of the
+tokenizer over the page's text that builds no tree. Result links are the
+elements matching an engine's "results" selector; where its row has a
+"scope" selector, as the web search rows do, only those under an element
+matching it count. A bot-challenge check and an ad filter run wherever an
+engine's selectors name them, as the web search rows do. The tracker's page
+goes through the same reader, each card a region whose first link and text
+it keeps. A results page that is not a 2xx answer is a
 :class:`~tweetcheck.errors.NetworkError` from the fetch gateway, and
 propagates like any other query failure. Adapters are stateless;
 determinism under replay comes from the fixture store.
@@ -139,44 +139,54 @@ def _request_page(fetcher: Fetcher, settings: EngineSettings, query: str) -> Fet
     return fetcher.fetch(FetchRequest(url=url))
 
 
-def read_results_page(text: str, selectors: Mapping[str, str]) -> tuple[list[str | None], bool, bool]:
-    """In document order, the href of each element matching "results" that has
-    an ancestor matching "scope" (with no "scope" key, all do) and neither
-    matches "ads" nor has an ancestor that does; whether any element matches
-    "captcha"; and whether the lowercased text holds the "captcha_text" marker.
-    One pass of the tokenizer that builds no tree: whether an element lies in
-    a scope or an ad is kept on a stack of the open elements, and the text is
-    searched as it arrives, its last ``len(marker) - 1`` characters carried
-    over, so a marker split by tags or character references is found."""
-    keys = ("scope", "results", "ads", "captcha")
-    scope, results, ads, captcha = (parse_selector(selectors[key]) if selectors.get(key) else () for key in keys)
+def read_results_page(text: str, selectors: Mapping[str, str]) -> tuple[list[list], bool, bool]:
+    """The page's regions, whether any element matches "captcha", and whether
+    the lowercased text holds the "captcha_text" marker. A region is each
+    outermost element matching "scope", in document order, or with no "scope"
+    key the whole page, read as ``[hrefs, pieces]``: the href of each element
+    under it matching "results" that neither matches "ads" nor lies under one,
+    in document order, and the text pieces of its first element matching
+    "text" (None if none does). One pass of the tokenizer that builds no tree:
+    an element's state is its region, whether it lies in an ad, and the pieces
+    its text adds to; the text is searched as it arrives, its last
+    ``len(marker) - 1`` characters carried over, so a marker split by tags or
+    character references is found."""
+    keys = ("scope", "results", "ads", "captcha", "text")
+    scope, results, ads, captcha, text_ = (parse_selector(selectors[key]) if selectors.get(key) else () for key in keys)
     # Lowercasing piece by piece differs from lowercasing the whole text only
     # in a capital sigma's final form, which no marker without a sigma can see.
     marker = selectors.get("captcha_text", "").lower()
     carried = len(marker) - 1
-    hrefs: list[str | None] = []
+    regions: list[list] = [] if scope else [[[], None]]
     challenge = marked = False
     tail = ""
 
-    def open_element(state: tuple[bool, bool], tag: str, attrs: dict) -> tuple[bool, bool]:
+    def open_element(state: tuple, tag: str, attrs: dict) -> tuple:
         nonlocal challenge
-        scoped, in_ad = state
+        region, in_ad, pieces = state
         in_ad = in_ad or matches(tag, attrs, ads)
-        if scoped and not in_ad and matches(tag, attrs, results):
-            hrefs.append(attrs.get("href"))
         challenge = challenge or matches(tag, attrs, captcha)
-        return scoped or matches(tag, attrs, scope), in_ad
+        if region is None:
+            if matches(tag, attrs, scope):
+                regions.append(region := [[], None])
+            return region, in_ad, None
+        if not in_ad and matches(tag, attrs, results):
+            region[0].append(attrs.get("href"))
+        if region[1] is None and matches(tag, attrs, text_):
+            pieces = region[1] = []
+        return region, in_ad, pieces
 
-    def add_text(state: tuple[bool, bool], text: str) -> None:
+    def add_text(state: tuple, piece: str) -> None:
         nonlocal marked, tail
+        if state[2] is not None:
+            state[2].append(piece)
         if marker and not marked:
-            window = tail + text.lower()
+            window = tail + piece.lower()
             marked = marker in window
             tail = window[max(len(window) - carried, 0):]
 
-    # an element's state: whether it lies in a scope, and whether in an ad
-    tokenize(text, (not scope, False), open_element, add_text)
-    return hrefs, challenge, marked
+    tokenize(text, (None if scope else regions[0], False, None), open_element, add_text)
+    return regions, challenge, marked
 
 
 def ranked_search(settings: EngineSettings, claim: TweetClaim, fetcher: Fetcher) -> RankedResults:
@@ -192,14 +202,14 @@ def ranked_search(settings: EngineSettings, claim: TweetClaim, fetcher: Fetcher)
         raise ValueError(f"{settings.source.value} does not produce ranked URL results")
     query = build_query(claim, settings.spec)
     response = _request_page(fetcher, settings, query)
-    hrefs, challenge, marked = read_results_page(page_text(response), settings.selectors)
+    regions, challenge, marked = read_results_page(page_text(response), settings.selectors)
     if challenge:
         raise CaptchaDetected(f"{response.final_url}: bot challenge page served")
     if marked:
         raise CaptchaDetected(f"{response.final_url}: bot challenge marker found")
 
     urls: dict[str, None] = {}  # first occurrence wins, in rank order
-    for href in hrefs:
+    for href in (href for hrefs, _ in regions for href in hrefs):
         link = result_link(response.final_url, href, engine.web) if href else None
         if link is None:
             continue
@@ -212,38 +222,21 @@ def ranked_search(settings: EngineSettings, claim: TweetClaim, fetcher: Fetcher)
 def search_politwoops(settings: EngineSettings, claim: TweetClaim, fetcher: Fetcher) -> list[PolitwoopsHit]:
     """Query the deleted-tweet tracker with the claim's leading characters.
 
-    Only the outermost cards are read: a card nested inside another card
-    (as unclosed markup nests them) is part of the outer one, whose text and
-    link are the first of each found inside it. The link is resolved as a
-    result link is, and must lead to the tracker's host. The page is read in
-    one tokenizer pass that builds no tree, linear in the page however cards nest.
+    The page is read by :func:`read_results_page`, each outermost card a
+    region: a card nested inside another card (as unclosed markup nests them)
+    is part of the outer one, whose text and link are the first of each found
+    inside it. The link is resolved as a result link is, and must lead to the
+    tracker's host.
     """
     query = build_query(claim, settings.spec)
     response = _request_page(fetcher, settings, query)
-    cards_, text_, link_ = (parse_selector(settings.selectors[key]) for key in ("cards", "text", "link"))
-    cards: list[list] = []  # per outermost card: its text element's pieces, its link's href ("" if none)
-
-    def open_element(state: tuple, tag: str, attrs: dict) -> tuple:
-        card, pieces = state
-        if card is None:
-            if matches(tag, attrs, cards_):
-                cards.append(card := [None, None])
-            return card, None
-        if card[0] is None and matches(tag, attrs, text_):
-            pieces = card[0] = []
-        if card[1] is None and matches(tag, attrs, link_):
-            card[1] = attrs.get("href") or ""
-        return card, pieces
-
-    def add_text(state: tuple, piece: str) -> None:
-        if state[1] is not None:
-            state[1].append(piece)
-
-    # an element's state: the outermost card it lies in, and the card's text pieces if in its text element
-    tokenize(page_text(response), (None, None), open_element, add_text)
+    row = settings.selectors
+    cards = {"scope": row["cards"], "results": row["link"], "text": row["text"]}
+    regions, _, _ = read_results_page(page_text(response), cards)
     project_host = host(settings.endpoint)
     hits: list[PolitwoopsHit] = []
-    for pieces, href in cards:
+    for hrefs, pieces in regions:
+        href = hrefs[0] if hrefs else None
         link = result_link(response.final_url, href, False) if href else None
         if pieces is None or link is None or link[1] != project_host:
             logger.debug("politwoops: skipping a card without text or a link to the tracker: %r", href)

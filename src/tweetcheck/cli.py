@@ -31,7 +31,7 @@ from pathlib import Path
 from collections.abc import Sequence
 
 from .config import MODE_ENV_VAR, AppConfig, build_config, source_by_name
-from .dataset import load_dataset, shipped_dataset_path, validate_dataset
+from .dataset import GroundTruthRecord, load_dataset, shipped_dataset_path, validate_dataset
 from .errors import ConfigError, DatasetError, FixtureMiss, TweetCheckError, describe_failure
 from .evaluation import EVAL_SOURCES, evaluate_engine, render_report
 from .fetch import FetchMode, FetchRequest
@@ -153,6 +153,14 @@ def _parse_engines(
     return [source for source in allowed if source.value in names]
 
 
+def _load_corpus(path: str | Path, validate: bool = True) -> list[GroundTruthRecord]:
+    """:func:`~tweetcheck.dataset.load_dataset`; a corpus with no record is a :class:`DatasetError` too."""
+    records = load_dataset(path, validate=validate)
+    if not records:
+        raise DatasetError(f"no records in {path}")
+    return records
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
         claim = TweetClaim(body=args.body)
@@ -190,9 +198,7 @@ def _engine_pass(args: argparse.Namespace) -> int:
     engines = _parse_engines(args.engine, EVAL_SOURCES)
     config = _resolve_config(args, FetchMode.RECORD if recording else None)
     with config.build_fetcher() as fetcher:
-        records = load_dataset(args.dataset)
-        if not records:
-            raise DatasetError(f"no records in {args.dataset}")
+        records = _load_corpus(args.dataset)
         if recording and args.mode not in (None, FetchMode.RECORD.value):
             raise ConfigError(f"record cannot run with --mode {args.mode}; it always records")
         jobs = []
@@ -216,8 +222,7 @@ def _engine_pass(args: argparse.Namespace) -> int:
 
 
 def cmd_validate_dataset(args: argparse.Namespace) -> int:
-    path = Path(args.dataset) if args.dataset else shipped_dataset_path()
-    records = load_dataset(path, validate=False)
+    records = _load_corpus(args.dataset or shipped_dataset_path(), validate=False)
     findings = validate_dataset(records)
     if findings:
         for finding in findings:

@@ -1,10 +1,10 @@
 """Shared domain vocabulary: claims, evidence, ratings, verdicts, ranked results.
 
 Every value type here is a :class:`Record`, the base of the package's value
-types: immutable after construction and safe to share between threads. The
-two operations (:func:`classify_rating` and :func:`implied_attribution`) are
-pure functions, and a :class:`Verdict`'s outcome is derived from its
-evidence each time it is read.
+types: immutable after construction and safe to share between threads. A
+:class:`TruthRating` is its label, from which its kind is read; a
+:class:`Verdict`'s outcome is derived from its evidence each time it is
+read; and :func:`implied_attribution` is a pure function.
 """
 
 from __future__ import annotations
@@ -168,19 +168,27 @@ class TweetClaim(Record):
 
 
 class TruthRating(Record):
-    """A rating scraped from a fact-check article.
+    """A rating scraped from a fact-check article: its label, preserved
+    verbatim (case and punctuation) for audit, and nothing else.
 
-    ``raw_label`` is preserved verbatim (case and punctuation) for audit.
-    ``missing`` is set when the article had no rating block at all.
+    The kind and the missing flag are read from the label. Matching is
+    case-insensitive and ignores surrounding whitespace and trailing
+    punctuation; an unmapped label is UNKNOWN, and an empty one (the article
+    had no rating block) is UNKNOWN and missing.
     """
 
-    kind: RatingKind
     raw_label: str
-    missing: bool = False
 
-    def __post_init__(self):
-        if self.kind is RatingKind.UNKNOWN and not self.raw_label and not self.missing:
-            raise ValueError("an UNKNOWN rating with no label must carry the missing flag")
+    @property
+    def missing(self) -> bool:
+        return not self._normalized()
+
+    @property
+    def kind(self) -> RatingKind:
+        return RATING_LABEL_TABLE.get(self._normalized(), RatingKind.UNKNOWN)
+
+    def _normalized(self) -> str:
+        return self.raw_label.strip().lower().rstrip(_LABEL_TRAILING_PUNCT).rstrip()
 
 
 class EvidenceItem(Record):
@@ -253,21 +261,6 @@ class RankedResults(Record):
     def __post_init__(self):
         if len(set(self.urls)) != len(self.urls):
             raise ValueError("result urls must be unique after normalization")
-
-
-def classify_rating(raw_label: str) -> TruthRating:
-    """Map a scraped rating label onto a :class:`TruthRating`.
-
-    Matching is case-insensitive and ignores surrounding whitespace and
-    trailing punctuation; the raw label is preserved verbatim. Total over
-    all inputs: unmappable labels yield UNKNOWN, an empty label yields
-    UNKNOWN with the missing flag set.
-    """
-    normalized = raw_label.strip().lower().rstrip(_LABEL_TRAILING_PUNCT).rstrip()
-    if not normalized:
-        return TruthRating(kind=RatingKind.UNKNOWN, raw_label=raw_label, missing=True)
-    kind = RATING_LABEL_TABLE.get(normalized, RatingKind.UNKNOWN)
-    return TruthRating(kind=kind, raw_label=raw_label)
 
 
 def implied_attribution(rating: TruthRating) -> Outcome:

@@ -35,7 +35,6 @@ from .model import (
     TruthRating,
     TweetClaim,
     Verdict,
-    classify_rating,
 )
 from .ratings import scrape_rating
 from .urls import article_publisher, canonicalize_article_url, host_and_path
@@ -162,4 +161,4 @@ def _scrape_article(url: str, fetcher: Fetcher) -> TruthRating:
         return scrape_rating(page)
     except QUERY_FAILURES as exc:
         logger.warning("could not scrape %s: %s", url, exc)
-        return classify_rating("")
+        return TruthRating("")

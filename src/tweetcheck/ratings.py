@@ -23,7 +23,7 @@ import re
 from .errors import ParseError
 from .fetch import FetchResponse
 from .htmldoc import Element, collapse_whitespace, page_text, parse_html
-from .model import TruthRating, classify_rating
+from .model import TruthRating
 from .urls import identify_publisher
 
 logger = logging.getLogger(__name__)
@@ -64,10 +64,10 @@ def _fallback_scan(root: Element, url: str, block: str) -> TruthRating:
     m = _FALLBACK_LABEL.search(root.text(_BLOCK_TAGS))
     if m is None:
         logger.warning("%s: no %s found", url, block)
-        return classify_rating("")
+        return TruthRating("")
     label = _label_head(m.group(1))
     logger.warning("%s: rating found only by text scan (low confidence): %r", url, label)
-    return classify_rating(label)
+    return TruthRating(label)
 
 
 def scrape_snopes_rating(page: FetchResponse) -> TruthRating:
@@ -75,7 +75,7 @@ def scrape_snopes_rating(page: FetchResponse) -> TruthRating:
     root = parse_html(page_text(page))
     element = root.select_one(DEFAULT_RATING_SELECTORS["snopes"]["rating"])
     if element is not None:
-        return classify_rating(_label_head(element.text()))
+        return TruthRating(_label_head(element.text()))
     return _fallback_scan(root, page.final_url, "rating block")
 
 
@@ -143,7 +143,7 @@ def scrape_reuters_rating(page: FetchResponse) -> TruthRating:
             if isinstance(child, Element) and id(child) not in holders:
                 label = child.text().strip()
                 if label:
-                    return classify_rating(_label_head(label))
+                    return TruthRating(_label_head(label))
     return _fallback_scan(root, page.final_url, "verdict section")
 
 

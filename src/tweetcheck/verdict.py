@@ -26,7 +26,6 @@ def _evidence_sort_key(item: EvidenceItem):
         SOURCE_ORDER[item.source],
         item.rank,
         item.url,
-        item.rating.kind.value if item.rating else "",
         item.rating.raw_label if item.rating else "",
         item.matched_text or "",
     )

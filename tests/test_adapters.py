@@ -502,7 +502,7 @@ def _one_link_search(source: SourceId, base: str, href: str, picks: bool = False
     verify over that one row reads instead."""
     search = engine_query_url(source, CLAIM_PANDEMIC.body)
     fetcher = Fetcher(FetchMode.LIVE, delay_ms=0, transport=StubTransport({search: StubPage(b"", final_url=base)}))
-    with fetcher, mock.patch("tweetcheck.adapters.read_results_page", return_value=([href], False, False)):
+    with fetcher, mock.patch("tweetcheck.adapters.read_results_page", return_value=([[[href], None]], False, False)):
         if picks:
             return tuple(item.url for item in verify_claim(CLAIM_PANDEMIC, AppConfig(), fetcher, [source]).verdict.evidence)
         return ranked_search(ENGINES[source], CLAIM_PANDEMIC, fetcher).urls

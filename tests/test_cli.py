@@ -492,6 +492,16 @@ def test_empty_dataset_exits_65_before_any_query(tmp_path, capsys, monkeypatch, 
     assert not fixtures.exists()
 
 
+def test_validate_dataset_refuses_an_empty_corpus_as_eval_and_record_do(tmp_path, capsys):
+    empty = tmp_path / "empty.tsv"
+    empty.write_text("# no records yet\n", encoding="utf-8")
+    code = main(["validate-dataset", "--dataset", str(empty)])
+    captured = capsys.readouterr()
+    assert code == 65
+    assert captured.out == ""
+    assert captured.err == f"tweetcheck: dataset error: no records in {empty}\n"
+
+
 def _refuse_network(monkeypatch) -> None:
     monkeypatch.setattr(
         Fetcher,

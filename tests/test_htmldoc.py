@@ -370,6 +370,12 @@ def _card(i: int) -> str:
     )
 
 
+def _flat(read: tuple) -> tuple:
+    """A :func:`read_results_page` answer with the hrefs of its regions joined, in region order."""
+    regions, challenge, marked = read
+    return [href for hrefs, _ in regions for href in hrefs], challenge, marked
+
+
 def _per_card_reading(root: Element, selectors) -> list[tuple[str, str]]:
     """(text, link) of each card, read card by card: each outermost card's
     selectors matched from the card. The reference for the card reader."""
@@ -399,9 +405,9 @@ class TestHostileNesting:
         # the web rows' scoped read, which replaced the "div#search a[href]" chain
         depth = 16_000
         started = time.perf_counter()
-        hrefs, challenge, marked = read_results_page(
+        hrefs, challenge, marked = _flat(read_results_page(
             '<div id="search">' + '<a href="x">' * depth, ENGINES[SourceId.WEB_SEARCH].selectors
-        )
+        ))
         assert (len(hrefs), challenge, marked) == (depth, False, False)
         assert time.perf_counter() - started < 2.5
 
@@ -655,7 +661,7 @@ def test_scoped_web_read_equals_the_descendant_chain(steps):
             expected.append(el.attrs.get("href"))
         below = under_search or _compound_matches(el, ("div", None, "search", False))
         stack.extend((child, below) for child in reversed(el.children))
-    assert read_results_page(_markup(steps), ENGINES[SourceId.WEB_SEARCH].selectors) == (expected, False, False)
+    assert _flat(read_results_page(_markup(steps), ENGINES[SourceId.WEB_SEARCH].selectors)) == (expected, False, False)
 
 
 @settings(max_examples=150, deadline=None)
@@ -678,7 +684,7 @@ def test_one_walk_read_equals_select_outermost_and_descendant_sets(steps, result
     in_ads = {id(el) for ad in ads for el in (ad, *_descendants(ad))}
     expected = [anchor.attrs.get("href") for anchor in candidates if id(anchor) not in in_ads]
     challenge = "captcha" in selectors and bool(root.select(selectors["captcha"]))
-    assert read_results_page(_markup(steps), selectors) == (expected, challenge, False)
+    assert _flat(read_results_page(_markup(steps), selectors)) == (expected, challenge, False)
 
 
 _MARKER = ENGINES[SourceId.WEB_SEARCH].selectors["captcha_text"]
@@ -708,7 +714,7 @@ def test_tree_free_read_equals_the_tree_walk(steps, results, optional):
     selectors["captcha_text"] = _MARKER
     root = parse_html(markup)
     anchors, challenge = read_results_tree(root, selectors)
-    assert read_results_page(markup, selectors) == (
+    assert _flat(read_results_page(markup, selectors)) == (
         [anchor.attrs.get("href") for anchor in anchors], challenge, _MARKER in root.text().lower()
     )
 
@@ -731,7 +737,42 @@ def test_text_after_a_tag_whose_quote_never_closes_is_kept():
     # as an attribute name, and the tag ends at its ">", not at the page's end
     text = "<div href== href = '='>x</div><p>after</p>"
     assert parse_html(text).select_one("p").text() == "after"
-    assert read_results_page(text, {"results": "p", "captcha_text": "after"}) == ([None], False, True)
+    assert _flat(read_results_page(text, {"results": "p", "captcha_text": "after"})) == ([None], False, True)
+
+
+class TestRegions:
+    """A results page is read as regions: each outermost "scope" match, or
+    the whole page, with its result hrefs and its first "text" match's pieces."""
+
+    def test_two_outermost_scopes_are_two_regions_in_document_order(self):
+        page = (
+            '<div id="search"><a href="1">a</a></div><a href="outside">x</a>'
+            '<div id="search"><a href="2">b</a><a href="3">c</a></div>'
+        )
+        regions, _, _ = read_results_page(page, ENGINES[SourceId.WEB_SEARCH].selectors)
+        assert regions == [[["1"], None], [["2", "3"], None]]
+
+    def test_a_nested_scope_is_part_of_the_outer_region(self):
+        page = '<div id="search"><a href="1">a</a><div id="search"><a href="2">b</a></div><a href="3">c</a></div>'
+        regions, _, _ = read_results_page(page, {"scope": "div#search", "results": "a[href]"})
+        assert regions == [[["1", "2", "3"], None]]
+
+    @pytest.mark.parametrize("page, hrefs", [
+        ('<div id="search"><a href="1">a</a></div><a href="2">b</a>', ["1", "2"]),
+        ("<p>no links</p>", []),
+        ("", []),
+    ], ids=["links", "no-links", "empty"])
+    def test_a_row_with_no_scope_is_one_region(self, page, hrefs):
+        assert read_results_page(page, {"results": "a[href]"})[0] == [[hrefs, None]]
+
+    def test_text_is_the_pieces_of_each_regions_first_match_only(self):
+        page = (
+            '<div class="card"><p class="t">first <b>bold</b></p><p class="t">second</p><a href="x">x</a></div>'
+            '<div class="card"><a href="y">no text</a></div>'
+            '<p class="t">outside every card</p>'
+        )
+        regions, _, _ = read_results_page(page, {"scope": "div.card", "results": "a[href]", "text": "p.t"})
+        assert regions == [[["x"], ["first ", "bold"]], [["y"], None]]
 
 
 @settings(max_examples=60, deadline=None)

@@ -13,7 +13,6 @@ from tweetcheck.model import (
     SourceId,
     TruthRating,
     TweetClaim,
-    classify_rating,
     implied_attribution,
 )
 
@@ -39,15 +38,19 @@ def oracle_classify(label: str) -> RatingKind:
     return ORACLE_LABELS.get(norm, RatingKind.UNKNOWN)
 
 
+#: One label of each kind, to build a rating of that kind from.
+LABEL_OF = {**{kind: label for label, kind in ORACLE_LABELS.items()}, RatingKind.UNKNOWN: "whatever"}
+
+
 class TestClassifyRating:
     def test_plain_false_label(self):
-        rating = classify_rating("False")
+        rating = TruthRating("False")
         assert rating.kind is RatingKind.FALSE
         assert rating.raw_label == "False"
         assert not rating.missing
 
     def test_empty_label_means_missing(self):
-        rating = classify_rating("")
+        rating = TruthRating("")
         assert rating.kind is RatingKind.UNKNOWN
         assert rating.raw_label == ""
         assert rating.missing
@@ -55,7 +58,7 @@ class TestClassifyRating:
     def test_uppercase_with_trailing_punctuation(self):
         # expected value from the independent normalize-and-lookup oracle
         assert oracle_classify("FALSE.") is RatingKind.FALSE
-        rating = classify_rating("FALSE.")
+        rating = TruthRating("FALSE.")
         assert rating.kind is RatingKind.FALSE
         assert rating.raw_label == "FALSE."
 
@@ -65,20 +68,23 @@ class TestClassifyRating:
          "fake", "Fabricated", "MISATTRIBUTED", "something else entirely", "4 Pinocchios"],
     )
     def test_matches_oracle(self, label):
-        assert classify_rating(label).kind is oracle_classify(label)
+        assert TruthRating(label).kind is oracle_classify(label)
 
     @given(st.text(max_size=60))
     def test_total_and_raw_preserving(self, label):
-        rating = classify_rating(label)
+        rating = TruthRating(label)
         assert isinstance(rating, TruthRating)
         assert rating.raw_label == label
 
-    def test_unknown_rating_without_a_label_must_be_missing(self):
-        with pytest.raises(ValueError, match="missing flag"):
-            TruthRating(RatingKind.UNKNOWN, "")
+    @given(st.text(max_size=60))
+    def test_kind_and_missing_are_read_from_any_label(self, label):
+        # so no rating is UNKNOWN with no label yet not missing
+        rating = TruthRating(label)
+        assert rating.missing or label.strip()
+        assert rating.kind is RatingKind.UNKNOWN or not rating.missing
 
     def test_whitespace_only_is_missing(self):
-        assert classify_rating("   ").missing
+        assert TruthRating("   ").missing
 
 
 class TestImpliedAttribution:
@@ -95,7 +101,8 @@ class TestImpliedAttribution:
 
     @pytest.mark.parametrize("kind", list(RatingKind))
     def test_truth_table(self, kind):
-        rating = TruthRating(kind=kind, raw_label="whatever")
+        rating = TruthRating(LABEL_OF[kind])
+        assert rating.kind is kind
         assert implied_attribution(rating) is self.EXPECTED[kind]
 
     # static, as a property test under parametrize must be: pytest gives each
@@ -104,10 +111,9 @@ class TestImpliedAttribution:
     @pytest.mark.parametrize("kind", list(RatingKind))
     @given(raw=st.text(max_size=30))
     def test_depends_on_kind_only(kind, raw):
-        missing = kind is RatingKind.UNKNOWN and not raw
-        a = TruthRating(kind=kind, raw_label=raw, missing=missing)
-        b = TruthRating(kind=kind, raw_label="something else")
-        assert implied_attribution(a) is implied_attribution(b)
+        for label in (LABEL_OF[kind], raw):
+            if oracle_classify(label) is kind:
+                assert implied_attribution(TruthRating(label)) is TestImpliedAttribution.EXPECTED[kind]
 
 
 class TestClaim:
@@ -146,7 +152,7 @@ class TestEvidenceItem:
                 url="https://x/",
                 rank=1,
                 matched_text="t",
-                rating=classify_rating("False"),
+                rating=TruthRating("False"),
             )
 
     def test_fact_check_item_needs_rating(self):
@@ -159,7 +165,7 @@ class TestEvidenceItem:
                 source=SourceId.SNOPES_SEARCH,
                 url="https://x/",
                 rank=0,
-                rating=classify_rating("False"),
+                rating=TruthRating("False"),
             )
 
     def test_politwoops_implies_authentic(self):
@@ -244,9 +250,7 @@ class TestRecord:
 
     def test_repr_names_every_field(self):
         assert repr(Hit("https://a/")) == "Hit(url='https://a/', rank=1)"
-        assert repr(TruthRating(RatingKind.FALSE, "False")) == (
-            "TruthRating(kind=<RatingKind.FALSE: 'False'>, raw_label='False', missing=False)"
-        )
+        assert repr(TruthRating("False")) == "TruthRating(raw_label='False')"
 
     def test_replace_copies_and_checks_again(self):
         hit = Hit("https://a/")

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from tweetcheck.errors import ParseError
 from tweetcheck.fetch import FetchResponse
 from tweetcheck.htmldoc import Element, page_text, parse_html
-from tweetcheck.model import RatingKind, TruthRating, classify_rating
+from tweetcheck.model import RatingKind, TruthRating
 from tweetcheck.ratings import (
     DEFAULT_RATING_SELECTORS,
     _fallback_scan,
@@ -108,7 +108,7 @@ class TestTextScan:
     def test_label_ends_at_its_block(self, url, body, label, caplog):
         with caplog.at_level("WARNING", logger="tweetcheck.ratings"):
             rating = scrape_rating(html_response(f"<html><body>{body}</body></html>", url))
-        assert rating == classify_rating(label)
+        assert rating == TruthRating(label)
         assert [r.getMessage().split(": ", 1)[1] for r in caplog.records] == [
             f"rating found only by text scan (low confidence): {label!r}"
         ]
@@ -166,7 +166,7 @@ def reference_reuters_rating(page: FetchResponse) -> TruthRating:
             if isinstance(child, Element) and not any(id(el) in heading_ids for el in child.iter()):
                 text = child.text().strip()
                 if text:
-                    return classify_rating(_label_head(text))
+                    return TruthRating(_label_head(text))
     return _fallback_scan(root, page.final_url, "verdict section")
 
 

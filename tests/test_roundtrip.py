@@ -11,7 +11,7 @@ left out.
 Rating labels are planted the same way into a Snopes rating block and a
 Reuters VERDICT section, serialized with entities, curly quotes, whitespace
 runs and non-ASCII text. The scraper must report the planted label decoded
-and whitespace-collapsed, with the kind :func:`classify_rating` gives it.
+and whitespace-collapsed: a rating is its label, and its kind is read from it.
 """
 
 import html
@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from tweetcheck.adapters import ENGINES, ranked_search, search_politwoops
 from tweetcheck.fetch import Fetcher, FetchMode, FetchResponse
-from tweetcheck.model import RATING_LABEL_TABLE, SourceId, TweetClaim, classify_rating
+from tweetcheck.model import RATING_LABEL_TABLE, SourceId, TruthRating, TweetClaim
 from tweetcheck.ratings import scrape_rating
 
 from conftest import StubPage, StubTransport, engine_query_url
@@ -250,7 +250,7 @@ def test_snopes_rating_label_round_trip(label):
         "https://www.snopes.com/fact-check/planted/",
         f'<h1>Claim</h1><div class="rating_title_wrap">{markup}<img src="/rating.png" alt=""></div><p>Body.</p>',
     )
-    assert rating == classify_rating(want) and rating.raw_label == want
+    assert rating == TruthRating(want) and rating.raw_label == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -264,4 +264,4 @@ def test_reuters_rating_label_round_trip(label, explanation):
         "https://www.reuters.com/article/planted-idUSPLANTED1",
         f"<p>Intro.</p><h2>VERDICT</h2><p>{markup}{rest}</p><p>This article was produced by the Reuters Fact Check team.</p>",
     )
-    assert rating == classify_rating(want) and rating.raw_label == want
+    assert rating == TruthRating(want) and rating.raw_label == want

@@ -9,9 +9,9 @@ from tweetcheck.model import (
     EvidenceItem,
     Outcome,
     SourceId,
+    TruthRating,
     TweetClaim,
     Verdict,
-    classify_rating,
 )
 from tweetcheck.verdict import aggregate
 
@@ -34,7 +34,7 @@ def make_item(kind: str, index: int) -> EvidenceItem:
         source=source,
         url=f"https://example-{source.value}.com/article/{index}",
         rank=index,
-        rating=classify_rating(label),
+        rating=TruthRating(label),
     )
 
 

@@ -11,21 +11,17 @@ nothing itself; whether an engine ranks is asked of its row alone. The query
 spec and the selectors are not configurable: a site redesign is followed
 by changing its row.
 
-The ranked engines (Snopes and Reuters built-in search, web search, and
-web search restricted to snopes.com) share :func:`ranked_search`: it
-builds the query, fetches the results page through the fetch gateway and
-reads the result links in rank order. The deleted-tweet tracker returns
-tweet records rather than links and has its own adapter,
-:func:`search_politwoops`.
-
-Every results page is read by :func:`read_results_page`: one pass of the
-tokenizer over the page's text that builds no tree. Result links are the
-elements matching an engine's "results" selector; where its row has a
-"scope" selector, as the web search rows do, only those under an element
-matching it count. A bot-challenge check and an ad filter run wherever an
-engine's selectors name them, as the web search rows do. The tracker's page
-goes through the same reader, each card a region whose first link and text
-it keeps. A results page that is not a 2xx answer is a
+Every engine's results page goes through one step, :func:`_request_page`:
+it builds the query from the row's spec, fetches the endpoint through the
+fetch gateway and reads the page by the row's selectors as written, with
+:func:`read_results_page`, one pass of the tokenizer that builds no tree.
+Where a row names them, a bot-challenge check and an ad filter run; where it
+has a "scope" selector, only the "results" elements under a match count,
+each match a region. The ranked engines (Snopes and Reuters built-in search,
+web search, and web search restricted to snopes.com) share
+:func:`ranked_search`, which keeps the result links in rank order; the
+deleted-tweet tracker's :func:`search_politwoops` keeps the first link and
+text of each card. A results page that is not a 2xx answer is a
 :class:`~tweetcheck.errors.NetworkError` from the fetch gateway, and
 propagates like any other query failure. Adapters are stateless;
 determinism under replay comes from the fixture store.
@@ -38,7 +34,7 @@ from collections.abc import Mapping
 from types import MappingProxyType
 
 from .errors import CaptchaDetected
-from .fetch import Fetcher, FetchRequest, FetchResponse
+from .fetch import Fetcher, FetchRequest
 from .htmldoc import collapse_whitespace, matches, page_text, parse_selector, tokenize, unescape
 from .model import RankedResults, Record, SourceId, TweetClaim
 from .queries import Encoding, QuerySpec, Truncation, build_query, encode_query
@@ -61,9 +57,9 @@ class EngineSettings(Record):
     source: SourceId
     endpoint: str
     spec: QuerySpec
-    #: What the engine's adapter reads from its results page; the optional
-    #: "scope" key confines "results" to the elements under its matches, and the
-    #: optional "ads", "captcha" and "captcha_text" keys turn those checks on.
+    #: What the page step reads from the engine's results page, as written: the
+    #: optional "scope" key confines "results" and "text" to each of its matches,
+    #: and the optional "ads", "captcha" and "captcha_text" keys turn those checks on.
     selectors: Mapping[str, str]
     ranking: Ranking | None = None
 
@@ -80,9 +76,9 @@ _WEB_SELECTORS = {
     "captcha_text": "detected unusual traffic",
 }
 _POLITWOOPS_SELECTORS = {
-    "cards": "div.tweet",
+    "scope": "div.tweet",
+    "results": "a[href*=/politwoops/tweet/]",
     "text": ".tweet-content",
-    "link": "a[href*=/politwoops/tweet/]",
 }
 
 #: Every engine's defaults, one row per source, in :class:`SourceId` order.
@@ -134,23 +130,18 @@ def normalize_text(text: str) -> str:
     return collapse_whitespace(text.lower())
 
 
-def _request_page(fetcher: Fetcher, settings: EngineSettings, query: str) -> FetchResponse:
-    url = settings.endpoint.format(query=encode_query(query, settings.spec.encoding))
-    return fetcher.fetch(FetchRequest(url=url))
-
-
 def read_results_page(text: str, selectors: Mapping[str, str]) -> tuple[list[list], bool, bool]:
     """The page's regions, whether any element matches "captcha", and whether
     the lowercased text holds the "captcha_text" marker. A region is each
-    outermost element matching "scope", in document order, or with no "scope"
-    key the whole page, read as ``[hrefs, pieces]``: the href of each element
-    under it matching "results" that neither matches "ads" nor lies under one,
-    in document order, and the text pieces of its first element matching
-    "text" (None if none does). One pass of the tokenizer that builds no tree:
-    an element's state is its region, whether it lies in an ad, and the pieces
-    its text adds to; the text is searched as it arrives, its last
-    ``len(marker) - 1`` characters carried over, so a marker split by tags or
-    character references is found."""
+    outermost element matching "scope" (a web search's result block, a tracker
+    card), in document order, or with no "scope" key the whole page, read as
+    ``[hrefs, pieces]``: the href of each element under it matching "results"
+    that neither matches "ads" nor lies under one, in document order, and the
+    text pieces of its first element matching "text" (None if none does). One
+    pass of the tokenizer that builds no tree: an element's state is its
+    region, whether it lies in an ad, and the pieces its text adds to; the
+    text is searched as it arrives, its last ``len(marker) - 1`` characters
+    carried over, so a marker split by tags or character references is found."""
     keys = ("scope", "results", "ads", "captcha", "text")
     scope, results, ads, captcha, text_ = (parse_selector(selectors[key]) if selectors.get(key) else () for key in keys)
     # Lowercasing piece by piece differs from lowercasing the whole text only
@@ -189,6 +180,21 @@ def read_results_page(text: str, selectors: Mapping[str, str]) -> tuple[list[lis
     return regions, challenge, marked
 
 
+def _request_page(settings: EngineSettings, claim: TweetClaim, fetcher: Fetcher) -> tuple[str, str, list[list]]:
+    """Every engine's page step: (query, final URL, regions) of the row's results
+    page for ``claim``, read by its selectors as written. Raises
+    :class:`CaptchaDetected` where its "captcha" or "captcha_text" finds a bot challenge."""
+    query = build_query(claim, settings.spec)
+    url = settings.endpoint.format(query=encode_query(query, settings.spec.encoding))
+    response = fetcher.fetch(FetchRequest(url=url))
+    regions, challenge, marked = read_results_page(page_text(response), settings.selectors)
+    if challenge:
+        raise CaptchaDetected(f"{response.final_url}: bot challenge page served")
+    if marked:
+        raise CaptchaDetected(f"{response.final_url}: bot challenge marker found")
+    return query, response.final_url, regions
+
+
 def ranked_search(settings: EngineSettings, claim: TweetClaim, fetcher: Fetcher) -> RankedResults:
     """Query one ranked-results engine and parse its results page.
 
@@ -200,17 +206,10 @@ def ranked_search(settings: EngineSettings, claim: TweetClaim, fetcher: Fetcher)
     engine = settings.ranking
     if engine is None:
         raise ValueError(f"{settings.source.value} does not produce ranked URL results")
-    query = build_query(claim, settings.spec)
-    response = _request_page(fetcher, settings, query)
-    regions, challenge, marked = read_results_page(page_text(response), settings.selectors)
-    if challenge:
-        raise CaptchaDetected(f"{response.final_url}: bot challenge page served")
-    if marked:
-        raise CaptchaDetected(f"{response.final_url}: bot challenge marker found")
-
+    query, final_url, regions = _request_page(settings, claim, fetcher)
     urls: dict[str, None] = {}  # first occurrence wins, in rank order
     for href in (href for hrefs, _ in regions for href in hrefs):
-        link = result_link(response.final_url, href, engine.web) if href else None
+        link = result_link(final_url, href, engine.web) if href else None
         if link is None:
             continue
         url, name, path = link
@@ -222,22 +221,17 @@ def ranked_search(settings: EngineSettings, claim: TweetClaim, fetcher: Fetcher)
 def search_politwoops(settings: EngineSettings, claim: TweetClaim, fetcher: Fetcher) -> list[PolitwoopsHit]:
     """Query the deleted-tweet tracker with the claim's leading characters.
 
-    The page is read by :func:`read_results_page`, each outermost card a
-    region: a card nested inside another card (as unclosed markup nests them)
-    is part of the outer one, whose text and link are the first of each found
-    inside it. The link is resolved as a result link is, and must lead to the
-    tracker's host.
+    Each outermost card, the row's "scope", is a region of the page step's
+    read: a card nested inside another (as unclosed markup nests them) is part
+    of the outer one, whose first "results" link and "text" element it keeps.
+    The link is resolved as a result link is, and must lead to the tracker's host.
     """
-    query = build_query(claim, settings.spec)
-    response = _request_page(fetcher, settings, query)
-    row = settings.selectors
-    cards = {"scope": row["cards"], "results": row["link"], "text": row["text"]}
-    regions, _, _ = read_results_page(page_text(response), cards)
+    _, final_url, regions = _request_page(settings, claim, fetcher)
     project_host = host(settings.endpoint)
     hits: list[PolitwoopsHit] = []
     for hrefs, pieces in regions:
         href = hrefs[0] if hrefs else None
-        link = result_link(response.final_url, href, False) if href else None
+        link = result_link(final_url, href, False) if href else None
         if pieces is None or link is None or link[1] != project_host:
             logger.debug("politwoops: skipping a card without text or a link to the tracker: %r", href)
             continue

@@ -141,7 +141,7 @@ RATING_LABEL_TABLE = {
     "satire": RatingKind.SATIRE,
 }
 
-_LABEL_TRAILING_PUNCT = ".!?,:;"
+_PUNCT_AS_SPACE = str.maketrans(".!?,:;", " " * 6)  # a label's tail punctuation, read as whitespace
 
 
 class TweetClaim(Record):
@@ -188,7 +188,7 @@ class TruthRating(Record):
         return RATING_LABEL_TABLE.get(self._normalized(), RatingKind.UNKNOWN)
 
     def _normalized(self) -> str:
-        return self.raw_label.strip().lower().rstrip(_LABEL_TRAILING_PUNCT).rstrip()
+        return (label := self.raw_label.lower())[:len(label.translate(_PUNCT_AS_SPACE).rstrip())].strip()
 
 
 class EvidenceItem(Record):

@@ -351,6 +351,32 @@ class TestRankedSearchDispatch:
             assert "{query}" in settings.endpoint
 
 
+class TestPageStep:
+    """Every engine's results page goes through one step, which fails the
+    query on a bot challenge wherever the engine's row names one."""
+
+    #: A result link of each kind and a tracker card, then the challenge.
+    PAGE = (
+        '<div id="search"><a href="https://www.snopes.com/fact-check/x/">x</a></div>'
+        '<div class="tweet"><p class="tweet-content">challenged query</p><a href="/politwoops/tweet/1">x</a></div>'
+    )
+
+    @pytest.mark.parametrize("source", list(ENGINES), ids=lambda source: source.value)
+    @pytest.mark.parametrize("key, value, markup, message", [
+        ("captcha", "div.challenge", '<div class="challenge">Are you a robot?</div>', "bot challenge page served"),
+        ("captcha_text", "press and hold", "<p>Press and <b>HOLD</b> to confirm</p>", "bot challenge marker found"),
+    ], ids=["captcha", "captcha_text"])
+    def test_a_bot_challenge_the_row_names_fails_the_query(self, source, key, value, markup, message):
+        row = ENGINES[source]
+        search = search_politwoops if row.ranking is None else ranked_search
+        claim = TweetClaim(body="challenged query")
+        transport = StubTransport({engine_query_url(source, claim.body): StubPage((self.PAGE + markup).encode())})
+        with Fetcher(FetchMode.LIVE, delay_ms=0, transport=transport) as fetcher:
+            assert search(row, claim, fetcher)  # the row as shipped reads the page
+            with pytest.raises(CaptchaDetected, match=message):
+                search(row.replace(selectors={**row.selectors, key: value}), claim, fetcher)
+
+
 class TestPublisherTable:
     """Every publisher urls.PUBLISHERS declares has what its readers look up."""
 

@@ -349,12 +349,12 @@ class TestHostileInputTime:
 # Card selectors written as lists of alternatives, some of which match nothing.
 _LISTED_CARD_SELECTORS = {
     "text": "p.tweet-content, div.tweet-content",
-    "link": "link[href*=/politwoops/tweet/], a[href*=/politwoops/tweet/]",
+    "results": "link[href*=/politwoops/tweet/], a[href*=/politwoops/tweet/]",
 }
 # Pieces of a generated tracker page; left unclosed, they nest. Among them: a
 # card that matches "text" itself, a self-closing card, raw text and a character
 # reference that may fall in a text element, and an element matching both
-# "text" and "link" (under the row's own selectors).
+# "text" and "results" (under the row's own selectors).
 _CARD_PAGE_STEPS = (
     '<div class="tweet">', '<p class="tweet-content">text {i}', '<a href="/politwoops/tweet/{i}">',
     '<span class="screen-name">@h{i}', "<span>", "</div>", "</p>", "</a>", "</span>",
@@ -380,8 +380,8 @@ def _per_card_reading(root: Element, selectors) -> list[tuple[str, str]]:
     """(text, link) of each card, read card by card: each outermost card's
     selectors matched from the card. The reference for the card reader."""
     read = []
-    for card in outermost(root.select(selectors["cards"])):
-        text_el, link_el = (card.select_one(selectors[key]) for key in ("text", "link"))
+    for card in outermost(root.select(selectors["scope"])):
+        text_el, link_el = (card.select_one(selectors[key]) for key in ("text", "results"))
         if text_el is not None and link_el is not None and link_el.attrs.get("href"):
             read.append((text_el.text().strip(), link_el.attrs.get("href")))
     return read

@@ -33,7 +33,7 @@ ORACLE_LABELS = {
 
 def oracle_classify(label: str) -> RatingKind:
     norm = label.strip().lower()
-    while norm and norm[-1] in ".!?,:; \t":
+    while norm and (norm[-1].isspace() or norm[-1] in ".!?,:;"):
         norm = norm[:-1]
     return ORACLE_LABELS.get(norm, RatingKind.UNKNOWN)
 
@@ -65,10 +65,18 @@ class TestClassifyRating:
     @pytest.mark.parametrize(
         "label",
         ["True", "Correct Attribution", "partly FALSE!", "Labeled Satire", "Mixture",
-         "fake", "Fabricated", "MISATTRIBUTED", "something else entirely", "4 Pinocchios"],
+         "fake", "Fabricated", "MISATTRIBUTED", "something else entirely", "4 Pinocchios",
+         "False! .", "False. ."],
     )
     def test_matches_oracle(self, label):
         assert TruthRating(label).kind is oracle_classify(label)
+
+    @given(
+        label=st.sampled_from([*ORACLE_LABELS, "something else"]),
+        tail=st.text(st.sampled_from(" \t\n\r\x0b\x0c\x1c\x85\xa0\u2003\u3000.!?,:;"), max_size=12),
+    )
+    def test_a_tail_of_whitespace_and_punctuation_is_ignored(self, label, tail):
+        assert TruthRating(label + tail).kind is oracle_classify(label + tail)
 
     @given(st.text(max_size=60))
     def test_total_and_raw_preserving(self, label):
